@@ -30,12 +30,21 @@ from .traces import canonical_trace, isotropy_trace, rep_matrix
 BUNDLED = ("grigorchuk", "adding", "lamplighter")
 
 
+def _read_file(path: str, what: str) -> str:
+    """Text of a file; one that cannot be read is a parse error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"{what} file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{what} file {path!r}: not UTF-8 text") from None
+
+
 def _load_machine(spec: str):
     """Return (machine, display name) from a path or a bundled name."""
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return parse_machine(text), os.path.basename(spec)
+        return parse_machine(_read_file(spec, "machine")), os.path.basename(spec)
     name = spec[:-3] if spec.endswith(".gt") else spec
     if name in BUNDLED:
         text = resources.files("germtrace.data").joinpath(f"{name}.gt").read_text()
@@ -46,8 +55,7 @@ def _load_machine(spec: str):
 
 def _read_element(machine, spec: str) -> AlgebraElement:
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            spec = fh.read()
+        spec = _read_file(spec, "element")
     return parse_element(machine, spec)
 
 
@@ -336,6 +344,16 @@ def _cmd_wordproblem(args) -> str:
 # ---------------------------------------------------------------------------
 # wiring
 
+def _cap(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"cap must be positive, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="germtrace",
@@ -351,9 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "csv", "json"),
                        default="table")
         p.add_argument("-o", "--output", help="write the report to a file")
-        p.add_argument("--cap-states", type=int, default=None,
+        p.add_argument("--cap-states", type=_cap, default=None,
                        help="limit on explored product-machine states")
-        p.add_argument("--cap-patterns", type=int, default=None,
+        p.add_argument("--cap-patterns", type=_cap, default=None,
                        help="limit on explored coincidence-pattern states")
 
     p = sub.add_parser("fixmeasure", help="fixed-word counts and exact measure")

@@ -314,7 +314,7 @@ def hausdorff_witness(machine: Machine):
     """
     mm, _ = minimize(machine)
     d = mm.alphabet_size
-    inter = _minimized_interiorizable(mm)
+    inter = _interiorizable_states(mm)
     nodes = {q for q in range(mm.size) if q != mm.identity and q in inter}
 
     def edges(q):
@@ -338,12 +338,6 @@ def hausdorff_witness(machine: Machine):
         raise AssertionError("reaching set must have a successor")
 
     return mm.state(chosen), _greedy_cycle_walk(chosen, step)
-
-
-def _minimized_interiorizable(mm: Machine) -> frozenset[int]:
-    # same fixed-letter reachability as _interiorizable_states; on a
-    # minimised machine the designated identity is the only trivial state
-    return _interiorizable_states(mm)
 
 
 def is_dangerous(machine: Machine, x: Point) -> bool:

@@ -18,7 +18,7 @@ from .fixedpoints import DecayCertificate, boundary_null_certificate, mu_fix_exa
 from .mealy import (Aut, Machine, Word, as_word, check_word, compose_labels,
                     identity_aut, invert_label, minimize, restrict_label,
                     word_text)
-from .points import BOUNDARY, INTERIOR, Point, fixed_walk
+from .points import BOUNDARY, Point, fixed_walk, state_lasso
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,18 @@ def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
 class Germ:
     """The germ of a cylinder shift at a point of its source cylinder.
 
-    Equality is semantic: two germs agree iff one composed with the
-    other's inverse acts trivially on a neighbourhood of the base point.
-    Germs are deliberately unhashable; containers dedup by scanning.
+    Equality is semantic: two germs agree iff their shifts coincide on a
+    neighbourhood of the base point x.  Near x a shift (q, u, v) sends
+    the cylinder of x[:n] to that of the range's first n letters and
+    acts below it by the restriction q|x[|v|:n], so the key is (base,
+    range, cycle): cycle holds the eventual canonical restrictions, the
+    one at depth n stored at index n mod len(cycle).  Invariant: two
+    germs are equal iff their keys are, so equal germs hash equal.
+    Anchoring the cycle to the depth keeps apart two states that chase
+    each other round the same cycle.
     """
 
-    __slots__ = ("map", "base", "_range")
-    __hash__ = None
+    __slots__ = ("map", "base", "_range", "_key")
 
     def __init__(self, pmap: PartialMap, base: Point):
         if not pmap.contains_base(base):
@@ -140,6 +145,7 @@ class Germ:
         self.map = pmap
         self.base = base
         self._range = None
+        self._key = None
 
     def source(self) -> Point:
         return self.base
@@ -149,12 +155,21 @@ class Germ:
             self._range = self.map.apply_point(self.base)
         return self._range
 
+    @property
+    def key(self) -> tuple:
+        if self._key is None:
+            aut = self.map.state  # canonical, so its states are distinct
+            k = len(self.map.source_prefix)
+            states, start = state_lasso(aut, self.base.shift(k))
+            cycle = states[start:]  # cycle[i] sits at depth k + start + i
+            r = (k + start) % len(cycle)
+            cycle = cycle[-r:] + cycle[:-r]
+            self._key = (self.base, self.range(),
+                         tuple(Aut(aut.machine, s).canonical() for s in cycle))
+        return self._key
+
     def is_unit(self) -> bool:
-        m = self.map
-        if m.range_prefix != m.source_prefix:
-            return False
-        status, _ = fixed_walk(m.state, self.base.shift(len(m.source_prefix)))
-        return status == INTERIOR
+        return self.key == unit_germ(self.map.alphabet_size, self.base).key
 
     def fixes_base(self) -> bool:
         return self.range() == self.base
@@ -179,13 +194,10 @@ class Germ:
     def __eq__(self, other):
         if not isinstance(other, Germ):
             return NotImplemented
-        if self.base != other.base:
-            return False
-        return self.compose(other.inverse()).is_unit()
+        return self.key == other.key
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+    def __hash__(self):
+        return hash(self.key)
 
     def __repr__(self):
         return f"<germ {self.map!r} at {self.base!r}>"
@@ -205,7 +217,7 @@ def isotropy_germs_at(x: Point, machine: Machine, depth_cap: int) -> list[Germ]:
     """
     if depth_cap < 0:
         raise DomainError("depth cap must be >= 0")
-    germs: list[Germ] = []
+    germs: dict[Germ, None] = {}
     for n in range(depth_cap + 1):
         u = x.prefix(n)
         y = x.shift(n)
@@ -214,10 +226,8 @@ def isotropy_germs_at(x: Point, machine: Machine, depth_cap: int) -> list[Germ]:
             status, _ = fixed_walk(aut, y)
             if status != BOUNDARY:
                 continue
-            g = PartialMap(aut, u, u, machine.name_of(q)).germ_at(x)
-            if not any(g == h for h in germs):
-                germs.append(g)
-    return germs
+            germs.setdefault(PartialMap(aut, u, u, machine.name_of(q)).germ_at(x))
+    return list(germs)
 
 
 def verify_invariance(b: PartialMap) -> bool:

@@ -445,10 +445,10 @@ def distinguishing_depth(machine: Machine) -> int:
     m, _ = minimize(machine)
     d = m.alphabet_size
     letters = tuple(range(d))
-    INF = float("inf")
-    depth = [1 if m.outputs[q] != letters else INF for q in range(m.size)]
+    never = m.size + 1  # exceeds every finite depth on a minimised machine
+    depth = [1 if m.outputs[q] != letters else never for q in range(m.size)]
     if m.identity is not None:
-        depth[m.identity] = INF  # the identity moves nothing
+        depth[m.identity] = never  # the identity moves nothing
     changed = True
     while changed:
         changed = False
@@ -462,8 +462,8 @@ def distinguishing_depth(machine: Machine) -> int:
     finite = [depth[q] for q in range(m.size) if q != m.identity]
     if not finite:
         return 1
-    assert all(v != INF for v in finite), "non-identity state in minimised machine"
-    return int(max(finite))
+    assert all(v != never for v in finite), "non-identity state in minimised machine"
+    return max(finite)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +629,10 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
             else:
                 return a
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        fail("parentheses nested too deeply")
     skip_ws()
     if pos != len(s):
         fail(f"trailing input at column {pos + 1}")

@@ -93,34 +93,41 @@ def format_point(p: Point) -> str:
     return f"{word_text(p.preperiod)}({word_text(p.period)})"
 
 
+def state_lasso(g: Aut, x: Point) -> tuple[list[int], int]:
+    """States of g's machine met along x, as a lasso (states, start).
+
+    states[i] is the restriction of g below the first i letters of x.
+    The walk stops at the first repeat of (state, position in the
+    period): from index start on, the sequence of (state, letter) pairs
+    repeats with period len(states) - start, a multiple of x's period.
+    """
+    trans = g.machine.transitions
+    per = x.period
+    q = g.state
+    states: list[int] = []
+    for a in x.preperiod:
+        states.append(q)
+        q = trans[q][a]
+    seen: dict[tuple[int, int], int] = {}
+    phase = 0
+    while (q, phase) not in seen:
+        seen[q, phase] = len(states)
+        states.append(q)
+        q = trans[q][per[phase]]
+        phase = (phase + 1) % len(per)
+    return states, seen[q, phase]
+
+
 def apply_to_point(g: Aut, x: Point) -> Point:
     """Image of a point; eventual periodicity is preserved.
 
-    After the preperiod the acting state runs through cycle blocks; by
-    pigeonhole the block-starting state repeats within machine-size many
-    blocks, which yields the image's preperiod and cycle.
+    Along the lasso of g at x the output letters repeat with the
+    lasso's cycle, which yields the image's preperiod and cycle.
     """
-    m = g.machine
-    out, trans = m.outputs, m.transitions
-    q = g.state
-    head: list[int] = []
-    for a in x.preperiod:
-        head.append(out[q][a])
-        q = trans[q][a]
-    seen: dict[int, int] = {}
-    blocks: list[list[int]] = []
-    while q not in seen:
-        seen[q] = len(blocks)
-        emitted = []
-        for a in x.period:
-            emitted.append(out[q][a])
-            q = trans[q][a]
-        blocks.append(emitted)
-    j = seen[q]
-    for block in blocks[:j]:
-        head.extend(block)
-    cycle = [a for block in blocks[j:] for a in block]
-    return Point(head, cycle)
+    out = g.machine.outputs
+    states, start = state_lasso(g, x)
+    image = [out[q][x.letter(i)] for i, q in enumerate(states)]
+    return Point(image[:start], image[start:])
 
 
 def fixed_walk(g: Aut, x: Point):
@@ -131,33 +138,16 @@ def fixed_walk(g: Aut, x: Point):
     states of the minimised closure machine of g).  INTERIOR means some
     finite prefix is fixed with trivial restriction below it; BOUNDARY
     means every prefix is fixed but the restriction never trivialises,
-    detected by pigeonhole on (state, position in cycle).
+    i.e. the lasso of g at x closes without either happening.
     """
     c = g.canonical()
     m = c.machine
-    out, trans = m.outputs, m.transitions
-    ident = m.identity
-    q = 0
-    visited = {0}
-    for a in x.preperiod:
-        if q == ident:
-            return INTERIOR, [Aut(m, s) for s in sorted(visited)]
-        if out[q][a] != a:
-            return MOVED, [Aut(m, s) for s in sorted(visited)]
-        q = trans[q][a]
-        visited.add(q)
-    seen = set()
-    phase = 0
-    n = len(x.period)
-    while True:
-        if q == ident:
-            return INTERIOR, [Aut(m, s) for s in sorted(visited)]
-        if (q, phase) in seen:
-            return BOUNDARY, [Aut(m, s) for s in sorted(visited)]
-        seen.add((q, phase))
-        a = x.period[phase]
-        if out[q][a] != a:
-            return MOVED, [Aut(m, s) for s in sorted(visited)]
-        q = trans[q][a]
-        visited.add(q)
-        phase = (phase + 1) % n
+    states, _ = state_lasso(c, x)
+    for i, q in enumerate(states):
+        a = x.letter(i)
+        if q == m.identity or m.outputs[q][a] != a:
+            status = INTERIOR if q == m.identity else MOVED
+            break
+    else:
+        status, i = BOUNDARY, len(states)
+    return status, [Aut(m, s) for s in sorted(set(states[:i + 1]))]

@@ -4,9 +4,9 @@ Two functionals live here: the canonical trace integrates the element's
 restriction to unit germs (per diagonal term, the interior fixed
 measure), and the isotropy trace integrates the sum over all isotropy
 germs (per diagonal term, the full fixed measure).  Boundary-null decay
-makes the two fixed measures one rational, so the traces agree; the
-code still routes them through separate formulas and certifies the
-decay rather than assuming it.
+makes the two fixed measures one rational, mu_fix_exact, so both traces
+are the same diagonal sum; the isotropy trace first checks the decay
+certificate of every diagonal state rather than assuming it.
 """
 
 from __future__ import annotations
@@ -22,17 +22,24 @@ from .mealy import Aut
 from .points import Point
 
 
-def _interior_fix_measure(state: Aut) -> Fraction:
-    """mu(int Fix): what the unit-germ set of a diagonal shift weighs."""
-    return mu_fix_exact(state)
+def _diagonal_terms(a: AlgebraElement):
+    return [(b, c) for b, c in a.terms.items() if b.range_prefix == b.source_prefix]
 
 
-def _total_fix_measure(state: Aut) -> Fraction:
-    """mu(Fix): what the isotropy-germ set of a diagonal shift weighs.
+def _diagonal_sum(a: AlgebraElement) -> Scalar:
+    """Sum over diagonal terms of coeff * mu(Fix of the state) / d^|v|."""
+    total = ZERO
+    d = a.alphabet_size
+    for pmap, coeff in _diagonal_terms(a):
+        weight = Fraction(mu_fix_exact(pmap.state), d ** len(pmap.source_prefix))
+        total = total + coeff * Scalar(weight)
+    return total
 
-    Equal to the interior measure because the boundary decays to null;
-    the decay certificate is checked (once per canonical machine) so the
-    equality is witnessed, not assumed.
+
+def _require_boundary_null(state: Aut) -> None:
+    """Raise unless every state of the closure certifies a null boundary.
+
+    The verdict is memoised once per canonical machine.
     """
     c = state.canonical()
     memo = c.machine._memo
@@ -42,28 +49,22 @@ def _total_fix_measure(state: Aut) -> Fraction:
             for q in range(c.machine.size))
     if not memo["boundary_null"]:
         raise DomainError("boundary decay certificate failed")
-    return mu_fix_exact(c)
-
-
-def _diagonal_sum(a: AlgebraElement, measure) -> Scalar:
-    total = ZERO
-    d = a.alphabet_size
-    for pmap, coeff in a.terms.items():
-        if pmap.range_prefix != pmap.source_prefix:
-            continue
-        weight = Fraction(measure(pmap.state), d ** len(pmap.source_prefix))
-        total = total + coeff * Scalar(weight)
-    return total
 
 
 def canonical_trace(a: AlgebraElement) -> Scalar:
     """Integral of the element over unit germs against Bernoulli measure."""
-    return _diagonal_sum(a, _interior_fix_measure)
+    return _diagonal_sum(a)
 
 
 def isotropy_trace(a: AlgebraElement) -> Scalar:
-    """Integral over the boundary of the sum over all isotropy germs."""
-    return _diagonal_sum(a, _total_fix_measure)
+    """Integral over the boundary of the sum over all isotropy germs.
+
+    mu(Fix) equals the interior measure of the canonical trace only
+    because the boundary of each fixed set is null, so that is checked.
+    """
+    for pmap, _ in _diagonal_terms(a):
+        _require_boundary_null(pmap.state)
+    return _diagonal_sum(a)
 
 
 def F_eval(a: AlgebraElement, x: Point, depth_cap: int | None = None) -> Scalar:
@@ -76,16 +77,10 @@ def F_eval(a: AlgebraElement, x: Point, depth_cap: int | None = None) -> Scalar:
     """
     if depth_cap is None:
         depth_cap = max((len(b.source_prefix) for b in a.terms), default=0)
-    candidates: list[Germ] = [unit_germ(a.alphabet_size, x)]
-    for g in isotropy_germs_at(x, a.machine, depth_cap):
-        if not any(g == h for h in candidates):
-            candidates.append(g)
-    for pmap in a.terms:
-        if not pmap.contains_base(x):
-            continue
-        g = pmap.germ_at(x)
-        if g.range() == x and not any(g == h for h in candidates):
-            candidates.append(g)
+    own = (b.germ_at(x) for b in a.terms if b.contains_base(x))
+    candidates = dict.fromkeys([unit_germ(a.alphabet_size, x),
+                                *isotropy_germs_at(x, a.machine, depth_cap),
+                                *(g for g in own if g.range() == x)])
     total = ZERO
     for g in candidates:
         total = total + a.evaluate(g)
@@ -145,14 +140,6 @@ class RepMatrix:
         return RepMatrix(self.labels, rows, self.closed)
 
 
-def _dedup_germs(germs) -> list[Germ]:
-    out: list[Germ] = []
-    for g in germs:
-        if not any(g == h for h in out):
-            out.append(g)
-    return out
-
-
 def _germ_label(g: Germ, i: int) -> str:
     lab = g.map.label
     u, v = g.map.range_prefix, g.map.source_prefix
@@ -178,17 +165,14 @@ def rep_matrix(a: AlgebraElement, x: Point, basis: list[Germ],
             raise DomainError("basis germ does not have source x")
     if not basis:
         raise DomainError("basis must be nonempty")
-    unit = unit_germ(a.alphabet_size, x)
-    subgroup = _dedup_germs([unit, *iso])
+    subgroup = dict.fromkeys([unit_germ(a.alphabet_size, x), *iso])
     for h in subgroup:
         if h.source() != x or h.range() != x:
             raise DomainError("iso germ is not isotropy at x")
     for h1 in subgroup:
-        for h2 in subgroup:
-            prod = h1.compose(h2)
-            if not any(prod == h for h in subgroup):
-                raise DomainError("iso germs are not closed under composition")
-        if not any(h1.inverse() == h for h in subgroup):
+        if any(h1.compose(h2) not in subgroup for h2 in subgroup):
+            raise DomainError("iso germs are not closed under composition")
+        if h1.inverse() not in subgroup:
             raise DomainError("iso germs are not closed under inverse")
 
     entries = []
@@ -202,14 +186,9 @@ def rep_matrix(a: AlgebraElement, x: Point, basis: list[Germ],
             row.append(total)
         entries.append(tuple(row))
 
-    closed = True
-    for pmap in a.terms:
-        for gj in basis:
-            r = gj.range()
-            if not pmap.contains_base(r):
-                continue
-            image = pmap.germ_at(r).compose(gj)
-            if not any(image == g for g in basis):
-                closed = False
+    members = set(basis)
+    closed = all(pmap.germ_at(gj.range()).compose(gj) in members
+                 for pmap in a.terms for gj in basis
+                 if pmap.contains_base(gj.range()))
     labels = tuple(_germ_label(g, i) for i, g in enumerate(basis))
     return RepMatrix(labels, tuple(entries), closed)

@@ -8,7 +8,10 @@ from germtrace.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad flags by exiting
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -295,6 +298,51 @@ class TestErrorsAndIO:
         )
         assert code == 0
         assert "zero: yes" in out
+
+
+class TestHostileInput:
+    """Bad input exits 2 with a message on stderr, never a traceback."""
+
+    def assert_parse_error(self, capsys, *argv, needle=""):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--cap-states", "--cap-patterns"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_cap(self, capsys, flag, value):
+        self.assert_parse_error(capsys, "fixmeasure", "-m", "grigorchuk",
+                                "-s", "b", flag, value, needle=flag)
+
+    def test_non_integer_cap(self, capsys):
+        self.assert_parse_error(capsys, "fixmeasure", "-m", "grigorchuk",
+                                "-s", "b", "--cap-states", "abc",
+                                needle="--cap-states")
+
+    @pytest.mark.parametrize("argv", [
+        ("essfree", "-m", "{dir}"),
+        ("trace", "-m", "grigorchuk", "-e", "{dir}"),
+        ("alg", "mult", "-m", "grigorchuk", "-e1", "{dir}", "-e2", "1 a:>"),
+        ("alg", "add", "-m", "grigorchuk", "-e1", "1 a:>", "-e2", "{dir}"),
+    ], ids=["machine", "element", "element1", "element2"])
+    def test_directory_as_file(self, capsys, tmp_path, argv):
+        argv = [a.format(dir=tmp_path) for a in argv]
+        self.assert_parse_error(capsys, *argv, needle=str(tmp_path))
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        src = tmp_path / "binary.gt"
+        src.write_bytes(b"\xff\xfe\x00alphabet 2\n")
+        self.assert_parse_error(capsys, "hausdorff", "-m", str(src),
+                                needle="UTF-8")
+
+    def test_deeply_nested_expression(self, capsys):
+        expr = "(" * 2000 + "a" + ")" * 2000
+        self.assert_parse_error(capsys, "wordproblem", "-m", "grigorchuk",
+                                "-s", expr, needle="nested too deeply")
+        self.assert_parse_error(capsys, "trace", "-m", "grigorchuk",
+                                "-e", f"1 {expr}:>", needle="nested too deeply")
 
 
 class TestDeterminism:

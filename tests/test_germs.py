@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 
 from germtrace import (
+    INTERIOR,
     DomainError,
     Germ,
     PartialMap,
     Point,
     bisection_product,
     essential_freeness_report,
+    fixed_walk,
     isotropy_germs_at,
+    parse_machine,
     parse_point,
     unit_germ,
     verify_invariance,
@@ -186,10 +189,16 @@ class TestGermBasics:
         assert not germ.is_unit()
         assert not germ.fixes_base()
 
-    def test_germs_not_hashable(self, grig):
-        germ = shift(grig, "d").germ_at(parse_point("(1)", 2))
-        with pytest.raises(TypeError):
-            hash(germ)
+    def test_hash_respects_equality(self, grig):
+        x = parse_point("(1)", 2)
+        b = shift(grig, "b").germ_at(x)
+        c11 = shift(grig, "c", (1,), (1,)).germ_at(x)
+        d = shift(grig, "d").germ_at(x)
+        b11 = shift(grig, "b", (1,), (1,)).germ_at(x)
+        assert b == c11 and hash(b) == hash(c11)
+        assert d == b11 and hash(d) == hash(b11)
+        assert len({b, c11, d, b11}) == 2
+        assert shift(grig, "c").germ_at(x) not in {b, d}
 
 
 class TestGermEquality:
@@ -224,6 +233,76 @@ class TestGermEquality:
         shallow = shift(lamp, "p").germ_at(x)
         deep = shift(lamp, "p", (0, 0), (0, 0)).germ_at(x)
         assert shallow == deep
+
+
+def reference_equal(g: Germ, h: Germ) -> bool:
+    """Germ equality from its definition: g after h^-1 is a unit near h's range.
+
+    Composes the two shifts and classifies the composite with fixed_walk,
+    without going through Germ equality, its key or is_unit.
+    """
+    if g.base != h.base:
+        return False
+    piece, = bisection_product(g.map, h.map.inverse())
+    if piece.range_prefix != piece.source_prefix:
+        return False
+    y = h.range().shift(len(piece.source_prefix))
+    return fixed_walk(piece.state, y)[0] == INTERIOR
+
+
+def random_product(machine, rng):
+    """Product of 1-3 machine states, each inverted or not."""
+    aut = None
+    for _ in range(rng.randint(1, 3)):
+        s = machine.state(rng.randrange(machine.size))
+        if rng.random() < 0.5:
+            s = s.inverse()
+        aut = s if aut is None else aut * s
+    return aut
+
+
+def random_germ_at(machine, rng, x):
+    n = rng.randint(0, 3)
+    v = x.prefix(n)
+    u = v if rng.random() < 0.5 else random_word(rng, machine.alphabet_size, n)
+    return PartialMap(random_product(machine, rng), u, v).germ_at(x)
+
+
+class TestGermKeyOracle:
+    def test_equality_and_hash_match_reference(self, bundled, ternary):
+        rng = random.Random(2603)
+        pairs = equal = 0
+        for m in [*bundled.values(), ternary]:
+            d = m.alphabet_size
+            for _ in range(5):
+                x = Point(random_word(rng, d, rng.randint(0, 2)),
+                          random_word(rng, d, rng.randint(1, 2)))
+                germs = [random_germ_at(m, rng, x) for _ in range(35)]
+                for i, g in enumerate(germs):
+                    for h in germs[i + 1:]:
+                        expected = reference_equal(g, h)
+                        assert (g == h) == expected == (h == g), (g, h)
+                        if expected:
+                            assert hash(g) == hash(h), (g, h)
+                        pairs += 1
+                        equal += expected
+        assert pairs >= 10_000
+        assert 0 < equal < pairs
+
+    def test_cycle_phase_separates_chasing_states(self):
+        # s and t swap along 0^infinity: same restriction cycle, opposite phase
+        m = parse_machine("alphabet 2\n"
+                          "state s perm 0 1 to t a\n"
+                          "state t perm 0 1 to s e\n"
+                          "state a perm 1 0 to e e\n")
+        x = parse_point("(0)", 2)
+        gs = shift(m, "s").germ_at(x)
+        gt = shift(m, "t").germ_at(x)
+        gt0 = shift(m, "t", (0,), (0,)).germ_at(x)
+        assert gs != gt and not reference_equal(gs, gt)
+        assert gt0 == gs and reference_equal(gt0, gs)
+        assert hash(gt0) == hash(gs)
+        assert len({gs, gt, gt0}) == 2
 
 
 class TestGroupoidLaws:

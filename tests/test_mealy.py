@@ -244,6 +244,13 @@ class TestStateExpr:
         with pytest.raises(ParseError):
             parse_state_expr(grig, text)
 
+    def test_deep_nesting_is_parse_error(self, grig):
+        from germtrace import ParseError
+
+        assert parse_state_expr(grig, "(" * 50 + "a" + ")" * 50) == grig.state("a")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_state_expr(grig, "(" * 2000 + "a" + ")" * 2000)
+
     def test_unknown_state_is_domain_error(self, grig):
         with pytest.raises(DomainError):
             parse_state_expr(grig, "zz")

@@ -13,9 +13,11 @@ from germtrace import (
     canonical_trace,
     check_positive,
     check_tracial,
+    fixed_counts,
     indicator,
     isotropy_defect,
     isotropy_trace,
+    mu_fix_exact,
     parse_element,
     parse_point,
     rep_matrix,
@@ -95,6 +97,41 @@ class TestTraceValues:
                 a = random_element(m, rng)
                 tau, phi = both_traces(a)
                 assert tau == phi
+
+    def test_diagonal_measures_within_count_brackets(self, bundled, ternary):
+        # fixed_counts brackets each diagonal state's measure from below by
+        # the interior fraction i_k/d^k and from above by f_k/d^k; summing
+        # the brackets termwise brackets both traces without mu_fix_exact
+        rng = random.Random(46)
+        composites = 0
+        for m in [*bundled.values(), ternary]:
+            d = m.alphabet_size
+            machine_states = set(m.states())
+            for _ in range(15):
+                a, b = random_element(m, rng), random_element(m, rng)
+                for elem in (a, a * b, b.adjoint() * a):
+                    lo = {k: [F(0), F(0)] for k in range(11)}
+                    hi = {k: [F(0), F(0)] for k in range(11)}
+                    for pmap, coeff in elem.terms.items():
+                        if pmap.range_prefix != pmap.source_prefix:
+                            continue
+                        composites += pmap.state not in machine_states
+                        mu = mu_fix_exact(pmap.state)
+                        counts = fixed_counts(pmap.state, 10)
+                        scale = d ** len(pmap.source_prefix)
+                        for k in range(11):
+                            inner = F(counts.interior[k], d ** k)
+                            outer = F(counts.fixed[k], d ** k)
+                            assert inner <= mu <= outer
+                            for part, c in enumerate((coeff.re, coeff.im)):
+                                ends = sorted((c * inner / scale, c * outer / scale))
+                                lo[k][part] += ends[0]
+                                hi[k][part] += ends[1]
+                    for tau in both_traces(elem):
+                        for k in range(11):
+                            assert lo[k][0] <= tau.re <= hi[k][0]
+                            assert lo[k][1] <= tau.im <= hi[k][1]
+        assert composites > 0
 
     def test_tracial_and_positive_checks(self, bundled):
         rng = random.Random(44)
