@@ -12,16 +12,15 @@ from .errors import (CapExceededError, DomainError, ElementParseError,
                      PatternCapError, PointParseError, SingularSystemError,
                      StateCapError)
 from .mealy import (Aut, Machine, Word, as_word, check_word, compose_labels,
-                    distinguishing_depth, equal, format_machine, get_state_cap,
+                    distinguishing_depth, format_machine, get_state_cap,
                     identity_aut, invert_label, minimize, parse_machine,
                     parse_state_expr, restrict_label, set_state_cap, word_text)
 from .points import (BOUNDARY, INTERIOR, MOVED, Point, apply_to_point,
                      fixed_walk, format_point, parse_point)
 from .fixedpoints import (DecayCertificate, FixCounts, boundary_fixed_point,
                           boundary_null_certificate, fixed_counts,
-                          fixed_counts_csv, has_boundary_fixed_point,
-                          hausdorff_witness, interiorizable, is_dangerous,
-                          mu_fix_exact)
+                          fixed_counts_csv, hausdorff_witness, interiorizable,
+                          is_dangerous, mu_fix_exact)
 from .germs import (FreenessReport, Germ, PartialMap, bisection_product,
                     essential_freeness_report, isotropy_germs_at, unit_germ,
                     verify_invariance)

@@ -16,9 +16,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ElementParseError, ParseError, PatternCapError
+from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
+                     excerpt)
 from .germs import Germ, PartialMap, bisection_product, unit_germ
-from .mealy import Aut, Machine, Word, identity_aut, word_text
+from .mealy import (Aut, Machine, Word, backward_distances, identity_aut,
+                    infinite_path_nodes, word_text)
 from .points import Point
 
 _DEFAULT_PATTERN_CAP = 10 ** 6
@@ -116,9 +118,9 @@ def parse_scalar(text: str) -> Scalar:
     while pos < len(s):
         if seen_im:
             raise ElementParseError(
-                f"bad scalar {text!r}: imaginary part must come last")
+                f"bad scalar {excerpt(text)}: imaginary part must come last")
         if seen_re and s[pos] not in "+-":
-            raise ElementParseError(f"bad scalar {text!r}")
+            raise ElementParseError(f"bad scalar {excerpt(text)}")
         sign = 1
         if s[pos] in "+-":
             sign = -1 if s[pos] == "-" else 1
@@ -129,10 +131,10 @@ def parse_scalar(text: str) -> Scalar:
         else:
             m = _NUM_RE.match(s, pos)
             if not m or m.start() != pos:
-                raise ElementParseError(f"bad scalar {text!r}")
+                raise ElementParseError(f"bad scalar {excerpt(text)}")
             den = int(m.group(2)) if m.group(2) else 1
             if den == 0:
-                raise ElementParseError(f"bad scalar {text!r}: zero denominator")
+                raise ElementParseError(f"bad scalar {excerpt(text)}: zero denominator")
             value = Fraction(int(m.group(1)), den)
             pos = m.end()
             imag = pos < len(s) and s[pos] == "i"
@@ -143,7 +145,7 @@ def parse_scalar(text: str) -> Scalar:
             seen_im = True
         else:
             if seen_re:
-                raise ElementParseError(f"bad scalar {text!r}: two real parts")
+                raise ElementParseError(f"bad scalar {excerpt(text)}: two real parts")
             re_part = sign * value
             seen_re = True
     return Scalar(re_part, im_part)
@@ -399,10 +401,11 @@ def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
     """Yield (coefficient sums per germ class, region contains a cylinder).
 
     One item per realizable coincidence pattern per bucket.  A pattern
-    records which term pairs have equal germs; it is realizable iff some
-    reachable joint state shows it and can run forever without a new
-    coincidence, and its region contains a cylinder iff some such state
-    can never be forced into one.
+    (T-set) records which term pairs have equal germs.  It is realizable
+    iff the joint states showing it contain an infinite path among
+    themselves, and its region contains a cylinder iff one of those
+    states cannot reach a joint state with a successor of a different
+    T-set, i.e. can never be forced into a further coincidence.
     """
     if cap is None:
         cap = _pattern_cap
@@ -410,39 +413,16 @@ def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
         states = [s for s, _ in bucket]
         coeffs = [c for _, c in bucket]
         pairs, seen, succ = _joint_walk(states, cap)
-        d = elem.alphabet_size
-
-        by_tset: dict[frozenset, set] = {}
-        for joint in seen:
-            by_tset.setdefault(_tset(joint, pairs), set()).add(joint)
-
-        # joint states from which a further coincidence is reachable
-        can_grow = set()
-        changed = True
-        while changed:
-            changed = False
-            for joint in seen:
-                if joint in can_grow:
-                    continue
-                base = _tset(joint, pairs)
-                for x in range(d):
-                    nxt = succ[joint][x]
-                    if nxt in can_grow or _tset(nxt, pairs) != base:
-                        can_grow.add(joint)
-                        changed = True
-                        break
-
+        tsets = {joint: _tset(joint, pairs) for joint in seen}
+        by_tset: dict[frozenset, list] = {}
+        for joint, tset in tsets.items():
+            by_tset.setdefault(tset, []).append(joint)
+        growing = [joint for joint in seen
+                   if any(tsets[nxt] != tsets[joint] for nxt in succ[joint])]
+        can_grow = backward_distances(seen, succ.__getitem__, growing)
         for tset in sorted(by_tset, key=sorted):
             members = by_tset[tset]
-            alive = set(members)
-            changed = True
-            while changed:
-                changed = False
-                for joint in list(alive):
-                    if not any(succ[joint][x] in alive for x in range(d)):
-                        alive.discard(joint)
-                        changed = True
-            if not alive:
+            if not infinite_path_nodes(members, succ.__getitem__):
                 continue
             sums = _class_sums(len(states), coeffs, tset)
             has_open = any(joint not in can_grow for joint in members)
@@ -475,10 +455,10 @@ def parse_shift(machine: Machine, text: str) -> PartialMap:
     from .mealy import parse_state_expr
     shift_text = text.strip()
     if ":" not in shift_text:
-        raise ElementParseError(f"shift {shift_text!r}: missing ':'")
+        raise ElementParseError(f"shift {excerpt(shift_text)}: missing ':'")
     expr_text, _, words = shift_text.partition(":")
     if words.count(">") != 1:
-        raise ElementParseError(f"shift {shift_text!r}: needs exactly one '>'")
+        raise ElementParseError(f"shift {excerpt(shift_text)}: needs exactly one '>'")
     u_text, _, v_text = words.partition(">")
     try:
         state = parse_state_expr(machine, expr_text)
@@ -488,7 +468,7 @@ def parse_shift(machine: Machine, text: str) -> PartialMap:
     except ElementParseError:
         raise
     except (ParseError, DomainError, ValueError) as exc:
-        raise ElementParseError(f"shift {shift_text!r}: {exc}") from exc
+        raise ElementParseError(f"shift {excerpt(shift_text)}: {exc}") from exc
 
 
 def parse_element(machine: Machine, text: str) -> AlgebraElement:
@@ -500,7 +480,8 @@ def parse_element(machine: Machine, text: str) -> AlgebraElement:
             continue
         split = line.split(None, 1)
         if len(split) != 2:
-            raise ElementParseError(f"term {line!r}: expected '<scalar> <shift>'")
+            raise ElementParseError(
+                f"term {excerpt(line)}: expected '<scalar> <shift>'")
         coeff_text, shift_text = split
         coeff = parse_scalar(coeff_text)
         terms.append((coeff, parse_shift(machine, shift_text)))
@@ -510,10 +491,10 @@ def parse_element(machine: Machine, text: str) -> AlgebraElement:
 def _parse_word(text: str, d: int) -> Word:
     text = text.strip()
     if not all(ch.isdigit() for ch in text):
-        raise ValueError(f"bad word {text!r}")
+        raise ValueError(f"bad word {excerpt(text)}")
     w = tuple(int(ch) for ch in text)
     if any(x >= d for x in w):
-        raise ValueError(f"word {text!r} has letters outside the alphabet")
+        raise ValueError(f"word {excerpt(text)} has letters outside the alphabet")
     return w
 
 

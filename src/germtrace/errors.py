@@ -5,6 +5,17 @@ failures exit 2, cap overruns exit 3, domain errors exit 4.
 """
 
 
+_EXCERPT_CHARS = 40
+
+
+def excerpt(text: str) -> str:
+    """Quote user input for an error message: at most _EXCERPT_CHARS
+    characters of it, plus its total length when it is longer."""
+    if len(text) <= _EXCERPT_CHARS:
+        return repr(text)
+    return f"{text[:_EXCERPT_CHARS]!r}... ({len(text)} characters)"
+
+
 class GermTraceError(Exception):
     """Base class for all package errors."""
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SingularSystemError
-from .mealy import Aut, Machine, distinguishing_depth, minimize
-from .points import BOUNDARY, Point, fixed_walk
+from .mealy import (Aut, Machine, backward_distances, distinguishing_depth,
+                    infinite_path_nodes, minimize)
+from .points import Point, state_lasso
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,20 @@ def boundary_null_certificate(g: Aut, max_checks: int | None = None) -> DecayCer
     return DecayCertificate(d, p, checks)
 
 
+def closure_boundary_null(g: Aut) -> bool:
+    """True iff every state of g's closure passes its decay certificate.
+
+    The verdict is memoised once per canonical machine.
+    """
+    m = g.canonical().machine
+    verdict = m._memo.get("boundary_null")
+    if verdict is None:
+        verdict = all(boundary_null_certificate(m.state(q)).holds
+                      for q in range(m.size))
+        m._memo["boundary_null"] = verdict
+    return verdict
+
+
 # ---------------------------------------------------------------------------
 # exact fixed-point measure
 
@@ -171,96 +186,51 @@ def mu_fix_exact(g: Aut) -> Fraction:
 # ---------------------------------------------------------------------------
 # boundary fixed points and the Hausdorff test
 
-def interiorizable(g: Aut) -> bool:
-    """True iff g fixes some cylinder pointwise, i.e. int Fix_g is nonempty."""
-    c = g.canonical()
-    return c.state in _interiorizable_states(c.machine)
+def _fixed_successors(m: Machine):
+    """succ for the graph helpers: a state's restrictions below the
+    letters it fixes."""
+    return lambda q: [m.transitions[q][x] for x in range(m.alphabet_size)
+                      if m.outputs[q][x] == x]
 
 
-def _interiorizable_states(m: Machine) -> frozenset[int]:
-    cached = m._memo.get("interiorizable")
-    if cached is not None:
-        return cached
-    good: set[int] = set()
-    if m.identity is not None:
-        good.add(m.identity)
-        changed = True
-        while changed:
-            changed = False
-            for q in range(m.size):
-                if q in good:
-                    continue
-                for x in range(m.alphabet_size):
-                    if m.outputs[q][x] == x and m.transitions[q][x] in good:
-                        good.add(q)
-                        changed = True
-                        break
-    cached = frozenset(good)
-    m._memo["interiorizable"] = cached
+def _interior_depths(m: Machine) -> dict[int, int]:
+    """State -> length of a shortest word it fixes with trivial restriction.
+
+    Only interiorizable states appear; the identity maps to 0.
+    """
+    cached = m._memo.get("interior_depths")
+    if cached is None:
+        targets = [] if m.identity is None else [m.identity]
+        cached = backward_distances(range(m.size), _fixed_successors(m), targets)
+        m._memo["interior_depths"] = cached
     return cached
 
 
-def _interior_depth(m: Machine, q: int) -> int | None:
-    """Length of a shortest word fixed by q with trivial restriction below."""
-    if q == m.identity:
-        return 0
-    seen = {q}
-    frontier = [q]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for s in frontier:
-            for x in range(m.alphabet_size):
-                if m.outputs[s][x] == x:
-                    t = m.transitions[s][x]
-                    if t == m.identity:
-                        return depth
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-        frontier = nxt
-    return None
+def interiorizable(g: Aut) -> bool:
+    """True iff g fixes some cylinder pointwise, i.e. int Fix_g is nonempty."""
+    c = g.canonical()
+    return c.state in _interior_depths(c.machine)
 
 
-def _infinite_path_states(m: Machine, nodes: set[int], edges) -> set[int]:
-    """Subset of nodes from which an infinite path inside nodes exists."""
-    alive = set(nodes)
-    changed = True
-    while changed:
-        changed = False
-        for q in list(alive):
-            if not any(t in alive for _, t in edges(q)):
-                alive.discard(q)
-                changed = True
-    return alive
+def _fixed_lasso(m: Machine, start: int, alive: set[int]) -> Point:
+    """The point along which start fixes every letter and every restriction
+    stays in alive, taking the smallest such letter at each step.
 
-
-def _reaching(nodes: set[int], edges, targets: set[int]) -> set[int]:
-    reach = set(targets)
-    changed = True
-    while changed:
-        changed = False
-        for q in nodes:
-            if q not in reach and any(t in reach for _, t in edges(q)):
-                reach.add(q)
-                changed = True
-    return reach
-
-
-def _greedy_cycle_walk(start: int, edges_into) -> Point:
-    """Trace a deterministic eventually periodic path, smallest letter first."""
+    start must lie in alive, a set of states each with an infinite fixed
+    path inside it.
+    """
     letters: list[int] = []
     pos = {start: 0}
     s = start
     while True:
-        x, t = edges_into(s)
+        x = next(x for x in range(m.alphabet_size)
+                 if m.outputs[s][x] == x and m.transitions[s][x] in alive)
+        s = m.transitions[s][x]
         letters.append(x)
-        if t in pos:
-            j = pos[t]
+        if s in pos:
+            j = pos[s]
             return Point(letters[:j], letters[j:])
-        pos[t] = len(letters)
-        s = t
+        pos[s] = len(letters)
 
 
 def boundary_fixed_point(g: Aut) -> Point | None:
@@ -271,31 +241,21 @@ def boundary_fixed_point(g: Aut) -> Point | None:
     """
     c = g.canonical()
     m = c.machine
-    nodes = {q for q in range(m.size) if q != m.identity}
-
-    def edges(q):
-        for x in range(m.alphabet_size):
-            if m.outputs[q][x] == x:
-                t = m.transitions[q][x]
-                if t in nodes:
-                    yield x, t
-
-    alive = _infinite_path_states(m, nodes, edges)
-    reach = _reaching(nodes, edges, alive)
-    if c.state not in reach:
-        return None
-
-    def step(s):
-        for x, t in edges(s):
-            if t in reach:
-                return x, t
-        raise AssertionError("reaching set must have a successor")
-
-    return _greedy_cycle_walk(c.state, step)
+    nodes = [q for q in range(m.size) if q != m.identity]
+    alive = infinite_path_nodes(nodes, _fixed_successors(m))
+    return _fixed_lasso(m, c.state, alive) if c.state in alive else None
 
 
-def has_boundary_fixed_point(g: Aut) -> bool:
-    return boundary_fixed_point(g) is not None
+def _witness_states(machine: Machine):
+    """(minimised machine, its interior depths, eligible states).
+
+    A state is eligible iff it fixes some point along which every
+    restriction is nontrivial and interiorizable.
+    """
+    mm, _ = minimize(machine)
+    depths = _interior_depths(mm)
+    nodes = [q for q in depths if q != mm.identity]
+    return mm, depths, infinite_path_nodes(nodes, _fixed_successors(mm))
 
 
 def hausdorff_witness(machine: Machine):
@@ -308,36 +268,17 @@ def hausdorff_witness(machine: Machine):
     of the machine's states (and of the cylinder shifts built from them)
     is Hausdorff.
 
-    Among eligible states the one whose trivially-fixed cylinder is
-    shallowest is reported, ties broken by machine order; the point walks
-    smallest letters first.
+    The eligible states are those with an infinite fixed path through
+    nontrivial interiorizable states of the minimised machine.  Among
+    them the one with the shortest trivially fixed word is reported, ties
+    broken by machine order; the point walks smallest letters first
+    inside the eligible states.
     """
-    mm, _ = minimize(machine)
-    d = mm.alphabet_size
-    inter = _interiorizable_states(mm)
-    nodes = {q for q in range(mm.size) if q != mm.identity and q in inter}
-
-    def edges(q):
-        for x in range(d):
-            if mm.outputs[q][x] == x:
-                t = mm.transitions[q][x]
-                if t in nodes:
-                    yield x, t
-
-    alive = _infinite_path_states(mm, nodes, edges)
-    reach = _reaching(nodes, edges, alive)
-    candidates = [q for q in sorted(nodes) if q in reach]
-    if not candidates:
+    mm, depths, eligible = _witness_states(machine)
+    if not eligible:
         return None
-    chosen = min(candidates, key=lambda q: (_interior_depth(mm, q), q))
-
-    def step(s):
-        for x, t in edges(s):
-            if t in reach:
-                return x, t
-        raise AssertionError("reaching set must have a successor")
-
-    return mm.state(chosen), _greedy_cycle_walk(chosen, step)
+    chosen = min(eligible, key=lambda q: (depths[q], q))
+    return mm.state(chosen), _fixed_lasso(mm, chosen, eligible)
 
 
 def is_dangerous(machine: Machine, x: Point) -> bool:
@@ -347,15 +288,16 @@ def is_dangerous(machine: Machine, x: Point) -> bool:
     germ of a state q at the shifted point y = x without u; that germ is
     a non-unit limit of units iff y is fixed by q, never with trivial
     restriction, while every restriction along y fixes some cylinder.
-    Only the finitely many distinct suffixes of x need checking.
+    Only the finitely many distinct suffixes of x need checking, and only
+    the eligible states of hausdorff_witness: the lasso of such a state
+    along y must fix every letter and stay among the eligible states.
     """
-    mm, _ = minimize(machine)
+    mm, _, eligible = _witness_states(machine)
     for n in range(len(x.preperiod) + len(x.period)):
         y = x.shift(n)
-        for q in range(mm.size):
-            if q == mm.identity:
-                continue
-            status, states = fixed_walk(mm.state(q), y)
-            if status == BOUNDARY and all(interiorizable(a) for a in states):
+        for q in eligible:
+            states, _ = state_lasso(mm.state(q), y)
+            if all(s in eligible and mm.outputs[s][y.letter(i)] == y.letter(i)
+                   for i, s in enumerate(states)):
                 return True
     return False

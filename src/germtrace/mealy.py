@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 import threading
 
-from .errors import DomainError, MachineParseError, ParseError, StateCapError
+from .errors import DomainError, MachineParseError, ParseError, StateCapError, excerpt
 
 Word = tuple[int, ...]
 
@@ -109,7 +109,7 @@ class Machine:
 
     def index_of(self, name: str) -> int:
         if self.names is None or name not in self.names:
-            raise DomainError(f"unknown state name {name!r}")
+            raise DomainError(f"unknown state name {excerpt(name)}")
         return self.names.index(name)
 
     def state(self, ref) -> "Aut":
@@ -147,13 +147,12 @@ def _intern(d, outputs, transitions) -> Machine:
     return m
 
 
-def _explore(d, start, out_fn, trans_fn, cap):
+def _explore(d, start, out_fn, trans_fn):
     """Breadth-first closure of an implicitly given machine.
 
     Returns dense output/transition tables; the start maps to index 0.
     States may be arbitrary hashable labels.
     """
-    cap = cap if cap is not None else _state_cap
     index = {start: 0}
     order = [start]
     outputs = []
@@ -168,9 +167,9 @@ def _explore(d, start, out_fn, trans_fn, cap):
             t = trans_fn(q, x)
             j = index.get(t)
             if j is None:
-                if len(order) >= cap:
+                if len(order) >= _state_cap:
                     raise StateCapError(
-                        f"more than {cap} states while closing a machine")
+                        f"more than {_state_cap} states while closing a machine")
                 j = len(order)
                 index[t] = j
                 order.append(t)
@@ -294,7 +293,7 @@ class Aut:
             a, b = pair
             return (tr1[a][out2[b][x]], tr2[b][x])
 
-        outs, trans = _explore(d, (self.state, other.state), out_fn, trans_fn, None)
+        outs, trans = _explore(d, (self.state, other.state), out_fn, trans_fn)
         return _canonical_from_tables(d, outs, trans, 0)
 
     def inverse(self) -> "Aut":
@@ -318,7 +317,7 @@ class Aut:
         def trans_fn(q, x):
             return tr[q][inv_perm(q)[x]]
 
-        outs, trans = _explore(d, self.state, out_fn, trans_fn, None)
+        outs, trans = _explore(d, self.state, out_fn, trans_fn)
         return _canonical_from_tables(d, outs, trans, 0)
 
     def is_identity(self) -> bool:
@@ -382,10 +381,6 @@ class Aut:
         return f"<Aut {label} of {m!r}>"
 
 
-def equal(g: Aut, h: Aut) -> bool:
-    return g == h
-
-
 _identity_cache: dict[int, Aut] = {}
 
 
@@ -435,35 +430,73 @@ def minimize(machine: Machine) -> tuple[Machine, list[int]]:
     return out, mapping
 
 
+def backward_distances(nodes, succ, targets) -> dict:
+    """Least number of steps from each node to a target, inside nodes.
+
+    succ(q) lists the successors of q (repeats and nodes outside the set
+    are allowed and ignored); targets lie in nodes.  Returns a dict from
+    every node that can reach a target to its distance, targets mapping
+    to 0.  Breadth-first search over reversed edges, linear in the size
+    of the graph.
+    """
+    preds = {q: [] for q in nodes}
+    for q in preds:
+        for t in succ(q):
+            if t in preds:
+                preds[t].append(q)
+    dist = dict.fromkeys(targets, 0)
+    frontier = list(dist)
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for q in preds[t]:
+                if q not in dist:
+                    dist[q] = dist[t] + 1
+                    nxt.append(q)
+        frontier = nxt
+    return dist
+
+
+def infinite_path_nodes(nodes, succ) -> set:
+    """Nodes from which an infinite path stays inside nodes.
+
+    succ is as for backward_distances.  Nodes whose out-degree inside the
+    set drops to zero are peeled off one by one; what is left is the
+    answer.  Linear in the size of the graph.
+    """
+    preds = {q: [] for q in nodes}
+    degree = dict.fromkeys(preds, 0)
+    for q in preds:
+        for t in succ(q):
+            if t in preds:
+                preds[t].append(q)
+                degree[q] += 1
+    dead = [q for q, k in degree.items() if k == 0]
+    alive = set(preds)
+    while dead:
+        t = dead.pop()
+        alive.discard(t)
+        for q in preds[t]:
+            degree[q] -= 1
+            if degree[q] == 0:
+                dead.append(q)
+    return alive
+
+
 def distinguishing_depth(machine: Machine) -> int:
-    """Least p with: every state that is not the identity moves some word
+    """Least p with: every state that acts nontrivially moves some word
     of length at most p.
 
-    Computed on the minimised machine, where the bound p <= number of
-    states holds; a machine whose states are all trivial yields 1.
+    The shortest word a state moves is one longer than its distance to a
+    state whose output row is not the identity; states that reach no
+    such state act trivially.  A machine whose states are all trivial
+    yields 1.
     """
-    m, _ = minimize(machine)
-    d = m.alphabet_size
-    letters = tuple(range(d))
-    never = m.size + 1  # exceeds every finite depth on a minimised machine
-    depth = [1 if m.outputs[q] != letters else never for q in range(m.size)]
-    if m.identity is not None:
-        depth[m.identity] = never  # the identity moves nothing
-    changed = True
-    while changed:
-        changed = False
-        for q in range(m.size):
-            if q == m.identity or depth[q] == 1:
-                continue
-            best = min(depth[m.transitions[q][x]] for x in range(d)) + 1
-            if best < depth[q]:
-                depth[q] = best
-                changed = True
-    finite = [depth[q] for q in range(m.size) if q != m.identity]
-    if not finite:
-        return 1
-    assert all(v != never for v in finite), "non-identity state in minimised machine"
-    return max(finite)
+    letters = tuple(range(machine.alphabet_size))
+    moving = [q for q in range(machine.size) if machine.outputs[q] != letters]
+    dist = backward_distances(range(machine.size), machine.transitions.__getitem__,
+                              moving)
+    return 1 + max(dist.values(), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +532,13 @@ def parse_machine(text: str) -> Machine:
             continue
         m = _STATE_RE.match(line)
         if not m:
-            raise MachineParseError(f"line {lineno}: unrecognised directive {line!r}")
+            raise MachineParseError(
+                f"line {lineno}: unrecognised directive {excerpt(line)}")
         if d is None:
             raise MachineParseError(f"line {lineno}: state before alphabet directive")
         name, perm_text, to_text = m.group(1), m.group(2), m.group(3)
         if not _NAME_RE.match(name):
-            raise MachineParseError(f"line {lineno}: bad state name {name!r}")
+            raise MachineParseError(f"line {lineno}: bad state name {excerpt(name)}")
         perm_parts = perm_text.split()
         to_parts = to_text.split()
         if len(perm_parts) != d or len(to_parts) != d:
@@ -536,7 +570,8 @@ def parse_machine(text: str) -> Machine:
         row = []
         for t in to_parts:
             if t not in index:
-                raise MachineParseError(f"line {lineno}: unknown successor state {t!r}")
+                raise MachineParseError(
+                    f"line {lineno}: unknown successor state {excerpt(t)}")
             row.append(index[t])
         transitions.append(tuple(row))
     e = index["e"]
@@ -570,7 +605,7 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
     s = text.strip()
 
     def fail(msg):
-        raise ParseError(f"state expression {text!r}: {msg}")
+        raise ParseError(f"state expression {excerpt(text)}: {msg}")
 
     def skip_ws():
         nonlocal pos

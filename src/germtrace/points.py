@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import PointParseError
+from .errors import PointParseError, excerpt
 from .mealy import Aut, Word, as_word, check_word, word_text
 
 # outcomes of walking a state along a point while it keeps fixing letters
@@ -80,12 +80,12 @@ _POINT_RE = re.compile(r"^([0-9]*)\(([0-9]+)\)$")
 def parse_point(text: str, alphabet_size: int) -> Point:
     m = _POINT_RE.match(text.strip())
     if not m:
-        raise PointParseError(f"point {text!r} must look like u(v), e.g. 01(10)")
+        raise PointParseError(f"point {excerpt(text)} must look like u(v), e.g. 01(10)")
     try:
         pre = check_word(as_word(m.group(1)), alphabet_size)
         per = check_word(as_word(m.group(2)), alphabet_size)
     except ValueError as exc:
-        raise PointParseError(f"point {text!r}: {exc}") from None
+        raise PointParseError(f"point {excerpt(text)}: {exc}") from None
     return Point(pre, per)
 
 

@@ -16,9 +16,8 @@ from fractions import Fraction
 
 from .convalg import ZERO, AlgebraElement, Scalar
 from .errors import DomainError
-from .fixedpoints import boundary_null_certificate, mu_fix_exact
+from .fixedpoints import closure_boundary_null, mu_fix_exact
 from .germs import Germ, isotropy_germs_at, unit_germ
-from .mealy import Aut
 from .points import Point
 
 
@@ -36,21 +35,6 @@ def _diagonal_sum(a: AlgebraElement) -> Scalar:
     return total
 
 
-def _require_boundary_null(state: Aut) -> None:
-    """Raise unless every state of the closure certifies a null boundary.
-
-    The verdict is memoised once per canonical machine.
-    """
-    c = state.canonical()
-    memo = c.machine._memo
-    if "boundary_null" not in memo:
-        memo["boundary_null"] = all(
-            boundary_null_certificate(c.machine.state(q)).holds
-            for q in range(c.machine.size))
-    if not memo["boundary_null"]:
-        raise DomainError("boundary decay certificate failed")
-
-
 def canonical_trace(a: AlgebraElement) -> Scalar:
     """Integral of the element over unit germs against Bernoulli measure."""
     return _diagonal_sum(a)
@@ -63,7 +47,8 @@ def isotropy_trace(a: AlgebraElement) -> Scalar:
     because the boundary of each fixed set is null, so that is checked.
     """
     for pmap, _ in _diagonal_terms(a):
-        _require_boundary_null(pmap.state)
+        if not closure_boundary_null(pmap.state):
+            raise DomainError("boundary decay certificate failed")
     return _diagonal_sum(a)
 
 
@@ -175,16 +160,12 @@ def rep_matrix(a: AlgebraElement, x: Point, basis: list[Germ],
         if h1.inverse() not in subgroup:
             raise DomainError("iso germs are not closed under inverse")
 
+    inverses = [gj.inverse() for gj in basis]
     entries = []
     for gi in basis:
-        row = []
-        for gj in basis:
-            total = ZERO
-            for h in subgroup:
-                germ = gi.compose(h).compose(gj.inverse())
-                total = total + a.evaluate(germ)
-            row.append(total)
-        entries.append(tuple(row))
+        left = [gi.compose(h) for h in subgroup]
+        entries.append(tuple(sum((a.evaluate(gh.compose(inv)) for gh in left), ZERO)
+                             for inv in inverses))
 
     members = set(basis)
     closed = all(pmap.germ_at(gj.range()).compose(gj) in members

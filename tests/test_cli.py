@@ -344,6 +344,25 @@ class TestHostileInput:
         self.assert_parse_error(capsys, "trace", "-m", "grigorchuk",
                                 "-e", f"1 {expr}:>", needle="nested too deeply")
 
+    @pytest.mark.parametrize("argv, needle", [
+        (("trace", "-m", "grigorchuk", "-e", "1 " + "(" * 2000 + "a" + ")" * 2000 + ":>"),
+         "nested too deeply"),
+        (("wordproblem", "-m", "grigorchuk", "-s", "a" + " )" * 3000), "trailing input"),
+        (("trace", "-m", "grigorchuk", "-e", "1/" + "2" * 3000 + "x a:>"), "bad scalar"),
+        (("trace", "-m", "grigorchuk", "-e", "x" * 5000), "expected '<scalar> <shift>'"),
+        (("trace", "-m", "grigorchuk", "-e", "1 a:" + "0" * 3000 + ">x"), "bad word"),
+        (("dangerous", "-m", "grigorchuk", "-x", "0" * 5000), "must look like u(v)"),
+        (("essfree", "-m", "{file}"), "unrecognised directive"),
+    ], ids=["expression", "trailing", "scalar", "term", "word", "point", "machine"])
+    def test_long_input_is_quoted_as_excerpt(self, capsys, tmp_path, argv, needle):
+        src = tmp_path / "long.gt"
+        src.write_text("alphabet 2\n" + "z" * 5000 + "\n")
+        code, out, err = run(capsys, *[a.replace("{file}", str(src)) for a in argv])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and needle in err
+        assert "Traceback" not in err
+        assert len(err) < 300
+
 
 class TestDeterminism:
     CASES = [

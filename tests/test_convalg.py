@@ -25,8 +25,10 @@ from germtrace import (
     unit_element,
     unit_germ,
 )
+from germtrace.convalg import (_class_sums, _joint_walk, _realizable_class_sums,
+                               _refined_groups, _tset)
 
-from conftest import random_element
+from conftest import random_element, random_scalar, random_word
 
 
 def F(*args):
@@ -374,3 +376,68 @@ class TestEquals:
         assert d != refined  # termwise comparison
         assert d.equals(refined)
         assert not d.equals(indicator(grig, "e"))
+
+
+def reference_class_sums(elem):
+    """The loops _realizable_class_sums used before the graph helpers:
+    round-robin sweeps for the joint states that can reach a change of
+    T-set and for each T-set's joint states with an infinite path."""
+    items = []
+    for bucket in _refined_groups(elem):
+        states = [s for s, _ in bucket]
+        coeffs = [c for _, c in bucket]
+        pairs, seen, succ = _joint_walk(states, get_pattern_cap())
+        d = elem.alphabet_size
+        by_tset = {}
+        for joint in seen:
+            by_tset.setdefault(_tset(joint, pairs), set()).add(joint)
+        can_grow = set()
+        changed = True
+        while changed:
+            changed = False
+            for joint in seen:
+                if joint in can_grow:
+                    continue
+                base = _tset(joint, pairs)
+                for x in range(d):
+                    nxt = succ[joint][x]
+                    if nxt in can_grow or _tset(nxt, pairs) != base:
+                        can_grow.add(joint)
+                        changed = True
+                        break
+        for tset in sorted(by_tset, key=sorted):
+            members = by_tset[tset]
+            alive = set(members)
+            changed = True
+            while changed:
+                changed = False
+                for joint in list(alive):
+                    if not any(succ[joint][x] in alive for x in range(d)):
+                        alive.discard(joint)
+                        changed = True
+            if alive:
+                has_open = any(joint not in can_grow for joint in members)
+                items.append((_class_sums(len(states), coeffs, tset), has_open))
+    return items
+
+
+class TestPatternSearchReference:
+    def test_matches_pre_change_loops(self, bundled, ternary):
+        rng = random.Random(314)
+        machines = [*bundled.values(), ternary]
+        has_open = {True: 0, False: 0}
+        for k in range(300):
+            m = machines[k % len(machines)]
+            d = m.alphabet_size
+            u, v = random_word(rng, d, k % 2), random_word(rng, d, k % 2)
+            # several states on one cylinder pair meet in one bucket
+            elem = AlgebraElement(m, [
+                (random_scalar(rng), PartialMap(m.state(q), u, v, m.name_of(q)))
+                for q in rng.sample(range(m.size), min(m.size, rng.randint(2, 4)))])
+            if k % 4 == 0:
+                elem = elem * random_element(m, rng, max_terms=2, max_depth=1)
+            items = list(_realizable_class_sums(elem, None))
+            assert items == reference_class_sums(elem)
+            for _, flag in items:
+                has_open[flag] += 1
+        assert min(has_open.values()) >= 20, has_open

@@ -8,15 +8,16 @@ import pytest
 
 from germtrace import (
     BOUNDARY,
+    Machine,
     Point,
     SingularSystemError,
     boundary_fixed_point,
     boundary_null_certificate,
+    distinguishing_depth,
     fixed_counts,
     fixed_counts_csv,
     fixed_walk,
     format_point,
-    has_boundary_fixed_point,
     hausdorff_witness,
     interiorizable,
     is_dangerous,
@@ -25,6 +26,8 @@ from germtrace import (
     parse_point,
 )
 from germtrace.fixedpoints import _solve_integer_system
+
+from conftest import random_word
 
 
 def oracle_trivial(machine, q):
@@ -263,7 +266,7 @@ class TestBoundaryFixedPoints:
         assert status == BOUNDARY
         assert boundary_fixed_point(grig.state("a")) is None
         assert boundary_fixed_point(grig.state("e")) is None
-        assert has_boundary_fixed_point(grig.state("b"))
+        assert boundary_fixed_point(grig.state("b")) is not None
 
     def test_lamplighter(self, lamp):
         x = boundary_fixed_point(lamp.state("p"))
@@ -273,7 +276,7 @@ class TestBoundaryFixedPoints:
 
     def test_everywhere_moving_state(self, adding):
         assert boundary_fixed_point(adding.state("a")) is None
-        assert not has_boundary_fixed_point(adding.state("a"))
+        assert boundary_fixed_point(adding.state("a")) is None
 
 
 class TestHausdorffWitness:
@@ -337,3 +340,143 @@ class TestDegenerate:
         assert mu_fix_exact(g) == 1
         assert boundary_null_certificate(g).holds
         assert hausdorff_witness(m) is None
+
+
+# ---------------------------------------------------------------------------
+# random machines against enumeration of words and points on the raw tables
+
+
+def random_raw_machine(rng):
+    """n <= 6 states over 2 or 3 letters, half the output rows the identity;
+    most machines carry a designated identity state, some none at all."""
+    n = rng.randint(1, 6)
+    d = rng.choice((2, 3))
+    letters = tuple(range(d))
+    identity = n - 1 if rng.random() < 0.75 else None
+    outputs, transitions = [], []
+    for q in range(n):
+        if q == identity:
+            outputs.append(letters)
+            transitions.append((q,) * d)
+            continue
+        outputs.append(letters if rng.random() < 0.5 else tuple(rng.sample(letters, d)))
+        transitions.append(tuple(rng.randrange(n) for _ in letters))
+    return Machine(d, outputs, transitions, identity=identity)
+
+
+def fixed_prefixes(m, q, length, ok=lambda s: True):
+    """(word, states) for every word of at most `length` letters that q
+    fixes with every restriction satisfying ok; states[i] is q's
+    restriction below word[:i].
+
+    Words are not extended below a state whose raw row is the identity
+    with self-loops, since nothing below it is moved.
+    """
+    d = m.alphabet_size
+    letters = tuple(range(d))
+    stack = [((), (q,))] if ok(q) else []
+    while stack:
+        w, states = stack.pop()
+        yield w, states
+        s = states[-1]
+        if len(w) == length or (m.outputs[s] == letters and set(m.transitions[s]) == {s}):
+            continue
+        for x in range(d):
+            t = m.transitions[s][x]
+            if m.outputs[s][x] == x and ok(t):
+                stack.append((w + (x,), states + (t,)))
+
+
+class RawOracle:
+    """Answers from enumerating words of length <= n + 1 on the raw tables.
+
+    A state that moves anything moves a word of length <= n; a state that
+    fixes some cylinder with trivial restriction does so below a word of
+    length < n; and a point fixed with every restriction in some set has
+    a prefix u v, |u| + |v| <= n, with the restrictions below u and below
+    u v equal (pigeonhole), so u(v) is such a point.
+    """
+
+    def __init__(self, m):
+        self.m = m
+        n = m.size
+        self.moved = []  # shortest moved word length, None if trivial
+        for q in range(n):
+            lengths = [len(w) + 1 for w, states in fixed_prefixes(m, q, n)
+                       if any(m.outputs[states[-1]][x] != x
+                              for x in range(m.alphabet_size))]
+            self.moved.append(min(lengths, default=None))
+        self.interior = [
+            any(self.moved[states[-1]] is None for _, states in fixed_prefixes(m, q, n))
+            for q in range(n)]
+
+    def nontrivial(self, s):
+        return self.moved[s] is not None
+
+    def eligible(self, s):
+        return self.moved[s] is not None and self.interior[s]
+
+    def points(self, q, ok):
+        """(u, v) for points u(v), |u| + |v| <= n + 1, fixed by q with every
+        restriction along them satisfying ok."""
+        for w, states in fixed_prefixes(self.m, q, self.m.size + 1, ok):
+            for i in range(len(w)):
+                if states[i] == states[-1]:
+                    yield w[:i], w[i:]
+
+    def walk_ok(self, q, x, ok):
+        """q fixes x and every restriction along x satisfies ok."""
+        m = self.m
+        s = q
+        for i in range(len(x.preperiod) + len(x.period) * (m.size + 1)):
+            a = x.letter(i)
+            if not ok(s) or m.outputs[s][a] != a:
+                return False
+            s = m.transitions[s][a]
+        return True
+
+    def dangerous(self, x):
+        suffixes = {x.shift(k) for k in range(len(x.preperiod) + len(x.period))}
+        return any(self.walk_ok(q, y, self.eligible)
+                   for y in suffixes for q in range(self.m.size))
+
+
+class TestRandomMachinesAgainstEnumeration:
+    def test_fixed_point_structure(self):
+        rng = random.Random(2718)
+        outcomes = {name: {True: 0, False: 0}
+                    for name in ("interiorizable", "boundary", "hausdorff", "dangerous")}
+        for _ in range(400):
+            m = random_raw_machine(rng)
+            oracle = RawOracle(m)
+            n, d = m.size, m.alphabet_size
+            assert distinguishing_depth(m) == max(
+                (v for v in oracle.moved if v is not None), default=1)
+            eligible_points = []
+            for q in range(n):
+                assert interiorizable(m.state(q)) == oracle.interior[q]
+                outcomes["interiorizable"][oracle.interior[q]] += 1
+                x = boundary_fixed_point(m.state(q))
+                assert (x is not None) == any(oracle.points(q, oracle.nontrivial))
+                if x is not None:
+                    assert len(x.preperiod) + len(x.period) <= n
+                    assert oracle.walk_ok(q, x, oracle.nontrivial)
+                outcomes["boundary"][x is not None] += 1
+                eligible_points += oracle.points(q, oracle.eligible)
+            witness = hausdorff_witness(m)
+            assert (witness is not None) == bool(eligible_points)
+            outcomes["hausdorff"][witness is not None] += 1
+            if witness is not None:
+                g, x = witness
+                reduced = RawOracle(g.machine)
+                assert reduced.walk_ok(g.state, x, reduced.eligible)
+            candidates = [Point(random_word(rng, d, rng.randint(0, 2)),
+                                random_word(rng, d, rng.randint(1, 2)))]
+            if eligible_points:
+                u, v = rng.choice(eligible_points)
+                candidates.append(Point(random_word(rng, d, rng.randint(0, 2)) + u, v))
+            for x in candidates:
+                verdict = is_dangerous(m, x)
+                assert verdict == oracle.dangerous(x), (m.outputs, m.transitions, x)
+                outcomes["dangerous"][verdict] += 1
+        assert all(min(c.values()) >= 20 for c in outcomes.values()), outcomes

@@ -10,7 +10,6 @@ from germtrace import (
     StateCapError,
     compose_labels,
     distinguishing_depth,
-    equal,
     format_machine,
     get_state_cap,
     identity_aut,
@@ -21,6 +20,8 @@ from germtrace import (
     restrict_label,
     set_state_cap,
 )
+
+from germtrace.mealy import backward_distances, infinite_path_nodes
 
 from conftest import random_word
 
@@ -86,7 +87,7 @@ class TestParsing:
             again = parse_machine(format_machine(m))
             assert again.size == m.size
             for name in m.names:
-                assert equal(again.state(name), m.state(name))
+                assert again.state(name) == m.state(name)
 
     def test_comments_and_blank_lines_ignored(self):
         m = parse_machine(
@@ -151,7 +152,7 @@ class TestEquality:
         assert b * c * d == e
         assert (a * d) ** 4 == e
         assert (a * b) ** 16 == e
-        assert not equal((a * b) ** 8, e)
+        assert (a * b) ** 8 != e
 
     def test_interned_equality_and_hash(self, grig):
         b, c, d = grig.state("b"), grig.state("c"), grig.state("d")
@@ -180,7 +181,7 @@ class TestMinimize:
         assert mm.size == 3  # e, odometer, z
         assert mapping[m.index_of("a")] == mapping[m.index_of("a2")]
         for q in range(m.size):
-            assert equal(m.state(q), mm.state(mapping[q]))
+            assert m.state(q) == mm.state(mapping[q])
 
     def test_already_minimal(self, grig):
         mm, mapping = minimize(grig)
@@ -283,3 +284,78 @@ class TestStateCap:
         finally:
             set_state_cap(old)
         assert (grig.state("a") * grig.state("b")).canonical() is not None
+
+
+def reference_infinite_path_nodes(nodes, succ):
+    """The round-robin peeling sweep that infinite_path_nodes replaced."""
+    alive = set(nodes)
+    changed = True
+    while changed:
+        changed = False
+        for q in list(alive):
+            if not any(t in alive for t in succ(q)):
+                alive.discard(q)
+                changed = True
+    return alive
+
+
+def reference_backward_distances(nodes, succ, targets):
+    """The relaxation sweep that backward_distances replaced: lower each
+    node to one more than its nearest successor until nothing changes."""
+    nodes = set(nodes)
+    dist = dict.fromkeys(targets, 0)
+    changed = True
+    while changed:
+        changed = False
+        for q in nodes:
+            near = [dist[t] + 1 for t in succ(q) if t in nodes and t in dist]
+            if near and min(near) < dist.get(q, len(nodes) + 1):
+                dist[q] = min(near)
+                changed = True
+    return dist
+
+
+def random_graph(rng):
+    """Labels drawn from a sparse range, some edges leaving the node set,
+    self-loops, repeated edges, sinks and isolated nodes."""
+    labels = rng.sample(range(1000), rng.randint(0, 12))
+    nodes = [q for q in labels if rng.random() < 0.8]
+    succ = {}
+    for q in labels:
+        out = [rng.choice(labels) for _ in range(rng.choice((0, 1, 1, 2, 3)))]
+        if rng.random() < 0.2:
+            out.append(q)
+        if out and rng.random() < 0.2:
+            out.append(out[0])
+        succ[q] = out
+    targets = rng.sample(nodes, min(len(nodes), rng.randint(0, 3)))
+    if rng.random() < 0.2:
+        targets = []
+    return nodes, succ.__getitem__, targets
+
+
+class TestGraphHelpers:
+    def test_match_reference_sweeps(self):
+        rng = random.Random(4242)
+        seen = {"no_targets": 0, "far": 0, "unreached": 0, "all_alive": 0,
+                "some_dead": 0, "none_alive": 0}
+        for _ in range(600):
+            nodes, succ, targets = random_graph(rng)
+            dist = backward_distances(nodes, succ, targets)
+            assert dist == reference_backward_distances(nodes, succ, targets)
+            alive = infinite_path_nodes(iter(nodes), succ)
+            assert alive == reference_infinite_path_nodes(nodes, succ)
+            seen["no_targets"] += not targets
+            seen["far"] += any(v >= 2 for v in dist.values())
+            seen["unreached"] += len(dist) < len(nodes)
+            seen["all_alive"] += bool(nodes) and len(alive) == len(nodes)
+            seen["some_dead"] += 0 < len(alive) < len(nodes)
+            seen["none_alive"] += bool(nodes) and not alive
+        assert min(seen.values()) >= 20, seen
+
+    def test_small_cases(self):
+        succ = {1: [2, 2], 2: [3], 3: [3], 4: [9], 5: []}.__getitem__
+        assert backward_distances([1, 2, 3, 4, 5], succ, [3]) == {3: 0, 2: 1, 1: 2}
+        assert backward_distances([1, 2, 3], succ, []) == {}
+        assert infinite_path_nodes([1, 2, 3, 4, 5], succ) == {1, 2, 3}
+        assert infinite_path_nodes([1, 2], succ) == set()
