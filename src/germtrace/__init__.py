@@ -11,10 +11,10 @@ from .errors import (CapExceededError, DomainError, ElementParseError,
                      GermTraceError, MachineParseError, ParseError,
                      PatternCapError, PointParseError, SingularSystemError,
                      StateCapError)
-from .mealy import (Aut, Machine, Word, as_word, check_word, compose_labels,
-                    distinguishing_depth, format_machine, get_state_cap,
+from .mealy import (STATE_CAP, Aut, Machine, Word, as_word, check_word,
+                    compose_labels, distinguishing_depth, format_machine,
                     identity_aut, invert_label, minimize, parse_machine,
-                    parse_state_expr, restrict_label, set_state_cap, word_text)
+                    parse_state_expr, restrict_label, state_cap, word_text)
 from .points import (BOUNDARY, INTERIOR, MOVED, Point, apply_to_point,
                      fixed_walk, format_point, parse_point)
 from .fixedpoints import (DecayCertificate, FixCounts, boundary_fixed_point,
@@ -24,9 +24,9 @@ from .fixedpoints import (DecayCertificate, FixCounts, boundary_fixed_point,
 from .germs import (FreenessReport, Germ, PartialMap, bisection_product,
                     essential_freeness_report, isotropy_germs_at, unit_germ,
                     verify_invariance)
-from .convalg import (AlgebraElement, Scalar, as_scalar, format_element,
-                      format_scalar, get_pattern_cap, indicator, parse_element,
-                      parse_scalar, parse_shift, set_pattern_cap, unit_element)
+from .convalg import (PATTERN_CAP, AlgebraElement, Scalar, as_scalar,
+                      format_element, format_scalar, indicator, parse_element,
+                      parse_scalar, parse_shift, unit_element)
 from .traces import (RepMatrix, F_eval, canonical_trace, check_positive,
                      check_tracial, isotropy_defect, isotropy_trace, rep_matrix)
 

@@ -15,15 +15,14 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .convalg import (AlgebraElement, Scalar, format_element, format_scalar,
-                      get_pattern_cap, parse_element, parse_shift,
-                      set_pattern_cap, unit_element)
-from .errors import CapExceededError, DomainError, ParseError
+from .convalg import (PATTERN_CAP, AlgebraElement, Scalar, _frac_text,
+                      format_element, format_scalar, parse_element, parse_shift)
+from .errors import CapExceededError, DomainError, ParseError, excerpt
 from .fixedpoints import (boundary_null_certificate, fixed_counts,
                           fixed_counts_csv, hausdorff_witness, is_dangerous,
                           mu_fix_exact)
 from .germs import essential_freeness_report
-from .mealy import get_state_cap, parse_machine, parse_state_expr, set_state_cap
+from .mealy import STATE_CAP, parse_machine, parse_state_expr, state_cap
 from .points import format_point, parse_point
 from .traces import canonical_trace, isotropy_trace, rep_matrix
 
@@ -65,10 +64,6 @@ def _frac_json(f: Fraction) -> dict:
 
 def _scalar_json(s: Scalar) -> dict:
     return {"re": _frac_json(s.re), "im": _frac_json(s.im)}
-
-
-def _frac_text(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _scalar_float_text(s: Scalar) -> str:
@@ -273,7 +268,8 @@ def _cmd_alg(args) -> str:
     elem = _read_element(machine, args.element)
     if op == "adjoint":
         return _emit_element(args, name, machine, elem.adjoint())
-    verdict = elem.is_zero() if op == "iszero" else elem.is_singular()
+    decide = elem.is_zero if op == "iszero" else elem.is_singular
+    verdict = decide(args.cap_patterns)
     key = "is_zero" if op == "iszero" else "is_singular"
     if args.format == "json":
         return _json_dump({"machine": name, "element": _element_json(elem),
@@ -348,7 +344,7 @@ def _cap(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"cap must be positive, got {n}")
     return n
@@ -369,9 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "csv", "json"),
                        default="table")
         p.add_argument("-o", "--output", help="write the report to a file")
-        p.add_argument("--cap-states", type=_cap, default=None,
+        p.add_argument("--cap-states", type=_cap, default=STATE_CAP,
                        help="limit on explored product-machine states")
-        p.add_argument("--cap-patterns", type=_cap, default=None,
+        p.add_argument("--cap-patterns", type=_cap, default=PATTERN_CAP,
                        help="limit on explored coincidence-pattern states")
 
     p = sub.add_parser("fixmeasure", help="fixed-word counts and exact measure")
@@ -427,13 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    old_state_cap, old_pattern_cap = get_state_cap(), get_pattern_cap()
-    if args.cap_states is not None:
-        set_state_cap(args.cap_states)
-    if args.cap_patterns is not None:
-        set_pattern_cap(args.cap_patterns)
     try:
-        report = args.run(args)
+        with state_cap(args.cap_states):
+            report = args.run(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -443,9 +435,6 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    finally:
-        set_state_cap(old_state_cap)
-        set_pattern_cap(old_pattern_cap)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report)

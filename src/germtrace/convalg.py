@@ -23,19 +23,7 @@ from .mealy import (Aut, Machine, Word, backward_distances, identity_aut,
                     infinite_path_nodes, word_text)
 from .points import Point
 
-_DEFAULT_PATTERN_CAP = 10 ** 6
-_pattern_cap = _DEFAULT_PATTERN_CAP
-
-
-def set_pattern_cap(n: int) -> None:
-    global _pattern_cap
-    if n < 1:
-        raise ValueError("pattern cap must be positive")
-    _pattern_cap = n
-
-
-def get_pattern_cap() -> int:
-    return _pattern_cap
+PATTERN_CAP = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +91,7 @@ def as_scalar(v) -> Scalar:
     raise TypeError(f"cannot interpret {v!r} as a scalar")
 
 
-_NUM_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_NUM_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -132,10 +120,14 @@ def parse_scalar(text: str) -> Scalar:
             m = _NUM_RE.match(s, pos)
             if not m or m.start() != pos:
                 raise ElementParseError(f"bad scalar {excerpt(text)}")
-            den = int(m.group(2)) if m.group(2) else 1
-            if den == 0:
-                raise ElementParseError(f"bad scalar {excerpt(text)}: zero denominator")
-            value = Fraction(int(m.group(1)), den)
+            try:
+                value = Fraction(m.group(0))
+            except ZeroDivisionError:
+                raise ElementParseError(
+                    f"bad scalar {excerpt(text)}: zero denominator") from None
+            except ValueError:  # more digits than int() converts
+                raise ElementParseError(
+                    f"bad scalar {excerpt(text)}: numeral too long") from None
             pos = m.end()
             imag = pos < len(s) and s[pos] == "i"
             if imag:
@@ -272,7 +264,11 @@ class AlgebraElement:
                      frozenset((b, c.re, c.im) for b, c in self.terms.items())))
 
     def is_zero(self, cap: int | None = None) -> bool:
-        """Exactly decide whether the element vanishes at every germ."""
+        """Exactly decide whether the element vanishes at every germ.
+
+        cap bounds the joint pattern states explored per bucket; None
+        means PATTERN_CAP.  Exceeding it raises PatternCapError.
+        """
         for class_sums, _ in _realizable_class_sums(self, cap):
             if any(not s.is_zero() for s in class_sums):
                 return False
@@ -284,7 +280,8 @@ class AlgebraElement:
         Each realizable coincidence pattern is nonzero on a locally
         closed region, and a locally closed region is nowhere dense
         unless it contains a whole cylinder, so the element is singular
-        exactly when no pattern with a nonzero class sum does.
+        exactly when no pattern with a nonzero class sum does.  cap is
+        as for is_zero.
         """
         for class_sums, has_open in _realizable_class_sums(self, cap):
             if has_open and any(not s.is_zero() for s in class_sums):
@@ -408,7 +405,7 @@ def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
     T-set, i.e. can never be forced into a further coincidence.
     """
     if cap is None:
-        cap = _pattern_cap
+        cap = PATTERN_CAP
     for bucket in _refined_groups(elem):
         states = [s for s, _ in bucket]
         coeffs = [c for _, c in bucket]

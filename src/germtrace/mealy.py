@@ -7,35 +7,46 @@ permutation and hands the tail to the successor for that letter; since
 outputs are bijections, every state acts as an automorphism of the tree
 of finite words and of its boundary.
 
-Products and inverses are materialised as reachable product / inverse
-machines, minimised at once, and interned: two automorphisms are equal
-iff they intern to the identical machine object.  That makes equality,
-hashing and identity tests cheap for every higher layer.
+Every machine has one quotient by automorphism equality, computed once
+and memoised (`minimize`).  A state's canonical form is the part of that
+quotient reachable from it, numbered breadth-first and interned; products
+and inverses are explored as reachable product / inverse machines and
+canonicalised the same way.  Interned machines are minimal by
+construction, and two automorphisms are equal iff they intern to the
+identical machine object.  That makes equality, hashing and identity
+tests cheap for every higher layer.
 """
 
 from __future__ import annotations
 
 import re
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import DomainError, MachineParseError, ParseError, StateCapError, excerpt
 
 Word = tuple[int, ...]
 
-_DEFAULT_STATE_CAP = 100_000
-_state_cap = _DEFAULT_STATE_CAP
+STATE_CAP = 100_000
+_state_cap: ContextVar[int] = ContextVar("state_cap", default=STATE_CAP)
 
 
-def set_state_cap(n: int) -> None:
-    """Set the global bound on states materialised per derived machine."""
-    global _state_cap
+@contextmanager
+def state_cap(n: int):
+    """Bound the states materialised per derived machine inside the block.
+
+    The bound holds for the current thread or task only; code running in
+    another context, such as a new thread, keeps its own (by default
+    STATE_CAP).
+    """
     if n < 1:
         raise ValueError("state cap must be positive")
-    _state_cap = n
-
-
-def get_state_cap() -> int:
-    return _state_cap
+    token = _state_cap.set(n)
+    try:
+        yield
+    finally:
+        _state_cap.reset(token)
 
 
 def as_word(w) -> Word:
@@ -131,18 +142,24 @@ _intern_lock = threading.Lock()
 _interned: dict[tuple, Machine] = {}
 
 
+def _identity_state(d, outputs, transitions):
+    """Least state with the identity output row and a loop on every
+    letter, or None."""
+    letters = tuple(range(d))
+    for q in range(len(outputs)):
+        if outputs[q] == letters and all(t == q for t in transitions[q]):
+            return q
+    return None
+
+
 def _intern(d, outputs, transitions) -> Machine:
     key = (d, outputs, transitions)
     with _intern_lock:
         m = _interned.get(key)
         if m is None:
-            letters = tuple(range(d))
-            identity = None
-            for q in range(len(outputs)):
-                if outputs[q] == letters and all(t == q for t in transitions[q]):
-                    identity = q
-                    break
-            m = Machine(d, outputs, transitions, identity=identity, _canonical=True)
+            m = Machine(d, outputs, transitions,
+                        identity=_identity_state(d, outputs, transitions),
+                        _canonical=True)
             _interned[key] = m
     return m
 
@@ -153,6 +170,7 @@ def _explore(d, start, out_fn, trans_fn):
     Returns dense output/transition tables; the start maps to index 0.
     States may be arbitrary hashable labels.
     """
+    cap = _state_cap.get()
     index = {start: 0}
     order = [start]
     outputs = []
@@ -167,9 +185,9 @@ def _explore(d, start, out_fn, trans_fn):
             t = trans_fn(q, x)
             j = index.get(t)
             if j is None:
-                if len(order) >= _state_cap:
+                if len(order) >= cap:
                     raise StateCapError(
-                        f"more than {_state_cap} states while closing a machine")
+                        f"more than {cap} states while closing a machine")
                 j = len(order)
                 index[t] = j
                 order.append(t)
@@ -178,61 +196,47 @@ def _explore(d, start, out_fn, trans_fn):
     return outputs, transitions
 
 
-def _refine(d, outputs, transitions, members):
-    """Coarsest bisimulation on the given states; returns state -> block id.
+def _quotient(outputs, transitions):
+    """Quotient of a machine by automorphism equality.
 
-    Blocks are numbered by first occurrence in `members`, so the result is
-    deterministic.  Two states land in one block iff they define the same
-    tree automorphism.
+    Moore-style partition refinement: states start split by output row
+    and are split by their successors' classes until nothing changes.
+    Returns (outputs, transitions, block) of the quotient, where block[q]
+    is the class of state q.  Classes are numbered by least member, and
+    each class takes its row from its least member.
     """
-    block = {}
+    n = len(outputs)
     seen = {}
-    for q in members:
-        sig = outputs[q]
-        if sig not in seen:
-            seen[sig] = len(seen)
-        block[q] = seen[sig]
-    nblocks = len(seen)
+    block = [seen.setdefault(outputs[q], len(seen)) for q in range(n)]
     while True:
+        count = len(seen)
         seen = {}
-        nxt = {}
-        for q in members:
-            sig = (block[q], tuple(block[transitions[q][x]] for x in range(d)))
-            if sig not in seen:
-                seen[sig] = len(seen)
-            nxt[q] = seen[sig]
-        if len(seen) == nblocks:
-            return nxt
-        block = nxt
-        nblocks = len(seen)
+        refined = [seen.setdefault((block[q], tuple(block[t] for t in transitions[q])),
+                                   len(seen))
+                   for q in range(n)]
+        if len(seen) == count:
+            break
+        block = refined
+    least = {}
+    for q, b in enumerate(block):
+        least.setdefault(b, q)
+    return (tuple(outputs[q] for q in least.values()),
+            tuple(tuple(block[t] for t in transitions[q]) for q in least.values()),
+            block)
 
 
-def _canonical_from_tables(d, outputs, transitions, start) -> "Aut":
-    members = list(range(len(outputs)))
-    block = _refine(d, outputs, transitions, members)
-    rep = {}
-    for q in members:
-        rep.setdefault(block[q], q)
-    # breadth-first block numbering from the start's block
-    number = {block[start]: 0}
-    border = [block[start]]
-    pos = 0
-    while pos < len(border):
-        b = border[pos]
-        pos += 1
-        q = rep[b]
-        for x in range(d):
-            tb = block[transitions[q][x]]
-            if tb not in number:
-                number[tb] = len(border)
-                border.append(tb)
-    canon_out = []
-    canon_trans = []
-    for b in border:
-        q = rep[b]
-        canon_out.append(outputs[q])
-        canon_trans.append(tuple(number[block[transitions[q][x]]] for x in range(d)))
-    m = _intern(d, tuple(canon_out), tuple(canon_trans))
+def _interned_closure(d, outputs, transitions, start) -> "Aut":
+    """The states of a minimal machine reachable from start, numbered
+    breadth-first (smallest letter first) from start and interned."""
+    number = {start: 0}
+    order = [start]
+    for q in order:
+        for t in transitions[q]:
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+    m = _intern(d, tuple(outputs[q] for q in order),
+                tuple(tuple(number[t] for t in transitions[q]) for q in order))
     return Aut(m, 0)
 
 
@@ -246,14 +250,23 @@ class Aut:
         self.state = state
 
     def canonical(self) -> "Aut":
-        """Equivalent state of the minimised, interned closure machine."""
+        """Equivalent state 0 of an interned machine: the part of the
+        machine's quotient (see minimize) reachable from this state,
+        numbered breadth-first.  Interned machines are minimal, so a state
+        of one is canonicalised without refinement.
+        """
         m = self.machine
         if m.canonical and self.state == 0:
             return self
         cached = m._memo.get(("canon", self.state))
         if cached is None:
-            cached = _canonical_from_tables(
-                m.alphabet_size, m.outputs, m.transitions, self.state)
+            if m.canonical:
+                cached = _interned_closure(m.alphabet_size, m.outputs, m.transitions,
+                                           self.state)
+            else:
+                mm, mapping = minimize(m)
+                cached = _interned_closure(m.alphabet_size, mm.outputs, mm.transitions,
+                                           mapping[self.state])
             m._memo[("canon", self.state)] = cached
         return cached
 
@@ -293,60 +306,24 @@ class Aut:
             a, b = pair
             return (tr1[a][out2[b][x]], tr2[b][x])
 
-        outs, trans = _explore(d, (self.state, other.state), out_fn, trans_fn)
-        return _canonical_from_tables(d, outs, trans, 0)
+        outs, trans, _ = _quotient(*_explore(d, (self.state, other.state),
+                                             out_fn, trans_fn))
+        return _interned_closure(d, outs, trans, 0)
 
     def inverse(self) -> "Aut":
         d = self.machine.alphabet_size
-        out, tr = self.machine.outputs, self.machine.transitions
-        inv = {}
-
-        def inv_perm(q):
-            p = inv.get(q)
-            if p is None:
-                p = [0] * d
-                for x in range(d):
-                    p[out[q][x]] = x
-                p = tuple(p)
-                inv[q] = p
-            return p
-
-        def out_fn(q):
-            return inv_perm(q)
+        tr = self.machine.transitions
+        inv = [tuple(row.index(x) for x in range(d)) for row in self.machine.outputs]
 
         def trans_fn(q, x):
-            return tr[q][inv_perm(q)[x]]
+            return tr[q][inv[q][x]]
 
-        outs, trans = _explore(d, self.state, out_fn, trans_fn)
-        return _canonical_from_tables(d, outs, trans, 0)
+        outs, trans, _ = _quotient(*_explore(d, self.state, inv.__getitem__, trans_fn))
+        return _interned_closure(d, outs, trans, 0)
 
     def is_identity(self) -> bool:
         c = self.canonical()
         return c.machine.size == 1 and c.machine.identity == 0
-
-    def state_closure(self) -> list["Aut"]:
-        """All restrictions of this automorphism, as distinct automorphisms."""
-        m = self.machine
-        seen = {self.state}
-        order = [self.state]
-        pos = 0
-        while pos < len(order):
-            q = order[pos]
-            pos += 1
-            for x in range(m.alphabet_size):
-                t = m.transitions[q][x]
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-        result = []
-        canon_seen = set()
-        for q in order:
-            a = Aut(m, q)
-            c = a.canonical()
-            if c not in canon_seen:
-                canon_seen.add(c)
-                result.append(a)
-        return result
 
     def __mul__(self, other):
         if not isinstance(other, Aut):
@@ -395,39 +372,31 @@ def identity_aut(alphabet_size: int) -> Aut:
 
 
 def minimize(machine: Machine) -> tuple[Machine, list[int]]:
-    """Quotient by automorphism equality.
+    """Quotient by automorphism equality, memoised on the machine.
 
-    Returns the quotient machine plus the old-state -> new-state mapping.
-    Classes are ordered by their least original index and keep the name of
-    that representative.
+    Returns the quotient machine plus the old-state -> new-state mapping
+    (a fresh list on every call).  Classes are ordered by their least
+    original index and keep that representative's row and name.  Every
+    canonical form of a state of a machine that is not interned is read
+    off this quotient (interned machines are minimal already).
     """
-    d = machine.alphabet_size
-    members = list(range(machine.size))
-    block = _refine(d, machine.outputs, machine.transitions, members)
-    first = {}
-    for q in members:
-        first.setdefault(block[q], q)
-    order = sorted(first, key=lambda b: first[b])
-    number = {b: i for i, b in enumerate(order)}
-    outputs = []
-    transitions = []
-    names = []
-    identity = None
-    letters = tuple(range(d))
-    for b in order:
-        q = first[b]
-        outputs.append(machine.outputs[q])
-        row = tuple(number[block[machine.transitions[q][x]]] for x in range(d))
-        transitions.append(row)
-        names.append(machine.name_of(q))
-    for i, row in enumerate(transitions):
-        if outputs[i] == letters and all(t == i for t in row):
-            identity = i
-            break
-    mapping = [number[block[q]] for q in members]
-    out = Machine(d, outputs, transitions, identity=identity,
-                  names=tuple(names) if machine.names is not None else None)
-    return out, mapping
+    cached = machine._memo.get("minimize")
+    if cached is None:
+        d = machine.alphabet_size
+        outputs, transitions, block = _quotient(machine.outputs, machine.transitions)
+        names = None
+        if machine.names is not None:
+            least = {}
+            for q, b in enumerate(block):
+                least.setdefault(b, machine.names[q])
+            names = tuple(least.values())
+        cached = (Machine(d, outputs, transitions,
+                          identity=_identity_state(d, outputs, transitions),
+                          names=names),
+                  tuple(block))
+        machine._memo["minimize"] = cached
+    quotient, block = cached
+    return quotient, list(block)
 
 
 def backward_distances(nodes, succ, targets) -> dict:
@@ -524,9 +493,13 @@ def parse_machine(text: str) -> Machine:
             if d is not None:
                 raise MachineParseError(f"line {lineno}: duplicate alphabet directive")
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise MachineParseError(f"line {lineno}: expected 'alphabet <d>'")
-            d = int(parts[1])
+            try:
+                d = int(parts[1])
+            except ValueError:  # more digits than int() converts
+                raise MachineParseError(
+                    f"line {lineno}: alphabet size {excerpt(parts[1])} too long") from None
             if d < 2:
                 raise MachineParseError(f"line {lineno}: alphabet must have >= 2 letters")
             continue

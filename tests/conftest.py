@@ -13,20 +13,8 @@ from germtrace import (
     Machine,
     PartialMap,
     Scalar,
-    get_pattern_cap,
-    get_state_cap,
     parse_machine,
-    set_pattern_cap,
-    set_state_cap,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_caps():
-    state_cap, pattern_cap = get_state_cap(), get_pattern_cap()
-    yield
-    set_state_cap(state_cap)
-    set_pattern_cap(pattern_cap)
 
 
 def _bundled(name: str) -> Machine:

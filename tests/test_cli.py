@@ -364,6 +364,35 @@ class TestHostileInput:
         assert len(err) < 300
 
 
+    @pytest.mark.parametrize("argv", [
+        ("trace", "-m", "grigorchuk", "-e", "1" * 5000 + " a:>"),
+        ("trace", "-m", "grigorchuk", "-e", "1/" + "1" * 5000 + " a:>"),
+        ("essfree", "-m", "{file}"),
+        ("wordproblem", "-m", "grigorchuk", "-s", "a", "--cap-states", "1" * 5000),
+    ], ids=["numerator", "denominator", "alphabet", "cap"])
+    def test_numeral_past_digit_limit(self, capsys, tmp_path, argv):
+        src = tmp_path / "wide.gt"
+        src.write_text("alphabet " + "9" * 5000 + "\n")
+        code, out, err = run(capsys, *[a.replace("{file}", str(src)) for a in argv])
+        assert code == 2 and out == ""
+        assert "error:" in err and "Traceback" not in err
+        assert "1" * 41 not in err and "9" * 41 not in err
+
+
+class TestCaps:
+    @pytest.mark.parametrize("argv", [
+        ("wordproblem", "-m", "grigorchuk", "-s", "a*b", "--cap-states", "1"),
+        ("alg", "iszero", "-m", "grigorchuk", "-e", "1 b:>; -1 c:>",
+         "--cap-patterns", "1"),
+    ], ids=["states", "patterns"])
+    def test_cap_holds_for_one_call(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        code, out, _ = run(capsys, *argv[:-2])
+        assert code == 0 and out
+
+
 class TestDeterminism:
     CASES = [
         ("fixmeasure", "-m", "grigorchuk", "-s", "d"),

@@ -9,19 +9,18 @@ from germtrace import (
     AlgebraElement,
     ElementParseError,
     PartialMap,
+    PATTERN_CAP,
     PatternCapError,
     Point,
     Scalar,
     as_scalar,
     format_element,
     format_scalar,
-    get_pattern_cap,
     indicator,
     parse_element,
     parse_point,
     parse_scalar,
     parse_shift,
-    set_pattern_cap,
     unit_element,
     unit_germ,
 )
@@ -316,13 +315,8 @@ class TestIsZero:
         assert count > 0
 
     def test_pattern_cap(self, grig):
-        old = get_pattern_cap()
-        set_pattern_cap(1)
-        try:
-            with pytest.raises(PatternCapError):
-                (indicator(grig, "b") - indicator(grig, "c")).is_zero()
-        finally:
-            set_pattern_cap(old)
+        with pytest.raises(PatternCapError):
+            (indicator(grig, "b") - indicator(grig, "c")).is_zero(cap=1)
 
 
 class TestIsSingular:
@@ -386,7 +380,7 @@ def reference_class_sums(elem):
     for bucket in _refined_groups(elem):
         states = [s for s, _ in bucket]
         coeffs = [c for _, c in bucket]
-        pairs, seen, succ = _joint_walk(states, get_pattern_cap())
+        pairs, seen, succ = _joint_walk(states, PATTERN_CAP)
         d = elem.alphabet_size
         by_tset = {}
         for joint in seen:

@@ -1,26 +1,31 @@
 """Machine parsing, composition, interning equality, minimization, depth."""
 
+import itertools
 import random
+import threading
 
 import pytest
 
 from germtrace import (
+    STATE_CAP,
+    Aut,
     DomainError,
+    Machine,
     MachineParseError,
     StateCapError,
     compose_labels,
     distinguishing_depth,
     format_machine,
-    get_state_cap,
     identity_aut,
     invert_label,
     minimize,
     parse_machine,
     parse_state_expr,
     restrict_label,
-    set_state_cap,
+    state_cap,
 )
 
+from germtrace import mealy
 from germtrace.mealy import backward_distances, infinite_path_nodes
 
 from conftest import random_word
@@ -276,14 +281,241 @@ class TestLabels:
 
 class TestStateCap:
     def test_cap_enforced_and_restored(self, grig):
-        old = get_state_cap()
-        set_state_cap(2)
-        try:
+        with state_cap(2):
             with pytest.raises(StateCapError):
                 (grig.state("a") * grig.state("b")).canonical()
-        finally:
-            set_state_cap(old)
         assert (grig.state("a") * grig.state("b")).canonical() is not None
+
+    def test_nested_scopes_restore_outer_cap(self, grig):
+        a, b = grig.state("a"), grig.state("b")
+        with state_cap(2):
+            with state_cap(STATE_CAP):
+                a * b
+            with pytest.raises(StateCapError):
+                a * b
+            with pytest.raises(StateCapError), state_cap(3):
+                a * b
+            with pytest.raises(StateCapError):
+                a * b
+        a * b
+
+    def test_thread_keeps_default_cap(self, grig):
+        results = []
+        with state_cap(2):
+            worker = threading.Thread(
+                target=lambda: results.append(grig.state("a") * grig.state("b")))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            with pytest.raises(StateCapError):
+                grig.state("a") * grig.state("b")
+        assert results == [parse_state_expr(grig, "a*b")]
+
+    def test_nonpositive_cap_rejected(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError), state_cap(n):
+                pass
+
+
+def reference_refine(d, outputs, transitions, members):
+    """The Moore refinement the quotient replaced, kept verbatim."""
+    block = {}
+    seen = {}
+    for q in members:
+        sig = outputs[q]
+        if sig not in seen:
+            seen[sig] = len(seen)
+        block[q] = seen[sig]
+    nblocks = len(seen)
+    while True:
+        seen = {}
+        nxt = {}
+        for q in members:
+            sig = (block[q], tuple(block[transitions[q][x]] for x in range(d)))
+            if sig not in seen:
+                seen[sig] = len(seen)
+            nxt[q] = seen[sig]
+        if len(seen) == nblocks:
+            return nxt
+        block = nxt
+        nblocks = len(seen)
+
+
+def reference_canonical(d, outputs, transitions, start):
+    """The canonical form before the quotient was memoised per machine:
+    refine the whole table, number the blocks breadth-first from the
+    start's block, intern."""
+    members = list(range(len(outputs)))
+    block = reference_refine(d, outputs, transitions, members)
+    rep = {}
+    for q in members:
+        rep.setdefault(block[q], q)
+    number = {block[start]: 0}
+    border = [block[start]]
+    pos = 0
+    while pos < len(border):
+        b = border[pos]
+        pos += 1
+        q = rep[b]
+        for x in range(d):
+            tb = block[transitions[q][x]]
+            if tb not in number:
+                number[tb] = len(border)
+                border.append(tb)
+    canon_out = []
+    canon_trans = []
+    for b in border:
+        q = rep[b]
+        canon_out.append(outputs[q])
+        canon_trans.append(tuple(number[block[transitions[q][x]]] for x in range(d)))
+    return Aut(mealy._intern(d, tuple(canon_out), tuple(canon_trans)), 0)
+
+
+def random_machine(rng):
+    """At most 7 named states over 2 or 3 letters, half the output rows
+    the identity, some states duplicated (same row, some edges redirected
+    to the copy), state order shuffled."""
+    d = rng.choice((2, 3))
+    letters = tuple(range(d))
+    k = rng.randint(1, 6)
+    outputs = [letters if rng.random() < 0.5 else tuple(rng.sample(letters, d))
+               for _ in range(k)]
+    transitions = [[rng.randrange(k) for _ in letters] for _ in range(k)]
+    while len(outputs) < 7 and rng.random() < 0.6:
+        q = rng.randrange(k)
+        copy = len(outputs)
+        outputs.append(outputs[q])
+        transitions.append(list(transitions[q]))
+        for row in transitions:
+            for x in letters:
+                if row[x] == q and rng.random() < 0.5:
+                    row[x] = copy
+    order = list(range(len(outputs)))
+    rng.shuffle(order)
+    place = {old: new for new, old in enumerate(order)}
+    return Machine(d, [outputs[old] for old in order],
+                   [[place[t] for t in transitions[old]] for old in order],
+                   names=[f"s{q}" for q in range(len(order))])
+
+
+def outputs_on_words(machine, q, length):
+    """Output of state q on every input word of the given length, in
+    lexicographic order of the inputs, by walking the raw tables."""
+    layer = [((), q)]
+    for _ in range(length):
+        layer = [(out + (machine.outputs[s][x],), machine.transitions[s][x])
+                 for out, s in layer for x in range(machine.alphabet_size)]
+    return tuple(out for out, _ in layer)
+
+
+def raw_product(m, a, b):
+    """Tables of the product machine w -> a(b(w)) on all state pairs."""
+    d = m.alphabet_size
+    pairs = list(itertools.product(range(m.size), repeat=2))
+    index = {p: i for i, p in enumerate(pairs)}
+    outputs = [tuple(m.outputs[p][m.outputs[q][x]] for x in range(d)) for p, q in pairs]
+    transitions = [tuple(index[m.transitions[p][m.outputs[q][x]], m.transitions[q][x]]
+                         for x in range(d)) for p, q in pairs]
+    return outputs, transitions, index[a, b]
+
+
+def raw_inverse(m):
+    """Tables of the inverse machine on all states."""
+    d = m.alphabet_size
+    inverse_rows = [tuple(row.index(x) for x in range(d)) for row in m.outputs]
+    transitions = [tuple(m.transitions[q][inverse_rows[q][x]] for x in range(d))
+                   for q in range(m.size)]
+    return inverse_rows, transitions
+
+
+class TestQuotientOracle:
+    MACHINES = 300
+
+    def machines(self):
+        rng = random.Random(2718)
+        return [random_machine(rng) for _ in range(self.MACHINES)]
+
+    def test_classes_match_outputs_on_words(self):
+        merged = singleton = 0
+        for m in self.machines():
+            mm, mapping = minimize(m)
+            classes = {}
+            for q in range(m.size):
+                classes.setdefault(outputs_on_words(m, q, m.size), set()).add(q)
+            expected = {frozenset(c) for c in classes.values()}
+            got = {}
+            for q, b in enumerate(mapping):
+                got.setdefault(b, set()).add(q)
+            assert {frozenset(c) for c in got.values()} == expected
+            least = sorted(min(c) for c in got.values())
+            assert [mapping[q] for q in least] == list(range(mm.size))
+            for q in least:
+                assert mm.outputs[mapping[q]] == m.outputs[q]
+                assert mm.names[mapping[q]] == m.names[q]
+            merged += mm.size < m.size
+            singleton += mm.size == m.size
+        assert merged >= 20 and singleton >= 20, (merged, singleton)
+
+    def test_canonical_matches_reference(self):
+        rng = random.Random(1618)
+        d_seen = set()
+        for m in self.machines():
+            d = m.alphabet_size
+            d_seen.add(d)
+            inv_out, inv_trans = raw_inverse(m)
+            for q in range(m.size):
+                c = m.state(q).canonical()
+                assert c.state == 0
+                assert c.machine is reference_canonical(d, m.outputs, m.transitions,
+                                                        q).machine
+                cm = c.machine
+                for s in range(cm.size):
+                    assert Aut(cm, s).canonical().machine is reference_canonical(
+                        d, cm.outputs, cm.transitions, s).machine
+                r = rng.randrange(m.size)
+                prod = m.state(q) * m.state(r)
+                assert prod.state == 0
+                assert prod.machine is reference_canonical(d, *raw_product(m, q, r)).machine
+                assert prod.canonical() is prod
+                inv = m.state(q).inverse()
+                assert inv.state == 0
+                assert inv.machine is reference_canonical(d, inv_out, inv_trans, q).machine
+        assert d_seen == {2, 3}
+
+    def test_mapping_does_not_alias_memo(self, grig):
+        for m in [grig, *self.machines()[:20]]:
+            mm, mapping = minimize(m)
+            expected = list(mapping)
+            mapping[0] = mm.size
+            mapping.append(0)
+            again, mapping2 = minimize(m)
+            assert again is mm
+            assert mapping2 == expected
+            assert mapping2 is not mapping
+
+    def test_interned_states_skip_refinement(self, monkeypatch):
+        rng = random.Random(5772)
+        interned = []
+        for _ in range(40):
+            m = random_machine(rng)
+            interned += [(m.state(q) * m.state(0)).machine for q in range(m.size)]
+        closures = []
+
+        def no_refinement(*args):
+            raise AssertionError("canonical() refined an interned machine")
+
+        def counted_closure(*args):
+            closures.append(args)
+            return real_closure(*args)
+
+        real_closure = mealy._interned_closure
+        monkeypatch.setattr(mealy, "_quotient", no_refinement)
+        monkeypatch.setattr(mealy, "_interned_closure", counted_closure)
+        for cm in interned:
+            for s in range(cm.size):
+                c = Aut(cm, s).canonical()
+                assert c.machine.canonical and c.state == 0
+        assert len(closures) >= 50
 
 
 def reference_infinite_path_nodes(nodes, succ):
