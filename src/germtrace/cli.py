@@ -100,13 +100,25 @@ def _json_dump(payload) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _check_printable_depth(d: int, depth: int) -> None:
+    """Reject a depth whose d**depth has more decimal digits than Python
+    converts to text: the report prints counts and denominators that
+    large.  2**depth > 10**(depth // 4), so a depth past four times the
+    limit is rejected without computing the power."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (depth > 4 * limit or d ** depth >= 10 ** limit):
+        raise ParseError(f"depth {excerpt(str(depth))}: {d}^K would have more "
+                         f"than {limit} decimal digits, too many to print")
+
+
 def _cmd_fixmeasure(args) -> str:
     machine, name = _load_machine(args.machine)
     state = parse_state_expr(machine, args.state)
+    d = machine.alphabet_size
+    _check_printable_depth(d, args.depth)
     counts = fixed_counts(state, args.depth)
     mu = mu_fix_exact(state)
     cert = boundary_null_certificate(state)
-    d = machine.alphabet_size
     bracket = all(
         Fraction(counts.interior[k], d ** k) <= mu <= Fraction(counts.fixed[k], d ** k)
         for k in range(counts.depth + 1))

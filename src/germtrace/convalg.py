@@ -487,7 +487,7 @@ def parse_element(machine: Machine, text: str) -> AlgebraElement:
 
 def _parse_word(text: str, d: int) -> Word:
     text = text.strip()
-    if not all(ch.isdigit() for ch in text):
+    if not all(ch.isdecimal() for ch in text):
         raise ValueError(f"bad word {excerpt(text)}")
     w = tuple(int(ch) for ch in text)
     if any(x >= d for x in w):

@@ -6,17 +6,20 @@ below, and live_k = f_k - i_k for the fixed words below which g still
 acts.  The live counts decay geometrically relative to d^k, which makes
 the boundary of the fixed set null for the uniform Bernoulli measure and
 lets the common value mu(Fix) = mu(int Fix) be solved exactly from a
-small linear system over the state closure.
+linear system over the states that g reaches through letters they fix.
+That system is solved block by block, one strongly connected component
+of the fixed-letter graph at a time, sinks first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import SingularSystemError
 from .mealy import (Aut, Machine, backward_distances, distinguishing_depth,
-                    infinite_path_nodes, minimize)
+                    infinite_path_nodes, minimize, strong_components)
 from .points import Point, state_lasso
 
 
@@ -34,26 +37,49 @@ class FixCounts:
         return len(self.fixed) - 1
 
 
+def _fixed_successors(m: Machine):
+    """succ for the graph helpers: a state's restrictions below the
+    letters it fixes."""
+    return lambda q: [m.transitions[q][x] for x in range(m.alphabet_size)
+                      if m.outputs[q][x] == x]
+
+
+def _fixed_reach(m: Machine) -> list[int]:
+    """States reachable from state 0 through letters they fix, state 0
+    first; the set is closed under _fixed_successors."""
+    succ = _fixed_successors(m)
+    order = [0]
+    seen = {0}
+    for q in order:
+        for t in succ(q):
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    return order
+
+
 def fixed_counts(g: Aut, depth: int) -> FixCounts:
-    """Exact counts for k = 0 .. depth via the state-closure recursion."""
+    """Exact counts for k = 0 .. depth via the state-closure recursion,
+    run over the states g reaches through letters they fix."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     m = g.canonical().machine
-    d = m.alphabet_size
-    out, trans = m.outputs, m.transitions
-    f = [1] * m.size
-    a = [0 if q == m.identity else 1 for q in range(m.size)]
+    reach = _fixed_reach(m)
+    pos = {q: i for i, q in enumerate(reach)}
+    succ = _fixed_successors(m)
+    below = [[pos[t] for t in succ(q)] for q in reach]
+    f = [1] * len(reach)
+    a = [0 if q == m.identity else 1 for q in reach]
     fs = [f[0]]
     live = [a[0]]
-    fixed_under = [tuple(x for x in range(d) if out[q][x] == x)
-                   for q in range(m.size)]
     for _ in range(depth):
-        f = [sum(f[trans[q][x]] for x in fixed_under[q]) for q in range(m.size)]
-        a = [sum(a[trans[q][x]] for x in fixed_under[q]) for q in range(m.size)]
+        f_at, a_at = f.__getitem__, a.__getitem__
+        f = [sum(map(f_at, row)) for row in below]
+        a = [sum(map(a_at, row)) for row in below]
         fs.append(f[0])
         live.append(a[0])
     interior = tuple(fk - ak for fk, ak in zip(fs, live))
-    return FixCounts(d, tuple(fs), interior, tuple(live))
+    return FixCounts(m.alphabet_size, tuple(fs), interior, tuple(live))
 
 
 def fixed_counts_csv(counts: FixCounts) -> str:
@@ -118,63 +144,104 @@ def closure_boundary_null(g: Aut) -> bool:
 def _solve_integer_system(A, b):
     """Fraction-free Gaussian elimination (Bareiss) with magnitude pivoting.
 
-    A and b hold integers; the exact rational solution is returned.
+    A and b hold integers; the exact rational solution is returned.  Step
+    k multiplies a row with 0 in the pivot column by pivot_k / pivot_(k-1)
+    and nothing else, so on sparse systems those factors are deferred and
+    applied at once when the row is next used: row i holds the entries of
+    step level[i], and pivots are chosen among the stored entries.  After
+    elimination the last pivot is det, and y = det*x is integral, so the
+    back-substitution runs in integers and each x_i is y_i / det.
     """
     n = len(A)
     M = [list(A[i]) + [b[i]] for i in range(n)]
-    prev = 1
+    level = [0] * n
+    pivots = [1]  # pivots[k] divides the entry updates of step k
+
+    def catch_up(i, k):
+        if level[i] < k:
+            num, den = pivots[k], pivots[level[i]]
+            M[i][level[i]:] = [a * num // den for a in M[i][level[i]:]]
+            level[i] = k
+
     for k in range(n):
         piv = max(range(k, n), key=lambda r: abs(M[r][k]))
         if M[piv][k] == 0:
             raise SingularSystemError("fixed-measure system is singular")
         if piv != k:
             M[k], M[piv] = M[piv], M[k]
+            level[k], level[piv] = level[piv], level[k]
+        catch_up(k, k)
+        top = M[k]
+        pk, prev = top[k], pivots[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    x = [Fraction(0)] * n
+            if M[i][k]:
+                catch_up(i, k)
+                row = M[i]
+                f = row[k]
+                row[k + 1:] = [(a * pk - f * c) // prev
+                               for a, c in zip(row[k + 1:], top[k + 1:])]
+                row[k] = 0
+                level[i] = k + 1
+        pivots.append(pk)
+    det = pivots[n]
+    y = [0] * n
     for i in reversed(range(n)):
-        s = Fraction(M[i][n]) - sum(Fraction(M[i][j]) * x[j] for j in range(i + 1, n))
-        x[i] = s / M[i][i]
-    return x
+        s = det * M[i][n] - sum(M[i][j] * y[j] for j in range(i + 1, n))
+        y[i] = s // M[i][i]
+    return [Fraction(yi, det) for yi in y]
 
 
-def _mu_table(m: Machine) -> tuple[Fraction, ...]:
-    """mu(Fix_q) for every state of a minimised closure machine.
+def _mu_table(m: Machine) -> dict[int, Fraction]:
+    """mu(Fix_q) for every state q that state 0 of a minimised closure
+    machine reaches through letters it fixes.
 
     Solves d*mu(q) = sum over fixed letters x of mu(q|_x) with mu(e) = 1.
     The interior measures satisfy the identical system, and the decay
     certificate makes the system matrix invertible, so the one solution
     serves as both mu(Fix_q) and mu(int Fix_q).
+
+    mu(q) depends only on the states below q's fixed letters, so the
+    strongly connected components of that graph are solved one at a time,
+    sinks first: a singleton takes one division, and a larger block runs
+    Bareiss on its own rows, with the already solved values moved to the
+    right-hand side and scaled by the lcm of their denominators.  The
+    system matrix is block-triangular, so it is singular iff some block
+    is.  A singular block would consist of states that fix every letter
+    and stay inside the block; such states act trivially, and a minimised
+    machine has none besides e.
     """
     cached = m._memo.get("mu")
     if cached is not None:
         return cached
     d = m.alphabet_size
-    others = [q for q in range(m.size) if q != m.identity]
-    table = [Fraction(1)] * m.size
-    if others:
-        idx = {q: i for i, q in enumerate(others)}
-        A = [[0] * len(others) for _ in others]
-        b = [0] * len(others)
-        for q in others:
-            i = idx[q]
+    succ = _fixed_successors(m)
+    mu = {} if m.identity is None else {m.identity: Fraction(1)}
+    nodes = [q for q in _fixed_reach(m) if q != m.identity]
+    for block in strong_components(nodes, succ):
+        if len(block) == 1:
+            q = block[0]
+            below = succ(q)
+            diagonal = d - below.count(q)
+            if diagonal == 0:
+                raise SingularSystemError("fixed-measure system is singular")
+            mu[q] = sum((mu[t] for t in below if t != q), Fraction(0)) / diagonal
+            continue
+        idx = {q: i for i, q in enumerate(block)}
+        A = [[0] * len(block) for _ in block]
+        known = [[] for _ in block]
+        for q, i in idx.items():
             A[i][i] += d
-            for x in range(d):
-                if m.outputs[q][x] == x:
-                    t = m.transitions[q][x]
-                    if t == m.identity:
-                        b[i] += 1
-                    else:
-                        A[i][idx[t]] -= 1
-        sol = _solve_integer_system(A, b)
-        for q in others:
-            table[q] = sol[idx[q]]
-    cached = tuple(table)
-    m._memo["mu"] = cached
-    return cached
+            for t in succ(q):
+                if t in idx:
+                    A[i][idx[t]] -= 1
+                else:
+                    known[i].append(mu[t])
+        scale = lcm(*(v.denominator for row in known for v in row))
+        b = [sum(v.numerator * (scale // v.denominator) for v in row) for row in known]
+        for q, x in zip(block, _solve_integer_system(A, b)):
+            mu[q] = x / scale
+    m._memo["mu"] = mu
+    return mu
 
 
 def mu_fix_exact(g: Aut) -> Fraction:
@@ -185,13 +252,6 @@ def mu_fix_exact(g: Aut) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # boundary fixed points and the Hausdorff test
-
-def _fixed_successors(m: Machine):
-    """succ for the graph helpers: a state's restrictions below the
-    letters it fixes."""
-    return lambda q: [m.transitions[q][x] for x in range(m.alphabet_size)
-                      if m.outputs[q][x] == x]
-
 
 def _interior_depths(m: Machine) -> dict[int, int]:
     """State -> length of a shortest word it fixes with trivial restriction.

@@ -52,7 +52,7 @@ def state_cap(n: int):
 def as_word(w) -> Word:
     """Coerce a digit string or an iterable of letters to a word tuple."""
     if isinstance(w, str):
-        if not all(c.isdigit() for c in w):
+        if not all(c.isdecimal() for c in w):
             raise ValueError(f"word {w!r} must consist of digits")
         return tuple(int(c) for c in w)
     return tuple(int(x) for x in w)
@@ -450,6 +450,58 @@ def infinite_path_nodes(nodes, succ) -> set:
             if degree[q] == 0:
                 dead.append(q)
     return alive
+
+
+def strong_components(nodes, succ) -> list:
+    """Strongly connected components of the graph inside nodes, sinks first.
+
+    succ is as for backward_distances.  Each component is a list of nodes,
+    and no edge leads from a component to a later one.  Tarjan's algorithm
+    with an explicit stack, linear in the size of the graph.
+    """
+    nodes = list(nodes)
+    inside = set(nodes)
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    work: list = []  # (node, its unexplored edges) along the search path
+    components = []
+
+    def enter(q):
+        index[q] = low[q] = len(index)
+        stack.append(q)
+        on_stack.add(q)
+        work.append((q, iter(succ(q))))
+
+    for root in nodes:
+        if root in index:
+            continue
+        enter(root)
+        while work:
+            q, edges = work[-1]
+            for t in edges:
+                if t not in inside:
+                    continue
+                if t not in index:
+                    enter(t)
+                    break
+                if t in on_stack and index[t] < low[q]:
+                    low[q] = index[t]
+            else:
+                work.pop()
+                if work and low[q] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[q]
+                if low[q] == index[q]:
+                    component = []
+                    while True:
+                        t = stack.pop()
+                        on_stack.discard(t)
+                        component.append(t)
+                        if t == q:
+                            break
+                    components.append(component)
+    return components
 
 
 def distinguishing_depth(machine: Machine) -> int:

@@ -1,10 +1,14 @@
 """End-to-end command line coverage: outputs, formats, exit codes, determinism."""
 
 import json
+import math
+import sys
+import time
 
 import pytest
 
-from germtrace.cli import main
+from germtrace import ParseError
+from germtrace.cli import _check_printable_depth, main
 
 
 def run(capsys, *argv):
@@ -377,6 +381,40 @@ class TestHostileInput:
         assert code == 2 and out == ""
         assert "error:" in err and "Traceback" not in err
         assert "1" * 41 not in err and "9" * 41 not in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ("-K", "9" * 50),
+        ("-K", "100000", "--format", "csv"),
+        ("-K", "14285"),  # 2^14285 has 4301 digits
+    ], ids=["fifty-nines", "csv", "first-too-deep"])
+    def test_depth_too_deep_to_print(self, capsys, argv):
+        start = time.perf_counter()
+        self.assert_parse_error(capsys, "fixmeasure", "-m", "grigorchuk", "-s", "a",
+                                *argv, needle="decimal digits")
+        assert time.perf_counter() - start < 5
+
+    def test_printable_depth_boundary(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("no digit limit in this interpreter")
+        for d in (2, 3, 10):
+            deepest = int(limit / math.log10(d)) - 3
+            sys.set_int_max_str_digits(0)  # count digits past the limit
+            try:
+                while len(str(d ** (deepest + 1))) <= limit:
+                    deepest += 1
+            finally:
+                sys.set_int_max_str_digits(limit)
+            _check_printable_depth(d, deepest)
+            with pytest.raises(ParseError):
+                _check_printable_depth(d, deepest + 1)
+
+    def test_non_decimal_letter(self, capsys):
+        code, out, err = run(capsys, "trace", "-m", "grigorchuk", "-e", "1 a:\u00b2>")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "bad word" in err
+        assert "invalid literal" not in err and "Traceback" not in err
 
 
 class TestCaps:

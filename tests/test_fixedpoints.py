@@ -21,11 +21,12 @@ from germtrace import (
     hausdorff_witness,
     interiorizable,
     is_dangerous,
+    minimize,
     mu_fix_exact,
     parse_machine,
     parse_point,
 )
-from germtrace.fixedpoints import _solve_integer_system
+from germtrace.fixedpoints import _mu_table, _solve_integer_system
 
 from conftest import random_word
 
@@ -198,6 +199,59 @@ class TestSolver:
         with pytest.raises(SingularSystemError):
             _solve_integer_system([[1, 2], [2, 4]], [1, 1])
 
+    def test_large_entries_and_row_swaps(self):
+        rng = random.Random(4747)
+        for trial in range(10):
+            n = rng.randint(8, 25)
+            big = 10 ** rng.choice((3, 12, 30))
+            matrix = [[rng.randint(-big, big) for _ in range(n)] for _ in range(n)]
+            rhs = [rng.randint(-big, big) for _ in range(n)]
+            if trial % 2:
+                # zero leading block: elimination must swap rows to proceed
+                for i in range(n // 2):
+                    matrix[i][:n // 2] = [0] * (n // 2)
+            got = _solve_integer_system([row[:] for row in matrix], rhs[:])
+            assert all(isinstance(x, Fraction) for x in got)
+            assert got == _naive_solve(matrix, rhs)
+            for row, b in zip(matrix, rhs):
+                assert sum(a * x for a, x in zip(row, got)) == b
+
+    def test_fixed_measure_shaped_systems(self):
+        # d on the diagonal, at most d entries -1 elsewhere in a row
+        rng = random.Random(4848)
+        for _ in range(40):
+            n, d = rng.randint(1, 25), rng.choice((2, 3))
+            matrix = [[0] * n for _ in range(n)]
+            rhs = [0] * n
+            for i in range(n):
+                matrix[i][i] += d
+                for _ in range(rng.randint(0, d)):
+                    t = rng.randrange(n + 1)
+                    if t == n:
+                        rhs[i] += 1
+                    else:
+                        matrix[i][t] -= 1
+            want = _naive_solve(matrix, rhs)
+            if want is None:
+                with pytest.raises(SingularSystemError):
+                    _solve_integer_system(matrix, rhs)
+            else:
+                assert _solve_integer_system(matrix, rhs) == want
+
+    def test_singular_systems_of_every_size(self):
+        rng = random.Random(4949)
+        for n in range(2, 26, 2):
+            matrix = [[rng.randint(-10**9, 10**9) for _ in range(n)] for _ in range(n)]
+            i, j, k = rng.sample(range(n), 3) if n >= 3 else (0, 1, 1)
+            # one row a combination of two others, or a repeated row
+            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+            matrix[i] = [a * x + b * y for x, y in zip(matrix[j], matrix[k])]
+            rng.shuffle(matrix)
+            rhs = [rng.randint(-9, 9) for _ in range(n)]
+            assert _naive_solve(matrix, rhs) is None
+            with pytest.raises(SingularSystemError):
+                _solve_integer_system([row[:] for row in matrix], rhs)
+
 
 def _naive_solve(matrix, rhs):
     n = len(matrix)
@@ -330,6 +384,136 @@ class TestCsv:
         assert lines[3] == "2,4,2,2,1,2,0.5"
         assert lines[4] == "3,6,4,2,1,4,0.25"
         assert csv.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# the block solve of the fixed-measure system against the dense solve
+
+
+def reference_bareiss(A, b):
+    """Bareiss elimination with Fraction back-substitution, as the dense
+    solve ran it."""
+    n = len(A)
+    M = [list(A[i]) + [b[i]] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        piv = max(range(k, n), key=lambda r: abs(M[r][k]))
+        assert M[piv][k] != 0, "singular reference system"
+        M[k], M[piv] = M[piv], M[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n + 1):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        s = Fraction(M[i][n]) - sum(Fraction(M[i][j]) * x[j] for j in range(i + 1, n))
+        x[i] = s / M[i][i]
+    return x
+
+
+def dense_system(m):
+    """(states, A, b) of d*mu(q) - sum_{x fixed, q|x != e} mu(q|x) =
+    #{x fixed : q|x = e} over every non-identity state of m."""
+    d = m.alphabet_size
+    others = [q for q in range(m.size) if q != m.identity]
+    idx = {q: i for i, q in enumerate(others)}
+    A = [[0] * len(others) for _ in others]
+    b = [0] * len(others)
+    for q in others:
+        A[idx[q]][idx[q]] += d
+        for x in range(d):
+            if m.outputs[q][x] == x:
+                t = m.transitions[q][x]
+                if t == m.identity:
+                    b[idx[q]] += 1
+                else:
+                    A[idx[q]][idx[t]] -= 1
+    return others, A, b
+
+
+def reference_mu_table(m):
+    """mu(Fix_q) for every state of a minimised machine from one dense
+    system over all its states: the solve the block solve replaced."""
+    others, A, b = dense_system(m)
+    table = [Fraction(1)] * m.size
+    for q, x in zip(others, reference_bareiss(A, b) if others else []):
+        table[q] = x
+    return table
+
+
+def random_closure_machine(rng, n, d):
+    """n states over d letters plus e: each output row the identity with
+    probability 1/2, successors uniform over the states and e."""
+    letters = tuple(range(d))
+    outputs, transitions = [], []
+    for _ in range(n):
+        outputs.append(letters if rng.random() < 0.5 else tuple(rng.sample(letters, d)))
+        transitions.append(tuple(rng.randrange(n + 1) for _ in letters))
+    return Machine(d, outputs + [letters], transitions + [(n,) * d], identity=n)
+
+
+def spinal_machine(rng, d):
+    """a cycles the root letters; b0..b(k-1) fix the root, put a or e below
+    letters 0..d-2 and pass the last letter to the next b."""
+    k = rng.randint(3, 9)
+    a, e = k, k + 1
+    letters = tuple(range(d))
+    cycle = tuple((x + 1) % d for x in letters)
+    transitions = [tuple(rng.choice((a, e)) for _ in range(d - 1)) + ((i + 1) % k,)
+                   for i in range(k)]
+    i = rng.randrange(k)
+    transitions[i] = (a,) + transitions[i][1:]
+    return Machine(d, [letters] * k + [cycle, letters],
+                   transitions + [(e,) * d, (e,) * d], identity=e)
+
+
+def fixed_reach(m, q):
+    seen, todo = {q}, [q]
+    while todo:
+        s = todo.pop()
+        for x in range(m.alphabet_size):
+            t = m.transitions[s][x]
+            if m.outputs[s][x] == x and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+class TestBlockSolveOracle:
+    def machines(self):
+        rng = random.Random(5151)
+        for n in (3, 5, 8, 12, 20, 30, 40, 60, 80) * 2:
+            yield random_closure_machine(rng, n, rng.choice((2, 3)))
+        for _ in range(10):
+            yield spinal_machine(rng, rng.choice((2, 3)))
+
+    def test_every_state_matches_dense_solve(self):
+        largest = 0
+        for m in self.machines():
+            mm, mapping = minimize(m)
+            want = reference_mu_table(mm)
+            for q in range(m.size):
+                c = m.state(q).canonical()
+                assert mu_fix_exact(m.state(q)) == want[mapping[q]]
+                # only the states below fixed letters are solved
+                table = _mu_table(c.machine)
+                assert set(table) == fixed_reach(c.machine, 0) | (
+                    set() if c.machine.identity is None else {c.machine.identity})
+            largest = max(largest, len(dense_system(mm)[0]))
+        assert largest >= 50
+
+    def test_matches_sympy_rational_solve(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(5252)
+        for m in (random_closure_machine(rng, 12, 2), random_closure_machine(rng, 15, 3),
+                  spinal_machine(rng, 3)):
+            mm, mapping = minimize(m)
+            others, A, b = dense_system(mm)
+            sol = sympy.Matrix(A).LUsolve(sympy.Matrix(b))
+            want = {q: Fraction(int(v.p), int(v.q)) for q, v in zip(others, sol)}
+            for q in range(m.size):
+                assert mu_fix_exact(m.state(q)) == want.get(mapping[q], 1)
 
 
 class TestDegenerate:

@@ -26,7 +26,7 @@ from germtrace import (
 )
 
 from germtrace import mealy
-from germtrace.mealy import backward_distances, infinite_path_nodes
+from germtrace.mealy import backward_distances, infinite_path_nodes, strong_components
 
 from conftest import random_word
 
@@ -108,6 +108,14 @@ class TestAction:
         assert b.apply_word((1, 1)) == (1, 1)
         assert b.apply_word((0, 1)) == (0, 0)  # b acts as a below 0
         assert d.apply_word((1, 0, 1)) == (1, 0, 0)
+
+    def test_word_text_takes_decimal_digits_only(self, grig):
+        a = grig.state("a")
+        assert a.apply_word("011") == (1, 1, 1)
+        assert a.apply_word("") == ()
+        for text in ("\u00b2", "0\u00b9", "1a"):
+            with pytest.raises(ValueError, match="must consist of digits"):
+                a.apply_word(text)
 
     def test_self_similarity_identity(self, bundled):
         """g(wv) = g(w) . (g|_w)(v) for random states and words."""
@@ -547,6 +555,22 @@ def reference_backward_distances(nodes, succ, targets):
     return dist
 
 
+def reference_reachability(nodes, succ):
+    """q -> every node reachable from q inside nodes (q included), by a
+    separate search from each node."""
+    inside = set(nodes)
+    reach = {}
+    for q in nodes:
+        seen, todo = {q}, [q]
+        while todo:
+            for t in succ(todo.pop()):
+                if t in inside and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach[q] = seen
+    return reach
+
+
 def random_graph(rng):
     """Labels drawn from a sparse range, some edges leaving the node set,
     self-loops, repeated edges, sinks and isolated nodes."""
@@ -591,3 +615,40 @@ class TestGraphHelpers:
         assert backward_distances([1, 2, 3], succ, []) == {}
         assert infinite_path_nodes([1, 2, 3, 4, 5], succ) == {1, 2, 3}
         assert infinite_path_nodes([1, 2], succ) == set()
+
+    def test_strong_components_match_mutual_reachability(self):
+        rng = random.Random(4343)
+        seen = {"cyclic": 0, "all_singletons": 0, "several": 0, "empty": 0}
+        for _ in range(600):
+            nodes, succ, _ = random_graph(rng)
+            components = strong_components(iter(nodes), succ)
+            where = {q: i for i, c in enumerate(components) for q in c}
+            assert sorted(where) == sorted(nodes)
+            assert sum(map(len, components)) == len(nodes)
+            reach = reference_reachability(nodes, succ)
+            for q in nodes:
+                for t in nodes:
+                    mutual = t in reach[q] and q in reach[t]
+                    assert (where[q] == where[t]) == mutual
+                for t in succ(q):
+                    if t in where:  # sinks first: edges never point later
+                        assert where[t] <= where[q]
+            seen["cyclic"] += any(len(c) > 1 for c in components)
+            seen["all_singletons"] += bool(nodes) and len(components) == len(nodes)
+            seen["several"] += len(components) >= 3
+            seen["empty"] += not nodes
+        assert min(seen.values()) >= 20, seen
+
+    def test_strong_components_small_and_deep(self):
+        succ = {1: [2, 2], 2: [3, 1], 3: [3], 4: [9], 5: []}.__getitem__
+        components = [sorted(c) for c in strong_components([1, 2, 3, 4, 5], succ)]
+        assert sorted(components) == [[1, 2], [3], [4], [5]]
+        assert components.index([3]) < components.index([1, 2])
+        assert strong_components([], succ) == []
+        # far deeper than the recursion limit: a path into one long cycle
+        n = 5000
+        chain = {q: [q + 1] for q in range(2 * n)}
+        chain[2 * n - 1] = [n]
+        components = strong_components(range(2 * n), chain.__getitem__)
+        assert sorted(components[0]) == list(range(n, 2 * n))
+        assert components[1:] == [[q] for q in reversed(range(n))]
