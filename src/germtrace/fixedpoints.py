@@ -192,8 +192,8 @@ def _solve_integer_system(A, b):
 
 
 def _mu_table(m: Machine) -> dict[int, Fraction]:
-    """mu(Fix_q) for every state q that state 0 of a minimised closure
-    machine reaches through letters it fixes.
+    """mu(Fix_q) for e and for every state q that state 0 of a minimised
+    closure machine reaches through letters it fixes.
 
     Solves d*mu(q) = sum over fixed letters x of mu(q|_x) with mu(e) = 1.
     The interior measures satisfy the identical system, and the decay
