@@ -3,7 +3,7 @@
 Every subcommand reads a machine (a file path or a bundled name), runs
 one analysis and writes a deterministic report as an aligned table, CSV
 or JSON.  Exit codes: 0 success, 2 parse error, 3 cap exceeded,
-4 domain error.
+4 domain error.  An output file that cannot be written is exit 2 too.
 """
 
 from __future__ import annotations
@@ -352,14 +352,22 @@ def _cmd_wordproblem(args) -> str:
 # ---------------------------------------------------------------------------
 # wiring
 
-def _cap(text: str) -> int:
+def _int_at_least(text: str, least: int, what: str) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"cap must be positive, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"{what}, got {n}")
     return n
+
+
+def _cap(text: str) -> int:
+    return _int_at_least(text, 1, "cap must be positive")
+
+
+def _depth(text: str) -> int:
+    return _int_at_least(text, 0, "depth must be >= 0")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixmeasure", help="fixed-word counts and exact measure")
     p.add_argument("-s", "--state", required=True)
-    p.add_argument("-K", "--depth", type=int, default=10)
+    p.add_argument("-K", "--depth", type=_depth, default=10)
     common(p)
     p.set_defaults(run=_cmd_fixmeasure)
 
@@ -448,8 +456,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as exc:
+            print(f"error: output file {args.output!r}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(report)
     return 0

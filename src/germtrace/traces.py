@@ -7,6 +7,10 @@ germs (per diagonal term, the full fixed measure).  Boundary-null decay
 makes the two fixed measures one rational, mu_fix_exact, so both traces
 are the same diagonal sum; the isotropy trace first checks the decay
 certificate of every diagonal state rather than assuming it.
+
+The pointwise functionals read only the terms' own germs, since an
+element vanishes off them: F(a)(x) and each matrix coefficient sum the
+coefficients of the terms whose germ lands where it must.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from .convalg import ZERO, AlgebraElement, Scalar
 from .errors import DomainError
 from .fixedpoints import closure_boundary_null, mu_fix_exact
-from .germs import Germ, isotropy_germs_at, unit_germ
+from .germs import Germ, unit_germ
 from .points import Point
 
 
@@ -52,30 +56,20 @@ def isotropy_trace(a: AlgebraElement) -> Scalar:
     return _diagonal_sum(a)
 
 
-def F_eval(a: AlgebraElement, x: Point, depth_cap: int | None = None) -> Scalar:
+def F_eval(a: AlgebraElement, x: Point) -> Scalar:
     """Sum of the element over the isotropy germs at one point.
 
-    Candidates are the unit germ, the machine-state isotropy germs up to
-    depth_cap, and the element's own diagonal germs at x; the last group
-    makes the sum exact even when a term's state is a composite outside
-    the machine.  Candidates are deduplicated before summing.
+    a(g) is the sum of c_t over the terms t with t_x = g, so the sum
+    over all g fixing x is the sum of c_t over the terms whose source
+    cylinder holds x and whose germ there fixes x.
     """
-    if depth_cap is None:
-        depth_cap = max((len(b.source_prefix) for b in a.terms), default=0)
-    own = (b.germ_at(x) for b in a.terms if b.contains_base(x))
-    candidates = dict.fromkeys([unit_germ(a.alphabet_size, x),
-                                *isotropy_germs_at(x, a.machine, depth_cap),
-                                *(g for g in own if g.range() == x)])
-    total = ZERO
-    for g in candidates:
-        total = total + a.evaluate(g)
-    return total
+    return sum((c for b, c in a.terms.items()
+                if b.contains_base(x) and b.germ_at(x).fixes_base()), ZERO)
 
 
-def isotropy_defect(a: AlgebraElement, x: Point,
-                    depth_cap: int | None = None) -> Scalar:
+def isotropy_defect(a: AlgebraElement, x: Point) -> Scalar:
     """F(a)(x) - E(a)(x): the mass on non-unit isotropy germs at x."""
-    return F_eval(a, x, depth_cap) - a.unit_restriction_eval(x)
+    return F_eval(a, x) - a.unit_restriction_eval(x)
 
 
 def check_tracial(a: AlgebraElement, b: AlgebraElement) -> bool:
@@ -160,16 +154,20 @@ def rep_matrix(a: AlgebraElement, x: Point, basis: list[Germ],
         if h1.inverse() not in subgroup:
             raise DomainError("iso germs are not closed under inverse")
 
-    inverses = [gj.inverse() for gj in basis]
-    entries = []
-    for gi in basis:
-        left = [gi.compose(h) for h in subgroup]
-        entries.append(tuple(sum((a.evaluate(gh.compose(inv)) for gh in left), ZERO)
-                             for inv in inverses))
-
+    # a(g_i h g_j^-1) sums c_t over the terms t with t o g_j = g_i o h
+    rows: dict[Germ, list[int]] = {}
+    for i, gi in enumerate(basis):
+        for h in subgroup:
+            rows.setdefault(gi.compose(h), []).append(i)
     members = set(basis)
-    closed = all(pmap.germ_at(gj.range()).compose(gj) in members
-                 for pmap in a.terms for gj in basis
-                 if pmap.contains_base(gj.range()))
+    entries = [[ZERO] * len(basis) for _ in basis]
+    closed = True
+    for pmap, coeff in a.terms.items():
+        for j, gj in enumerate(basis):
+            if pmap.contains_base(gj.range()):
+                moved = pmap.germ_at(gj.range()).compose(gj)
+                closed = closed and moved in members
+                for i in rows.get(moved, ()):
+                    entries[i][j] += coeff
     labels = tuple(_germ_label(g, i) for i, g in enumerate(basis))
-    return RepMatrix(labels, tuple(entries), closed)
+    return RepMatrix(labels, tuple(map(tuple, entries)), closed)

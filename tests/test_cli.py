@@ -330,7 +330,8 @@ class TestHostileInput:
         ("trace", "-m", "grigorchuk", "-e", "{dir}"),
         ("alg", "mult", "-m", "grigorchuk", "-e1", "{dir}", "-e2", "1 a:>"),
         ("alg", "add", "-m", "grigorchuk", "-e1", "1 a:>", "-e2", "{dir}"),
-    ], ids=["machine", "element", "element1", "element2"])
+        ("fixmeasure", "-m", "grigorchuk", "-s", "d", "-o", "{dir}"),
+    ], ids=["machine", "element", "element1", "element2", "output"])
     def test_directory_as_file(self, capsys, tmp_path, argv):
         argv = [a.format(dir=tmp_path) for a in argv]
         self.assert_parse_error(capsys, *argv, needle=str(tmp_path))
@@ -409,6 +410,17 @@ class TestHostileInput:
             _check_printable_depth(d, deepest)
             with pytest.raises(ParseError):
                 _check_printable_depth(d, deepest + 1)
+
+    def test_negative_depth(self, capsys):
+        self.assert_parse_error(capsys, "fixmeasure", "-m", "grigorchuk", "-s", "d",
+                                "-K", "-1", needle="depth must be >= 0")
+
+    def test_output_under_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        self.assert_parse_error(capsys, "fixmeasure", "-m", "grigorchuk", "-s", "d",
+                                "-o", str(target),
+                                needle=f"error: output file {str(target)!r}: ")
+        assert not target.parent.exists()
 
     def test_non_decimal_letter(self, capsys):
         code, out, err = run(capsys, "trace", "-m", "grigorchuk", "-e", "1 a:\u00b2>")

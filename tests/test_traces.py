@@ -9,6 +9,8 @@ from germtrace import (
     DomainError,
     F_eval,
     PartialMap,
+    Point,
+    RepMatrix,
     Scalar,
     canonical_trace,
     check_positive,
@@ -16,6 +18,7 @@ from germtrace import (
     fixed_counts,
     indicator,
     isotropy_defect,
+    isotropy_germs_at,
     isotropy_trace,
     mu_fix_exact,
     parse_element,
@@ -24,8 +27,10 @@ from germtrace import (
     unit_element,
     unit_germ,
 )
+from germtrace.convalg import ZERO
+from germtrace.traces import _germ_label
 
-from conftest import random_element
+from conftest import random_element, random_word
 
 
 def F(*args):
@@ -189,11 +194,6 @@ class TestFiberedEvaluation:
         assert F_eval(elem, x) == Scalar(F(1))
         assert not pp.is_identity()
 
-    def test_depth_cap_override(self, grig):
-        elem = indicator(grig, "b", (1, 1), (1, 1))
-        x = parse_point("(1)", 2)
-        assert F_eval(elem, x, depth_cap=4) == F_eval(elem, x)
-
 
 def klein_basis(grig, x):
     germs = [unit_germ(2, x)]
@@ -289,3 +289,108 @@ class TestRepMatrix:
         rep1 = rep_matrix(indicator(grig, "b"), x, basis)
         rep2 = rep_matrix(indicator(grig, "b"), x, basis)
         assert rep1.labels == rep2.labels
+
+
+# ---------------------------------------------------------------------------
+# kept references: the candidate-germ scan and the two-pass triple loop
+
+def reference_F_eval(a, x, depth_cap=None):
+    """F(a)(x) summed over candidate germs: the unit, the machine-state
+    isotropy germs up to depth_cap and the terms' own germs fixing x."""
+    if depth_cap is None:
+        depth_cap = max((len(b.source_prefix) for b in a.terms), default=0)
+    own = (b.germ_at(x) for b in a.terms if b.contains_base(x))
+    candidates = dict.fromkeys([unit_germ(a.alphabet_size, x),
+                                *isotropy_germs_at(x, a.machine, depth_cap),
+                                *(g for g in own if g.range() == x)])
+    return sum((a.evaluate(g) for g in candidates), ZERO)
+
+
+def reference_rep_matrix(a, x, basis, iso=()):
+    """entry(i, j) = sum over h of a.evaluate(g_i h g_j^-1), then closure."""
+    subgroup = dict.fromkeys([unit_germ(a.alphabet_size, x), *iso])
+    inverses = [gj.inverse() for gj in basis]
+    entries = []
+    for gi in basis:
+        left = [gi.compose(h) for h in subgroup]
+        entries.append(tuple(sum((a.evaluate(gh.compose(inv)) for gh in left), ZERO)
+                             for inv in inverses))
+    members = set(basis)
+    closed = all(pmap.germ_at(gj.range()).compose(gj) in members
+                 for pmap in a.terms for gj in basis
+                 if pmap.contains_base(gj.range()))
+    labels = tuple(_germ_label(g, i) for i, g in enumerate(basis))
+    return RepMatrix(labels, tuple(entries), closed)
+
+
+def oracle_element(machine, rng):
+    """Up to four terms of depth <= 2; a third are products, whose terms
+    carry composite states outside the machine."""
+    if rng.randrange(3) == 0:
+        return (random_element(machine, rng, max_terms=2)
+                * random_element(machine, rng, max_terms=2))
+    return random_element(machine, rng, max_terms=4)
+
+
+def oracle_points(machine, rng):
+    d = machine.alphabet_size
+    fixed = (["(0)", "(1)", "0(1)", "1(0)", "(01)", "10(1)"] if d == 2 else
+             ["(0)", "(1)", "(2)", "(12)", "1(0)", "2(21)"])
+    points = [parse_point(text, d) for text in fixed]
+    for _ in range(2):
+        points.append(Point(random_word(rng, d, rng.randint(0, 2)),
+                            random_word(rng, d, rng.randint(1, 2))))
+    return points
+
+
+class TestReferenceOracle:
+    def test_F_eval_matches_reference(self, bundled, ternary):
+        rng = random.Random(71)
+        nonzero = defects = composites = 0
+        for m in [*bundled.values(), ternary]:
+            states = set(m.states())
+            for _ in range(30):
+                a = oracle_element(m, rng)
+                composites += any(b.state not in states for b in a.terms)
+                for x in oracle_points(m, rng):
+                    value = F_eval(a, x)
+                    for cap in (0, None, 3):
+                        assert value == reference_F_eval(a, x, cap)
+                    defect = isotropy_defect(a, x)
+                    assert defect == value - a.unit_restriction_eval(x)
+                    nonzero += not value.is_zero()
+                    defects += not defect.is_zero()
+        assert nonzero >= 250 and defects >= 40 and composites >= 10
+
+    def check_rep(self, a, x, basis, iso=()):
+        rep = rep_matrix(a, x, basis, iso)
+        ref = reference_rep_matrix(a, x, basis, iso)
+        assert (rep.labels, rep.entries, rep.closed) == (
+            ref.labels, ref.entries, ref.closed)
+        return rep
+
+    def test_rep_matrix_matches_reference(self, bundled, ternary):
+        rng = random.Random(72)
+        grig = bundled["grigorchuk"]
+        x = parse_point("(1)", 2)
+        klein = klein_basis(grig, x)
+        nonzero = 0
+        closed = set()
+        for iso in ([], [klein[3]], [klein[1]], klein[1:]):
+            for _ in range(12):
+                rep = self.check_rep(oracle_element(grig, rng), x, klein, iso)
+                nonzero += sum(not s.is_zero() for row in rep.entries for s in row)
+                closed.add(rep.closed)
+        for _ in range(12):
+            self.check_rep(oracle_element(grig, rng), x, klein[:2])
+        for m in [bundled["adding"], bundled["lamplighter"], ternary]:
+            for x in oracle_points(m, rng):
+                basis = [PartialMap(q, (), (), label=m.name_of(q.state)).germ_at(x)
+                         for q in m.states()]
+                for _ in range(4):
+                    rep = self.check_rep(oracle_element(m, rng), x, basis)
+                    nonzero += sum(not s.is_zero()
+                                   for row in rep.entries for s in row)
+                    closed.add(rep.closed)
+        assert nonzero >= 250
+        assert closed == {True, False}
