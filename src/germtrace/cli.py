@@ -9,6 +9,7 @@ or JSON.  Exit codes: 0 success, 2 parse error, 3 cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -370,7 +371,10 @@ def _depth(text: str) -> int:
     return _int_at_least(text, 0, "depth must be >= 0")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Parsing never mutates
+    it: each call gets a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="germtrace",
         description="Exact fixed-point measures, germs and traces for "

@@ -5,7 +5,9 @@ basis shifts and represents a function on germs.  Convolution, adjoint
 and evaluation are exact; is_zero decides function equality (distinct
 term lists can represent the same function when the germ space is not
 Hausdorff) and is_singular decides whether the nonzero-germ set sits
-over a meagre part of the boundary.
+over a meagre part of the boundary.  Both read one walk per bucket of
+terms over the joint states of pairwise pattern automata, which record
+where two terms' germs agree without forming any product of automorphisms.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from fractions import Fraction
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
 from .germs import Germ, PartialMap, bisection_product, unit_germ
-from .mealy import (Aut, Machine, Word, backward_distances, identity_aut,
-                    infinite_path_nodes, word_text)
+from .mealy import (Aut, Machine, Word, _explore, _quotient, backward_distances,
+                    identity_aut, infinite_path_nodes, word_text)
 from .points import Point
 
 PATTERN_CAP = 10 ** 6
@@ -267,7 +269,11 @@ class AlgebraElement:
         """Exactly decide whether the element vanishes at every germ.
 
         cap bounds the joint pattern states explored per bucket; None
-        means PATTERN_CAP.  Exceeding it raises PatternCapError.
+        means PATTERN_CAP.  Exceeding it raises PatternCapError.  The
+        pattern automata are refined, so a bucket never has more joint
+        states than a walk over the minimised pairwise products
+        q_j^-1 q_i, which earlier releases explored: a cap that sufficed
+        there suffices here.
         """
         for class_sums, _ in _realizable_class_sums(self, cap):
             if any(not s.is_zero() for s in class_sums):
@@ -348,28 +354,62 @@ _BROKEN = "B"
 
 
 def _joint_walk(states: list[Aut], cap: int):
-    """Explore the joint pairwise-quotient walk over all input letters.
+    """Explore the joint walk of the pairwise pattern automata.
 
-    Component (i, j) follows the state of q_j^{-1} q_i and absorbs to T
-    when the quotient trivializes (germs of i and j agree on the whole
-    subtree) or to B when it moves a letter (germs disagree below).
-    Returns (reachable joint states, per-letter successor table).
+    The pattern automaton of the term pair (i, j) has as states the pairs
+    of restrictions (q_i|v, q_j|v) reachable from (q_i, q_j), plus two
+    absorbing sinks.  On letter x a pair (s, t) moves to (s|x, t|x) if s
+    and t output the same letter on x, and to B (the germs of i and j
+    disagree below) otherwise; a pair of equal restrictions is T (the
+    germs agree on the whole subtree).  Each automaton is refined with
+    the sinks' labels fixed, and a joint state is a tuple of class
+    tokens, one per pair.  No product of automorphisms is formed.
+    Returns (term pairs, reachable joint states, per-letter successor
+    table).
     """
     d = states[0].machine.alphabet_size
-    pairs = [(i, j) for i in range(len(states)) for j in range(i + 1, len(states))]
-    machines = []
-    for i, j in pairs:
-        machines.append((states[j].inverse() * states[i]).canonical().machine)
+    k = len(states)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    # equality of restrictions: one quotient of the disjoint union of the
+    # term machines, each machine's states shifted by its offset
+    offsets: dict[Machine, int] = {}
+    outs: list = []
+    trans: list = []
+    for s in states:
+        m = s.machine
+        if m not in offsets:
+            offsets[m] = base = len(outs)
+            outs.extend(m.outputs)
+            trans.extend(tuple(base + t for t in row) for row in m.transitions)
+    block = _quotient(outs, trans)[2]
 
-    def advance(tok, m, x):
-        if tok is _TRIVIAL or tok is _BROKEN:
-            return tok
-        if m.outputs[tok][x] != x:
+    def pair_or_sink(s, t):
+        return _TRIVIAL if block[s] == block[t] else (s, t)
+
+    def label(q):
+        return (1 if q is _TRIVIAL else 2 if q is _BROKEN else 0,)
+
+    def step(q, x):
+        if q is _TRIVIAL or q is _BROKEN:
+            return q
+        s, t = q
+        if outs[s][x] != outs[t][x]:
             return _BROKEN
-        t = m.transitions[tok][x]
-        return _TRIVIAL if t == m.identity else t
+        return pair_or_sink(trans[s][x], trans[t][x])
 
-    start = tuple(_TRIVIAL if m.identity == 0 else 0 for m in machines)
+    sink = {1: _TRIVIAL, 2: _BROKEN}
+    tables = []
+    start = []
+    for i, j in pairs:
+        q = pair_or_sink(offsets[states[i].machine] + states[i].state,
+                         offsets[states[j].machine] + states[j].state)
+        labels, qtrans, _ = _quotient(*_explore(d, q, label, step))
+        # the start is class 0; the sinks' classes become T and B
+        token = [sink.get(lab, c) for c, (lab,) in enumerate(labels)]
+        tables.append({token[c]: tuple(token[t] for t in row)
+                       for c, row in enumerate(qtrans)})
+        start.append(token[0])
+    start = tuple(start)
     seen = {start}
     queue = [start]
     succ: dict[tuple, list[tuple]] = {}
@@ -377,13 +417,15 @@ def _joint_walk(states: list[Aut], cap: int):
         joint = queue.pop()
         row = []
         for x in range(d):
-            nxt = tuple(advance(tok, m, x) for tok, m in zip(joint, machines))
+            nxt = tuple(table[tok][x] for tok, table in zip(joint, tables))
             row.append(nxt)
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise PatternCapError(
-                        f"pattern search exceeded {cap} joint states; "
-                        "raise the pattern cap to decide this element")
+                        f"pattern search on a bucket of {k} terms ({len(pairs)} "
+                        f"term pairs) reached {len(seen) + 1} joint states, more "
+                        f"than the cap of {cap}; raise the pattern cap to decide "
+                        "this element")
                 seen.add(nxt)
                 queue.append(nxt)
         succ[joint] = row
@@ -399,10 +441,13 @@ def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
 
     One item per realizable coincidence pattern per bucket.  A pattern
     (T-set) records which term pairs have equal germs.  It is realizable
-    iff the joint states showing it contain an infinite path among
-    themselves, and its region contains a cylinder iff one of those
-    states cannot reach a joint state with a successor of a different
-    T-set, i.e. can never be forced into a further coincidence.
+    iff the joint pattern states showing it contain an infinite path
+    among themselves, and its region contains a cylinder iff one of
+    those states cannot reach a joint state with a successor of a
+    different T-set, i.e. can never be forced into a further
+    coincidence.  Refinement only merges pair states whose restrictions
+    have the same T/B future, so both properties are those of the walk
+    over the unrefined pairs of restrictions.
     """
     if cap is None:
         cap = PATTERN_CAP

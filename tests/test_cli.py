@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import germtrace
 from germtrace import ParseError
-from germtrace.cli import _check_printable_depth, main
+from germtrace.cli import _build_parser, _check_printable_depth, main
 
 
 def run(capsys, *argv):
@@ -459,3 +463,29 @@ class TestDeterminism:
         second = run(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+def run_fresh(*argv):
+    """(exit code, stdout) of the command in a new interpreter."""
+    src = str(Path(germtrace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "germtrace.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_after_a_rejected_one_match_fresh_processes(self, capsys):
+        """The cached parser keeps no state from one main call to the next:
+        a call argparse rejects, then a different subcommand, give what
+        each gives in a new interpreter."""
+        calls = [("fixmeasure", "-m", "grigorchuk", "-s", "d", "-K", "-1"),
+                 ("alg", "iszero", "-m", "grigorchuk", "-e", "1 d:>;-1 e:0>0;-1 b:1>1")]
+        in_process = [run(capsys, *argv)[:2] for argv in calls]
+        assert in_process[0] == (2, "")
+        assert in_process[1][0] == 0 and in_process[1][1]
+        assert in_process == [run_fresh(*argv) for argv in calls]

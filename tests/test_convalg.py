@@ -8,6 +8,7 @@ import pytest
 from germtrace import (
     AlgebraElement,
     ElementParseError,
+    Machine,
     PartialMap,
     PATTERN_CAP,
     PatternCapError,
@@ -24,8 +25,8 @@ from germtrace import (
     unit_element,
     unit_germ,
 )
-from germtrace.convalg import (_class_sums, _joint_walk, _realizable_class_sums,
-                               _refined_groups, _tset)
+from germtrace.convalg import (_BROKEN, _TRIVIAL, _class_sums, _joint_walk,
+                               _realizable_class_sums, _refined_groups, _tset)
 
 from conftest import random_element, random_scalar, random_word
 
@@ -372,15 +373,56 @@ class TestEquals:
         assert not d.equals(indicator(grig, "e"))
 
 
-def reference_class_sums(elem):
-    """The loops _realizable_class_sums used before the graph helpers:
-    round-robin sweeps for the joint states that can reach a change of
-    T-set and for each T-set's joint states with an infinite path."""
+def reference_joint_walk(states, cap):
+    """The walk _joint_walk made before the pattern automata: component
+    (i, j) follows the state of the minimised, interned product
+    q_j^{-1} q_i, and absorbs to T when the product trivializes or to B
+    when it moves a letter."""
+    d = states[0].machine.alphabet_size
+    pairs = [(i, j) for i in range(len(states)) for j in range(i + 1, len(states))]
+    machines = []
+    for i, j in pairs:
+        machines.append((states[j].inverse() * states[i]).canonical().machine)
+
+    def advance(tok, m, x):
+        if tok is _TRIVIAL or tok is _BROKEN:
+            return tok
+        if m.outputs[tok][x] != x:
+            return _BROKEN
+        t = m.transitions[tok][x]
+        return _TRIVIAL if t == m.identity else t
+
+    start = tuple(_TRIVIAL if m.identity == 0 else 0 for m in machines)
+    seen = {start}
+    queue = [start]
+    succ = {}
+    while queue:
+        joint = queue.pop()
+        row = []
+        for x in range(d):
+            nxt = tuple(advance(tok, m, x) for tok, m in zip(joint, machines))
+            row.append(nxt)
+            if nxt not in seen:
+                if len(seen) >= cap:
+                    raise PatternCapError(f"more than {cap} joint states")
+                seen.add(nxt)
+                queue.append(nxt)
+        succ[joint] = row
+    return pairs, seen, succ
+
+
+def reference_class_sums(elem, walk_sizes=None):
+    """The loops _realizable_class_sums used before the graph helpers
+    (round-robin sweeps for the joint states that can reach a change of
+    T-set and for each T-set's joint states with an infinite path), over
+    the reference walk."""
     items = []
     for bucket in _refined_groups(elem):
         states = [s for s, _ in bucket]
         coeffs = [c for _, c in bucket]
-        pairs, seen, succ = _joint_walk(states, PATTERN_CAP)
+        pairs, seen, succ = reference_joint_walk(states, PATTERN_CAP)
+        if walk_sizes is not None:
+            walk_sizes.append(len(seen))
         d = elem.alphabet_size
         by_tset = {}
         for joint in seen:
@@ -415,11 +457,89 @@ def reference_class_sums(elem):
     return items
 
 
+def random_machine(rng, n, d):
+    """n states plus the identity (the last state): each output row is the
+    identity with probability 1/2, successors are uniform over all states."""
+    letters = tuple(range(d))
+    outputs, transitions = [], []
+    for _ in range(n):
+        outputs.append(letters if rng.random() < 0.5 else tuple(rng.sample(letters, d)))
+        transitions.append(tuple(rng.randrange(n + 1) for _ in letters))
+    return Machine(d, outputs + [letters], transitions + [(n,) * d], identity=n)
+
+
+def spinal_chain(rng, d):
+    """A Grigorchuk-like machine: state 0 cycles the root letters, the
+    spinal states 1..k fix the root, put state 0 or the identity below
+    letters 0..d-2 and hand the last letter to the next spinal state."""
+    k = rng.randint(3, 9)
+    e = k + 1
+    outputs = [tuple((x + 1) % d for x in range(d))] + [tuple(range(d))] * (k + 1)
+    transitions = [(e,) * d]
+    for i in range(k):
+        transitions.append(tuple(rng.choice((0, e)) for _ in range(d - 1))
+                           + (1 + (i + 1) % k,))
+    return Machine(d, outputs, transitions + [(e,) * d], identity=e)
+
+
+def distinct_states_element(rng, m, states):
+    """The given distinct states on one cylinder pair, with coefficients of
+    positive real part: every germ class sums to a nonzero value."""
+    d = m.alphabet_size
+    k = rng.randint(0, 2)
+    u, v = random_word(rng, d, k), random_word(rng, d, k)
+    return AlgebraElement(m, [
+        (Scalar(F(rng.randint(1, 4), rng.randint(1, 3)), F(rng.randint(-2, 2))),
+         PartialMap(m.state(q), u, v)) for q in states])
+
+
+def zero_by_construction(rng, m):
+    """c(q1 - q2 - q3 + q4) for four new states of m with the identity
+    output row.  Below letter 0 they act as x, x, w, w, below letter 1 as
+    y, z, y, z and below the other letters as r, where w is x and z is y
+    with every output letter shifted, so w differs from x and z from y at
+    every point.  Below 0 the germs of q1, q2 and of q3, q4 coincide,
+    below 1 those of q1, q3 and of q2, q4, so every germ class sums to 0
+    while no two terms are equal."""
+    d, n = m.alphabet_size, m.size
+    x, y, r = (rng.randrange(n) for _ in range(3))
+    shifted = [tuple((a + 1) % d for a in m.outputs[q]) for q in (x, y)]
+    w, z = n, n + 1
+    quads = [(a, b) + (r,) * (d - 2) for a in (x, w) for b in (y, z)]
+    mm = Machine(d, [*m.outputs, *shifted, *[tuple(range(d))] * 4],
+                 [*m.transitions, m.transitions[x], m.transitions[y], *quads],
+                 identity=m.identity)
+    c = random_scalar(rng)
+    k = rng.randint(0, 1)
+    u, v = random_word(rng, d, k), random_word(rng, d, k)
+    return AlgebraElement(mm, [(c * sign, PartialMap(mm.state(n + 2 + i), u, v))
+                               for i, sign in enumerate((1, -1, -1, 1))])
+
+
+def compare_with_reference(elem, tally):
+    """(sums, has_open) items equal the reference's, and no bucket's walk
+    has more joint states than the reference walk."""
+    ref_sizes = []
+    items = list(_realizable_class_sums(elem, None))
+    assert items == reference_class_sums(elem, ref_sizes)
+    sizes = [len(_joint_walk([s for s, _ in bucket], PATTERN_CAP)[1])
+             for bucket in _refined_groups(elem)]
+    assert len(sizes) == len(ref_sizes)
+    for new, old in zip(sizes, ref_sizes):
+        assert new <= old
+        tally["fewer"] += new < old
+    for _, flag in items:
+        tally[flag] += 1
+    return items
+
+
 class TestPatternSearchReference:
     def test_matches_pre_change_loops(self, bundled, ternary):
         rng = random.Random(314)
         machines = [*bundled.values(), ternary]
-        has_open = {True: 0, False: 0}
+        # the bundled machines are too small for the pattern automata to
+        # merge states the quotient machines keep apart: no floor on "fewer"
+        tally = {True: 0, False: 0, "fewer": 0}
         for k in range(300):
             m = machines[k % len(machines)]
             d = m.alphabet_size
@@ -430,8 +550,70 @@ class TestPatternSearchReference:
                 for q in rng.sample(range(m.size), min(m.size, rng.randint(2, 4)))])
             if k % 4 == 0:
                 elem = elem * random_element(m, rng, max_terms=2, max_depth=1)
-            items = list(_realizable_class_sums(elem, None))
-            assert items == reference_class_sums(elem)
-            for _, flag in items:
-                has_open[flag] += 1
-        assert min(has_open.values()) >= 20, has_open
+            compare_with_reference(elem, tally)
+        assert min(tally[True], tally[False]) >= 20, tally
+
+    def test_matches_reference_on_random_machines(self):
+        """Seeded machines like the iszero-random benchmark's: random
+        machines with n <= 40 and spinal chains over 2 and 3 letters."""
+        rng = random.Random(2718)
+        tally = {True: 0, False: 0, "fewer": 0}
+        for k in range(70):
+            d = 2 + k % 2
+            kind = k // 2 % 5
+            n = (10, 20, 40)[k // 10 % 3]
+            if kind < 2:
+                # three spinal states always differ at the spine point and
+                # two of them coincide below every other letter: a pattern
+                # with no open region
+                m = spinal_chain(rng, d)
+                spine = range(1, m.size - 1)
+                elem = distinct_states_element(
+                    rng, m, rng.sample(spine, min(len(spine), 3 + k % 2)))
+            elif kind == 4:
+                m = spinal_chain(rng, d) if k % 3 == 0 else random_machine(rng, n, d)
+                elem = zero_by_construction(rng, m)
+            else:
+                m = random_machine(rng, n, d)
+                elem = distinct_states_element(
+                    rng, m, rng.sample(range(m.size), 2 + k % 3))
+            compare_with_reference(elem, tally)
+            assert elem.is_zero() == (kind == 4)
+        assert min(tally.values()) >= 20, tally
+
+
+class TestPatternCapAndCaches:
+    def test_cap_outcome_does_not_depend_on_caches(self):
+        """is_zero(cap=c) raises PatternCapError or gives the uncapped
+        verdict, and gives the same outcome for every c before and after
+        the element's products and canonical forms are warm."""
+        rng = random.Random(4242)
+        m = random_machine(rng, 20, 2)
+        elem = distinct_states_element(rng, m, rng.sample(range(m.size), 3))
+        caps = range(1, 40)
+
+        def outcomes():
+            out = []
+            for cap in caps:
+                try:
+                    out.append(elem.is_zero(cap=cap))
+                except PatternCapError as exc:
+                    out.append(str(exc))
+            return out
+
+        cold = outcomes()
+        for bucket in _refined_groups(elem):
+            states = [s for s, _ in bucket]
+            reference_joint_walk(states, PATTERN_CAP)  # every q_j^-1 q_i
+            for s in states:
+                s.inverse().canonical()
+        (elem * elem.adjoint()).is_zero()
+        assert elem.is_zero() is False
+        assert outcomes() == cold
+
+        first = next(i for i, o in enumerate(cold) if isinstance(o, bool))
+        assert first > 0
+        assert cold[first:] == [False] * (len(caps) - first)
+        for cap, message in zip(caps, cold[:first]):
+            assert (f"bucket of 3 terms (3 term pairs) reached {cap + 1} joint "
+                    f"states, more than the cap of {cap}") in message
