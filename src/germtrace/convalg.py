@@ -403,7 +403,8 @@ def _joint_walk(states: list[Aut], cap: int):
     for i, j in pairs:
         q = pair_or_sink(offsets[states[i].machine] + states[i].state,
                          offsets[states[j].machine] + states[j].state)
-        labels, qtrans, _ = _quotient(*_explore(d, q, label, step))
+        labels, qtrans, _ = _quotient(*_explore(
+            d, q, label, step, "the pattern automaton of a term pair"))
         # the start is class 0; the sinks' classes become T and B
         token = [sink.get(lab, c) for c, (lab,) in enumerate(labels)]
         tables.append({token[c]: tuple(token[t] for t in row)

@@ -10,11 +10,13 @@ of finite words and of its boundary.
 Every machine has one quotient by automorphism equality, computed once
 and memoised (`minimize`).  A state's canonical form is the part of that
 quotient reachable from it, numbered breadth-first and interned; products
-and inverses are explored as reachable product / inverse machines and
-canonicalised the same way.  Interned machines are minimal by
-construction, and two automorphisms are equal iff they intern to the
-identical machine object.  That makes equality, hashing and identity
-tests cheap for every higher layer.
+and inverses are explored as reachable product / inverse machines of the
+operands' canonical forms and canonicalised the same way.  Interned
+machines are minimal by construction, and two automorphisms are equal iff
+they intern to the identical machine object.  That makes equality, hashing
+and identity tests cheap for every higher layer.  Products and inverses
+are memoised on the interned machine of the left canonical operand, next
+to its canonical forms; keys and values hold interned machines only.
 """
 
 from __future__ import annotations
@@ -36,9 +38,14 @@ _state_cap: ContextVar[int] = ContextVar("state_cap", default=STATE_CAP)
 def state_cap(n: int):
     """Bound the states materialised per derived machine inside the block.
 
-    The bound holds for the current thread or task only; code running in
-    another context, such as a new thread, keeps its own (by default
-    STATE_CAP).
+    For a product or an inverse the cap counts the states of the machine
+    explored from the operands' canonical forms (for a non-minimal
+    operand that is never more than its raw machine would give).  A
+    memoised product or inverse is refused under a cap it would exceed
+    when built afresh, so the outcome does not depend on what earlier
+    calls cached.  The bound holds for the current thread or task only;
+    code running in another context, such as a new thread, keeps its own
+    (by default STATE_CAP).
     """
     if n < 1:
         raise ValueError("state cap must be positive")
@@ -164,11 +171,16 @@ def _intern(d, outputs, transitions) -> Machine:
     return m
 
 
-def _explore(d, start, out_fn, trans_fn):
+def _cap_error(cap, what) -> StateCapError:
+    return StateCapError(f"more than {cap} states while building {what}")
+
+
+def _explore(d, start, out_fn, trans_fn, what):
     """Breadth-first closure of an implicitly given machine.
 
     Returns dense output/transition tables; the start maps to index 0.
-    States may be arbitrary hashable labels.
+    States may be arbitrary hashable labels.  Raises StateCapError, naming
+    what is built, when more states than the current cap are reachable.
     """
     cap = _state_cap.get()
     index = {start: 0}
@@ -186,8 +198,7 @@ def _explore(d, start, out_fn, trans_fn):
             j = index.get(t)
             if j is None:
                 if len(order) >= cap:
-                    raise StateCapError(
-                        f"more than {cap} states while closing a machine")
+                    raise _cap_error(cap, what)
                 j = len(order)
                 index[t] = j
                 order.append(t)
@@ -223,6 +234,15 @@ def _quotient(outputs, transitions):
     return (tuple(outputs[q] for q in least.values()),
             tuple(tuple(block[t] for t in transitions[q]) for q in least.values()),
             block)
+
+
+def _replay(explored, result, what) -> "Aut":
+    """A memoised product or inverse, refused exactly as _explore would
+    refuse rebuilding its explored states under the current cap."""
+    cap = _state_cap.get()
+    if explored > cap:
+        raise _cap_error(cap, what)
+    return result
 
 
 def _interned_closure(d, outputs, transitions, start) -> "Aut":
@@ -291,35 +311,55 @@ class Aut:
         return Aut(self.machine, q)
 
     def compose(self, other: "Aut") -> "Aut":
-        """Automorphism w -> self(other(w)), minimised and interned."""
+        """Automorphism w -> self(other(w)), minimised and interned.
+
+        The product is explored from the canonical forms of both operands
+        and memoised on the left one's interned machine; see state_cap
+        for what the cap counts.
+        """
         if self.machine.alphabet_size != other.machine.alphabet_size:
             raise DomainError("cannot compose states over different alphabets")
-        d = self.machine.alphabet_size
-        out1, tr1 = self.machine.outputs, self.machine.transitions
-        out2, tr2 = other.machine.outputs, other.machine.transitions
+        a, b = self.canonical().machine, other.canonical().machine
+        what = f"the product of a {a.size}-state and a {b.size}-state automorphism"
+        entry = a._memo.get(("compose", b))
+        if entry is None:
+            d = a.alphabet_size
+            out1, tr1, out2, tr2 = a.outputs, a.transitions, b.outputs, b.transitions
 
-        def out_fn(pair):
-            a, b = pair
-            return tuple(out1[a][out2[b][x]] for x in range(d))
+            def out_fn(pair):
+                p, q = pair
+                return tuple(out1[p][out2[q][x]] for x in range(d))
 
-        def trans_fn(pair, x):
-            a, b = pair
-            return (tr1[a][out2[b][x]], tr2[b][x])
+            def trans_fn(pair, x):
+                p, q = pair
+                return (tr1[p][out2[q][x]], tr2[q][x])
 
-        outs, trans, _ = _quotient(*_explore(d, (self.state, other.state),
-                                             out_fn, trans_fn))
-        return _interned_closure(d, outs, trans, 0)
+            outs, trans = _explore(d, (0, 0), out_fn, trans_fn, what)
+            entry = a._memo[("compose", b)] = (
+                len(outs), _interned_closure(d, *_quotient(outs, trans)[:2], 0))
+        return _replay(*entry, what)
 
     def inverse(self) -> "Aut":
-        d = self.machine.alphabet_size
-        tr = self.machine.transitions
-        inv = [tuple(row.index(x) for x in range(d)) for row in self.machine.outputs]
+        """The inverse automorphism, minimised and interned.
 
-        def trans_fn(q, x):
-            return tr[q][inv[q][x]]
+        Explored from the canonical form and memoised on its interned
+        machine, like compose.
+        """
+        m = self.canonical().machine
+        what = f"the inverse of a {m.size}-state automorphism"
+        entry = m._memo.get("inverse")
+        if entry is None:
+            d = m.alphabet_size
+            tr = m.transitions
+            inv = [tuple(row.index(x) for x in range(d)) for row in m.outputs]
 
-        outs, trans, _ = _quotient(*_explore(d, self.state, inv.__getitem__, trans_fn))
-        return _interned_closure(d, outs, trans, 0)
+            def trans_fn(q, x):
+                return tr[q][inv[q][x]]
+
+            outs, trans = _explore(d, 0, inv.__getitem__, trans_fn, what)
+            entry = m._memo["inverse"] = (
+                len(outs), _interned_closure(d, *_quotient(outs, trans)[:2], 0))
+        return _replay(*entry, what)
 
     def is_identity(self) -> bool:
         c = self.canonical()
@@ -530,7 +570,8 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 def parse_machine(text: str) -> Machine:
     """Parse the plain-text machine format.
 
-    One `alphabet <d>` directive, then one `state <name> perm <d images>
+    One `alphabet <d>` directive, 2 <= d <= 10 because words are written
+    one decimal digit per letter, then one `state <name> perm <d images>
     to <d successor names>` line per state.  `#` starts a comment.  The
     name `e` is reserved for the identity; if absent, an identity state
     is synthesised.
@@ -552,8 +593,10 @@ def parse_machine(text: str) -> Machine:
             except ValueError:  # more digits than int() converts
                 raise MachineParseError(
                     f"line {lineno}: alphabet size {excerpt(parts[1])} too long") from None
-            if d < 2:
-                raise MachineParseError(f"line {lineno}: alphabet must have >= 2 letters")
+            if not 2 <= d <= 10:
+                raise MachineParseError(
+                    f"line {lineno}: alphabet must have 2 to 10 letters, "
+                    f"got {excerpt(parts[1])}")
             continue
         m = _STATE_RE.match(line)
         if not m:

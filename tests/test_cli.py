@@ -426,6 +426,16 @@ class TestHostileInput:
                                 needle=f"error: output file {str(target)!r}: ")
         assert not target.parent.exists()
 
+    def test_alphabet_over_ten_letters(self, capsys, tmp_path):
+        """A letter >= 10 cannot be written in a word, so such a machine is
+        refused where it is declared."""
+        src = tmp_path / "m11.gt"
+        src.write_text("alphabet 11\nstate a perm 1 0 2 3 4 5 6 7 8 9 10 to"
+                       + " e" * 11 + "\n")
+        self.assert_parse_error(capsys, "alg", "mult", "-m", str(src),
+                                "-e1", "1 a:>", "-e2", "1 e:9>9",
+                                needle="line 1: alphabet must have 2 to 10 letters, got '11'")
+
     def test_non_decimal_letter(self, capsys):
         code, out, err = run(capsys, "trace", "-m", "grigorchuk", "-e", "1 a:\u00b2>")
         assert code == 2 and out == ""
@@ -445,6 +455,16 @@ class TestCaps:
         assert err.startswith("error:") and "Traceback" not in err
         code, out, _ = run(capsys, *argv[:-2])
         assert code == 0 and out
+
+    def test_capped_call_after_uncapped_one_matches_fresh_process(self, capsys):
+        """A product cached by an uncapped call is refused under a cap, with
+        the text a new interpreter prints."""
+        argv = ("wordproblem", "-m", "grigorchuk", "-s", "a*b*a*c", "--cap-states", "3")
+        assert run(capsys, *argv[:-2])[0] == 0
+        capped = run(capsys, *argv)
+        assert capped == (3, "", "error: more than 3 states while building the product "
+                                 "of a 2-state and a 5-state automorphism\n")
+        assert capped == run_fresh(*argv)
 
 
 class TestDeterminism:
@@ -466,13 +486,13 @@ class TestDeterminism:
 
 
 def run_fresh(*argv):
-    """(exit code, stdout) of the command in a new interpreter."""
+    """(exit code, stdout, stderr) of the command in a new interpreter."""
     src = str(Path(germtrace.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-m", "germtrace.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestParserReuse:
@@ -488,4 +508,4 @@ class TestParserReuse:
         in_process = [run(capsys, *argv)[:2] for argv in calls]
         assert in_process[0] == (2, "")
         assert in_process[1][0] == 0 and in_process[1][1]
-        assert in_process == [run_fresh(*argv) for argv in calls]
+        assert in_process == [run_fresh(*argv)[:2] for argv in calls]

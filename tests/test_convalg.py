@@ -14,6 +14,7 @@ from germtrace import (
     PatternCapError,
     Point,
     Scalar,
+    StateCapError,
     as_scalar,
     format_element,
     format_scalar,
@@ -22,6 +23,7 @@ from germtrace import (
     parse_point,
     parse_scalar,
     parse_shift,
+    state_cap,
     unit_element,
     unit_germ,
 )
@@ -617,3 +619,10 @@ class TestPatternCapAndCaches:
         for cap, message in zip(caps, cold[:first]):
             assert (f"bucket of 3 terms (3 term pairs) reached {cap + 1} joint "
                     f"states, more than the cap of {cap}") in message
+
+    def test_state_cap_names_the_pattern_automaton(self, grig):
+        elem = indicator(grig, "b") - indicator(grig, "c")
+        with state_cap(2), pytest.raises(StateCapError) as info:
+            elem.is_zero()
+        assert str(info.value) == (
+            "more than 2 states while building the pattern automaton of a term pair")

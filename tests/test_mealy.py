@@ -1,7 +1,9 @@
-"""Machine parsing, composition, interning equality, minimization, depth."""
+"""Machine parsing, composition, interning equality, minimization, depth,
+the memoised group law and its caps."""
 
 import itertools
 import random
+import sys
 import threading
 
 import pytest
@@ -81,6 +83,7 @@ class TestParsing:
             "alphabet 2\nstate a perm 1 0 to e e\nstate a perm 0 1 to a a\n",
             "alphabet 2\nstate e perm 1 0 to e e\n",  # e must act trivially
             "alphabet 2\n",  # no states
+            "alphabet 11\nstate a perm 1 0 2 3 4 5 6 7 8 9 10 to e e e e e e e e e e e\n",
         ],
     )
     def test_rejects_malformed(self, text):
@@ -93,6 +96,11 @@ class TestParsing:
             assert again.size == m.size
             for name in m.names:
                 assert again.state(name) == m.state(name)
+
+    def test_ten_letters_is_the_largest_alphabet(self):
+        m = parse_machine("alphabet 10\nstate a perm 1 0 2 3 4 5 6 7 8 9 to"
+                          + " e" * 10 + "\n")
+        assert m.state("a").apply_word("09") == (1, 9)
 
     def test_comments_and_blank_lines_ignored(self):
         m = parse_machine(
@@ -325,6 +333,146 @@ class TestStateCap:
                 pass
 
 
+def oracle_machine(rng, duplicate, d=None, size=30):
+    """A random machine of at most size states over d (2 or 3) letters,
+    half the output rows the identity.  With duplicate, some states are
+    copied (same row, some edges redirected to the copy), so the machine
+    is not minimal; state order is shuffled either way."""
+    d = d or rng.choice((2, 3))
+    letters = tuple(range(d))
+    k = rng.randint(2, size * 2 // 3 if duplicate else size)
+    outputs = [letters if rng.random() < 0.5 else tuple(rng.sample(letters, d))
+               for _ in range(k)]
+    transitions = [[rng.randrange(k) for _ in letters] for _ in range(k)]
+    if duplicate:
+        for q in rng.sample(range(k), rng.randint(1, min(k, size - k))):
+            copy = len(outputs)
+            outputs.append(outputs[q])
+            transitions.append(list(transitions[q]))
+            for row in transitions:
+                for x in letters:
+                    if row[x] == q and rng.random() < 0.5:
+                        row[x] = copy
+    order = list(range(len(outputs)))
+    rng.shuffle(order)
+    place = {old: new for new, old in enumerate(order)}
+    return Machine(d, [outputs[old] for old in order],
+                   [[place[t] for t in transitions[old]] for old in order])
+
+
+def cap_outcome(cap, build):
+    """The interned machine build() returns under the cap, or the text of
+    the StateCapError it raises."""
+    with state_cap(cap):
+        try:
+            return build().machine
+        except StateCapError as exc:
+            return str(exc)
+
+
+class TestCapReplay:
+    """A memoised product or inverse is refused under exactly the caps that
+    refuse building it afresh, with the same message."""
+
+    def test_outcome_is_the_same_cold_and_warm(self):
+        rng = random.Random(9091)
+        refused = accepted = 0
+        for i in range(8):
+            states = [identity_aut(3)]
+            while states[-1].canonical().machine.size < 4:
+                m = oracle_machine(rng, duplicate=i % 2 == 1, d=3, size=10)
+                states = sorted(m.states(), key=lambda s: s.canonical().machine.size)
+            a, b = states[-1], rng.choice(states[len(states) // 2:])
+            ops = [lambda: a * b, a.inverse, lambda: a ** 3]
+            left = a.canonical().machine
+            assert ("compose", b.canonical().machine) not in left._memo
+            assert "inverse" not in left._memo
+            caps = []
+            cold = []
+            while len(caps) < 2 or any(isinstance(o, str) for o in cold[-2]):
+                caps.append(len(caps) + 1)
+                cold.append([cap_outcome(caps[-1], op) for op in ops])
+            uncapped = [op().machine for op in ops]
+            warm = [[cap_outcome(c, op) for op in ops] for c in caps]
+            assert warm == cold
+            # the inverse of a minimal machine reaches each of its states
+            assert [isinstance(row[1], str) for row in cold] == [c < left.size
+                                                                 for c in caps]
+            for cap, row in zip(caps, cold):
+                for outcome, machine in zip(row, uncapped):
+                    if isinstance(outcome, str):
+                        assert outcome.startswith(f"more than {cap} states while building the ")
+                        refused += 1
+                    else:
+                        assert outcome is machine
+                        accepted += 1
+        assert refused >= 100 and accepted >= 20, (refused, accepted)
+
+    def test_threads_keep_their_own_cap_on_a_warm_pair(self, grig):
+        a, b = grig.state("a"), grig.state("b")
+        expected = a * b
+        outcomes = {}
+
+        def capped():
+            outcomes["capped"] = cap_outcome(2, lambda: a * b)
+
+        def default():
+            outcomes["default"] = (a * b).machine
+
+        workers = [threading.Thread(target=capped), threading.Thread(target=default)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+        assert outcomes == {
+            "capped": "more than 2 states while building the product of a "
+                      "2-state and a 5-state automorphism",
+            "default": expected.machine,
+        }
+
+    def test_threads_racing_to_fill_the_memo(self):
+        """Threads with different caps build the same fresh products at
+        once; each gets what one thread alone gets under its cap."""
+        rng = random.Random(9092)
+        pairs = []
+        for i in range(12):
+            m = oracle_machine(rng, duplicate=i % 2 == 1, size=12)
+            pairs.append((m.state(rng.randrange(m.size)), m.state(rng.randrange(m.size))))
+        caps = (4, 16, 64, STATE_CAP)
+        outcomes = {}
+
+        def work(cap):
+            outcomes[cap] = [(cap_outcome(cap, lambda: g * h),
+                              cap_outcome(cap, g.inverse)) for g, h in pairs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(c,)) for c in caps * 2]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for cap in caps:
+            alone = [(cap_outcome(cap, lambda: g * h), cap_outcome(cap, g.inverse))
+                     for g, h in pairs]
+            assert outcomes[cap] == alone
+        assert all(not isinstance(o, str) for row in outcomes[STATE_CAP] for o in row)
+        assert any(isinstance(o, str) for row in outcomes[4] for o in row)
+
+    def test_messages_name_what_was_built(self, grig):
+        a, b = grig.state("a"), grig.state("b")
+        assert cap_outcome(3, lambda: a * b) == (
+            "more than 3 states while building the product of a 2-state and a "
+            "5-state automorphism")
+        assert cap_outcome(3, b.inverse) == (
+            "more than 3 states while building the inverse of a 5-state automorphism")
+
+
 def reference_refine(d, outputs, transitions, members):
     """The Moore refinement the quotient replaced, kept verbatim."""
     block = {}
@@ -524,6 +672,135 @@ class TestQuotientOracle:
                 c = Aut(cm, s).canonical()
                 assert c.machine.canonical and c.state == 0
         assert len(closures) >= 50
+
+
+def reference_compose(g, h):
+    """The compose body before products were memoised, kept verbatim: the
+    product machine is explored from the raw operands and nothing is
+    cached.  Returns the product and the number of states explored."""
+    d = g.machine.alphabet_size
+    out1, tr1 = g.machine.outputs, g.machine.transitions
+    out2, tr2 = h.machine.outputs, h.machine.transitions
+
+    def out_fn(pair):
+        a, b = pair
+        return tuple(out1[a][out2[b][x]] for x in range(d))
+
+    def trans_fn(pair, x):
+        a, b = pair
+        return (tr1[a][out2[b][x]], tr2[b][x])
+
+    outputs, transitions = mealy._explore(d, (g.state, h.state), out_fn, trans_fn,
+                                          "a reference product")
+    outs, trans, _ = mealy._quotient(outputs, transitions)
+    return mealy._interned_closure(d, outs, trans, 0), len(outputs)
+
+
+def reference_inverse(g):
+    """The inverse body before inverses were memoised, kept verbatim;
+    returns the inverse and the number of states explored."""
+    d = g.machine.alphabet_size
+    tr = g.machine.transitions
+    inv = [tuple(row.index(x) for x in range(d)) for row in g.machine.outputs]
+
+    def trans_fn(q, x):
+        return tr[q][inv[q][x]]
+
+    outputs, transitions = mealy._explore(d, g.state, inv.__getitem__, trans_fn,
+                                          "a reference inverse")
+    outs, trans, _ = mealy._quotient(outputs, transitions)
+    return mealy._interned_closure(d, outs, trans, 0), len(outputs)
+
+
+def least_cap(build, most):
+    """Least cap under which build() succeeds, given that it succeeds
+    under most (a StateCapError from that first call fails the test)."""
+    with state_cap(most):
+        build()
+    lo, hi = 1, most
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            with state_cap(mid):
+                build()
+            hi = mid
+        except StateCapError:
+            lo = mid + 1
+    return lo
+
+
+def words_up_to(d, length):
+    return [w for k in range(length + 1) for w in itertools.product(range(d), repeat=k)]
+
+
+class TestGroupLawOracle:
+    """Memoised compose / inverse against the kept raw-operand bodies."""
+
+    def test_random_machines_match_reference(self):
+        rng = random.Random(31415)
+        lower = {"compose": 0, "inverse": 0}
+        nonminimal = brute = 0
+        for i in range(240):
+            duplicate = i % 2 == 1
+            m = oracle_machine(rng, duplicate)
+            other = m if rng.random() < 0.5 else oracle_machine(rng, duplicate,
+                                                                 d=m.alphabet_size)
+            nonminimal += minimize(m)[0].size < m.size
+            g, h = m.state(rng.randrange(m.size)), other.state(rng.randrange(other.size))
+            for op, build, (ref, explored) in (
+                    ("compose", lambda: g * h, reference_compose(g, h)),
+                    ("inverse", g.inverse, reference_inverse(g))):
+                cold = build()
+                assert cold.state == 0 and cold.machine is ref.machine
+                assert build().machine is ref.machine  # warm
+                cap = least_cap(build, explored)
+                assert cap <= explored
+                lower[op] += cap < explored
+            if i % 8 == 0:
+                brute += 1
+                prod, inv = g * h, g.inverse()
+                for w in words_up_to(m.alphabet_size, 5):
+                    assert prod.apply_word(w) == g.apply_word(h.apply_word(w))
+                    assert inv.apply_word(g.apply_word(w)) == w
+        assert nonminimal >= 120 and brute == 30
+        assert min(lower.values()) >= 100, lower
+
+    def test_words_on_bundled_machines_match_reference(self, grig, adding):
+        rng = random.Random(27182)
+        for m in (grig, adding):
+            gens = [m.state(n) for n in m.names if n != "e"]
+            for _ in range(30):
+                acc = ref = m.state("e")
+                for _ in range(rng.randint(1, 12)):
+                    g = rng.choice(gens)
+                    if rng.random() < 0.3:
+                        g, ref_g = g.inverse(), reference_inverse(g)[0]
+                        assert g.machine is ref_g.machine
+                    acc = acc * g
+                    ref = reference_compose(ref, g)[0]
+                    assert acc.machine is ref.machine
+                assert acc.inverse().machine is reference_inverse(ref)[0].machine
+                for w in words_up_to(2, 5):
+                    assert acc.inverse().apply_word(acc.apply_word(w)) == w
+
+    def test_memo_holds_interned_machines_only(self, grig):
+        raw = oracle_machine(random.Random(161), duplicate=True)
+        g, h = raw.state(0), raw.state(raw.size - 1)
+        (g * h).inverse()
+        (grig.state("a") * grig.state("b")).inverse()
+        assert set(raw._memo) <= {"minimize"} | {("canon", q) for q in range(raw.size)}
+        interned = {id(m) for m in mealy._interned.values()}
+        memos = 0
+        for m in list(mealy._interned.values()):
+            for key, value in list(m._memo.items()):
+                if key == "inverse" or key[0] == "compose":
+                    memos += 1
+                    explored, result = value
+                    assert explored >= result.machine.size and result.state == 0
+                    assert id(result.machine) in interned
+                    if key != "inverse":
+                        assert id(key[1]) in interned
+        assert memos >= 3
 
 
 def reference_infinite_path_nodes(nodes, succ):
