@@ -22,7 +22,7 @@ from .errors import (DomainError, ElementParseError, ParseError, PatternCapError
                      excerpt)
 from .germs import Germ, PartialMap, bisection_product, unit_germ
 from .mealy import (Aut, Machine, Word, _explore, _quotient, backward_distances,
-                    identity_aut, infinite_path_nodes, word_text)
+                    identity_aut, infinite_path_nodes, parse_state_expr, word_text)
 from .points import Point
 
 PATTERN_CAP = 10 ** 6
@@ -364,8 +364,9 @@ def _joint_walk(states: list[Aut], cap: int):
     germs agree on the whole subtree).  Each automaton is refined with
     the sinks' labels fixed, and a joint state is a tuple of class
     tokens, one per pair.  No product of automorphisms is formed.
-    Returns (term pairs, reachable joint states, per-letter successor
-    table).
+    Returns (term pairs, reachable joint states, successors): joint
+    states are numbered by discovery, start first, and successors[i][x]
+    is the number of state i's successor on letter x.
     """
     d = states[0].machine.alphabet_size
     k = len(states)
@@ -411,30 +412,26 @@ def _joint_walk(states: list[Aut], cap: int):
                        for c, row in enumerate(qtrans)})
         start.append(token[0])
     start = tuple(start)
-    seen = {start}
-    queue = [start]
-    succ: dict[tuple, list[tuple]] = {}
-    while queue:
-        joint = queue.pop()
+    index = {start: 0}
+    joints = [start]
+    succ: list[list[int]] = []
+    for joint in joints:
         row = []
         for x in range(d):
             nxt = tuple(table[tok][x] for tok, table in zip(joint, tables))
-            row.append(nxt)
-            if nxt not in seen:
-                if len(seen) >= cap:
+            j = index.get(nxt)
+            if j is None:
+                if len(joints) >= cap:
                     raise PatternCapError(
                         f"pattern search on a bucket of {k} terms ({len(pairs)} "
-                        f"term pairs) reached {len(seen) + 1} joint states, more "
+                        f"term pairs) reached {len(joints) + 1} joint states, more "
                         f"than the cap of {cap}; raise the pattern cap to decide "
                         "this element")
-                seen.add(nxt)
-                queue.append(nxt)
-        succ[joint] = row
-    return pairs, seen, succ
-
-
-def _tset(joint, pairs) -> frozenset:
-    return frozenset(p for tok, p in zip(joint, pairs) if tok is _TRIVIAL)
+                j = index[nxt] = len(joints)
+                joints.append(nxt)
+            row.append(j)
+        succ.append(row)
+    return pairs, joints, succ
 
 
 def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
@@ -453,40 +450,36 @@ def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
     if cap is None:
         cap = PATTERN_CAP
     for bucket in _refined_groups(elem):
-        states = [s for s, _ in bucket]
         coeffs = [c for _, c in bucket]
-        pairs, seen, succ = _joint_walk(states, cap)
-        tsets = {joint: _tset(joint, pairs) for joint in seen}
-        by_tset: dict[frozenset, list] = {}
-        for joint, tset in tsets.items():
-            by_tset.setdefault(tset, []).append(joint)
-        growing = [joint for joint in seen
-                   if any(tsets[nxt] != tsets[joint] for nxt in succ[joint])]
-        can_grow = backward_distances(seen, succ.__getitem__, growing)
-        for tset in sorted(by_tset, key=sorted):
-            members = by_tset[tset]
-            if not infinite_path_nodes(members, succ.__getitem__):
-                continue
-            sums = _class_sums(len(states), coeffs, tset)
-            has_open = any(joint not in can_grow for joint in members)
-            yield sums, has_open
+        pairs, joints, succ = _joint_walk([s for s, _ in bucket], cap)
+        # joint states grouped by T-set, read as the positions holding T
+        # (pairs are listed in order, so these sort as the T-sets would)
+        groups: dict[tuple, list[int]] = {}
+        group_of = []
+        for i, joint in enumerate(joints):
+            group_of.append(groups.setdefault(
+                tuple(p for p, tok in enumerate(joint) if tok is _TRIVIAL), []))
+            group_of[i].append(i)
+        growing = [i for i, row in enumerate(succ)
+                   if any(group_of[j] is not group_of[i] for j in row)]
+        can_grow = backward_distances(range(len(joints)), succ.__getitem__, growing)
+        for positions, members in sorted(groups.items()):
+            if infinite_path_nodes(members, succ.__getitem__):
+                tset = frozenset(pairs[p] for p in positions)
+                yield (_class_sums(coeffs, tset),
+                       any(i not in can_grow for i in members))
 
 
-def _class_sums(n: int, coeffs: list[Scalar], tset: frozenset) -> list[Scalar]:
-    parent = list(range(n))
+def _class_sums(coeffs: list[Scalar], tset: frozenset) -> list[Scalar]:
+    """Coefficient sums per germ class, classes in order of least member.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in tset:
-        parent[find(i)] = find(j)
+    Germ equality is transitive, so the T-set is: term i's class is led
+    by the least j with (j, i) in it, or by i itself.
+    """
     sums: dict[int, Scalar] = {}
     for i, c in enumerate(coeffs):
-        r = find(i)
-        sums[r] = sums.get(r, ZERO) + c
+        lead = next((j for j in range(i) if (j, i) in tset), i)
+        sums[lead] = sums.get(lead, ZERO) + c
     return list(sums.values())
 
 
@@ -495,7 +488,6 @@ def _class_sums(n: int, coeffs: list[Scalar], tset: frozenset) -> list[Scalar]:
 
 def parse_shift(machine: Machine, text: str) -> PartialMap:
     """Parse the shift syntax <state-expr>:<u>><v> into a PartialMap."""
-    from .mealy import parse_state_expr
     shift_text = text.strip()
     if ":" not in shift_text:
         raise ElementParseError(f"shift {excerpt(shift_text)}: missing ':'")

@@ -256,14 +256,11 @@ def mu_fix_exact(g: Aut) -> Fraction:
 def _interior_depths(m: Machine) -> dict[int, int]:
     """State -> length of a shortest word it fixes with trivial restriction.
 
-    Only interiorizable states appear; the identity maps to 0.
+    Only interiorizable states appear; the identity maps to 0.  Computed
+    afresh on each call: one backward search over the fixed-letter graph.
     """
-    cached = m._memo.get("interior_depths")
-    if cached is None:
-        targets = [] if m.identity is None else [m.identity]
-        cached = backward_distances(range(m.size), _fixed_successors(m), targets)
-        m._memo["interior_depths"] = cached
-    return cached
+    targets = [] if m.identity is None else [m.identity]
+    return backward_distances(range(m.size), _fixed_successors(m), targets)
 
 
 def interiorizable(g: Aut) -> bool:

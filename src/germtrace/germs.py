@@ -18,7 +18,7 @@ from .fixedpoints import DecayCertificate, boundary_null_certificate, mu_fix_exa
 from .mealy import (Aut, Machine, Word, as_word, check_word, compose_labels,
                     identity_aut, invert_label, minimize, restrict_label,
                     word_text)
-from .points import BOUNDARY, Point, fixed_walk, state_lasso
+from .points import BOUNDARY, Point, apply_to_point, fixed_walk, state_lasso
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,6 @@ class PartialMap:
     def apply_point(self, x: Point) -> Point:
         if not self.contains_base(x):
             raise DomainError("point lies outside the source cylinder")
-        from .points import apply_to_point
         y = apply_to_point(self.state, x.shift(len(self.source_prefix)))
         return Point(self.range_prefix + y.preperiod, y.period)
 
@@ -134,37 +133,37 @@ class Germ:
     one at depth n stored at index n mod len(cycle).  Invariant: two
     germs are equal iff their keys are, so equal germs hash equal.
     Anchoring the cycle to the depth keeps apart two states that chase
-    each other round the same cycle.
+    each other round the same cycle.  The key is computed on first use
+    from one walk of q's lasso along the shifted base, which yields the
+    range's letters and the cycle together; range() reads it off the key.
     """
 
-    __slots__ = ("map", "base", "_range", "_key")
+    __slots__ = ("map", "base", "_key")
 
     def __init__(self, pmap: PartialMap, base: Point):
         if not pmap.contains_base(base):
             raise DomainError("base point lies outside the source cylinder")
         self.map = pmap
         self.base = base
-        self._range = None
         self._key = None
 
-    def source(self) -> Point:
-        return self.base
-
     def range(self) -> Point:
-        if self._range is None:
-            self._range = self.map.apply_point(self.base)
-        return self._range
+        return self.key[1]
 
     @property
     def key(self) -> tuple:
         if self._key is None:
             aut = self.map.state  # canonical, so its states are distinct
             k = len(self.map.source_prefix)
-            states, start = state_lasso(aut, self.base.shift(k))
+            y = self.base.shift(k)
+            states, start = state_lasso(aut, y)
+            out = aut.machine.outputs
+            image = self.map.range_prefix + tuple(
+                out[q][y.letter(i)] for i, q in enumerate(states))
             cycle = states[start:]  # cycle[i] sits at depth k + start + i
             r = (k + start) % len(cycle)
             cycle = cycle[-r:] + cycle[:-r]
-            self._key = (self.base, self.range(),
+            self._key = (self.base, Point(image[:k + start], image[k + start:]),
                          tuple(Aut(aut.machine, s).canonical() for s in cycle))
         return self._key
 

@@ -16,7 +16,8 @@ machines are minimal by construction, and two automorphisms are equal iff
 they intern to the identical machine object.  That makes equality, hashing
 and identity tests cheap for every higher layer.  Products and inverses
 are memoised on the interned machine of the left canonical operand, next
-to its canonical forms; keys and values hold interned machines only.
+to its canonical forms; keys and values hold interned machines only.  The
+intern table is the only module-level state; every memo sits on a machine.
 """
 
 from __future__ import annotations
@@ -398,17 +399,9 @@ class Aut:
         return f"<Aut {label} of {m!r}>"
 
 
-_identity_cache: dict[int, Aut] = {}
-
-
 def identity_aut(alphabet_size: int) -> Aut:
-    a = _identity_cache.get(alphabet_size)
-    if a is None:
-        letters = tuple(range(alphabet_size))
-        m = _intern(alphabet_size, (letters,), (tuple(0 for _ in letters),))
-        a = Aut(m, 0)
-        _identity_cache[alphabet_size] = a
-    return a
+    letters = tuple(range(alphabet_size))
+    return Aut(_intern(alphabet_size, (letters,), ((0,) * alphabet_size,)), 0)
 
 
 def minimize(machine: Machine) -> tuple[Machine, list[int]]:

@@ -22,6 +22,7 @@ from .convalg import ZERO, AlgebraElement, Scalar
 from .errors import DomainError
 from .fixedpoints import closure_boundary_null, mu_fix_exact
 from .germs import Germ, unit_germ
+from .mealy import word_text
 from .points import Point
 
 
@@ -125,7 +126,6 @@ def _germ_label(g: Germ, i: int) -> str:
     if lab is None:
         lab = f"g{i}"
     if u or v:
-        from .mealy import word_text
         return f"{lab}:{word_text(u)}>{word_text(v)}"
     return lab
 
@@ -140,13 +140,13 @@ def rep_matrix(a: AlgebraElement, x: Point, basis: list[Germ],
     acts on the basis germs' cosets.
     """
     for g in basis:
-        if g.source() != x:
+        if g.base != x:
             raise DomainError("basis germ does not have source x")
     if not basis:
         raise DomainError("basis must be nonempty")
     subgroup = dict.fromkeys([unit_germ(a.alphabet_size, x), *iso])
     for h in subgroup:
-        if h.source() != x or h.range() != x:
+        if h.base != x or h.range() != x:
             raise DomainError("iso germ is not isotropy at x")
     for h1 in subgroup:
         if any(h1.compose(h2) not in subgroup for h2 in subgroup):

@@ -27,8 +27,8 @@ from germtrace import (
     unit_element,
     unit_germ,
 )
-from germtrace.convalg import (_BROKEN, _TRIVIAL, _class_sums, _joint_walk,
-                               _realizable_class_sums, _refined_groups, _tset)
+from germtrace.convalg import (_BROKEN, _TRIVIAL, _joint_walk, _realizable_class_sums,
+                               _refined_groups)
 
 from conftest import random_element, random_scalar, random_word
 
@@ -413,6 +413,31 @@ def reference_joint_walk(states, cap):
     return pairs, seen, succ
 
 
+def reference_tset(joint, pairs):
+    """The term pairs whose component of the joint state is T."""
+    return frozenset(p for tok, p in zip(joint, pairs) if tok is _TRIVIAL)
+
+
+def reference_sums_by_union_find(n, coeffs, tset):
+    """Coefficient sums over the classes of the union-find closure of tset,
+    in order of first member."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in tset:
+        parent[find(i)] = find(j)
+    sums = {}
+    for i, c in enumerate(coeffs):
+        r = find(i)
+        sums[r] = sums.get(r, Scalar()) + c
+    return list(sums.values())
+
+
 def reference_class_sums(elem, walk_sizes=None):
     """The loops _realizable_class_sums used before the graph helpers
     (round-robin sweeps for the joint states that can reach a change of
@@ -428,7 +453,7 @@ def reference_class_sums(elem, walk_sizes=None):
         d = elem.alphabet_size
         by_tset = {}
         for joint in seen:
-            by_tset.setdefault(_tset(joint, pairs), set()).add(joint)
+            by_tset.setdefault(reference_tset(joint, pairs), set()).add(joint)
         can_grow = set()
         changed = True
         while changed:
@@ -436,10 +461,10 @@ def reference_class_sums(elem, walk_sizes=None):
             for joint in seen:
                 if joint in can_grow:
                     continue
-                base = _tset(joint, pairs)
+                base = reference_tset(joint, pairs)
                 for x in range(d):
                     nxt = succ[joint][x]
-                    if nxt in can_grow or _tset(nxt, pairs) != base:
+                    if nxt in can_grow or reference_tset(nxt, pairs) != base:
                         can_grow.add(joint)
                         changed = True
                         break
@@ -455,7 +480,8 @@ def reference_class_sums(elem, walk_sizes=None):
                         changed = True
             if alive:
                 has_open = any(joint not in can_grow for joint in members)
-                items.append((_class_sums(len(states), coeffs, tset), has_open))
+                items.append((reference_sums_by_union_find(len(states), coeffs, tset),
+                              has_open))
     return items
 
 

@@ -21,6 +21,10 @@ from germtrace import (
     verify_invariance,
 )
 
+import germtrace.germs as germs_module
+import germtrace.points as points_module
+from germtrace.points import state_lasso
+
 from conftest import random_word
 
 
@@ -168,7 +172,7 @@ class TestGermBasics:
     def test_source_and_range(self, grig):
         pm = shift(grig, "a", (0,), (1,))
         germ = pm.germ_at(parse_point("1(0)", 2))
-        assert germ.source() == parse_point("1(0)", 2)
+        assert germ.base == parse_point("1(0)", 2)
         assert germ.range() == parse_point("01(0)", 2)
 
     def test_germ_requires_base_in_source(self, grig):
@@ -239,14 +243,14 @@ def reference_equal(g: Germ, h: Germ) -> bool:
     """Germ equality from its definition: g after h^-1 is a unit near h's range.
 
     Composes the two shifts and classifies the composite with fixed_walk,
-    without going through Germ equality, its key or is_unit.
+    without going through Germ equality, its key, range or is_unit.
     """
     if g.base != h.base:
         return False
     piece, = bisection_product(g.map, h.map.inverse())
     if piece.range_prefix != piece.source_prefix:
         return False
-    y = h.range().shift(len(piece.source_prefix))
+    y = h.map.apply_point(h.base).shift(len(piece.source_prefix))
     return fixed_walk(piece.state, y)[0] == INTERIOR
 
 
@@ -278,6 +282,9 @@ class TestGermKeyOracle:
                 x = Point(random_word(rng, d, rng.randint(0, 2)),
                           random_word(rng, d, rng.randint(1, 2)))
                 germs = [random_germ_at(m, rng, x) for _ in range(35)]
+                for g in germs:
+                    assert g.range() == g.map.apply_point(g.base), g
+                    assert g.is_unit() == reference_equal(g, unit_germ(d, g.base)), g
                 for i, g in enumerate(germs):
                     for h in germs[i + 1:]:
                         expected = reference_equal(g, h)
@@ -288,6 +295,21 @@ class TestGermKeyOracle:
                         equal += expected
         assert pairs >= 10_000
         assert 0 < equal < pairs
+
+    def test_one_lasso_walk_per_germ(self, grig, monkeypatch):
+        walks = []
+
+        def counted(g, x):
+            walks.append(x)
+            return state_lasso(g, x)
+
+        monkeypatch.setattr(germs_module, "state_lasso", counted)
+        monkeypatch.setattr(points_module, "state_lasso", counted)
+        germ = shift(grig, "b", (0, 1), (1, 1)).germ_at(parse_point("11(01)", 2))
+        assert germ.range() == parse_point("0100(01)", 2)  # b 0101.. = 0001..
+        assert germ.key[1] == germ.range() and hash(germ) == hash(germ.key)
+        assert germ.fixes_base() is False
+        assert len(walks) == 1
 
     def test_cycle_phase_separates_chasing_states(self):
         # s and t swap along 0^infinity: same restriction cycle, opposite phase
@@ -327,7 +349,7 @@ class TestGroupoidLaws:
                 assert (g1 * g2) * g3 == g1 * (g2 * g3)
                 assert (g1 * g1.inverse()).is_unit()
                 assert (g1.inverse() * g1).is_unit()
-                assert g1 * unit_germ(2, g1.source()) == g1
+                assert g1 * unit_germ(2, g1.base) == g1
                 assert unit_germ(2, g1.range()) * g1 == g1
                 assert g1.inverse().inverse() == g1
                 assert (g1 * g2).inverse() == g2.inverse() * g1.inverse()
