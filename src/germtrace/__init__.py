@@ -11,19 +11,19 @@ from .errors import (CapExceededError, DomainError, ElementParseError,
                      GermTraceError, MachineParseError, ParseError,
                      PatternCapError, PointParseError, SingularSystemError,
                      StateCapError)
-from .mealy import (STATE_CAP, Aut, Machine, Word, as_word, check_word,
-                    compose_labels, distinguishing_depth, format_machine,
-                    identity_aut, invert_label, minimize, parse_machine,
-                    parse_state_expr, restrict_label, state_cap, word_text)
+from .mealy import (STATE_CAP, Aut, Machine, Word, check_word, compose_labels,
+                    distinguishing_depth, format_machine, identity_aut,
+                    invert_label, minimize, parse_machine, parse_state_expr,
+                    parse_word, restrict_label, state_cap, word_text)
 from .points import (BOUNDARY, INTERIOR, MOVED, Point, apply_to_point,
                      fixed_walk, format_point, parse_point)
-from .fixedpoints import (DecayCertificate, FixCounts, boundary_fixed_point,
-                          boundary_null_certificate, fixed_counts,
+from .fixedpoints import (DecayCertificate, FixCounts, FreenessReport,
+                          boundary_fixed_point, boundary_null_certificate,
+                          essential_freeness_report, fixed_counts,
                           fixed_counts_csv, hausdorff_witness, interiorizable,
                           is_dangerous, mu_fix_exact)
-from .germs import (FreenessReport, Germ, PartialMap, bisection_product,
-                    essential_freeness_report, isotropy_germs_at, unit_germ,
-                    verify_invariance)
+from .germs import (Germ, PartialMap, bisection_product, isotropy_germs_at,
+                    unit_germ, verify_invariance)
 from .convalg import (PATTERN_CAP, AlgebraElement, Scalar, as_scalar,
                       format_element, format_scalar, indicator, parse_element,
                       parse_scalar, parse_shift, unit_element)

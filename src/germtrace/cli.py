@@ -19,10 +19,9 @@ from importlib import resources
 from .convalg import (PATTERN_CAP, AlgebraElement, Scalar, _frac_text,
                       format_element, format_scalar, parse_element, parse_shift)
 from .errors import CapExceededError, DomainError, ParseError, excerpt
-from .fixedpoints import (boundary_null_certificate, fixed_counts,
-                          fixed_counts_csv, hausdorff_witness, is_dangerous,
-                          mu_fix_exact)
-from .germs import essential_freeness_report
+from .fixedpoints import (boundary_null_certificate, essential_freeness_report,
+                          fixed_counts, fixed_counts_csv, hausdorff_witness,
+                          is_dangerous, mu_fix_exact)
 from .mealy import STATE_CAP, parse_machine, parse_state_expr, state_cap
 from .points import format_point, parse_point
 from .traces import canonical_trace, isotropy_trace, rep_matrix
@@ -381,18 +380,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "finite-state tree automorphisms.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, machine=True):
-        if machine:
-            p.add_argument("-m", "--machine", required=True,
-                           help="machine file or bundled name "
-                                "(grigorchuk, adding, lamplighter)")
+    def common(p, cap_states=True):
+        p.add_argument("-m", "--machine", required=True,
+                       help="machine file or bundled name "
+                            "(grigorchuk, adding, lamplighter)")
         p.add_argument("--format", choices=("table", "csv", "json"),
                        default="table")
         p.add_argument("-o", "--output", help="write the report to a file")
-        p.add_argument("--cap-states", type=_cap, default=STATE_CAP,
-                       help="limit on explored product-machine states")
-        p.add_argument("--cap-patterns", type=_cap, default=PATTERN_CAP,
-                       help="limit on explored coincidence-pattern states")
+        if cap_states:
+            p.add_argument("--cap-states", type=_cap, default=STATE_CAP,
+                           help="limit on explored product-machine states")
 
     p = sub.add_parser("fixmeasure", help="fixed-word counts and exact measure")
     p.add_argument("-s", "--state", required=True)
@@ -401,16 +398,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_fixmeasure)
 
     p = sub.add_parser("essfree", help="essential freeness report")
-    common(p)
+    common(p, cap_states=False)
     p.set_defaults(run=_cmd_essfree)
 
     p = sub.add_parser("hausdorff", help="Hausdorffness of the germ groupoid")
-    common(p)
+    common(p, cap_states=False)
     p.set_defaults(run=_cmd_hausdorff)
 
     p = sub.add_parser("dangerous", help="is the unit at a point a limit of non-units")
     p.add_argument("-x", "--point", required=True)
-    common(p)
+    common(p, cap_states=False)
     p.set_defaults(run=_cmd_dangerous)
 
     p = sub.add_parser("trace", help="canonical and isotropy traces of an element")
@@ -424,6 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-e", "--element", help="element for unary ops")
     p.add_argument("-e1", "--element1", help="left element for binary ops")
     p.add_argument("-e2", "--element2", help="right element for binary ops")
+    p.add_argument("--cap-patterns", type=_cap, default=PATTERN_CAP,
+                   help="limit on explored coincidence-pattern states (iszero, issingular)")
     common(p)
     p.set_defaults(run=_cmd_alg)
 
@@ -448,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with state_cap(args.cap_states):
+        with state_cap(getattr(args, "cap_states", STATE_CAP)):
             report = args.run(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

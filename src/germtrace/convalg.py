@@ -21,8 +21,9 @@ from fractions import Fraction
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
 from .germs import Germ, PartialMap, bisection_product, unit_germ
-from .mealy import (Aut, Machine, Word, _explore, _quotient, backward_distances,
-                    identity_aut, infinite_path_nodes, parse_state_expr, word_text)
+from .mealy import (Aut, Machine, Word, _cap_error, _explore, _quotient, _state_cap,
+                    backward_distances, identity_aut, infinite_path_nodes,
+                    parse_state_expr, parse_word, word_text)
 from .points import Point
 
 PATTERN_CAP = 10 ** 6
@@ -364,9 +365,8 @@ def _joint_walk(states: list[Aut], cap: int):
     germs agree on the whole subtree).  Each automaton is refined with
     the sinks' labels fixed, and a joint state is a tuple of class
     tokens, one per pair.  No product of automorphisms is formed.
-    Returns (term pairs, reachable joint states, successors): joint
-    states are numbered by discovery, start first, and successors[i][x]
-    is the number of state i's successor on letter x.
+    Returns (term pairs, T positions, successors) over the joint states as
+    _explore numbers them: positions[i] lists the pairs whose token is T.
     """
     d = states[0].machine.alphabet_size
     k = len(states)
@@ -398,40 +398,33 @@ def _joint_walk(states: list[Aut], cap: int):
             return _BROKEN
         return pair_or_sink(trans[s][x], trans[t][x])
 
+    state_cap = _state_cap.get()
+    state_error = _cap_error(state_cap, "the pattern automaton of a term pair")
     sink = {1: _TRIVIAL, 2: _BROKEN}
     tables = []
     start = []
     for i, j in pairs:
         q = pair_or_sink(offsets[states[i].machine] + states[i].state,
                          offsets[states[j].machine] + states[j].state)
-        labels, qtrans, _ = _quotient(*_explore(
-            d, q, label, step, "the pattern automaton of a term pair"))
+        labels, qtrans, _ = _quotient(*_explore(d, q, label, step, state_cap, state_error))
         # the start is class 0; the sinks' classes become T and B
         token = [sink.get(lab, c) for c, (lab,) in enumerate(labels)]
         tables.append({token[c]: tuple(token[t] for t in row)
                        for c, row in enumerate(qtrans)})
         start.append(token[0])
-    start = tuple(start)
-    index = {start: 0}
-    joints = [start]
-    succ: list[list[int]] = []
-    for joint in joints:
-        row = []
-        for x in range(d):
-            nxt = tuple(table[tok][x] for tok, table in zip(joint, tables))
-            j = index.get(nxt)
-            if j is None:
-                if len(joints) >= cap:
-                    raise PatternCapError(
-                        f"pattern search on a bucket of {k} terms ({len(pairs)} "
-                        f"term pairs) reached {len(joints) + 1} joint states, more "
-                        f"than the cap of {cap}; raise the pattern cap to decide "
-                        "this element")
-                j = index[nxt] = len(joints)
-                joints.append(nxt)
-            row.append(j)
-        succ.append(row)
-    return pairs, joints, succ
+
+    def trivial_positions(joint):
+        return tuple(p for p, tok in enumerate(joint) if tok is _TRIVIAL)
+
+    def joint_step(joint, x):
+        return tuple(table[tok][x] for tok, table in zip(joint, tables))
+
+    error = PatternCapError(
+        f"pattern search on a bucket of {k} terms ({len(pairs)} term pairs) reached "
+        f"{cap + 1} joint states, more than the cap of {cap}; raise the pattern cap "
+        "to decide this element")
+    positions, succ = _explore(d, tuple(start), trivial_positions, joint_step, cap, error)
+    return pairs, positions, succ
 
 
 def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
@@ -451,21 +444,18 @@ def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
         cap = PATTERN_CAP
     for bucket in _refined_groups(elem):
         coeffs = [c for _, c in bucket]
-        pairs, joints, succ = _joint_walk([s for s, _ in bucket], cap)
+        pairs, positions, succ = _joint_walk([s for s, _ in bucket], cap)
         # joint states grouped by T-set, read as the positions holding T
         # (pairs are listed in order, so these sort as the T-sets would)
         groups: dict[tuple, list[int]] = {}
-        group_of = []
-        for i, joint in enumerate(joints):
-            group_of.append(groups.setdefault(
-                tuple(p for p, tok in enumerate(joint) if tok is _TRIVIAL), []))
-            group_of[i].append(i)
+        for i, tpos in enumerate(positions):
+            groups.setdefault(tpos, []).append(i)
         growing = [i for i, row in enumerate(succ)
-                   if any(group_of[j] is not group_of[i] for j in row)]
-        can_grow = backward_distances(range(len(joints)), succ.__getitem__, growing)
-        for positions, members in sorted(groups.items()):
+                   if any(positions[j] != positions[i] for j in row)]
+        can_grow = backward_distances(range(len(succ)), succ.__getitem__, growing)
+        for tpos, members in sorted(groups.items()):
             if infinite_path_nodes(members, succ.__getitem__):
-                tset = frozenset(pairs[p] for p in positions)
+                tset = frozenset(pairs[p] for p in tpos)
                 yield (_class_sums(coeffs, tset),
                        any(i not in can_grow for i in members))
 
@@ -497,8 +487,8 @@ def parse_shift(machine: Machine, text: str) -> PartialMap:
     u_text, _, v_text = words.partition(">")
     try:
         state = parse_state_expr(machine, expr_text)
-        u = _parse_word(u_text, machine.alphabet_size)
-        v = _parse_word(v_text, machine.alphabet_size)
+        u = parse_word(u_text, machine.alphabet_size)
+        v = parse_word(v_text, machine.alphabet_size)
         return PartialMap(state, u, v, expr_text.strip())
     except ElementParseError:
         raise
@@ -521,16 +511,6 @@ def parse_element(machine: Machine, text: str) -> AlgebraElement:
         coeff = parse_scalar(coeff_text)
         terms.append((coeff, parse_shift(machine, shift_text)))
     return AlgebraElement(machine, terms)
-
-
-def _parse_word(text: str, d: int) -> Word:
-    text = text.strip()
-    if not all(ch.isdecimal() for ch in text):
-        raise ValueError(f"bad word {excerpt(text)}")
-    w = tuple(int(ch) for ch in text)
-    if any(x >= d for x in w):
-        raise ValueError(f"word {excerpt(text)} has letters outside the alphabet")
-    return w
 
 
 def _term_label(machine: Machine, pmap: PartialMap) -> str:

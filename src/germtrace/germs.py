@@ -1,4 +1,4 @@
-"""Cylinder shifts, their germs, and freeness diagnostics.
+"""Cylinder shifts and their germs.
 
 A cylinder shift is a partial homeomorphism of the boundary sending the
 cylinder of a source prefix v onto the cylinder of a range prefix u of
@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .fixedpoints import DecayCertificate, boundary_null_certificate, mu_fix_exact
-from .mealy import (Aut, Machine, Word, as_word, check_word, compose_labels,
-                    identity_aut, invert_label, minimize, restrict_label,
-                    word_text)
+from .mealy import (Aut, Machine, Word, check_word, compose_labels,
+                    identity_aut, invert_label, restrict_label, word_text)
 from .points import BOUNDARY, Point, apply_to_point, fixed_walk, state_lasso
 
 
@@ -31,8 +29,8 @@ class PartialMap:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        u = check_word(as_word(self.range_prefix), self.alphabet_size)
-        v = check_word(as_word(self.source_prefix), self.alphabet_size)
+        u = check_word(self.range_prefix, self.alphabet_size)
+        v = check_word(self.source_prefix, self.alphabet_size)
         if len(u) != len(v):
             raise DomainError("range and source prefixes must have equal length")
         object.__setattr__(self, "state", self.state.canonical())
@@ -58,7 +56,7 @@ class PartialMap:
 
     def apply(self, w) -> Word:
         """Image of a finite word lying in the source cylinder."""
-        w = check_word(as_word(w), self.alphabet_size)
+        w = check_word(w, self.alphabet_size)
         k = len(self.source_prefix)
         if w[:k] != self.source_prefix:
             raise DomainError("word lies outside the source cylinder")
@@ -72,7 +70,7 @@ class PartialMap:
 
     def restrict_source(self, w) -> "PartialMap":
         """The same map cut down to the source cylinder extended by w."""
-        w = check_word(as_word(w), self.alphabet_size)
+        w = check_word(w, self.alphabet_size)
         return PartialMap(self.state.restrict(w),
                           self.range_prefix + self.state.apply_word(w),
                           self.source_prefix + w,
@@ -245,50 +243,3 @@ def verify_invariance(b: PartialMap) -> bool:
     images = {p.range_prefix for p in pieces}
     return len(images) == d and all(w[:len(b.range_prefix)] == b.range_prefix
                                     for w in images)
-
-
-@dataclass(frozen=True)
-class FreenessReport:
-    """Proof data for essential freeness of the germ groupoid's measure.
-
-    Essential freeness asks that every shift's non-unit isotropy sits
-    over a null set, i.e. mu(Fix_q minus int Fix_q) = 0 per state; the
-    decay certificates materialize exactly that, and the single rational
-    per state serves as both the interior and the total fixed measure.
-    """
-
-    rows: tuple[tuple[str, Fraction], ...]
-    certificates: tuple[DecayCertificate, ...]
-
-    @property
-    def essentially_free(self) -> bool:
-        return all(c.holds for c in self.certificates)
-
-    @property
-    def topologically_free(self) -> bool:
-        """A cylinder of fixed points forces a trivial restriction.
-
-        Interior fixed points carry only unit germs by construction of
-        germs, so the germ groupoid's isotropy is trivial on a dense
-        open set whenever the action is faithful; nothing to compute.
-        """
-        return True
-
-
-def essential_freeness_report(machine: Machine) -> FreenessReport:
-    """Certify essential freeness of the state action, with exact measures.
-
-    For every nontrivial state the decay certificate pins the boundary
-    of its fixed set as null, which is the essential-freeness condition
-    shift by shift; the reported measure is mu(Fix) = mu(int Fix).
-    """
-    mm, _ = minimize(machine)
-    rows = []
-    certs = []
-    for q in range(mm.size):
-        if q == mm.identity:
-            continue
-        aut = mm.state(q)
-        rows.append((mm.name_of(q), mu_fix_exact(aut)))
-        certs.append(boundary_null_certificate(aut))
-    return FreenessReport(tuple(rows), tuple(certs))

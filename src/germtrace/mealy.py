@@ -57,26 +57,33 @@ def state_cap(n: int):
         _state_cap.reset(token)
 
 
-def as_word(w) -> Word:
-    """Coerce a digit string or an iterable of letters to a word tuple."""
-    if isinstance(w, str):
-        if not all(c.isdecimal() for c in w):
-            raise ValueError(f"word {w!r} must consist of digits")
-        return tuple(int(c) for c in w)
-    return tuple(int(x) for x in w)
-
-
 def word_text(w: Word) -> str:
     if any(x > 9 for x in w):
         raise ValueError("textual words support alphabets of at most 10 letters")
     return "".join(str(x) for x in w)
 
 
-def check_word(w: Word, alphabet_size: int) -> Word:
+def check_word(w, alphabet_size: int) -> Word:
+    """The letters of w, ints below alphabet_size, as a word tuple."""
+    w = tuple(w)
     for x in w:
-        if not 0 <= x < alphabet_size:
-            raise ValueError(f"letter {x} outside alphabet of size {alphabet_size}")
+        if not (isinstance(x, int) and 0 <= x < alphabet_size):
+            raise ValueError(f"letter {x!r} outside alphabet of size {alphabet_size}")
     return w
+
+
+def _is_numeral(text: str) -> bool:
+    """True iff text is one or more ASCII decimal digits, the only digits accepted."""
+    return text.isascii() and text.isdigit()
+
+
+def parse_word(text: str, alphabet_size: int) -> Word:
+    """The word written as one ASCII decimal digit per letter, each below
+    alphabet_size; surrounding whitespace is ignored."""
+    text = text.strip()
+    if text and not _is_numeral(text):
+        raise ValueError(f"bad word {excerpt(text)}")
+    return check_word(map(int, text), alphabet_size)
 
 
 class Machine:
@@ -176,32 +183,29 @@ def _cap_error(cap, what) -> StateCapError:
     return StateCapError(f"more than {cap} states while building {what}")
 
 
-def _explore(d, start, out_fn, trans_fn, what):
-    """Breadth-first closure of an implicitly given machine.
+def _explore(d, start, out_fn, trans_fn, cap, error):
+    """Breadth-first closure of an implicitly given machine: the package's
+    one capped search (products, inverses, pattern automata, joint walk).
 
-    Returns dense output/transition tables; the start maps to index 0.
-    States may be arbitrary hashable labels.  Raises StateCapError, naming
-    what is built, when more states than the current cap are reachable.
+    States are hashable labels with outputs out_fn(q) (tuples) and
+    successors trans_fn(q, x).  Returns dense output/transition lists,
+    numbered breadth-first from the start (0), smallest letter first.
+    Raises error when a state past the first cap is reached.
     """
-    cap = _state_cap.get()
     index = {start: 0}
     order = [start]
     outputs = []
     transitions = []
-    pos = 0
-    while pos < len(order):
-        q = order[pos]
-        pos += 1
-        outputs.append(tuple(out_fn(q)))
+    for q in order:
+        outputs.append(out_fn(q))
         row = []
         for x in range(d):
             t = trans_fn(q, x)
             j = index.get(t)
             if j is None:
                 if len(order) >= cap:
-                    raise _cap_error(cap, what)
-                j = len(order)
-                index[t] = j
+                    raise error
+                j = index[t] = len(order)
                 order.append(t)
             row.append(j)
         transitions.append(tuple(row))
@@ -246,9 +250,23 @@ def _replay(explored, result, what) -> "Aut":
     return result
 
 
-def _interned_closure(d, outputs, transitions, start) -> "Aut":
+def _derive(d, start, out_fn, trans_fn, what):
+    """(states explored, interned result) of a product or inverse machine
+    explored from start under the current cap: a compose / inverse memo
+    entry.  _explore numbers states breadth-first and _quotient numbers
+    classes by least member, so the quotient is already numbered
+    breadth-first from class 0 and is interned as it stands.
+    """
+    cap = _state_cap.get()
+    outs, trans = _explore(d, start, out_fn, trans_fn, cap, _cap_error(cap, what))
+    q_outs, q_trans, _ = _quotient(outs, trans)
+    return len(outs), Aut(_intern(d, q_outs, q_trans), 0)
+
+
+def _interned_closure(m: Machine, start) -> "Aut":
     """The states of a minimal machine reachable from start, numbered
     breadth-first (smallest letter first) from start and interned."""
+    outputs, transitions = m.outputs, m.transitions
     number = {start: 0}
     order = [start]
     for q in order:
@@ -256,9 +274,8 @@ def _interned_closure(d, outputs, transitions, start) -> "Aut":
             if t not in number:
                 number[t] = len(order)
                 order.append(t)
-    m = _intern(d, tuple(outputs[q] for q in order),
-                tuple(tuple(number[t] for t in transitions[q]) for q in order))
-    return Aut(m, 0)
+    return Aut(_intern(m.alphabet_size, tuple(outputs[q] for q in order),
+                       tuple(tuple(number[t] for t in transitions[q]) for q in order)), 0)
 
 
 class Aut:
@@ -281,18 +298,13 @@ class Aut:
             return self
         cached = m._memo.get(("canon", self.state))
         if cached is None:
-            if m.canonical:
-                cached = _interned_closure(m.alphabet_size, m.outputs, m.transitions,
-                                           self.state)
-            else:
-                mm, mapping = minimize(m)
-                cached = _interned_closure(m.alphabet_size, mm.outputs, mm.transitions,
-                                           mapping[self.state])
+            mm, mapping = (m, range(m.size)) if m.canonical else minimize(m)
+            cached = _interned_closure(mm, mapping[self.state])
             m._memo[("canon", self.state)] = cached
         return cached
 
     def apply_word(self, w) -> Word:
-        w = check_word(as_word(w), self.machine.alphabet_size)
+        w = check_word(w, self.machine.alphabet_size)
         out = self.machine.outputs
         trans = self.machine.transitions
         q = self.state
@@ -304,7 +316,7 @@ class Aut:
 
     def restrict(self, w) -> "Aut":
         """The automorphism acting below the input word w."""
-        w = check_word(as_word(w), self.machine.alphabet_size)
+        w = check_word(w, self.machine.alphabet_size)
         q = self.state
         trans = self.machine.transitions
         for x in w:
@@ -335,9 +347,7 @@ class Aut:
                 p, q = pair
                 return (tr1[p][out2[q][x]], tr2[q][x])
 
-            outs, trans = _explore(d, (0, 0), out_fn, trans_fn, what)
-            entry = a._memo[("compose", b)] = (
-                len(outs), _interned_closure(d, *_quotient(outs, trans)[:2], 0))
+            entry = a._memo[("compose", b)] = _derive(d, (0, 0), out_fn, trans_fn, what)
         return _replay(*entry, what)
 
     def inverse(self) -> "Aut":
@@ -357,9 +367,7 @@ class Aut:
             def trans_fn(q, x):
                 return tr[q][inv[q][x]]
 
-            outs, trans = _explore(d, 0, inv.__getitem__, trans_fn, what)
-            entry = m._memo["inverse"] = (
-                len(outs), _interned_closure(d, *_quotient(outs, trans)[:2], 0))
+            entry = m._memo["inverse"] = _derive(d, 0, inv.__getitem__, trans_fn, what)
         return _replay(*entry, what)
 
     def is_identity(self) -> bool:
@@ -579,7 +587,7 @@ def parse_machine(text: str) -> Machine:
             if d is not None:
                 raise MachineParseError(f"line {lineno}: duplicate alphabet directive")
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2 or not _is_numeral(parts[1]):
                 raise MachineParseError(f"line {lineno}: expected 'alphabet <d>'")
             try:
                 d = int(parts[1])
@@ -605,10 +613,12 @@ def parse_machine(text: str) -> Machine:
         if len(perm_parts) != d or len(to_parts) != d:
             raise MachineParseError(
                 f"line {lineno}: state {name} needs {d} images and {d} successors")
+        if not all(map(_is_numeral, perm_parts)):
+            raise MachineParseError(f"line {lineno}: non-integer image")
         try:
-            perm = tuple(int(p) for p in perm_parts)
-        except ValueError:
-            raise MachineParseError(f"line {lineno}: non-integer image") from None
+            perm = tuple(map(int, perm_parts))
+        except ValueError:  # more digits than int() converts
+            raise MachineParseError(f"line {lineno}: image numeral too long") from None
         if tuple(sorted(perm)) != tuple(range(d)):
             raise MachineParseError(
                 f"line {lineno}: output row of {name} is not a permutation")
@@ -707,8 +717,7 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
                     fail("expected word after '|'")
                 pos += m.end()
                 try:
-                    a = a.restrict(check_word(as_word(m.group(0)),
-                                              machine.alphabet_size))
+                    a = a.restrict(parse_word(m.group(0), machine.alphabet_size))
                 except ValueError as exc:
                     fail(str(exc))
             else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from .errors import PointParseError, excerpt
-from .mealy import Aut, Word, as_word, check_word, word_text
+from .mealy import Aut, Word, parse_word, word_text
 
 # outcomes of walking a state along a point while it keeps fixing letters
 MOVED = "moved"        # some prefix is moved: the point is not fixed
@@ -26,8 +26,9 @@ class Point:
     __slots__ = ("preperiod", "period")
 
     def __init__(self, preperiod, period):
-        pre = as_word(preperiod)
-        per = as_word(period)
+        pre, per = tuple(preperiod), tuple(period)
+        if not all(isinstance(x, int) and x >= 0 for x in pre + per):
+            raise ValueError("point letters must be non-negative ints")
         if not per:
             raise ValueError("period must be nonempty")
         n = len(per)
@@ -82,8 +83,8 @@ def parse_point(text: str, alphabet_size: int) -> Point:
     if not m:
         raise PointParseError(f"point {excerpt(text)} must look like u(v), e.g. 01(10)")
     try:
-        pre = check_word(as_word(m.group(1)), alphabet_size)
-        per = check_word(as_word(m.group(2)), alphabet_size)
+        pre = parse_word(m.group(1), alphabet_size)
+        per = parse_word(m.group(2), alphabet_size)
     except ValueError as exc:
         raise PointParseError(f"point {excerpt(text)}: {exc}") from None
     return Point(pre, per)

@@ -321,8 +321,19 @@ class TestHostileInput:
     @pytest.mark.parametrize("flag", ["--cap-states", "--cap-patterns"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_cap(self, capsys, flag, value):
-        self.assert_parse_error(capsys, "fixmeasure", "-m", "grigorchuk",
-                                "-s", "b", flag, value, needle=flag)
+        argv = {"--cap-states": ("fixmeasure", "-m", "grigorchuk", "-s", "b"),
+                "--cap-patterns": ("alg", "iszero", "-m", "grigorchuk", "-e", "1 b:>")}
+        self.assert_parse_error(capsys, *argv[flag], flag, value, needle=flag)
+
+    @pytest.mark.parametrize("argv", [
+        ("essfree", "-m", "grigorchuk", "--cap-states", "1"),
+        ("hausdorff", "-m", "grigorchuk", "--cap-states", "1"),
+        ("dangerous", "-m", "grigorchuk", "-x", "(1)", "--cap-states", "1"),
+        ("fixmeasure", "-m", "grigorchuk", "-s", "b", "--cap-patterns", "1"),
+        ("wordproblem", "-m", "grigorchuk", "-s", "a", "--cap-patterns", "1"),
+    ], ids=["essfree", "hausdorff", "dangerous", "fixmeasure", "wordproblem"])
+    def test_cap_flag_only_where_it_bounds_work(self, capsys, argv):
+        self.assert_parse_error(capsys, *argv, needle=argv[-2])
 
     def test_non_integer_cap(self, capsys):
         self.assert_parse_error(capsys, "fixmeasure", "-m", "grigorchuk",
@@ -435,6 +446,22 @@ class TestHostileInput:
         self.assert_parse_error(capsys, "alg", "mult", "-m", str(src),
                                 "-e1", "1 a:>", "-e2", "1 e:9>9",
                                 needle="line 1: alphabet must have 2 to 10 letters, got '11'")
+
+    @pytest.mark.parametrize("argv, needle", [
+        (("trace", "-m", "grigorchuk", "-e", "1 a:\u0661>\u0660"), "bad word"),
+        (("dangerous", "-m", "grigorchuk", "-x", "(\u0661)"), "must look like u(v)"),
+        (("wordproblem", "-m", "grigorchuk", "-s", "b|\u0661"), "expected word after '|'"),
+        (("hausdorff", "-m", "{dir}/alphabet.gt"), "line 1: expected 'alphabet <d>'"),
+        (("hausdorff", "-m", "{dir}/perm.gt"), "line 2: non-integer image"),
+    ], ids=["shift", "point", "restriction", "alphabet", "perm"])
+    def test_words_and_numerals_take_ascii_digits_only(self, capsys, tmp_path, argv,
+                                                        needle):
+        (tmp_path / "alphabet.gt").write_text("alphabet \u0662\nstate a perm 1 0 to e a\n",
+                                              encoding="utf-8")
+        (tmp_path / "perm.gt").write_text("alphabet 2\nstate a perm +1 \u0660 to e a\n",
+                                          encoding="utf-8")
+        self.assert_parse_error(capsys, *[a.format(dir=tmp_path) for a in argv],
+                                needle=needle)
 
     def test_non_decimal_letter(self, capsys):
         code, out, err = run(capsys, "trace", "-m", "grigorchuk", "-e", "1 a:\u00b2>")

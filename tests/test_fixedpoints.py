@@ -290,10 +290,6 @@ class TestCertificates:
             assert count == counts.live[3 * k]
             assert bound == (2**3 - 1) ** k
 
-    def test_check_count_override(self, grig):
-        cert = boundary_null_certificate(grig.state("b"), max_checks=4)
-        assert len(cert.checks) == 4
-
 
 class TestInteriorizable:
     def test_grigorchuk(self, grig):

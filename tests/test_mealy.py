@@ -84,6 +84,9 @@ class TestParsing:
             "alphabet 2\nstate e perm 1 0 to e e\n",  # e must act trivially
             "alphabet 2\n",  # no states
             "alphabet 11\nstate a perm 1 0 2 3 4 5 6 7 8 9 10 to e e e e e e e e e e e\n",
+            "alphabet \u0662\nstate a perm 1 0 to e e\n",  # non-ASCII numeral
+            "alphabet 2\nstate a perm +1 0 to e a\n",  # signed image
+            "alphabet 2\nstate a perm 1 \u0660 to e a\n",  # non-ASCII image
         ],
     )
     def test_rejects_malformed(self, text):
@@ -100,7 +103,7 @@ class TestParsing:
     def test_ten_letters_is_the_largest_alphabet(self):
         m = parse_machine("alphabet 10\nstate a perm 1 0 2 3 4 5 6 7 8 9 to"
                           + " e" * 10 + "\n")
-        assert m.state("a").apply_word("09") == (1, 9)
+        assert m.state("a").apply_word(mealy.parse_word("09", 10)) == (1, 9)
 
     def test_comments_and_blank_lines_ignored(self):
         m = parse_machine(
@@ -119,11 +122,24 @@ class TestAction:
 
     def test_word_text_takes_decimal_digits_only(self, grig):
         a = grig.state("a")
-        assert a.apply_word("011") == (1, 1, 1)
-        assert a.apply_word("") == ()
-        for text in ("\u00b2", "0\u00b9", "1a"):
-            with pytest.raises(ValueError, match="must consist of digits"):
-                a.apply_word(text)
+        assert a.apply_word(mealy.parse_word("011", 2)) == (1, 1, 1)
+        assert mealy.parse_word(" 011 ", 2) == (0, 1, 1)
+        assert mealy.parse_word("", 2) == ()
+        # superscripts, letters and non-ASCII decimal digits are no letters
+        for text in ("\u00b2", "0\u00b9", "1a", "\u0661", "0\u0660", "\uff11"):
+            with pytest.raises(ValueError, match="bad word"):
+                mealy.parse_word(text, 10)
+        with pytest.raises(ValueError, match="letter 2 outside alphabet of size 2"):
+            mealy.parse_word("012", 2)
+
+    def test_words_are_int_sequences(self, grig):
+        a = grig.state("a")
+        assert a.apply_word([0, 1, 1]) == (1, 1, 1)
+        for word in ("011", (0, "1"), (0, 1.0)):
+            with pytest.raises(ValueError, match="outside alphabet"):
+                a.apply_word(word)
+        with pytest.raises(ValueError, match="outside alphabet"):
+            a.restrict((0, 2))
 
     def test_self_similarity_identity(self, bundled):
         """g(wv) = g(w) . (g|_w)(v) for random states and words."""
@@ -497,10 +513,10 @@ def reference_refine(d, outputs, transitions, members):
         nblocks = len(seen)
 
 
-def reference_canonical(d, outputs, transitions, start):
-    """The canonical form before the quotient was memoised per machine:
-    refine the whole table, number the blocks breadth-first from the
-    start's block, intern."""
+def reference_tables(d, outputs, transitions, start):
+    """Tables of the canonical form of state start before the quotient was
+    memoised per machine: refine the whole table, number the blocks
+    breadth-first from the start's block."""
     members = list(range(len(outputs)))
     block = reference_refine(d, outputs, transitions, members)
     rep = {}
@@ -524,7 +540,12 @@ def reference_canonical(d, outputs, transitions, start):
         q = rep[b]
         canon_out.append(outputs[q])
         canon_trans.append(tuple(number[block[transitions[q][x]]] for x in range(d)))
-    return Aut(mealy._intern(d, tuple(canon_out), tuple(canon_trans)), 0)
+    return tuple(canon_out), tuple(canon_trans)
+
+
+def reference_canonical(d, outputs, transitions, start):
+    """reference_tables, interned."""
+    return Aut(mealy._intern(d, *reference_tables(d, outputs, transitions, start)), 0)
 
 
 def random_machine(rng):
@@ -674,10 +695,35 @@ class TestQuotientOracle:
         assert len(closures) >= 50
 
 
+def reference_reachable(d, start, out_fn, trans_fn):
+    """Tables of the states reachable from start (state 0), found
+    depth-first; shares no loop with mealy._explore."""
+    index = {start: 0}
+    labels = [start]
+    stack = [start]
+    while stack:
+        q = stack.pop()
+        for x in range(d):
+            t = trans_fn(q, x)
+            if t not in index:
+                index[t] = len(labels)
+                labels.append(t)
+                stack.append(t)
+    return ([tuple(out_fn(q)) for q in labels],
+            [tuple(index[trans_fn(q, x)] for x in range(d)) for q in labels])
+
+
+def reference_result(d, outputs, transitions):
+    """State 0 of an uninterned machine holding the reference canonical
+    tables of state 0 of the given tables."""
+    return Aut(Machine(d, *reference_tables(d, outputs, transitions, 0)), 0)
+
+
 def reference_compose(g, h):
-    """The compose body before products were memoised, kept verbatim: the
-    product machine is explored from the raw operands and nothing is
-    cached.  Returns the product and the number of states explored."""
+    """The product as computed before products were memoised: explored
+    from the raw operands, with nothing cached, refined and numbered by
+    the reference loops.  Returns the product (an uninterned machine) and
+    the number of product states reachable."""
     d = g.machine.alphabet_size
     out1, tr1 = g.machine.outputs, g.machine.transitions
     out2, tr2 = h.machine.outputs, h.machine.transitions
@@ -690,15 +736,14 @@ def reference_compose(g, h):
         a, b = pair
         return (tr1[a][out2[b][x]], tr2[b][x])
 
-    outputs, transitions = mealy._explore(d, (g.state, h.state), out_fn, trans_fn,
-                                          "a reference product")
-    outs, trans, _ = mealy._quotient(outputs, transitions)
-    return mealy._interned_closure(d, outs, trans, 0), len(outputs)
+    outputs, transitions = reference_reachable(d, (g.state, h.state), out_fn, trans_fn)
+    return reference_result(d, outputs, transitions), len(outputs)
 
 
 def reference_inverse(g):
-    """The inverse body before inverses were memoised, kept verbatim;
-    returns the inverse and the number of states explored."""
+    """The inverse as computed before inverses were memoised, like
+    reference_compose; returns the inverse and the number of states
+    reachable."""
     d = g.machine.alphabet_size
     tr = g.machine.transitions
     inv = [tuple(row.index(x) for x in range(d)) for row in g.machine.outputs]
@@ -706,10 +751,13 @@ def reference_inverse(g):
     def trans_fn(q, x):
         return tr[q][inv[q][x]]
 
-    outputs, transitions = mealy._explore(d, g.state, inv.__getitem__, trans_fn,
-                                          "a reference inverse")
-    outs, trans, _ = mealy._quotient(outputs, transitions)
-    return mealy._interned_closure(d, outs, trans, 0), len(outputs)
+    outputs, transitions = reference_reachable(d, g.state, inv.__getitem__, trans_fn)
+    return reference_result(d, outputs, transitions), len(outputs)
+
+
+def tables(a):
+    """State and tables of an automorphism's machine."""
+    return a.state, a.machine.outputs, a.machine.transitions
 
 
 def least_cap(build, most):
@@ -751,8 +799,8 @@ class TestGroupLawOracle:
                     ("compose", lambda: g * h, reference_compose(g, h)),
                     ("inverse", g.inverse, reference_inverse(g))):
                 cold = build()
-                assert cold.state == 0 and cold.machine is ref.machine
-                assert build().machine is ref.machine  # warm
+                assert tables(cold) == tables(ref)
+                assert build() is cold  # warm
                 cap = least_cap(build, explored)
                 assert cap <= explored
                 lower[op] += cap < explored
@@ -775,11 +823,11 @@ class TestGroupLawOracle:
                     g = rng.choice(gens)
                     if rng.random() < 0.3:
                         g, ref_g = g.inverse(), reference_inverse(g)[0]
-                        assert g.machine is ref_g.machine
+                        assert tables(g) == tables(ref_g)
                     acc = acc * g
                     ref = reference_compose(ref, g)[0]
-                    assert acc.machine is ref.machine
-                assert acc.inverse().machine is reference_inverse(ref)[0].machine
+                    assert tables(acc) == tables(ref)
+                assert tables(acc.inverse()) == tables(reference_inverse(ref)[0])
                 for w in words_up_to(2, 5):
                     assert acc.inverse().apply_word(acc.apply_word(w)) == w
 
@@ -801,6 +849,45 @@ class TestGroupLawOracle:
                     if key != "inverse":
                         assert id(key[1]) in interned
         assert memos >= 3
+
+
+def breadth_first_renumbering(outputs, transitions, start):
+    """The tables renumbered breadth-first from start, smallest letter
+    first, keeping the states reachable from start."""
+    number = {start: 0}
+    order = [start]
+    for q in order:
+        for t in transitions[q]:
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+    return (tuple(outputs[q] for q in order),
+            tuple(tuple(number[t] for t in transitions[q]) for q in order))
+
+
+class TestRenumberingLemma:
+    def test_quotient_of_explored_machine_is_breadth_first(self):
+        """_explore numbers states breadth-first and _quotient numbers
+        classes by least member, so the quotient of an explored machine is
+        its own breadth-first renumbering from class 0, and compose /
+        inverse intern it without renumbering."""
+        rng = random.Random(1729)
+        merged = 0
+        for _ in range(1500):
+            d = rng.choice((2, 3))
+            letters = tuple(range(d))
+            n = rng.randint(1, 12)
+            outputs = [letters if rng.random() < 0.5 else tuple(rng.sample(letters, d))
+                       for _ in range(n)]
+            transitions = [tuple(rng.randrange(n) for _ in letters) for _ in range(n)]
+            outs, trans = mealy._explore(
+                d, rng.randrange(n), outputs.__getitem__, lambda q, x: transitions[q][x],
+                n, AssertionError("a machine of n states explored past n"))
+            q_outs, q_trans, block = mealy._quotient(outs, trans)
+            assert (q_outs, q_trans) == breadth_first_renumbering(q_outs, q_trans, 0)
+            assert block[0] == 0
+            merged += len(q_outs) < len(outs)
+        assert merged >= 300, merged
 
 
 def reference_infinite_path_nodes(nodes, succ):

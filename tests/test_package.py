@@ -56,3 +56,42 @@ def test_module_level_state_is_the_intern_table_alone():
                 found += [(path.name, t.id) for t in targets if isinstance(t, ast.Name)]
     assert sorted(found) == [("__init__.py", "__all__"), ("mealy.py", "_intern_lock"),
                              ("mealy.py", "_interned"), ("mealy.py", "_state_cap")]
+
+
+# the layer stack: each module may import only the modules below it
+ALLOWED_IMPORTS = {
+    "errors": set(),
+    "mealy": {"errors"},
+    "points": {"errors", "mealy"},
+    "fixedpoints": {"errors", "mealy", "points"},
+    "germs": {"errors", "mealy", "points"},
+    "convalg": {"errors", "mealy", "points", "germs"},
+    "traces": {"errors", "mealy", "points", "germs", "convalg", "fixedpoints"},
+}
+
+
+def _package_imports(path) -> set[str]:
+    """The package modules a source file imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("germtrace."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("germtrace."))
+    return found
+
+
+def test_layers_import_only_the_layers_below():
+    """mealy -> points -> fixedpoints, germs -> convalg -> traces; cli and
+    the package __init__ may import any module."""
+    modules = {p.stem for p in SOURCES} - {"__init__", "cli"}
+    assert modules == set(ALLOWED_IMPORTS)
+    wrong = {path.stem: sorted(_package_imports(path) - ALLOWED_IMPORTS[path.stem])
+             for path in SOURCES if path.stem in ALLOWED_IMPORTS}
+    assert wrong == {name: [] for name in ALLOWED_IMPORTS}

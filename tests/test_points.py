@@ -52,6 +52,12 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Point((0,), ())
 
+    def test_letters_are_non_negative_ints(self):
+        assert Point([0], [1, 0]) == Point((), (0, 1))
+        for pre, per in (("0", (1,)), ((), "01"), ((0.0,), (1,)), ((), (None,)), ((-1,), (0,))):
+            with pytest.raises(ValueError, match="non-negative ints"):
+                Point(pre, per)
+
 
 class TestTextForm:
     def test_parse_examples(self):
