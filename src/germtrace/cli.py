@@ -22,7 +22,7 @@ from .errors import CapExceededError, DomainError, ParseError, excerpt
 from .fixedpoints import (boundary_null_certificate, essential_freeness_report,
                           fixed_counts, fixed_counts_csv, hausdorff_witness,
                           is_dangerous, mu_fix_exact)
-from .mealy import STATE_CAP, parse_machine, parse_state_expr, state_cap
+from .mealy import STATE_CAP, _is_numeral, parse_machine, parse_state_expr, state_cap
 from .points import format_point, parse_point
 from .traces import canonical_trace, isotropy_trace, rep_matrix
 
@@ -353,9 +353,12 @@ def _cmd_wordproblem(args) -> str:
 # wiring
 
 def _int_at_least(text: str, least: int, what: str) -> int:
+    """An optional '-' and ASCII decimal digits, read as an int >= least."""
     try:
+        if not _is_numeral(text.removeprefix("-")):
+            raise ValueError
         n = int(text)
-    except ValueError:
+    except ValueError:  # not a numeral, or more digits than int() converts
         raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}") from None
     if n < least:
         raise argparse.ArgumentTypeError(f"{what}, got {n}")

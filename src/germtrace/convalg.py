@@ -44,8 +44,11 @@ class Scalar:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        # Fraction parts are kept as they are: most constructions get them
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", Fraction(self.im))
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -406,12 +409,13 @@ def _joint_walk(states: list[Aut], cap: int):
     for i, j in pairs:
         q = pair_or_sink(offsets[states[i].machine] + states[i].state,
                          offsets[states[j].machine] + states[j].state)
-        labels, qtrans, _ = _quotient(*_explore(d, q, label, step, state_cap, state_error))
-        # the start is class 0; the sinks' classes become T and B
+        labels, qtrans, classes = _quotient(*_explore(d, q, label, step, state_cap,
+                                                      state_error))
+        # the sinks' classes become T and B; the start is explored state 0
         token = [sink.get(lab, c) for c, (lab,) in enumerate(labels)]
         tables.append({token[c]: tuple(token[t] for t in row)
                        for c, row in enumerate(qtrans)})
-        start.append(token[0])
+        start.append(token[classes[0]])
 
     def trivial_positions(joint):
         return tuple(p for p, tok in enumerate(joint) if tok is _TRIVIAL)

@@ -45,12 +45,12 @@ def _fixed_successors(m: Machine):
                       if m.outputs[q][x] == x]
 
 
-def _fixed_reach(m: Machine) -> list[int]:
-    """States reachable from state 0 through letters they fix, state 0
-    first; the set is closed under _fixed_successors."""
+def _fixed_reach(m: Machine, start: int) -> list[int]:
+    """States reachable from start through letters they fix, start first;
+    the set is closed under _fixed_successors."""
     succ = _fixed_successors(m)
-    order = [0]
-    seen = {0}
+    order = [start]
+    seen = {start}
     for q in order:
         for t in succ(q):
             if t not in seen:
@@ -64,8 +64,9 @@ def fixed_counts(g: Aut, depth: int) -> FixCounts:
     run over the states g reaches through letters they fix."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    m = g.canonical().machine
-    reach = _fixed_reach(m)
+    c = g.canonical()
+    m = c.machine
+    reach = _fixed_reach(m, c.state)
     pos = {q: i for i, q in enumerate(reach)}
     succ = _fixed_successors(m)
     below = [[pos[t] for t in succ(q)] for q in reach]
@@ -191,9 +192,13 @@ def _solve_integer_system(A, b):
     return [Fraction(yi, det) for yi in y]
 
 
-def _mu_table(m: Machine) -> dict[int, Fraction]:
-    """mu(Fix_q) for e and for every state q that state 0 of a minimised
-    closure machine reaches through letters it fixes.
+def _mu_table(m: Machine, start: int) -> dict[int, Fraction]:
+    """mu(Fix_q) for e and for every state q that start reaches through
+    letters they fix, in a minimised machine.
+
+    The machine keeps one table, which each call extends by the states
+    not solved yet, so one table serves every state of a canonical
+    machine.
 
     Solves d*mu(q) = sum over fixed letters x of mu(q|_x) with mu(e) = 1.
     The interior measures satisfy the identical system, and the decay
@@ -210,13 +215,15 @@ def _mu_table(m: Machine) -> dict[int, Fraction]:
     and stay inside the block; such states act trivially, and a minimised
     machine has none besides e.
     """
-    cached = m._memo.get("mu")
-    if cached is not None:
-        return cached
+    mu = m._memo.get("mu")
+    if mu is None:
+        mu = m._memo["mu"] = {} if m.identity is None else {m.identity: Fraction(1)}
+    elif start in mu:
+        return mu
     d = m.alphabet_size
     succ = _fixed_successors(m)
-    mu = {} if m.identity is None else {m.identity: Fraction(1)}
-    nodes = [q for q in _fixed_reach(m) if q != m.identity]
+    # the solved states are closed under succ: only new blocks remain
+    nodes = [q for q in _fixed_reach(m, start) if q not in mu]
     for block in strong_components(nodes, succ):
         if len(block) == 1:
             q = block[0]
@@ -240,14 +247,13 @@ def _mu_table(m: Machine) -> dict[int, Fraction]:
         b = [sum(v.numerator * (scale // v.denominator) for v in row) for row in known]
         for q, x in zip(block, _solve_integer_system(A, b)):
             mu[q] = x / scale
-    m._memo["mu"] = mu
     return mu
 
 
 def mu_fix_exact(g: Aut) -> Fraction:
     """Bernoulli measure of the fixed set of g (equals that of its interior)."""
     c = g.canonical()
-    return _mu_table(c.machine)[c.state]
+    return _mu_table(c.machine, c.state)[c.state]
 
 
 @dataclass(frozen=True)

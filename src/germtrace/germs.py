@@ -127,8 +127,9 @@ class Germ:
     neighbourhood of the base point x.  Near x a shift (q, u, v) sends
     the cylinder of x[:n] to that of the range's first n letters and
     acts below it by the restriction q|x[|v|:n], so the key is (base,
-    range, cycle): cycle holds the eventual canonical restrictions, the
-    one at depth n stored at index n mod len(cycle).  Invariant: two
+    range, cycle): cycle holds the eventual restrictions as canonical
+    (machine, state) pairs, so keys compare without calling Aut.__eq__,
+    the one at depth n stored at index n mod len(cycle).  Invariant: two
     germs are equal iff their keys are, so equal germs hash equal.
     Anchoring the cycle to the depth keeps apart two states that chase
     each other round the same cycle.  The key is computed on first use
@@ -161,8 +162,9 @@ class Germ:
             cycle = states[start:]  # cycle[i] sits at depth k + start + i
             r = (k + start) % len(cycle)
             cycle = cycle[-r:] + cycle[:-r]
+            canonical = [Aut(aut.machine, s).canonical() for s in cycle]
             self._key = (self.base, Point(image[:k + start], image[k + start:]),
-                         tuple(Aut(aut.machine, s).canonical() for s in cycle))
+                         tuple((c.machine, c.state) for c in canonical))
         return self._key
 
     def is_unit(self) -> bool:

@@ -8,16 +8,23 @@ outputs are bijections, every state acts as an automorphism of the tree
 of finite words and of its boundary.
 
 Every machine has one quotient by automorphism equality, computed once
-and memoised (`minimize`).  A state's canonical form is the part of that
-quotient reachable from it, numbered breadth-first and interned; products
-and inverses are explored as reachable product / inverse machines of the
-operands' canonical forms and canonicalised the same way.  Interned
-machines are minimal by construction, and two automorphisms are equal iff
-they intern to the identical machine object.  That makes equality, hashing
-and identity tests cheap for every higher layer.  Products and inverses
-are memoised on the interned machine of the left canonical operand, next
-to its canonical forms; keys and values hold interned machines only.  The
-intern table is the only module-level state; every memo sits on a machine.
+and memoised (`minimize`).  The refinement behind it names each class by
+the rank of its signature, so a minimal machine gets an order on its
+states that does not depend on how they were numbered; a minimal machine
+has no symmetry, so that order numbers it canonically.  A state's
+canonical form is a pair (interned machine, state): the machine holds the
+states reachable from the state's strongly connected component (SCC),
+numbered in that order, with the component marked as its root.  All
+states of a component share one interned machine, and a state in the root
+of an interned machine is its own canonical form.  Products and inverses
+are explored from canonical operands, and their quotients are numbered
+and interned the same way.  Two automorphisms are equal iff their
+canonical forms have the identical machine and the same state, which
+makes equality, hashing and identity tests cheap for every higher layer.
+Products and inverses are memoised on the interned machine of the left
+canonical operand, next to the canonical forms of its states; keys and
+values hold interned machines only.  The intern table is the only
+module-level state; every memo sits on a machine.
 """
 
 from __future__ import annotations
@@ -87,13 +94,18 @@ def parse_word(text: str, alphabet_size: int) -> Word:
 
 
 class Machine:
-    """An immutable Mealy automaton; states index into parallel tables."""
+    """An immutable Mealy automaton; states index into parallel tables.
+
+    root is None unless the machine is interned; then root[q] tells
+    whether state q lies in its root component, the states that reach
+    every state.
+    """
 
     __slots__ = ("alphabet_size", "outputs", "transitions", "identity", "names",
-                 "table_hash", "canonical", "_memo")
+                 "table_hash", "root", "_memo")
 
     def __init__(self, alphabet_size, outputs, transitions, identity=None,
-                 names=None, _canonical=False):
+                 names=None, _root=None):
         d = int(alphabet_size)
         if d < 2:
             raise ValueError("alphabet must have at least two letters")
@@ -121,7 +133,7 @@ class Machine:
         self.identity = identity
         self.names = names
         self.table_hash = hash((d, outputs, transitions))
-        self.canonical = _canonical
+        self.root = _root
         self._memo = {}
 
     @property
@@ -167,14 +179,19 @@ def _identity_state(d, outputs, transitions):
     return None
 
 
-def _intern(d, outputs, transitions) -> Machine:
+def _intern(d, outputs, transitions, start) -> Machine:
+    """The interned machine with these tables.  They must be minimal,
+    numbered as _quotient numbers them and reachable from state start;
+    the states that reach start form the root."""
     key = (d, outputs, transitions)
     with _intern_lock:
         m = _interned.get(key)
         if m is None:
+            reach = backward_distances(range(len(outputs)), transitions.__getitem__,
+                                       [start])
             m = Machine(d, outputs, transitions,
                         identity=_identity_state(d, outputs, transitions),
-                        _canonical=True)
+                        _root=tuple(q in reach for q in range(len(outputs))))
             _interned[key] = m
     return m
 
@@ -217,27 +234,30 @@ def _quotient(outputs, transitions):
 
     Moore-style partition refinement: states start split by output row
     and are split by their successors' classes until nothing changes.
-    Returns (outputs, transitions, block) of the quotient, where block[q]
-    is the class of state q.  Classes are numbered by least member, and
-    each class takes its row from its least member.
+    Each round names a class by the rank of its signature among the
+    distinct ones, sorted: the output row at first, then the class's own
+    name and its successors' names (colour refinement).  The names never
+    depend on how the states are numbered, so isomorphic machines get
+    identical quotient tables, and the order of a machine's classes is
+    the order the quotient gives its own states.  Each round compares only
+    signatures of states and their successors, so a forward-closed set of
+    states is ordered as it would be alone.  Returns (outputs,
+    transitions, block) of the quotient, where block[q] is the class of
+    state q, numbered by that rank.
     """
-    n = len(outputs)
-    seen = {}
-    block = [seen.setdefault(outputs[q], len(seen)) for q in range(n)]
+    block, count = None, 0
+    signatures = outputs
     while True:
-        count = len(seen)
-        seen = {}
-        refined = [seen.setdefault((block[q], tuple(block[t] for t in transitions[q])),
-                                   len(seen))
-                   for q in range(n)]
-        if len(seen) == count:
+        rank = {s: r for r, s in enumerate(sorted(set(signatures)))}
+        if len(rank) == count:  # no class split: the names are final
             break
-        block = refined
-    least = {}
-    for q, b in enumerate(block):
-        least.setdefault(b, q)
-    return (tuple(outputs[q] for q in least.values()),
-            tuple(tuple(block[t] for t in transitions[q]) for q in least.values()),
+        block, count = [rank[s] for s in signatures], len(rank)
+        at = block.__getitem__
+        signatures = [(b, tuple(map(at, row))) for b, row in zip(block, transitions)]
+    member = dict(zip(block, range(len(block))))  # class -> one of its states
+    member = [member[c] for c in range(count)]
+    return (tuple(outputs[q] for q in member),
+            tuple(tuple(map(at, transitions[q])) for q in member),
             block)
 
 
@@ -253,29 +273,42 @@ def _replay(explored, result, what) -> "Aut":
 def _derive(d, start, out_fn, trans_fn, what):
     """(states explored, interned result) of a product or inverse machine
     explored from start under the current cap: a compose / inverse memo
-    entry.  _explore numbers states breadth-first and _quotient numbers
-    classes by least member, so the quotient is already numbered
-    breadth-first from class 0 and is interned as it stands.
+    entry.  Every explored state is reachable from start, so the quotient
+    is the closure of the start's class, numbered by _quotient as it
+    would number itself, and is interned as it stands.
     """
     cap = _state_cap.get()
     outs, trans = _explore(d, start, out_fn, trans_fn, cap, _cap_error(cap, what))
-    q_outs, q_trans, _ = _quotient(outs, trans)
-    return len(outs), Aut(_intern(d, q_outs, q_trans), 0)
+    q_outs, q_trans, block = _quotient(outs, trans)
+    return len(outs), Aut(_intern(d, q_outs, q_trans, block[0]), block[0])
 
 
-def _interned_closure(m: Machine, start) -> "Aut":
-    """The states of a minimal machine reachable from start, numbered
-    breadth-first (smallest letter first) from start and interned."""
-    outputs, transitions = m.outputs, m.transitions
-    number = {start: 0}
-    order = [start]
-    for q in order:
-        for t in transitions[q]:
-            if t not in number:
-                number[t] = len(order)
+def _interned_closure(m: Machine, rank, q) -> "Aut":
+    """Canonical form of state q of a minimal machine whose states rank
+    orders as _quotient would.
+
+    Every state of q's strongly connected component reaches the same
+    states, its closure.  The closure is interned, numbered in the order
+    of rank, with the component as its root, and the canonical forms of
+    all the component's states are memoised on m.
+    """
+    transitions = m.transitions
+    order = [q]
+    seen = {q}
+    for s in order:
+        for t in transitions[s]:
+            if t not in seen:
+                seen.add(t)
                 order.append(t)
-    return Aut(_intern(m.alphabet_size, tuple(outputs[q] for q in order),
-                       tuple(tuple(number[t] for t in transitions[q]) for q in order)), 0)
+    order.sort(key=rank.__getitem__)
+    number = {s: i for i, s in enumerate(order)}
+    closure = _intern(m.alphabet_size, tuple(m.outputs[s] for s in order),
+                      tuple(tuple(number[t] for t in transitions[s]) for s in order),
+                      number[q])
+    for s, i in number.items():
+        if closure.root[i]:
+            m._memo[("canon", s)] = Aut(closure, i)
+    return m._memo[("canon", q)]
 
 
 class Aut:
@@ -288,19 +321,27 @@ class Aut:
         self.state = state
 
     def canonical(self) -> "Aut":
-        """Equivalent state 0 of an interned machine: the part of the
-        machine's quotient (see minimize) reachable from this state,
-        numbered breadth-first.  Interned machines are minimal, so a state
-        of one is canonicalised without refinement.
+        """The equal state in the root of an interned machine: the
+        closure of this state's component in the machine's quotient (see
+        minimize), numbered canonically (see the module docstring).
+
+        A state in the root of an interned machine is returned as it is.
+        Other states of an interned machine, which is minimal and
+        canonically numbered already, are canonicalised without
+        refinement; every state takes one memo lookup afterwards.
         """
-        m = self.machine
-        if m.canonical and self.state == 0:
+        m, q = self.machine, self.state
+        root = m.root
+        if root is not None and root[q]:
             return self
-        cached = m._memo.get(("canon", self.state))
+        cached = m._memo.get(("canon", q))
         if cached is None:
-            mm, mapping = (m, range(m.size)) if m.canonical else minimize(m)
-            cached = _interned_closure(mm, mapping[self.state])
-            m._memo[("canon", self.state)] = cached
+            rank = range(m.size) if root is not None else m._memo.get("rank")
+            if rank is None:  # not known to be minimal
+                mm, mapping = minimize(m)
+                cached = m._memo[("canon", q)] = Aut(mm, mapping[q]).canonical()
+            else:
+                cached = _interned_closure(m, rank, q)
         return cached
 
     def apply_word(self, w) -> Word:
@@ -326,18 +367,21 @@ class Aut:
     def compose(self, other: "Aut") -> "Aut":
         """Automorphism w -> self(other(w)), minimised and interned.
 
-        The product is explored from the canonical forms of both operands
-        and memoised on the left one's interned machine; see state_cap
-        for what the cap counts.
+        The product is explored from the canonical forms (A, i) and
+        (B, j) of the operands, from the state pair (i, j), and memoised
+        on A under the key ("compose", i, B, j); see state_cap for what
+        the cap counts.
         """
         if self.machine.alphabet_size != other.machine.alphabet_size:
             raise DomainError("cannot compose states over different alphabets")
-        a, b = self.canonical().machine, other.canonical().machine
-        what = f"the product of a {a.size}-state and a {b.size}-state automorphism"
-        entry = a._memo.get(("compose", b))
+        a, b = self.canonical(), other.canonical()
+        A, B = a.machine, b.machine
+        what = f"the product of a {A.size}-state and a {B.size}-state automorphism"
+        key = ("compose", a.state, B, b.state)
+        entry = A._memo.get(key)
         if entry is None:
-            d = a.alphabet_size
-            out1, tr1, out2, tr2 = a.outputs, a.transitions, b.outputs, b.transitions
+            d = A.alphabet_size
+            out1, tr1, out2, tr2 = A.outputs, A.transitions, B.outputs, B.transitions
 
             def out_fn(pair):
                 p, q = pair
@@ -347,18 +391,20 @@ class Aut:
                 p, q = pair
                 return (tr1[p][out2[q][x]], tr2[q][x])
 
-            entry = a._memo[("compose", b)] = _derive(d, (0, 0), out_fn, trans_fn, what)
+            entry = A._memo[key] = _derive(d, (a.state, b.state), out_fn, trans_fn, what)
         return _replay(*entry, what)
 
     def inverse(self) -> "Aut":
         """The inverse automorphism, minimised and interned.
 
-        Explored from the canonical form and memoised on its interned
-        machine, like compose.
+        Explored from the canonical form (M, i) and memoised on M under
+        the key ("inverse", i), like compose.
         """
-        m = self.canonical().machine
+        c = self.canonical()
+        m = c.machine
         what = f"the inverse of a {m.size}-state automorphism"
-        entry = m._memo.get("inverse")
+        key = ("inverse", c.state)
+        entry = m._memo.get(key)
         if entry is None:
             d = m.alphabet_size
             tr = m.transitions
@@ -367,7 +413,7 @@ class Aut:
             def trans_fn(q, x):
                 return tr[q][inv[q][x]]
 
-            entry = m._memo["inverse"] = _derive(d, 0, inv.__getitem__, trans_fn, what)
+            entry = m._memo[key] = _derive(d, c.state, inv.__getitem__, trans_fn, what)
         return _replay(*entry, what)
 
     def is_identity(self) -> bool:
@@ -396,10 +442,12 @@ class Aut:
     def __eq__(self, other):
         if not isinstance(other, Aut):
             return NotImplemented
-        return self.canonical().machine is other.canonical().machine
+        a, b = self.canonical(), other.canonical()
+        return a.machine is b.machine and a.state == b.state
 
     def __hash__(self):
-        return self.canonical().machine.table_hash
+        c = self.canonical()
+        return c.machine.table_hash ^ c.state
 
     def __repr__(self):
         m = self.machine
@@ -409,7 +457,7 @@ class Aut:
 
 def identity_aut(alphabet_size: int) -> Aut:
     letters = tuple(range(alphabet_size))
-    return Aut(_intern(alphabet_size, (letters,), ((0,) * alphabet_size,)), 0)
+    return Aut(_intern(alphabet_size, (letters,), ((0,) * alphabet_size,), 0), 0)
 
 
 def minimize(machine: Machine) -> tuple[Machine, list[int]]:
@@ -419,22 +467,28 @@ def minimize(machine: Machine) -> tuple[Machine, list[int]]:
     (a fresh list on every call).  Classes are ordered by their least
     original index and keep that representative's row and name.  Every
     canonical form of a state of a machine that is not interned is read
-    off this quotient (interned machines are minimal already).
+    off this quotient (interned machines are minimal already), in the
+    order _quotient ranks the classes; the quotient keeps those ranks as
+    its "rank" memo.
     """
     cached = machine._memo.get("minimize")
     if cached is None:
         d = machine.alphabet_size
-        outputs, transitions, block = _quotient(machine.outputs, machine.transitions)
+        block = _quotient(machine.outputs, machine.transitions)[2]
+        least = {}  # class rank -> least member, in order of least member
+        for q, b in enumerate(block):
+            least.setdefault(b, q)
+        number = {b: i for i, b in enumerate(least)}
+        outputs = tuple(machine.outputs[q] for q in least.values())
+        transitions = tuple(tuple(number[block[t]] for t in machine.transitions[q])
+                            for q in least.values())
         names = None
         if machine.names is not None:
-            least = {}
-            for q, b in enumerate(block):
-                least.setdefault(b, machine.names[q])
-            names = tuple(least.values())
-        cached = (Machine(d, outputs, transitions,
-                          identity=_identity_state(d, outputs, transitions),
-                          names=names),
-                  tuple(block))
+            names = tuple(machine.names[q] for q in least.values())
+        quotient = Machine(d, outputs, transitions,
+                           identity=_identity_state(d, outputs, transitions), names=names)
+        quotient._memo["rank"] = tuple(least)
+        cached = (quotient, tuple(number[b] for b in block))
         machine._memo["minimize"] = cached
     quotient, block = cached
     return quotient, list(block)

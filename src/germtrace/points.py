@@ -135,11 +135,12 @@ def fixed_walk(g: Aut, x: Point):
     """Classify how a state relates to a point it might fix.
 
     Returns (status, states) where status is MOVED, INTERIOR or BOUNDARY
-    and states lists the distinct restrictions met along the way (as
-    states of the minimised closure machine of g).  INTERIOR means some
-    finite prefix is fixed with trivial restriction below it; BOUNDARY
-    means every prefix is fixed but the restriction never trivialises,
-    i.e. the lasso of g at x closes without either happening.
+    and states lists the distinct restrictions met along the way, in the
+    order the walk first meets them (as states of g's canonical machine).
+    INTERIOR means some finite prefix is fixed with trivial restriction
+    below it; BOUNDARY means every prefix is fixed but the restriction
+    never trivialises, i.e. the lasso of g at x closes without either
+    happening.
     """
     c = g.canonical()
     m = c.machine
@@ -151,4 +152,4 @@ def fixed_walk(g: Aut, x: Point):
             break
     else:
         status, i = BOUNDARY, len(states)
-    return status, [Aut(m, s) for s in sorted(set(states[:i + 1]))]
+    return status, [Aut(m, s) for s in dict.fromkeys(states[:i + 1])]

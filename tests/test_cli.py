@@ -463,6 +463,16 @@ class TestHostileInput:
         self.assert_parse_error(capsys, *[a.format(dir=tmp_path) for a in argv],
                                 needle=needle)
 
+    @pytest.mark.parametrize("argv", [
+        ("fixmeasure", "-m", "grigorchuk", "-s", "d", "-K", "\u0663"),
+        ("fixmeasure", "-m", "grigorchuk", "-s", "d", "-K", "1_0"),
+        ("fixmeasure", "-m", "grigorchuk", "-s", "d", "-K", " 3"),
+        ("wordproblem", "-m", "grigorchuk", "-s", "a*b", "--cap-states", "\u0661"),
+        ("alg", "iszero", "-m", "grigorchuk", "-e", "1 b:>", "--cap-patterns", "-\u0661"),
+    ], ids=["arabic-indic", "underscore", "space", "cap-states", "cap-patterns"])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, argv):
+        self.assert_parse_error(capsys, *argv, needle=f"invalid int value: {argv[-1]!r}")
+
     def test_non_decimal_letter(self, capsys):
         code, out, err = run(capsys, "trace", "-m", "grigorchuk", "-e", "1 a:\u00b2>")
         assert code == 2 and out == ""

@@ -1,6 +1,8 @@
 """Scalars, span elements, convolution, adjoints, zero and singularity tests."""
 
+import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,38 @@ from conftest import random_element, random_scalar, random_word
 
 def F(*args):
     return Fraction(*args)
+
+
+@dataclass(frozen=True)
+class ReferenceScalar:
+    """Scalar as it was before it kept Fraction parts unwrapped: every
+    construction wraps both parts in Fraction."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "re", Fraction(self.re))
+        object.__setattr__(self, "im", Fraction(self.im))
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    def conjugate(self):
+        return ReferenceScalar(self.re, -self.im)
+
+    def __add__(self, other):
+        return ReferenceScalar(self.re + other.re, self.im + other.im)
+
+    def __neg__(self):
+        return ReferenceScalar(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return ReferenceScalar(self.re * other.re - self.im * other.im,
+                               self.re * other.im + self.im * other.re)
 
 
 class TestScalar:
@@ -72,6 +106,32 @@ class TestScalar:
         assert x.conjugate() == Scalar(F(1, 2), F(-3))
         assert (x * x.conjugate()).is_real()
         assert Scalar(F(0)).is_zero()
+
+    def test_matches_reference_class(self):
+        """Parts of int, Fraction and mixed types give the values, types,
+        equality, hashes, arithmetic and text of the kept class."""
+        rng = random.Random(6060)
+
+        def part():
+            kind = rng.randrange(3)
+            n = rng.randint(-6, 6)
+            return n if kind == 0 else F(n) if kind == 1 else F(n, rng.randint(1, 4))
+
+        pairs = [(part(), part()) for _ in range(400)]
+        scalars = [(Scalar(a, b), ReferenceScalar(a, b)) for a, b in pairs]
+        scalars.append((Scalar(), ReferenceScalar()))
+        equal = 0
+        for (x, rx), (y, ry) in zip(scalars, scalars[1:] + scalars[:1]):
+            for got, want in ((x, rx), (x + y, rx + ry), (x - y, rx - ry),
+                              (x * y, rx * ry), (-x, -rx), (x.conjugate(), rx.conjugate())):
+                assert type(got.re) is Fraction and type(got.im) is Fraction
+                assert (got.re, got.im) == (want.re, want.im)
+                assert hash(got) == hash(want)
+                assert format_scalar(got) == format_scalar(want)
+        for (x, rx), (y, ry) in itertools.combinations(scalars[:80], 2):
+            assert (x == y) == (rx == ry)
+            equal += x == y
+        assert equal >= 10, equal
 
     def test_as_scalar_coercions(self):
         assert as_scalar(3) == Scalar(F(3))
@@ -383,8 +443,11 @@ def reference_joint_walk(states, cap):
     d = states[0].machine.alphabet_size
     pairs = [(i, j) for i in range(len(states)) for j in range(i + 1, len(states))]
     machines = []
+    starts = []
     for i, j in pairs:
-        machines.append((states[j].inverse() * states[i]).canonical().machine)
+        product = (states[j].inverse() * states[i]).canonical()
+        machines.append(product.machine)
+        starts.append(product.state)
 
     def advance(tok, m, x):
         if tok is _TRIVIAL or tok is _BROKEN:
@@ -394,7 +457,7 @@ def reference_joint_walk(states, cap):
         t = m.transitions[tok][x]
         return _TRIVIAL if t == m.identity else t
 
-    start = tuple(_TRIVIAL if m.identity == 0 else 0 for m in machines)
+    start = tuple(_TRIVIAL if m.identity == q else q for m, q in zip(machines, starts))
     seen = {start}
     queue = [start]
     succ = {}

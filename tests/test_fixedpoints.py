@@ -8,6 +8,7 @@ import pytest
 
 from germtrace import (
     BOUNDARY,
+    Aut,
     Machine,
     Point,
     SingularSystemError,
@@ -489,15 +490,37 @@ class TestBlockSolveOracle:
         for m in self.machines():
             mm, mapping = minimize(m)
             want = reference_mu_table(mm)
+            state_of = {mm.state(p): p for p in range(mm.size)}
             for q in range(m.size):
                 c = m.state(q).canonical()
                 assert mu_fix_exact(m.state(q)) == want[mapping[q]]
-                # only the states below fixed letters are solved
-                table = _mu_table(c.machine)
-                assert set(table) == fixed_reach(c.machine, 0) | (
+                # the canonical machine's one table covers the states
+                # below fixed letters, and every value in it is right
+                table = _mu_table(c.machine, c.state)
+                assert set(table) >= fixed_reach(c.machine, c.state) | (
                     set() if c.machine.identity is None else {c.machine.identity})
+                for s, value in table.items():
+                    assert value == want[state_of[Aut(c.machine, s)]]
             largest = max(largest, len(dense_system(mm)[0]))
         assert largest >= 50
+
+    def test_table_filled_in_any_order(self):
+        """One table per machine, extended start by start in random orders,
+        holds exactly the states below fixed letters of the starts so far,
+        each with the dense solve's value."""
+        rng = random.Random(5353)
+        for m in self.machines():
+            mm = minimize(m)[0]
+            want = reference_mu_table(mm)
+            for _ in range(3):
+                fresh = Machine(mm.alphabet_size, mm.outputs, mm.transitions,
+                                identity=mm.identity)
+                expected = set() if mm.identity is None else {mm.identity}
+                for start in rng.sample(range(mm.size), mm.size):
+                    table = _mu_table(fresh, start)
+                    expected |= fixed_reach(mm, start)
+                    assert set(table) == expected
+                    assert all(table[q] == want[q] for q in table)
 
     def test_matches_sympy_rational_solve(self):
         sympy = pytest.importorskip("sympy")
@@ -510,6 +533,19 @@ class TestBlockSolveOracle:
             want = {q: Fraction(int(v.p), int(v.q)) for q, v in zip(others, sol)}
             for q in range(m.size):
                 assert mu_fix_exact(m.state(q)) == want.get(mapping[q], 1)
+        # a 150-state machine, through sympy's fraction-free integer solve
+        # (LUsolve over the rationals takes half a minute at this size)
+        matrices = pytest.importorskip("sympy.polys.matrices")
+        m = random_closure_machine(rng, 150, 2)
+        mm, mapping = minimize(m)
+        others, A, b = dense_system(mm)
+        assert len(others) >= 140
+        n = len(A)
+        num, den = matrices.DomainMatrix(A, (n, n), sympy.ZZ).solve_den(
+            matrices.DomainMatrix([[v] for v in b], (n, 1), sympy.ZZ))
+        want = {q: Fraction(int(num[i, 0].element), int(den)) for i, q in enumerate(others)}
+        for q in range(m.size):
+            assert mu_fix_exact(m.state(q)) == want.get(mapping[q], 1)
 
 
 class TestDegenerate:

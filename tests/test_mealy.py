@@ -544,8 +544,17 @@ def reference_tables(d, outputs, transitions, start):
 
 
 def reference_canonical(d, outputs, transitions, start):
-    """reference_tables, interned."""
-    return Aut(mealy._intern(d, *reference_tables(d, outputs, transitions, start)), 0)
+    """The canonical form before canonical forms became (SCC closure,
+    state) pairs: the key state 0 of reference_tables was interned under,
+    one closure per state.  Two states were equal iff their keys were."""
+    return (d, *reference_tables(d, outputs, transitions, start))
+
+
+def closure_key(a):
+    """The closure of a's state in its machine, renumbered breadth-first
+    from that state and keyed like reference_canonical."""
+    return (a.machine.alphabet_size,
+            *breadth_first_renumbering(a.machine.outputs, a.machine.transitions, a.state))
 
 
 def random_machine(rng):
@@ -642,22 +651,101 @@ class TestQuotientOracle:
             inv_out, inv_trans = raw_inverse(m)
             for q in range(m.size):
                 c = m.state(q).canonical()
-                assert c.state == 0
-                assert c.machine is reference_canonical(d, m.outputs, m.transitions,
-                                                        q).machine
+                assert c.machine.root[c.state]
+                assert closure_key(c) == reference_canonical(d, m.outputs, m.transitions, q)
                 cm = c.machine
                 for s in range(cm.size):
-                    assert Aut(cm, s).canonical().machine is reference_canonical(
-                        d, cm.outputs, cm.transitions, s).machine
+                    assert closure_key(Aut(cm, s).canonical()) == reference_canonical(
+                        d, cm.outputs, cm.transitions, s)
                 r = rng.randrange(m.size)
                 prod = m.state(q) * m.state(r)
-                assert prod.state == 0
-                assert prod.machine is reference_canonical(d, *raw_product(m, q, r)).machine
+                assert prod.machine.root[prod.state]
+                assert closure_key(prod) == reference_canonical(d, *raw_product(m, q, r))
                 assert prod.canonical() is prod
                 inv = m.state(q).inverse()
-                assert inv.state == 0
-                assert inv.machine is reference_canonical(d, inv_out, inv_trans, q).machine
+                assert inv.machine.root[inv.state]
+                assert closure_key(inv) == reference_canonical(d, inv_out, inv_trans, q)
         assert d_seen == {2, 3}
+
+    def test_equal_iff_reference_forms_are(self):
+        """On machines with duplicated states and several SCCs, two states
+        are equal (and then hash equal) iff their reference forms are."""
+        by_d = {}
+        for m in self.machines()[:120]:
+            for q in range(m.size):
+                by_d.setdefault(m.alphabet_size, []).append(
+                    (m.state(q), reference_canonical(m.alphabet_size, m.outputs,
+                                                     m.transitions, q)))
+        equal = 0
+        for states in by_d.values():
+            for (a, ref_a), (b, ref_b) in itertools.combinations(states, 2):
+                assert (a == b) == (ref_a == ref_b)
+                if ref_a == ref_b:
+                    assert hash(a) == hash(b)
+                    equal += a.machine is not b.machine
+        assert equal >= 1000, equal
+
+    def test_permuted_copies_intern_identically(self):
+        rng = random.Random(1414)
+        machines = self.machines()[:60] + [oracle_machine(rng, duplicate=i % 2 == 1,
+                                                          size=30) for i in range(10)]
+        for m in machines:
+            order = list(range(m.size))
+            rng.shuffle(order)
+            place = {old: new for new, old in enumerate(order)}
+            copy = Machine(m.alphabet_size, [m.outputs[old] for old in order],
+                           [[place[t] for t in m.transitions[old]] for old in order])
+            for q in range(m.size):
+                c, c_copy = m.state(q).canonical(), copy.state(place[q]).canonical()
+                assert c.machine is c_copy.machine and c.state == c_copy.state
+
+    def test_rank_order_restricts_to_forward_closed_sets(self):
+        """The order _quotient gives the states of a forward-closed set
+        inside a machine is the order it gives the set alone."""
+        rng = random.Random(1732)
+        proper = 0
+        for m in self.machines():
+            block = mealy._quotient(m.outputs, m.transitions)[2]
+            starts = rng.sample(range(m.size), min(m.size, rng.randint(1, 2)))
+            members = reference_closure(m, starts)
+            index = {s: i for i, s in enumerate(members)}
+            alone = mealy._quotient([m.outputs[s] for s in members],
+                                    [[index[t] for t in m.transitions[s]] for s in members])[2]
+            pairs = {(block[s], alone[index[s]]) for s in members}
+            assert len({w for w, _ in pairs}) == len({a for _, a in pairs}) == len(pairs)
+            assert sorted(pairs) == sorted(pairs, key=lambda p: p[1])
+            proper += len(members) < m.size
+        assert proper >= 100, proper
+
+    def test_intern_table_grows_by_scc_closures(self):
+        """Canonicalising every state of a fresh machine interns one
+        machine per distinct SCC closure of its quotient."""
+        rng = random.Random(1123)
+        d = 7  # no other test uses seven letters, so every closure is new
+        letters = tuple(range(d))
+        for _ in range(5):
+            # four groups of three states, each state a random non-identity
+            # row; edges stay in their group or go to a later one; then a
+            # state is copied, so the machine is not minimal
+            group = [g for g in range(4) for _ in range(3)]
+            outputs = [tuple(rng.sample(letters, d)) for _ in group]
+            transitions = [[rng.choice([t for t in range(12) if group[t] == g])
+                            if g == 3 or rng.random() < 0.8
+                            else rng.choice([t for t in range(12) if group[t] > g])
+                            for _ in letters] for g in group]
+            outputs.append(outputs[0])
+            transitions.append(list(transitions[0]))
+            transitions[1][0] = 12
+            m = Machine(d, outputs, transitions)
+            mm = minimize(m)[0]
+            reach = reference_reachability(range(mm.size), mm.transitions.__getitem__)
+            sccs = {frozenset(t for t in reach[s] if s in reach[t]) for s in range(mm.size)}
+            before = set(map(id, mealy._interned.values()))
+            canonical = [m.state(q).canonical() for q in range(m.size)]
+            machines = {c.machine for c in canonical}
+            assert len(mealy._interned) - len(before) == len(machines) == len(sccs)
+            assert not {id(c) for c in machines} & before
+            assert max(map(len, sccs)) >= 2
 
     def test_mapping_does_not_alias_memo(self, grig):
         for m in [grig, *self.machines()[:20]]:
@@ -691,7 +779,8 @@ class TestQuotientOracle:
         for cm in interned:
             for s in range(cm.size):
                 c = Aut(cm, s).canonical()
-                assert c.machine.canonical and c.state == 0
+                assert c.machine.root[c.state]
+                assert (c is Aut(cm, s).canonical()) == (c.machine is not cm)
         assert len(closures) >= 50
 
 
@@ -755,9 +844,16 @@ def reference_inverse(g):
     return reference_result(d, outputs, transitions), len(outputs)
 
 
+def reference_closure(m, starts):
+    """The states of m reachable from starts, in index order."""
+    reach = reference_reachability(range(m.size), m.transitions.__getitem__)
+    return sorted(set().union(*(reach[s] for s in starts)))
+
+
 def tables(a):
-    """State and tables of an automorphism's machine."""
-    return a.state, a.machine.outputs, a.machine.transitions
+    """Tables of the closure of an automorphism's state in its machine,
+    renumbered breadth-first from that state."""
+    return breadth_first_renumbering(a.machine.outputs, a.machine.transitions, a.state)
 
 
 def least_cap(build, most):
@@ -841,13 +937,14 @@ class TestGroupLawOracle:
         memos = 0
         for m in list(mealy._interned.values()):
             for key, value in list(m._memo.items()):
-                if key == "inverse" or key[0] == "compose":
+                if key[0] in ("compose", "inverse"):
                     memos += 1
                     explored, result = value
-                    assert explored >= result.machine.size and result.state == 0
+                    assert explored >= result.machine.size
+                    assert m.root[key[1]] and result.machine.root[result.state]
                     assert id(result.machine) in interned
-                    if key != "inverse":
-                        assert id(key[1]) in interned
+                    if key[0] == "compose":
+                        assert id(key[2]) in interned and key[2].root[key[3]]
         assert memos >= 3
 
 
@@ -866,11 +963,12 @@ def breadth_first_renumbering(outputs, transitions, start):
 
 
 class TestRenumberingLemma:
-    def test_quotient_of_explored_machine_is_breadth_first(self):
-        """_explore numbers states breadth-first and _quotient numbers
-        classes by least member, so the quotient of an explored machine is
-        its own breadth-first renumbering from class 0, and compose /
-        inverse intern it without renumbering."""
+    def test_quotient_of_explored_machine_numbers_itself(self):
+        """The quotient _quotient returns for an explored machine is
+        numbered as _quotient numbers the quotient alone, whatever the
+        order of the explored states, and its start class reaches every
+        class: compose / inverse intern it without renumbering, with the
+        start's class in the root."""
         rng = random.Random(1729)
         merged = 0
         for _ in range(1500):
@@ -884,8 +982,15 @@ class TestRenumberingLemma:
                 d, rng.randrange(n), outputs.__getitem__, lambda q, x: transitions[q][x],
                 n, AssertionError("a machine of n states explored past n"))
             q_outs, q_trans, block = mealy._quotient(outs, trans)
-            assert (q_outs, q_trans) == breadth_first_renumbering(q_outs, q_trans, 0)
-            assert block[0] == 0
+            assert mealy._quotient(q_outs, q_trans) == (q_outs, q_trans, list(range(len(q_outs))))
+            order = list(range(len(outs)))
+            rng.shuffle(order)
+            place = {old: new for new, old in enumerate(order)}
+            shuffled = mealy._quotient([outs[old] for old in order],
+                                       [[place[t] for t in trans[old]] for old in order])
+            assert shuffled[:2] == (q_outs, q_trans)
+            assert [shuffled[2][place[q]] for q in range(len(outs))] == block
+            assert len(breadth_first_renumbering(q_outs, q_trans, block[0])[0]) == len(q_outs)
             merged += len(q_outs) < len(outs)
         assert merged >= 300, merged
 
