@@ -392,7 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", help="write the report to a file")
         if cap_states:
             p.add_argument("--cap-states", type=_cap, default=STATE_CAP,
-                           help="limit on explored product-machine states")
+                           help="limit on the states of each product, inverse or "
+                                "pattern graph built")
 
     p = sub.add_parser("fixmeasure", help="fixed-word counts and exact measure")
     p.add_argument("-s", "--state", required=True)

@@ -6,8 +6,10 @@ and evaluation are exact; is_zero decides function equality (distinct
 term lists can represent the same function when the germ space is not
 Hausdorff) and is_singular decides whether the nonzero-germ set sits
 over a meagre part of the boundary.  Both read one walk per bucket of
-terms over the joint states of pairwise pattern automata, which record
-where two terms' germs agree without forming any product of automorphisms.
+terms over joint states: one class of the bucket's pattern graph per pair
+of terms.  That graph follows pairs of restrictions, is explored once from
+all of the bucket's term pairs and refined once, and records where two
+terms' germs agree without forming any product of automorphisms.
 """
 
 from __future__ import annotations
@@ -274,10 +276,12 @@ class AlgebraElement:
 
         cap bounds the joint pattern states explored per bucket; None
         means PATTERN_CAP.  Exceeding it raises PatternCapError.  The
-        pattern automata are refined, so a bucket never has more joint
-        states than a walk over the minimised pairwise products
+        bucket's pattern graph is refined, so a bucket never has more
+        joint states than a walk over the minimised pairwise products
         q_j^-1 q_i, which earlier releases explored: a cap that sufficed
-        there suffices here.
+        there suffices here.  The state cap (state_cap) bounds the states
+        of the pattern graph, the bucket's pairs of restrictions and its
+        two sinks together; a one-term bucket builds none.
         """
         for class_sums, _ in _realizable_class_sums(self, cap):
             if any(not s.is_zero() for s in class_sums):
@@ -358,22 +362,27 @@ _BROKEN = "B"
 
 
 def _joint_walk(states: list[Aut], cap: int):
-    """Explore the joint walk of the pairwise pattern automata.
+    """Explore the joint walk of a bucket's term pairs over its pattern graph.
 
-    The pattern automaton of the term pair (i, j) has as states the pairs
-    of restrictions (q_i|v, q_j|v) reachable from (q_i, q_j), plus two
-    absorbing sinks.  On letter x a pair (s, t) moves to (s|x, t|x) if s
-    and t output the same letter on x, and to B (the germs of i and j
-    disagree below) otherwise; a pair of equal restrictions is T (the
-    germs agree on the whole subtree).  Each automaton is refined with
-    the sinks' labels fixed, and a joint state is a tuple of class
-    tokens, one per pair.  No product of automorphisms is formed.
-    Returns (term pairs, T positions, successors) over the joint states as
-    _explore numbers them: positions[i] lists the pairs whose token is T.
+    One quotient of the disjoint union of the term machines decides
+    equality of restrictions.  The pattern graph has as nodes the
+    unordered pairs of distinct states of that quotient, plus two
+    absorbing sinks, explored from the pairs of all term pairs at once.
+    On letter x a pair (s, t) moves to (s|x, t|x) if s and t output the
+    same letter on x, and to B (the germs disagree below) otherwise; a
+    pair of equal restrictions is T (the germs agree on the whole
+    subtree).  The graph is refined once with the sinks' labels fixed, so
+    a class holds the nodes with the same T/B future, and a joint state is
+    a tuple of classes, one per term pair.  No product of automorphisms is
+    formed.  Returns (term pairs, T positions, successors) over the joint
+    states as _explore numbers them: positions[i] lists the pairs whose
+    class is T.  A one-term bucket has one joint state and no pairs.
     """
     d = states[0].machine.alphabet_size
     k = len(states)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    if not pairs:
+        return pairs, [()], [(0,) * d]
     # equality of restrictions: one quotient of the disjoint union of the
     # term machines, each machine's states shifted by its offset
     offsets: dict[Machine, int] = {}
@@ -385,10 +394,11 @@ def _joint_walk(states: list[Aut], cap: int):
             offsets[m] = base = len(outs)
             outs.extend(m.outputs)
             trans.extend(tuple(base + t for t in row) for row in m.transitions)
-    block = _quotient(outs, trans)[2]
+    outs, trans, block = _quotient(outs, trans)
+    term = [block[offsets[s.machine] + s.state] for s in states]
 
     def pair_or_sink(s, t):
-        return _TRIVIAL if block[s] == block[t] else (s, t)
+        return _TRIVIAL if s == t else (s, t) if s < t else (t, s)
 
     def label(q):
         return (1 if q is _TRIVIAL else 2 if q is _BROKEN else 0,)
@@ -401,33 +411,29 @@ def _joint_walk(states: list[Aut], cap: int):
             return _BROKEN
         return pair_or_sink(trans[s][x], trans[t][x])
 
+    starts = [pair_or_sink(term[i], term[j]) for i, j in pairs]
     state_cap = _state_cap.get()
-    state_error = _cap_error(state_cap, "the pattern automaton of a term pair")
-    sink = {1: _TRIVIAL, 2: _BROKEN}
-    tables = []
-    start = []
-    for i, j in pairs:
-        q = pair_or_sink(offsets[states[i].machine] + states[i].state,
-                         offsets[states[j].machine] + states[j].state)
-        labels, qtrans, classes = _quotient(*_explore(d, q, label, step, state_cap,
-                                                      state_error))
-        # the sinks' classes become T and B; the start is explored state 0
-        token = [sink.get(lab, c) for c, (lab,) in enumerate(labels)]
-        tables.append({token[c]: tuple(token[t] for t in row)
-                       for c, row in enumerate(qtrans)})
-        start.append(token[classes[0]])
+    state_error = _cap_error(state_cap, f"the pattern graph of a bucket of {k} terms "
+                                        f"({len(pairs)} term pairs)")
+    labels, qtrans, classes = _quotient(*_explore(d, starts, label, step, state_cap,
+                                                  state_error))
+    trivial = labels.index((1,)) if (1,) in labels else None
+    columns = list(zip(*qtrans))  # columns[x][c]: the class c moves to on x
+    # _explore numbers the distinct starts first, in order
+    number = {q: i for i, q in enumerate(dict.fromkeys(starts))}
 
     def trivial_positions(joint):
-        return tuple(p for p, tok in enumerate(joint) if tok is _TRIVIAL)
+        return tuple(p for p, c in enumerate(joint) if c == trivial)
 
     def joint_step(joint, x):
-        return tuple(table[tok][x] for tok, table in zip(joint, tables))
+        return tuple(map(columns[x].__getitem__, joint))
 
     error = PatternCapError(
         f"pattern search on a bucket of {k} terms ({len(pairs)} term pairs) reached "
         f"{cap + 1} joint states, more than the cap of {cap}; raise the pattern cap "
         "to decide this element")
-    positions, succ = _explore(d, tuple(start), trivial_positions, joint_step, cap, error)
+    start = tuple(classes[number[q]] for q in starts)
+    positions, succ = _explore(d, [start], trivial_positions, joint_step, cap, error)
     return pairs, positions, succ
 
 

@@ -48,12 +48,14 @@ def state_cap(n: int):
 
     For a product or an inverse the cap counts the states of the machine
     explored from the operands' canonical forms (for a non-minimal
-    operand that is never more than its raw machine would give).  A
-    memoised product or inverse is refused under a cap it would exceed
-    when built afresh, so the outcome does not depend on what earlier
-    calls cached.  The bound holds for the current thread or task only;
-    code running in another context, such as a new thread, keeps its own
-    (by default STATE_CAP).
+    operand that is never more than its raw machine would give).  For
+    is_zero / is_singular it counts the states of each bucket's pattern
+    graph: the pairs of restrictions reached from all of the bucket's
+    term pairs, plus its two sinks.  A memoised product or inverse is
+    refused under a cap it would exceed when built afresh, so the outcome
+    does not depend on what earlier calls cached.  The bound holds for
+    the current thread or task only; code running in another context,
+    such as a new thread, keeps its own (by default STATE_CAP).
     """
     if n < 1:
         raise ValueError("state cap must be positive")
@@ -104,8 +106,7 @@ class Machine:
     __slots__ = ("alphabet_size", "outputs", "transitions", "identity", "names",
                  "table_hash", "root", "_memo")
 
-    def __init__(self, alphabet_size, outputs, transitions, identity=None,
-                 names=None, _root=None):
+    def __init__(self, alphabet_size, outputs, transitions, identity=None, names=None):
         d = int(alphabet_size)
         if d < 2:
             raise ValueError("alphabet must have at least two letters")
@@ -127,14 +128,21 @@ class Machine:
             names = tuple(names)
             if len(names) != n or len(set(names)) != n:
                 raise ValueError("state names must be unique and cover all states")
+        self._fill(d, outputs, transitions, identity, names, None)
+
+    def _fill(self, d, outputs, transitions, identity, names, root):
+        """Set every slot from tuple tables that need no further checks:
+        __init__ calls it once its input passed them, _intern with tables
+        it built itself."""
         self.alphabet_size = d
         self.outputs = outputs
         self.transitions = transitions
         self.identity = identity
         self.names = names
         self.table_hash = hash((d, outputs, transitions))
-        self.root = _root
+        self.root = root
         self._memo = {}
+        return self
 
     @property
     def size(self) -> int:
@@ -182,16 +190,17 @@ def _identity_state(d, outputs, transitions):
 def _intern(d, outputs, transitions, start) -> Machine:
     """The interned machine with these tables.  They must be minimal,
     numbered as _quotient numbers them and reachable from state start;
-    the states that reach start form the root."""
+    the states that reach start form the root.  Such tables are well
+    formed by construction, so Machine()'s checks are skipped."""
     key = (d, outputs, transitions)
     with _intern_lock:
         m = _interned.get(key)
         if m is None:
             reach = backward_distances(range(len(outputs)), transitions.__getitem__,
                                        [start])
-            m = Machine(d, outputs, transitions,
-                        identity=_identity_state(d, outputs, transitions),
-                        _root=tuple(q in reach for q in range(len(outputs))))
+            m = object.__new__(Machine)._fill(
+                d, outputs, transitions, _identity_state(d, outputs, transitions), None,
+                tuple(q in reach for q in range(len(outputs))))
             _interned[key] = m
     return m
 
@@ -200,17 +209,20 @@ def _cap_error(cap, what) -> StateCapError:
     return StateCapError(f"more than {cap} states while building {what}")
 
 
-def _explore(d, start, out_fn, trans_fn, cap, error):
+def _explore(d, starts, out_fn, trans_fn, cap, error):
     """Breadth-first closure of an implicitly given machine: the package's
-    one capped search (products, inverses, pattern automata, joint walk).
+    one capped search (products, inverses, pattern graphs, joint walk).
 
     States are hashable labels with outputs out_fn(q) (tuples) and
-    successors trans_fn(q, x).  Returns dense output/transition lists,
-    numbered breadth-first from the start (0), smallest letter first.
-    Raises error when a state past the first cap is reached.
+    successors trans_fn(q, x).  Returns dense output/transition lists:
+    the distinct starts come first, in the order given, and the rest are
+    numbered breadth-first from them, smallest letter first.  Raises
+    error when more than cap states are reached.
     """
-    index = {start: 0}
-    order = [start]
+    order = list(dict.fromkeys(starts))
+    if len(order) > cap:
+        raise error
+    index = {q: i for i, q in enumerate(order)}
     outputs = []
     transitions = []
     for q in order:
@@ -243,7 +255,7 @@ def _quotient(outputs, transitions):
     signatures of states and their successors, so a forward-closed set of
     states is ordered as it would be alone.  Returns (outputs,
     transitions, block) of the quotient, where block[q] is the class of
-    state q, numbered by that rank.
+    state q, numbered by that rank.  The machine must have a state.
     """
     block, count = None, 0
     signatures = outputs
@@ -278,7 +290,7 @@ def _derive(d, start, out_fn, trans_fn, what):
     would number itself, and is interned as it stands.
     """
     cap = _state_cap.get()
-    outs, trans = _explore(d, start, out_fn, trans_fn, cap, _cap_error(cap, what))
+    outs, trans = _explore(d, [start], out_fn, trans_fn, cap, _cap_error(cap, what))
     q_outs, q_trans, block = _quotient(outs, trans)
     return len(outs), Aut(_intern(d, q_outs, q_trans, block[0]), block[0])
 

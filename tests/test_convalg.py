@@ -29,8 +29,10 @@ from germtrace import (
     unit_element,
     unit_germ,
 )
+from germtrace import convalg
 from germtrace.convalg import (_BROKEN, _TRIVIAL, _joint_walk, _realizable_class_sums,
                                _refined_groups)
+from germtrace.mealy import _cap_error, _explore, _quotient, _state_cap
 
 from conftest import random_element, random_scalar, random_word
 
@@ -476,6 +478,71 @@ def reference_joint_walk(states, cap):
     return pairs, seen, succ
 
 
+def per_pair_joint_walk(states, cap, sizes=None):
+    """The _joint_walk that built one pattern automaton per term pair:
+    each automaton is explored from its pair of restrictions over the
+    union of the term machines and refined on its own, and a joint state
+    holds one token per pair.  The states each automaton explored, sinks
+    included, are appended to sizes."""
+    d = states[0].machine.alphabet_size
+    k = len(states)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    offsets = {}
+    outs = []
+    trans = []
+    for s in states:
+        m = s.machine
+        if m not in offsets:
+            offsets[m] = base = len(outs)
+            outs.extend(m.outputs)
+            trans.extend(tuple(base + t for t in row) for row in m.transitions)
+    block = _quotient(outs, trans)[2]
+
+    def pair_or_sink(s, t):
+        return _TRIVIAL if block[s] == block[t] else (s, t)
+
+    def label(q):
+        return (1 if q is _TRIVIAL else 2 if q is _BROKEN else 0,)
+
+    def step(q, x):
+        if q is _TRIVIAL or q is _BROKEN:
+            return q
+        s, t = q
+        if outs[s][x] != outs[t][x]:
+            return _BROKEN
+        return pair_or_sink(trans[s][x], trans[t][x])
+
+    state_cap = _state_cap.get()
+    state_error = _cap_error(state_cap, "the pattern automaton of a term pair")
+    sink = {1: _TRIVIAL, 2: _BROKEN}
+    tables = []
+    start = []
+    for i, j in pairs:
+        q = pair_or_sink(offsets[states[i].machine] + states[i].state,
+                         offsets[states[j].machine] + states[j].state)
+        explored = _explore(d, [q], label, step, state_cap, state_error)
+        if sizes is not None:
+            sizes.append(len(explored[0]))
+        labels, qtrans, classes = _quotient(*explored)
+        token = [sink.get(lab, c) for c, (lab,) in enumerate(labels)]
+        tables.append({token[c]: tuple(token[t] for t in row)
+                       for c, row in enumerate(qtrans)})
+        start.append(token[classes[0]])
+
+    def trivial_positions(joint):
+        return tuple(p for p, tok in enumerate(joint) if tok is _TRIVIAL)
+
+    def joint_step(joint, x):
+        return tuple(table[tok][x] for tok, table in zip(joint, tables))
+
+    error = PatternCapError(
+        f"pattern search on a bucket of {k} terms ({len(pairs)} term pairs) reached "
+        f"{cap + 1} joint states, more than the cap of {cap}; raise the pattern cap "
+        "to decide this element")
+    positions, succ = _explore(d, [tuple(start)], trivial_positions, joint_step, cap, error)
+    return pairs, positions, succ
+
+
 def reference_tset(joint, pairs):
     """The term pairs whose component of the joint state is T."""
     return frozenset(p for tok, p in zip(joint, pairs) if tok is _TRIVIAL)
@@ -624,6 +691,22 @@ def compare_with_reference(elem, tally):
     return items
 
 
+def compare_with_per_pair(elem):
+    """On every bucket, _joint_walk returns exactly what the per-pair
+    automata gave, and it runs under a state cap of their states together,
+    so its pattern graph is no larger.  Returns (states, per-pair sizes)
+    per bucket."""
+    out = []
+    for bucket in _refined_groups(elem):
+        states = [s for s, _ in bucket]
+        sizes = []
+        expected = per_pair_joint_walk(states, PATTERN_CAP, sizes)
+        with state_cap(max(1, sum(sizes))):
+            assert _joint_walk(states, PATTERN_CAP) == expected
+        out.append((states, sizes))
+    return out
+
+
 class TestPatternSearchReference:
     def test_matches_pre_change_loops(self, bundled, ternary):
         rng = random.Random(314)
@@ -642,6 +725,7 @@ class TestPatternSearchReference:
             if k % 4 == 0:
                 elem = elem * random_element(m, rng, max_terms=2, max_depth=1)
             compare_with_reference(elem, tally)
+            compare_with_per_pair(elem)
         assert min(tally[True], tally[False]) >= 20, tally
 
     def test_matches_reference_on_random_machines(self):
@@ -669,8 +753,31 @@ class TestPatternSearchReference:
                 elem = distinct_states_element(
                     rng, m, rng.sample(range(m.size), 2 + k % 3))
             compare_with_reference(elem, tally)
+            compare_with_per_pair(elem)
             assert elem.is_zero() == (kind == 4)
         assert min(tally.values()) >= 20, tally
+
+    def test_bucket_graph_shares_pair_states(self):
+        """On spinal chains the term pairs of a 4- or 5-term bucket pass
+        through common pairs of restrictions, so the bucket's pattern graph
+        has fewer states than the per-pair automata together even when
+        their sinks are counted once."""
+        rng = random.Random(577)
+        checked = 0
+        for t in range(10):
+            d = 2 + t % 2
+            m = spinal_chain(rng, d)
+            spine = range(1, m.size - 1)
+            elem = distinct_states_element(
+                rng, m, rng.sample(spine, min(len(spine), 4 + t % 2)))
+            for states, sizes in compare_with_per_pair(elem):
+                if len(states) < 4:
+                    continue
+                sinks_once = sum(sizes) - 2 * (len(sizes) - 1)
+                with state_cap(sinks_once - 1):
+                    _joint_walk(states, PATTERN_CAP)
+                checked += 1
+        assert checked >= 6, checked
 
 
 class TestPatternCapAndCaches:
@@ -713,5 +820,54 @@ class TestPatternCapAndCaches:
         elem = indicator(grig, "b") - indicator(grig, "c")
         with state_cap(2), pytest.raises(StateCapError) as info:
             elem.is_zero()
-        assert str(info.value) == (
-            "more than 2 states while building the pattern automaton of a term pair")
+        assert str(info.value) == ("more than 2 states while building the pattern "
+                                   "graph of a bucket of 2 terms (1 term pairs)")
+
+
+class TestBucketGraphCap:
+    def test_state_cap_bounds_the_bucket_graph(self):
+        """The state cap counts the states of a bucket's whole pattern
+        graph: this 3-term bucket exceeds a cap that each of its term
+        pairs' own automata fit under."""
+        rng = random.Random(61)
+        m = spinal_chain(rng, 2)
+        elem = AlgebraElement(m, [(1, PartialMap(m.state(q), (), ())) for q in (1, 2, 3)])
+        (bucket,) = _refined_groups(elem)
+        states = [s for s, _ in bucket]
+        assert len(states) == 3
+        sizes = []
+        per_pair_joint_walk(states, PATTERN_CAP, sizes)
+        cap = max(sizes)
+        with state_cap(cap):
+            per_pair_joint_walk(states, PATTERN_CAP)
+            with pytest.raises(StateCapError) as info:
+                elem.is_zero()
+        assert str(info.value) == (f"more than {cap} states while building the pattern "
+                                   "graph of a bucket of 3 terms (3 term pairs)")
+        assert elem.is_zero() is False
+
+
+class TestOneTermBuckets:
+    def test_no_quotient_and_no_graph(self, bundled, ternary, monkeypatch):
+        """A one-term bucket has one joint state with no T positions; no
+        union quotient and no pattern graph is built for it, so elements
+        whose buckets all hold one term are decided without either."""
+        def refuse(*args):
+            raise AssertionError("built for a one-term bucket")
+
+        monkeypatch.setattr(convalg, "_quotient", refuse)
+        monkeypatch.setattr(convalg, "_explore", refuse)
+        for m in [*bundled.values(), ternary]:
+            d = m.alphabet_size
+            for q in range(m.size):
+                assert _joint_walk([m.state(q)], PATTERN_CAP) == ([], [()], [(0,) * d])
+                single = indicator(m, q, (q % d,), ((q + 1) % d,))
+                assert not single.is_zero(cap=1)
+                assert not single.is_singular(cap=1)
+            # one term per cylinder pair: every bucket holds one term
+            elem = AlgebraElement(m, [
+                (Scalar(F(1 + q), F(-q)), PartialMap(m.state(q % m.size), (u,), (v,)))
+                for q, (u, v) in enumerate(itertools.product(range(d), repeat=2))])
+            assert all(len(bucket) == 1 for bucket in _refined_groups(elem))
+            assert not elem.is_zero()
+            assert not elem.is_singular()

@@ -979,7 +979,7 @@ class TestRenumberingLemma:
                        for _ in range(n)]
             transitions = [tuple(rng.randrange(n) for _ in letters) for _ in range(n)]
             outs, trans = mealy._explore(
-                d, rng.randrange(n), outputs.__getitem__, lambda q, x: transitions[q][x],
+                d, [rng.randrange(n)], outputs.__getitem__, lambda q, x: transitions[q][x],
                 n, AssertionError("a machine of n states explored past n"))
             q_outs, q_trans, block = mealy._quotient(outs, trans)
             assert mealy._quotient(q_outs, q_trans) == (q_outs, q_trans, list(range(len(q_outs))))
@@ -993,6 +993,77 @@ class TestRenumberingLemma:
             assert len(breadth_first_renumbering(q_outs, q_trans, block[0])[0]) == len(q_outs)
             merged += len(q_outs) < len(outs)
         assert merged >= 300, merged
+
+
+class TestExploreStarts:
+    def test_distinct_starts_are_numbered_first(self):
+        """The distinct starts take numbers 0, 1, .. in the order given and
+        the rest follow breadth-first; more distinct starts than the cap
+        raise at once."""
+        transitions = [(1, 2), (3, 3), (0, 4), (3, 1), (4, 4)]
+        outs, trans = mealy._explore(2, [2, 4, 2, 1], lambda q: (q,),
+                                     lambda q, x: transitions[q][x], 5, AssertionError())
+        assert outs == [(2,), (4,), (1,), (0,), (3,)]
+        assert trans == [(3, 1), (1, 1), (4, 4), (2, 0), (4, 2)]
+        error = ValueError("cap")
+        for cap in (1, 2):
+            with pytest.raises(ValueError):
+                mealy._explore(2, [0, 1, 0, 2], lambda q: (q,),
+                               lambda q, x: transitions[q][x], cap, error)
+        with pytest.raises(ValueError):  # the starts fit, their successors do not
+            mealy._explore(2, [0, 1, 2], lambda q: (q,),
+                           lambda q, x: transitions[q][x], 3, error)
+
+
+class TestInternedTables:
+    def test_interned_machines_match_checked_construction(self):
+        """_intern builds machines without Machine()'s checks; the tables,
+        identity state, root and hash it stores are those Machine() gives
+        the same tables, with the identity and root found independently."""
+        rng = random.Random(8128)
+        interned = set()
+        for _ in range(120):
+            m = oracle_machine(rng, rng.random() < 0.5, size=12)
+            a, b = rng.randrange(m.size), rng.randrange(m.size)
+            for g in (m.state(a).canonical(), m.state(a) * m.state(b),
+                      m.state(b).inverse()):
+                M = g.machine
+                interned.add(M)
+                checked = Machine(M.alphabet_size, M.outputs, M.transitions,
+                                  identity=M.identity)
+                assert (M.outputs, M.transitions, M.table_hash) == (
+                    checked.outputs, checked.transitions, checked.table_hash)
+                assert all(type(t) is tuple and all(type(row) is tuple for row in t)
+                           for t in (M.outputs, M.transitions))
+                letters = tuple(range(M.alphabet_size))
+                trivial = [q for q in range(M.size) if M.outputs[q] == letters
+                           and set(M.transitions[q]) == {q}]
+                assert M.identity == (trivial[0] if trivial else None)
+                reach = reference_reachability(range(M.size), M.transitions.__getitem__)
+                assert M.root == tuple(len(reach[q]) == M.size for q in range(M.size))
+                assert M.root[g.state] and M.names is None and checked.root is None
+        assert len(interned) >= 150, len(interned)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1, [(0,)], [(0,)]), "at least two letters"),
+        ((2, [], []), "matching, nonempty"),
+        ((2, [(0, 1)], []), "matching, nonempty"),
+        ((2, [(0, 1), (1, 0)], [(0, 0)]), "matching, nonempty"),
+        ((2, [(0, 0)], [(0, 0)]), "output row of state 0 is not a permutation"),
+        ((2, [(0, 1), (0, 1, 2)], [(0, 0), (1, 1)]), "row of state 1 is not a permutation"),
+        ((3, [(0, 1, 3)], [(0, 0, 0)]), "not a permutation"),
+        ((2, [(0, 1)], [(0,)]), "transition row of state 0 is malformed"),
+        ((2, [(0, 1)], [(0, 0, 0)]), "transition row of state 0 is malformed"),
+        ((2, [(0, 1)], [(0, 1)]), "transition row of state 0 is malformed"),
+        ((2, [(0, 1)], [(0, -1)]), "transition row of state 0 is malformed"),
+        ((2, [(1, 0)], [(0, 0)], 0), "does not act trivially"),
+        ((2, [(0, 1), (0, 1)], [(1, 1), (1, 1)], 0), "does not act trivially"),
+        ((2, [(0, 1), (0, 1)], [(0, 0), (1, 1)], None, ["a", "a"]), "names must be unique"),
+        ((2, [(0, 1)], [(0, 0)], None, ["a", "b"]), "names must be unique"),
+    ])
+    def test_machine_rejects_malformed_tables(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Machine(*args)
 
 
 def reference_infinite_path_nodes(nodes, succ):
