@@ -23,9 +23,9 @@ from fractions import Fraction
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
 from .germs import Germ, PartialMap, bisection_product, unit_germ
-from .mealy import (Aut, Machine, Word, _cap_error, _explore, _quotient, _state_cap,
-                    backward_distances, identity_aut, infinite_path_nodes,
-                    parse_state_expr, parse_word, word_text)
+from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore,
+                    _quotient, _state_cap, backward_distances, identity_aut,
+                    infinite_path_nodes, parse_state_expr, parse_word, word_text)
 from .points import Point
 
 PATTERN_CAP = 10 ** 6
@@ -345,10 +345,11 @@ def _refined_groups(elem: AlgebraElement):
     depth = max(len(b.source_prefix) for b in elem.terms)
     buckets: dict[tuple[Word, Word], dict[Aut, Scalar]] = {}
     for b, c in elem.terms.items():
-        for w in itertools.product(range(d), repeat=depth - len(b.source_prefix)):
-            rb = b.restrict_source(w)
-            bucket = buckets.setdefault((rb.source_prefix, rb.range_prefix), {})
-            bucket[rb.state] = bucket.get(rb.state, ZERO) + c
+        g, u, v = b.state, b.range_prefix, b.source_prefix
+        for w in itertools.product(range(d), repeat=depth - len(v)):
+            bucket = buckets.setdefault((v + w, u + g.apply_word(w)), {})
+            s = g.restrict(w).canonical()
+            bucket[s] = bucket.get(s, ZERO) + c
     out = []
     for key in sorted(buckets):
         cleaned = [(s, c) for s, c in buckets[key].items() if not c.is_zero()]
@@ -364,41 +365,30 @@ _BROKEN = "B"
 def _joint_walk(states: list[Aut], cap: int):
     """Explore the joint walk of a bucket's term pairs over its pattern graph.
 
-    One quotient of the disjoint union of the term machines decides
-    equality of restrictions.  The pattern graph has as nodes the
-    unordered pairs of distinct states of that quotient, plus two
-    absorbing sinks, explored from the pairs of all term pairs at once.
-    On letter x a pair (s, t) moves to (s|x, t|x) if s and t output the
-    same letter on x, and to B (the germs disagree below) otherwise; a
-    pair of equal restrictions is T (the germs agree on the whole
-    subtree).  The graph is refined once with the sinks' labels fixed, so
-    a class holds the nodes with the same T/B future, and a joint state is
-    a tuple of classes, one per term pair.  No product of automorphisms is
-    formed.  Returns (term pairs, T positions, successors) over the joint
-    states as _explore numbers them: positions[i] lists the pairs whose
-    class is T.  A one-term bucket has one joint state and no pairs.
+    Restrictions are read as canonical (machine, state) pairs, identical
+    iff the automorphisms are equal.  The pattern graph has as nodes the
+    unordered pairs of distinct canonical pairs, plus two absorbing sinks,
+    explored from the pairs of all term pairs at once.  On letter x a pair
+    (s, t) moves to (s|x, t|x) if s and t output the same letter on x, and
+    to B (the germs disagree below) otherwise; a pair of equal
+    restrictions is T (the germs agree on the whole subtree).  The graph
+    is refined once with the sinks' labels fixed, so a class holds the
+    nodes with the same T/B future, and a joint state is a tuple of
+    classes, one per term pair.  No product of automorphisms is formed.
+    Returns (term pairs, T positions, successors) over the joint states as
+    _explore numbers them: positions[i] lists the pairs whose class is T.
+    A one-term bucket has one joint state and no pairs.
     """
     d = states[0].machine.alphabet_size
     k = len(states)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     if not pairs:
         return pairs, [()], [(0,) * d]
-    # equality of restrictions: one quotient of the disjoint union of the
-    # term machines, each machine's states shifted by its offset
-    offsets: dict[Machine, int] = {}
-    outs: list = []
-    trans: list = []
-    for s in states:
-        m = s.machine
-        if m not in offsets:
-            offsets[m] = base = len(outs)
-            outs.extend(m.outputs)
-            trans.extend(tuple(base + t for t in row) for row in m.transitions)
-    outs, trans, block = _quotient(outs, trans)
-    term = [block[offsets[s.machine] + s.state] for s in states]
 
     def pair_or_sink(s, t):
-        return _TRIVIAL if s == t else (s, t) if s < t else (t, s)
+        if s == t:
+            return _TRIVIAL
+        return (s, t) if (id(s[0]), s[1]) < (id(t[0]), t[1]) else (t, s)
 
     def label(q):
         return (1 if q is _TRIVIAL else 2 if q is _BROKEN else 0,)
@@ -406,11 +396,13 @@ def _joint_walk(states: list[Aut], cap: int):
     def step(q, x):
         if q is _TRIVIAL or q is _BROKEN:
             return q
-        s, t = q
-        if outs[s][x] != outs[t][x]:
+        (m, s), (n, t) = q
+        if m.outputs[s][x] != n.outputs[t][x]:
             return _BROKEN
-        return pair_or_sink(trans[s][x], trans[t][x])
+        return pair_or_sink(_canonical_pair(m, m.transitions[s][x]),
+                            _canonical_pair(n, n.transitions[t][x]))
 
+    term = [_canonical_pair(s.machine, s.state) for s in states]
     starts = [pair_or_sink(term[i], term[j]) for i, j in pairs]
     state_cap = _state_cap.get()
     state_error = _cap_error(state_cap, f"the pattern graph of a bucket of {k} terms "

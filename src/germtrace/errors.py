@@ -41,7 +41,8 @@ class CapExceededError(GermTraceError):
 
 
 class StateCapError(CapExceededError):
-    """Too many states materialised while closing a machine under products."""
+    """Too many states materialised while building a product, an inverse or
+    a bucket's pattern graph."""
 
 
 class PatternCapError(CapExceededError):

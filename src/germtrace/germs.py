@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .mealy import (Aut, Machine, Word, check_word, compose_labels,
+from .mealy import (Aut, Machine, Word, _canonical_pair, check_word, compose_labels,
                     identity_aut, invert_label, restrict_label, word_text)
 from .points import BOUNDARY, Point, apply_to_point, fixed_walk, state_lasso
 
@@ -162,9 +162,8 @@ class Germ:
             cycle = states[start:]  # cycle[i] sits at depth k + start + i
             r = (k + start) % len(cycle)
             cycle = cycle[-r:] + cycle[:-r]
-            canonical = [Aut(aut.machine, s).canonical() for s in cycle]
             self._key = (self.base, Point(image[:k + start], image[k + start:]),
-                         tuple((c.machine, c.state) for c in canonical))
+                         tuple(_canonical_pair(aut.machine, s) for s in cycle))
         return self._key
 
     def is_unit(self) -> bool:

@@ -29,6 +29,7 @@ module-level state; every memo sits on a machine.
 
 from __future__ import annotations
 
+import operator
 import re
 import threading
 from contextlib import contextmanager
@@ -107,7 +108,7 @@ class Machine:
                  "table_hash", "root", "_memo")
 
     def __init__(self, alphabet_size, outputs, transitions, identity=None, names=None):
-        d = int(alphabet_size)
+        d = _index(alphabet_size, "alphabet size")
         if d < 2:
             raise ValueError("alphabet must have at least two letters")
         outputs = tuple(tuple(row) for row in outputs)
@@ -122,6 +123,9 @@ class Machine:
             if len(transitions[q]) != d or not all(0 <= t < n for t in transitions[q]):
                 raise ValueError(f"transition row of state {q} is malformed")
         if identity is not None:
+            identity = _index(identity, "identity state")
+            if not 0 <= identity < n:
+                raise ValueError(f"identity state {identity} out of range")
             if outputs[identity] != letters or any(t != identity for t in transitions[identity]):
                 raise ValueError("designated identity state does not act trivially")
         if names is not None:
@@ -171,6 +175,14 @@ class Machine:
 
     def __repr__(self):
         return f"<Machine {self.size} states / {self.alphabet_size} letters>"
+
+
+def _index(value, what) -> int:
+    """value as an int through operator.index, so floats and strings are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
 
 
 _intern_lock = threading.Lock()
@@ -465,6 +477,15 @@ class Aut:
         m = self.machine
         label = m.name_of(self.state) if m.names is not None else f"q{self.state}"
         return f"<Aut {label} of {m!r}>"
+
+
+def _canonical_pair(m: Machine, q: int) -> tuple[Machine, int]:
+    """(machine, state) of the canonical form of state q of m: (m, q) for
+    a state in the root of an interned machine, else Aut.canonical()'s."""
+    if m.root is not None and m.root[q]:
+        return m, q
+    c = m._memo.get(("canon", q)) or Aut(m, q).canonical()
+    return c.machine, c.state
 
 
 def identity_aut(alphabet_size: int) -> Aut:

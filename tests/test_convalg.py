@@ -707,6 +707,116 @@ def compare_with_per_pair(elem):
     return out
 
 
+def union_quotient_joint_walk(states, cap, sizes):
+    """The _joint_walk that decided equality of restrictions by one
+    quotient of the disjoint union of the bucket's term machines: the
+    pattern graph's nodes are unordered pairs of distinct classes of that
+    quotient.  The graph's node count, sinks included, is appended to
+    sizes."""
+    d = states[0].machine.alphabet_size
+    k = len(states)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    if not pairs:
+        return pairs, [()], [(0,) * d]
+    offsets = {}
+    outs = []
+    trans = []
+    for s in states:
+        m = s.machine
+        if m not in offsets:
+            offsets[m] = base = len(outs)
+            outs.extend(m.outputs)
+            trans.extend(tuple(base + t for t in row) for row in m.transitions)
+    outs, trans, block = _quotient(outs, trans)
+    term = [block[offsets[s.machine] + s.state] for s in states]
+
+    def pair_or_sink(s, t):
+        return _TRIVIAL if s == t else (s, t) if s < t else (t, s)
+
+    def label(q):
+        return (1 if q is _TRIVIAL else 2 if q is _BROKEN else 0,)
+
+    def step(q, x):
+        if q is _TRIVIAL or q is _BROKEN:
+            return q
+        s, t = q
+        if outs[s][x] != outs[t][x]:
+            return _BROKEN
+        return pair_or_sink(trans[s][x], trans[t][x])
+
+    starts = [pair_or_sink(term[i], term[j]) for i, j in pairs]
+    state_cap = _state_cap.get()
+    state_error = _cap_error(state_cap, f"the pattern graph of a bucket of {k} terms "
+                                        f"({len(pairs)} term pairs)")
+    explored = _explore(d, starts, label, step, state_cap, state_error)
+    sizes.append(len(explored[0]))
+    labels, qtrans, classes = _quotient(*explored)
+    trivial = labels.index((1,)) if (1,) in labels else None
+    columns = list(zip(*qtrans))
+    number = {q: i for i, q in enumerate(dict.fromkeys(starts))}
+
+    def trivial_positions(joint):
+        return tuple(p for p, c in enumerate(joint) if c == trivial)
+
+    def joint_step(joint, x):
+        return tuple(map(columns[x].__getitem__, joint))
+
+    error = PatternCapError(
+        f"pattern search on a bucket of {k} terms ({len(pairs)} term pairs) reached "
+        f"{cap + 1} joint states, more than the cap of {cap}; raise the pattern cap "
+        "to decide this element")
+    start = tuple(classes[number[q]] for q in starts)
+    positions, succ = _explore(d, [start], trivial_positions, joint_step, cap, error)
+    return pairs, positions, succ
+
+
+def restrict_source_groups(elem):
+    """The _refined_groups that cut each term down through
+    PartialMap.restrict_source and bucketed the restricted maps."""
+    if not elem.terms:
+        return []
+    d = elem.alphabet_size
+    depth = max(len(b.source_prefix) for b in elem.terms)
+    buckets = {}
+    for b, c in elem.terms.items():
+        for w in itertools.product(range(d), repeat=depth - len(b.source_prefix)):
+            rb = b.restrict_source(w)
+            bucket = buckets.setdefault((rb.source_prefix, rb.range_prefix), {})
+            bucket[rb.state] = bucket.get(rb.state, Scalar()) + c
+    out = []
+    for key in sorted(buckets):
+        cleaned = [(s, c) for s, c in buckets[key].items() if not c.is_zero()]
+        if cleaned:
+            out.append(cleaned)
+    return out
+
+
+def compare_with_union_quotient(elem):
+    """_refined_groups returns the restrict_source buckets (same order, the
+    identical canonical states, the same coefficients), and on each bucket
+    _joint_walk returns what the union-quotient walk gave, from a pattern
+    graph with as many nodes: it fits under a state cap of that count and
+    is refused under one less, with the same message as the reference."""
+    buckets = _refined_groups(elem)
+    expected = restrict_source_groups(elem)
+    assert [[(s.machine, s.state, c) for s, c in bucket] for bucket in buckets] == [
+        [(s.machine, s.state, c) for s, c in bucket] for bucket in expected]
+    for bucket in buckets:
+        states = [s for s, _ in bucket]
+        sizes = []
+        walk = union_quotient_joint_walk(states, PATTERN_CAP, sizes)
+        assert _joint_walk(states, PATTERN_CAP) == walk
+        for size in sizes:
+            with state_cap(size):
+                assert _joint_walk(states, PATTERN_CAP) == walk
+            with state_cap(size - 1):
+                with pytest.raises(StateCapError) as new:
+                    _joint_walk(states, PATTERN_CAP)
+                with pytest.raises(StateCapError) as old:
+                    union_quotient_joint_walk(states, PATTERN_CAP, [])
+            assert str(new.value) == str(old.value)
+
+
 class TestPatternSearchReference:
     def test_matches_pre_change_loops(self, bundled, ternary):
         rng = random.Random(314)
@@ -726,6 +836,7 @@ class TestPatternSearchReference:
                 elem = elem * random_element(m, rng, max_terms=2, max_depth=1)
             compare_with_reference(elem, tally)
             compare_with_per_pair(elem)
+            compare_with_union_quotient(elem)
         assert min(tally[True], tally[False]) >= 20, tally
 
     def test_matches_reference_on_random_machines(self):
@@ -754,6 +865,7 @@ class TestPatternSearchReference:
                     rng, m, rng.sample(range(m.size), 2 + k % 3))
             compare_with_reference(elem, tally)
             compare_with_per_pair(elem)
+            compare_with_union_quotient(elem)
             assert elem.is_zero() == (kind == 4)
         assert min(tally.values()) >= 20, tally
 
@@ -770,6 +882,7 @@ class TestPatternSearchReference:
             spine = range(1, m.size - 1)
             elem = distinct_states_element(
                 rng, m, rng.sample(spine, min(len(spine), 4 + t % 2)))
+            compare_with_union_quotient(elem)
             for states, sizes in compare_with_per_pair(elem):
                 if len(states) < 4:
                     continue
@@ -778,6 +891,33 @@ class TestPatternSearchReference:
                     _joint_walk(states, PATTERN_CAP)
                 checked += 1
         assert checked >= 6, checked
+
+
+class TestRestrictionEquality:
+    def test_only_pattern_graphs_are_refined(self, monkeypatch):
+        """Equality of restrictions is read from canonical forms: every
+        table convalg refines while is_zero / is_singular run is a pattern
+        graph, whose output rows are the labels pair / T / B, so no union
+        of term machines is refined."""
+        tables = []
+
+        def spy(outputs, transitions):
+            tables.append(set(outputs))
+            return _quotient(outputs, transitions)
+
+        monkeypatch.setattr(convalg, "_quotient", spy)
+        rng = random.Random(1357)
+        for k in range(24):
+            d = 2 + k % 2
+            m = spinal_chain(rng, d) if k % 3 == 0 else random_machine(rng, 20, d)
+            zero = k % 2 == 0
+            # one bucket of 2 to 4 terms: each call refines at least one graph
+            elem = (zero_by_construction(rng, m) if zero else distinct_states_element(
+                rng, m, rng.sample(range(m.size), 2 + k % 3)))
+            assert elem.is_zero() == zero
+            assert elem.is_singular() == zero
+        assert len(tables) >= 48
+        assert all(rows <= {(0,), (1,), (2,)} for rows in tables)
 
 
 class TestPatternCapAndCaches:

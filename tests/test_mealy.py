@@ -1060,6 +1060,12 @@ class TestInternedTables:
         ((2, [(0, 1), (0, 1)], [(1, 1), (1, 1)], 0), "does not act trivially"),
         ((2, [(0, 1), (0, 1)], [(0, 0), (1, 1)], None, ["a", "a"]), "names must be unique"),
         ((2, [(0, 1)], [(0, 0)], None, ["a", "b"]), "names must be unique"),
+        ((2, [(0, 1), (1, 0)], [(0, 0), (0, 0)], 5), "identity state 5 out of range"),
+        ((2, [(0, 1), (1, 0)], [(0, 0), (0, 0)], -1), "identity state -1 out of range"),
+        ((2, [(0, 1)], [(0, 0)], "e"), "identity state must be an integer, not 'e'"),
+        ((2, [(0, 1)], [(0, 0)], 0.0), "identity state must be an integer"),
+        ((2.9, [(0, 1)], [(0, 0)]), "alphabet size must be an integer, not 2.9"),
+        (("3", [(0, 1, 2)], [(0, 0, 0)]), "alphabet size must be an integer, not '3'"),
     ])
     def test_machine_rejects_malformed_tables(self, args, message):
         with pytest.raises(ValueError, match=message):
