@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .errors import SingularSystemError
 from .mealy import (Aut, Machine, backward_distances, distinguishing_depth,
@@ -59,29 +60,46 @@ def _fixed_reach(m: Machine, start: int) -> list[int]:
     return order
 
 
+def _word_counts(m: Machine, start: int, depth: int, live: bool) -> list[int]:
+    """Number of words of length k = 0 .. depth that start fixes: all of
+    them, or with live only those below which the restriction is not e.
+
+    One column per letter runs over the states start reaches through
+    letters they fix, start first.  It holds the position of each state's
+    restriction below the letter, or -1 if the state moves the letter,
+    and slot -1 of the count vector always holds 0.  A depth step sums
+    the counts gathered through every column, a chain of maps with no
+    Python frame per state.  m must be minimal, so e is its only trivial
+    state.
+    """
+    reach = _fixed_reach(m, start)
+    pos = {q: i for i, q in enumerate(reach)}
+    rows = [(m.outputs[q], m.transitions[q]) for q in reach]
+    first, *rest = [[pos[t[x]] if o[x] == x else -1 for o, t in rows]
+                    for x in range(m.alphabet_size)]
+    counts = [0 if live and q == m.identity else 1 for q in reach]
+    counts.append(0)
+    found = [counts[0]]
+    for _ in range(depth):
+        at = counts.__getitem__
+        step = map(at, first)
+        for column in rest:
+            step = map(add, step, map(at, column))
+        counts = [*step, 0]
+        found.append(counts[0])
+    return found
+
+
 def fixed_counts(g: Aut, depth: int) -> FixCounts:
-    """Exact counts for k = 0 .. depth via the state-closure recursion,
-    run over the states g reaches through letters they fix."""
+    """Exact counts for k = 0 .. depth: f_k and live_k each from the
+    state-closure recursion of _word_counts on g's canonical form."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     c = g.canonical()
-    m = c.machine
-    reach = _fixed_reach(m, c.state)
-    pos = {q: i for i, q in enumerate(reach)}
-    succ = _fixed_successors(m)
-    below = [[pos[t] for t in succ(q)] for q in reach]
-    f = [1] * len(reach)
-    a = [0 if q == m.identity else 1 for q in reach]
-    fs = [f[0]]
-    live = [a[0]]
-    for _ in range(depth):
-        f_at, a_at = f.__getitem__, a.__getitem__
-        f = [sum(map(f_at, row)) for row in below]
-        a = [sum(map(a_at, row)) for row in below]
-        fs.append(f[0])
-        live.append(a[0])
+    fs = _word_counts(c.machine, c.state, depth, False)
+    live = _word_counts(c.machine, c.state, depth, True)
     interior = tuple(fk - ak for fk, ak in zip(fs, live))
-    return FixCounts(m.alphabet_size, tuple(fs), interior, tuple(live))
+    return FixCounts(c.machine.alphabet_size, tuple(fs), interior, tuple(live))
 
 
 def fixed_counts_csv(counts: FixCounts) -> str:
@@ -115,13 +133,20 @@ class DecayCertificate:
 
 
 def boundary_null_certificate(g: Aut) -> DecayCertificate:
-    """Decay checks at k = 1 .. n, n = 60 // depth clamped to 1 .. 12."""
-    m = g.canonical().machine
-    p = distinguishing_depth(m)
+    """Decay checks at k = 1 .. n, n = 60 // depth clamped to 1 .. 12.
+
+    Only the live counts are run, to depth p*n.  The depth p is memoised
+    on the canonical machine, next to its mu table.
+    """
+    c = g.canonical()
+    m = c.machine
+    p = m._memo.get("depth")
+    if p is None:
+        p = m._memo["depth"] = distinguishing_depth(m)
     n = max(1, min(12, 60 // p))
-    counts = fixed_counts(g, p * n)
+    live = _word_counts(m, c.state, p * n, True)
     d = m.alphabet_size
-    checks = tuple((k, counts.live[p * k], (d ** p - 1) ** k) for k in range(1, n + 1))
+    checks = tuple((k, live[p * k], (d ** p - 1) ** k) for k in range(1, n + 1))
     return DecayCertificate(d, p, checks)
 
 
@@ -143,13 +168,18 @@ def closure_boundary_null(g: Aut) -> bool:
 # exact fixed-point measure
 
 def _solve_integer_system(A, b):
-    """Fraction-free Gaussian elimination (Bareiss) with magnitude pivoting.
+    """Fraction-free Gaussian elimination (Bareiss), pivoting on the first
+    nonzero entry of each column.
 
-    A and b hold integers; the exact rational solution is returned.  Step
+    A and b hold integers; the exact rational solution is returned.  Every
+    entry after step k is a minor of the input, so neither exactness nor
+    entry growth depends on which nonzero pivot is taken.  Step
     k multiplies a row with 0 in the pivot column by pivot_k / pivot_(k-1)
     and nothing else, so on sparse systems those factors are deferred and
     applied at once when the row is next used: row i holds the entries of
-    step level[i], and pivots are chosen among the stored entries.  After
+    step level[i], which are zero exactly where the caught-up entries are,
+    so pivots are found among the stored entries.  A column that is zero
+    from row k down makes the system singular.  After
     elimination the last pivot is det, and y = det*x is integral, so the
     back-substitution runs in integers and each x_i is y_i / det.
     """
@@ -165,8 +195,8 @@ def _solve_integer_system(A, b):
             level[i] = k
 
     for k in range(n):
-        piv = max(range(k, n), key=lambda r: abs(M[r][k]))
-        if M[piv][k] == 0:
+        piv = next((r for r in range(k, n) if M[r][k]), None)
+        if piv is None:
             raise SingularSystemError("fixed-measure system is singular")
         if piv != k:
             M[k], M[piv] = M[piv], M[k]

@@ -117,10 +117,12 @@ class Machine:
         if n == 0 or len(transitions) != n:
             raise ValueError("machine needs matching, nonempty state tables")
         letters = tuple(range(d))
-        for q in range(n):
-            if tuple(sorted(outputs[q])) != letters:
+        is_int = int.__instancecheck__
+        for q, (out, trans) in enumerate(zip(outputs, transitions)):
+            if not all(map(is_int, out)) or tuple(sorted(out)) != letters:
                 raise ValueError(f"output row of state {q} is not a permutation")
-            if len(transitions[q]) != d or not all(0 <= t < n for t in transitions[q]):
+            if (len(trans) != d or not all(map(is_int, trans))
+                    or min(trans) < 0 or max(trans) >= n):
                 raise ValueError(f"transition row of state {q} is malformed")
         if identity is not None:
             identity = _index(identity, "identity state")
@@ -136,8 +138,9 @@ class Machine:
 
     def _fill(self, d, outputs, transitions, identity, names, root):
         """Set every slot from tuple tables that need no further checks:
-        __init__ calls it once its input passed them, _intern with tables
-        it built itself."""
+        __init__ calls it once its input passed them, parse_machine once
+        its own checks passed, minimize and _intern with tables they built
+        themselves."""
         self.alphabet_size = d
         self.outputs = outputs
         self.transitions = transitions
@@ -229,7 +232,8 @@ def _explore(d, starts, out_fn, trans_fn, cap, error):
     successors trans_fn(q, x).  Returns dense output/transition lists:
     the distinct starts come first, in the order given, and the rest are
     numbered breadth-first from them, smallest letter first.  Raises
-    error when more than cap states are reached.
+    error, an exception or an exception class, when more than cap states
+    are reached.
     """
     order = list(dict.fromkeys(starts))
     if len(order) > cap:
@@ -285,24 +289,34 @@ def _quotient(outputs, transitions):
             block)
 
 
-def _replay(explored, result, what) -> "Aut":
+_PRODUCT = "the product of a {0.size}-state and a {1.size}-state automorphism"
+_INVERSE = "the inverse of a {0.size}-state automorphism"
+
+
+def _replay(explored, result, what, *machines) -> "Aut":
     """A memoised product or inverse, refused exactly as _explore would
-    refuse rebuilding its explored states under the current cap."""
+    refuse rebuilding its explored states under the current cap.  The
+    cap error's text is what formatted with the operand machines, built
+    only when the cap refuses."""
     cap = _state_cap.get()
     if explored > cap:
-        raise _cap_error(cap, what)
+        raise _cap_error(cap, what.format(*machines))
     return result
 
 
-def _derive(d, start, out_fn, trans_fn, what):
+def _derive(d, start, out_fn, trans_fn, what, *machines):
     """(states explored, interned result) of a product or inverse machine
     explored from start under the current cap: a compose / inverse memo
     entry.  Every explored state is reachable from start, so the quotient
     is the closure of the start's class, numbered by _quotient as it
-    would number itself, and is interned as it stands.
+    would number itself, and is interned as it stands.  A refusal is
+    raised with the text of _replay's.
     """
     cap = _state_cap.get()
-    outs, trans = _explore(d, [start], out_fn, trans_fn, cap, _cap_error(cap, what))
+    try:
+        outs, trans = _explore(d, [start], out_fn, trans_fn, cap, StateCapError)
+    except StateCapError:
+        raise _cap_error(cap, what.format(*machines)) from None
     q_outs, q_trans, block = _quotient(outs, trans)
     return len(outs), Aut(_intern(d, q_outs, q_trans, block[0]), block[0])
 
@@ -400,7 +414,6 @@ class Aut:
             raise DomainError("cannot compose states over different alphabets")
         a, b = self.canonical(), other.canonical()
         A, B = a.machine, b.machine
-        what = f"the product of a {A.size}-state and a {B.size}-state automorphism"
         key = ("compose", a.state, B, b.state)
         entry = A._memo.get(key)
         if entry is None:
@@ -415,8 +428,9 @@ class Aut:
                 p, q = pair
                 return (tr1[p][out2[q][x]], tr2[q][x])
 
-            entry = A._memo[key] = _derive(d, (a.state, b.state), out_fn, trans_fn, what)
-        return _replay(*entry, what)
+            entry = A._memo[key] = _derive(d, (a.state, b.state), out_fn, trans_fn,
+                                           _PRODUCT, A, B)
+        return _replay(*entry, _PRODUCT, A, B)
 
     def inverse(self) -> "Aut":
         """The inverse automorphism, minimised and interned.
@@ -426,7 +440,6 @@ class Aut:
         """
         c = self.canonical()
         m = c.machine
-        what = f"the inverse of a {m.size}-state automorphism"
         key = ("inverse", c.state)
         entry = m._memo.get(key)
         if entry is None:
@@ -437,8 +450,9 @@ class Aut:
             def trans_fn(q, x):
                 return tr[q][inv[q][x]]
 
-            entry = m._memo[key] = _derive(d, c.state, inv.__getitem__, trans_fn, what)
-        return _replay(*entry, what)
+            entry = m._memo[key] = _derive(d, c.state, inv.__getitem__, trans_fn,
+                                           _INVERSE, m)
+        return _replay(*entry, _INVERSE, m)
 
     def is_identity(self) -> bool:
         c = self.canonical()
@@ -518,8 +532,8 @@ def minimize(machine: Machine) -> tuple[Machine, list[int]]:
         names = None
         if machine.names is not None:
             names = tuple(machine.names[q] for q in least.values())
-        quotient = Machine(d, outputs, transitions,
-                           identity=_identity_state(d, outputs, transitions), names=names)
+        quotient = object.__new__(Machine)._fill(
+            d, outputs, transitions, _identity_state(d, outputs, transitions), names, None)
         quotient._memo["rank"] = tuple(least)
         cached = (quotient, tuple(number[b] for b in block))
         machine._memo["minimize"] = cached
@@ -735,7 +749,9 @@ def parse_machine(text: str) -> Machine:
     e = index["e"]
     if outputs[e] != tuple(range(d)) or any(t != e for t in transitions[e]):
         raise MachineParseError("state 'e' is reserved for the identity")
-    return Machine(d, outputs, transitions, identity=e, names=tuple(names))
+    # the tables passed every check Machine() makes
+    return object.__new__(Machine)._fill(d, tuple(outputs), tuple(transitions), e,
+                                         tuple(names), None)
 
 
 def format_machine(machine: Machine) -> str:

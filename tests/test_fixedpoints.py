@@ -27,7 +27,11 @@ from germtrace import (
     parse_machine,
     parse_point,
 )
-from germtrace.fixedpoints import _mu_table, _solve_integer_system
+from germtrace import fixedpoints
+from germtrace.fixedpoints import (DecayCertificate, FixCounts, _mu_table,
+                                   _solve_integer_system, closure_boundary_null,
+                                   essential_freeness_report)
+from germtrace.mealy import strong_components
 
 from conftest import random_word
 
@@ -238,6 +242,21 @@ class TestSolver:
                     _solve_integer_system(matrix, rhs)
             else:
                 assert _solve_integer_system(matrix, rhs) == want
+
+    def test_first_nonzero_pivot_above_large_entries(self):
+        # the first nonzero entry of the pivot column is 1, below a zero
+        # and above entries of about 10^30: it is taken as the pivot
+        rng = random.Random(5050)
+        big = 10 ** 30
+        for n in (2, 3, 5, 8, 13):
+            matrix = [[rng.randint(-big, big) for _ in range(n)] for _ in range(n)]
+            rhs = [rng.randint(-big, big) for _ in range(n)]
+            matrix[0][0], matrix[1][0] = 0, 1
+            for k in range(2, n):
+                matrix[k][0] = rng.choice((-1, 1)) * rng.randint(big // 2, big)
+            want = _naive_solve(matrix, rhs)
+            assert want is not None
+            assert _solve_integer_system([row[:] for row in matrix], rhs[:]) == want
 
     def test_singular_systems_of_every_size(self):
         rng = random.Random(4949)
@@ -696,3 +715,137 @@ class TestRandomMachinesAgainstEnumeration:
                 assert verdict == oracle.dangerous(x), (m.outputs, m.transitions, x)
                 outcomes["dangerous"][verdict] += 1
         assert all(min(c.values()) >= 20 for c in outcomes.values()), outcomes
+
+
+# ---------------------------------------------------------------------------
+# the column-gather count kernel against the per-state recursion it replaced
+
+
+def reference_fixed_counts(g, depth):
+    """f_k, i_k and live_k by the per-state recursion that ran before the
+    column kernel: both recursions at every depth, one sum per state."""
+    c = g.canonical()
+    m = c.machine
+
+    def succ(q):
+        return [m.transitions[q][x] for x in range(m.alphabet_size)
+                if m.outputs[q][x] == x]
+
+    reach, seen = [c.state], {c.state}
+    for q in reach:
+        for t in succ(q):
+            if t not in seen:
+                seen.add(t)
+                reach.append(t)
+    pos = {q: i for i, q in enumerate(reach)}
+    below = [[pos[t] for t in succ(q)] for q in reach]
+    f = [1] * len(reach)
+    a = [0 if q == m.identity else 1 for q in reach]
+    fs = [f[0]]
+    live = [a[0]]
+    for _ in range(depth):
+        f = [sum(f[t] for t in row) for row in below]
+        a = [sum(a[t] for t in row) for row in below]
+        fs.append(f[0])
+        live.append(a[0])
+    interior = tuple(fk - ak for fk, ak in zip(fs, live))
+    return FixCounts(m.alphabet_size, tuple(fs), interior, tuple(live))
+
+
+def reference_certificate(g):
+    """The certificate as it was built from both recursions, with the
+    distinguishing depth computed afresh."""
+    m = g.canonical().machine
+    p = distinguishing_depth(m)
+    n = max(1, min(12, 60 // p))
+    counts = reference_fixed_counts(g, p * n)
+    d = m.alphabet_size
+    checks = tuple((k, counts.live[p * k], (d ** p - 1) ** k) for k in range(1, n + 1))
+    return DecayCertificate(d, p, checks)
+
+
+def layered_machine(rng, n, d, with_identity):
+    """n states over d letters in a few layers, successors in the same or
+    a later layer (and e, if present), so the machine has several strongly
+    connected components; a few states duplicate another's rows, so the
+    machine is not minimal."""
+    letters = tuple(range(d))
+    layer = sorted(rng.randrange(rng.randint(2, 4)) for _ in range(n))
+    outputs, transitions = [], []
+    for q in range(n):
+        later = [t for t in range(n) if layer[t] >= layer[q]] + ([n] if with_identity else [])
+        outputs.append(letters if rng.random() < 0.5 else tuple(rng.sample(letters, d)))
+        transitions.append(tuple(rng.choice(later) for _ in letters))
+    for q in rng.sample(range(n), n // 5):
+        source = rng.choice([t for t in range(n) if layer[t] == layer[q]])
+        outputs[q], transitions[q] = outputs[source], transitions[source]
+    if with_identity:
+        return Machine(d, outputs + [letters], transitions + [(n,) * d], identity=n)
+    return Machine(d, outputs, transitions)
+
+
+class TestCountKernelOracle:
+    def machines(self):
+        rng = random.Random(6161)
+        for d in (2, 3, 4):
+            for with_identity in (True, False):
+                for n in (4, 7, 12, 20, 30):
+                    yield layered_machine(rng, n, d, with_identity)
+
+    def test_random_machines_match_reference(self):
+        several_sccs = with_identity = without_identity = 0
+        rng = random.Random(6262)
+        for m in self.machines():
+            mm = minimize(m)[0]
+            several_sccs += len(strong_components(range(mm.size), mm.transitions.__getitem__)) >= 3
+            with_identity += mm.identity is not None
+            without_identity += mm.identity is None
+            for q in range(m.size):
+                g = m.state(q)
+                for depth in (0, 1, rng.randint(2, 59), 60):
+                    assert fixed_counts(g, depth) == reference_fixed_counts(g, depth)
+                assert boundary_null_certificate(g) == reference_certificate(g)
+        assert several_sccs >= 10 and with_identity >= 10 and without_identity >= 3
+
+    def test_bundled_and_ternary_states_match_reference(self, bundled, ternary):
+        for m in list(bundled.values()) + [ternary]:
+            for g in m.states():
+                for depth in (0, 1, 7, 30, 60):
+                    assert fixed_counts(g, depth) == reference_fixed_counts(g, depth)
+                assert boundary_null_certificate(g) == reference_certificate(g)
+
+    def test_reports_match_reference(self, bundled, ternary):
+        for m in list(bundled.values()) + [ternary] + list(self.machines()):
+            mm = minimize(m)[0]
+            report = essential_freeness_report(m)
+            states = [q for q in range(mm.size) if q != mm.identity]
+            assert report.certificates == tuple(
+                reference_certificate(mm.state(q)) for q in states)
+            assert report.rows == tuple((mm.name_of(q), mu_fix_exact(mm.state(q)))
+                                        for q in states)
+            for q in range(m.size):
+                c = m.state(q).canonical()
+                assert closure_boundary_null(c) == all(
+                    reference_certificate(c.machine.state(s)).holds
+                    for s in range(c.machine.size))
+
+    def test_depth_memo_cold_and_warm(self, monkeypatch):
+        machines = list(self.machines())
+        for m in machines:
+            for q in range(m.size):
+                m.state(q).canonical().machine._memo.pop("depth", None)
+        cold = {}
+        for m in machines:
+            for q in range(m.size):
+                g = m.state(q)
+                M = g.canonical().machine
+                cold[m, q] = boundary_null_certificate(g)
+                assert M._memo["depth"] == distinguishing_depth(M) == cold[m, q].depth
+
+        def refuse(machine):
+            raise AssertionError("distinguishing depth recomputed")
+
+        monkeypatch.setattr(fixedpoints, "distinguishing_depth", refuse)
+        for m in machines:
+            for q in range(m.size):
+                assert boundary_null_certificate(m.state(q)) == cold[m, q]

@@ -386,6 +386,25 @@ def cap_outcome(cap, build):
             return str(exc)
 
 
+class TestCapErrorText:
+    def test_built_only_when_the_cap_refuses(self, monkeypatch):
+        """Accepted products and inverses, fresh or memoised, build no cap
+        error and so format no text."""
+        rng = random.Random(9093)
+        pairs = []
+        for i in range(10):
+            m = oracle_machine(rng, duplicate=i % 2 == 1, size=8)
+            pairs.append((m.state(rng.randrange(m.size)), m.state(rng.randrange(m.size))))
+
+        def refuse(cap, what):
+            raise AssertionError(f"cap error built for {what}")
+
+        monkeypatch.setattr(mealy, "_cap_error", refuse)
+        for _ in range(2):  # fresh, then memoised
+            for g, h in pairs:
+                assert (g * h).machine.size >= 1 and g.inverse().machine.size >= 1
+
+
 class TestCapReplay:
     """A memoised product or inverse is refused under exactly the caps that
     refuse building it afresh, with the same message."""
@@ -1044,6 +1063,26 @@ class TestInternedTables:
                 assert M.root[g.state] and M.names is None and checked.root is None
         assert len(interned) >= 150, len(interned)
 
+    def test_parsed_and_minimised_machines_match_checked_construction(self, bundled,
+                                                                       ternary):
+        """parse_machine and minimize fill the slots without Machine()'s
+        checks; the tables, identity, names and hash they store are those
+        Machine() gives the same tables."""
+        rng = random.Random(8129)
+        machines = list(bundled.values()) + [ternary]
+        machines += [oracle_machine(rng, rng.random() < 0.5, size=9) for _ in range(40)]
+        for m in machines:
+            parsed = parse_machine(format_machine(m))
+            assert type(parsed.names) is tuple and parsed.names[parsed.identity] == "e"
+            for built in (parsed, minimize(m)[0], minimize(parsed)[0]):
+                checked = Machine(built.alphabet_size, built.outputs, built.transitions,
+                                  identity=built.identity, names=built.names)
+                for slot in ("alphabet_size", "outputs", "transitions", "identity",
+                             "names", "table_hash", "root"):
+                    assert getattr(built, slot) == getattr(checked, slot)
+                assert all(type(t) is tuple and all(type(row) is tuple for row in t)
+                           for t in (built.outputs, built.transitions))
+
     @pytest.mark.parametrize("args, message", [
         ((1, [(0,)], [(0,)]), "at least two letters"),
         ((2, [], []), "matching, nonempty"),
@@ -1066,6 +1105,10 @@ class TestInternedTables:
         ((2, [(0, 1)], [(0, 0)], 0.0), "identity state must be an integer"),
         ((2.9, [(0, 1)], [(0, 0)]), "alphabet size must be an integer, not 2.9"),
         (("3", [(0, 1, 2)], [(0, 0, 0)]), "alphabet size must be an integer, not '3'"),
+        ((2, [(0, 1), (1, 0)], [(0, 0), (1.0, 0.0)], 0), "transition row of state 1 is malformed"),
+        ((2, [(0, 1)], [(0, "0")]), "transition row of state 0 is malformed"),
+        ((2, [(0, 1), (1.0, 0.0)], [(0, 0), (0, 0)]), "row of state 1 is not a permutation"),
+        ((2, [("0", 1)], [(0, 0)]), "output row of state 0 is not a permutation"),
     ])
     def test_machine_rejects_malformed_tables(self, args, message):
         with pytest.raises(ValueError, match=message):
