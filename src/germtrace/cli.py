@@ -66,11 +66,20 @@ def _scalar_json(s: Scalar) -> dict:
     return {"re": _frac_json(s.re), "im": _frac_json(s.im)}
 
 
+def _float(f: Fraction) -> float:
+    """f as a float; a value past the float range reads as inf or -inf."""
+    try:
+        return float(f)
+    except OverflowError:
+        return float("inf") if f > 0 else float("-inf")
+
+
 def _scalar_float_text(s: Scalar) -> str:
-    if s.is_real():
-        return repr(float(s.re))
-    sign = "+" if s.im >= 0 else "-"
-    return f"{float(s.re)!r}{sign}{abs(float(s.im))!r}i"
+    real, imag = s.re, s.im
+    if not imag:
+        return repr(_float(real))
+    sign = "+" if imag > 0 else "-"
+    return f"{_float(real)!r}{sign}{abs(_float(imag))!r}i"
 
 
 def _table(rows: list[list[str]], indent: str = "  ") -> list[str]:

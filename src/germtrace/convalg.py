@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
@@ -38,37 +38,74 @@ def _frac_text(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """Gaussian rational re + im*i with exact arithmetic."""
+    """Gaussian rational re + im*i with exact arithmetic.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Stored as three ints (a, b, den) meaning (a + b*i)/den, with den > 0
+    and gcd(a, b, den) == 1.  That form is unique, so equality compares
+    the triple and arithmetic builds no Fraction.  Scalar(re, im) takes
+    ints or Fractions, and .re and .im are still Fractions, built when
+    read.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        # Fraction parts are kept as they are: most constructions get them
-        if type(self.re) is not Fraction:
-            object.__setattr__(self, "re", Fraction(self.re))
-        if type(self.im) is not Fraction:
-            object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("_a", "_b", "_den")
+
+    def __new__(cls, re=0, im=0):
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        return _store(_new(cls), p * s, r * q, q * s)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Scalar is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Scalar, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._den)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _scalar(self._a, -self._b, self._den)
+
+    def __eq__(self, other):
+        if type(other) is not Scalar:
+            return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._den == other._den)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __add__(self, other):
-        other = as_scalar(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        a, b, den = other._a, other._b, other._den
+        if not (a or b):
+            return self
+        if not (self._a or self._b):
+            return other
+        if den == self._den:
+            return _scalar(self._a + a, self._b + b, den)
+        return _scalar(self._a * den + a * self._den, self._b * den + b * self._den,
+                       self._den * den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _scalar(-self._a, -self._b, self._den)
 
     def __sub__(self, other):
         return self + (-as_scalar(other))
@@ -77,9 +114,16 @@ class Scalar:
         return as_scalar(other) + (-self)
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        return Scalar(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        a, b, c, d = self._a, self._b, other._a, other._b
+        if not (a or b):
+            return self
+        if not (c or d):
+            return other
+        if not (b or d):
+            return _scalar(a * c, 0, self._den * other._den)
+        return _scalar(a * c - b * d, a * d + b * c, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -87,29 +131,79 @@ class Scalar:
         return f"Scalar({format_scalar(self)!r})"
 
 
+_new = object.__new__
+_set_a = Scalar._a.__set__
+_set_b = Scalar._b.__set__
+_set_den = Scalar._den.__set__
+
+
+def _store(s: Scalar, a: int, b: int, den: int) -> Scalar:
+    """Fill the slots of s with (a + b*i)/den, den > 0, reduced by one gcd."""
+    g = gcd(a, b, den)
+    if g != 1:
+        a //= g
+        b //= g
+        den //= g
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_den(s, den)
+    return s
+
+
+def _scalar(a: int, b: int, den: int) -> Scalar:
+    return _store(_new(Scalar), a, b, den)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int, a Fraction or what Fraction takes."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _weighted_sum(terms) -> Scalar:
+    """Sum of c * n / m over triples (c, n, m) of a Scalar c and ints n and
+    m > 0, accumulated over one denominator and reduced once."""
+    ta = tb = 0
+    td = 1
+    for c, n, m in terms:
+        a, b, den = c._a * n, c._b * n, c._den * m
+        if den == td:
+            ta += a
+            tb += b
+        elif td % den == 0:
+            k = td // den
+            ta += a * k
+            tb += b * k
+        else:
+            ta, tb, td = ta * den + a * td, tb * den + b * td, td * den
+    return _scalar(ta, tb, td)
+
+
 ZERO = Scalar()
-ONE = Scalar(Fraction(1))
+ONE = Scalar(1)
 
 
 def as_scalar(v) -> Scalar:
     if isinstance(v, Scalar):
         return v
     if isinstance(v, (int, Fraction)):
-        return Scalar(Fraction(v))
+        return Scalar(v)
     raise TypeError(f"cannot interpret {v!r} as a scalar")
 
 
-_NUM_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_NUM_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse forms like 4/7, -2, 1/2+3i, -i, 2/5i."""
+    """Parse forms like 4/7, -2, 1/2+3i, -i, 2/5i: one sign per part."""
     s = text.strip()
     if not s:
         raise ElementParseError("empty scalar")
     pos = 0
-    re_part = Fraction(0)
-    im_part = Fraction(0)
+    re_num, re_den, im_num, im_den = 0, 1, 0, 1
     seen_re = seen_im = False
     while pos < len(s):
         if seen_im:
@@ -122,33 +216,32 @@ def parse_scalar(text: str) -> Scalar:
             sign = -1 if s[pos] == "-" else 1
             pos += 1
         if pos < len(s) and s[pos] == "i":
-            value, imag = Fraction(1), True
+            num, den, imag = 1, 1, True
             pos += 1
         else:
             m = _NUM_RE.match(s, pos)
-            if not m or m.start() != pos:
+            if not m:
                 raise ElementParseError(f"bad scalar {excerpt(text)}")
             try:
-                value = Fraction(m.group(0))
-            except ZeroDivisionError:
-                raise ElementParseError(
-                    f"bad scalar {excerpt(text)}: zero denominator") from None
+                num, den = int(m.group(1)), int(m.group(2) or 1)
             except ValueError:  # more digits than int() converts
                 raise ElementParseError(
                     f"bad scalar {excerpt(text)}: numeral too long") from None
+            if not den:
+                raise ElementParseError(f"bad scalar {excerpt(text)}: zero denominator")
             pos = m.end()
             imag = pos < len(s) and s[pos] == "i"
             if imag:
                 pos += 1
         if imag:
-            im_part = sign * value
+            im_num, im_den = sign * num, den
             seen_im = True
         else:
             if seen_re:
                 raise ElementParseError(f"bad scalar {excerpt(text)}: two real parts")
-            re_part = sign * value
+            re_num, re_den = sign * num, den
             seen_re = True
-    return Scalar(re_part, im_part)
+    return _scalar(re_num * im_den, im_num * re_den, re_den * im_den)
 
 
 def format_scalar(s: Scalar) -> str:
@@ -190,8 +283,8 @@ class AlgebraElement:
                 raise TypeError("term must be (scalar, PartialMap)")
             if pmap.alphabet_size != machine.alphabet_size:
                 raise DomainError("term alphabet does not match the machine")
-            c = acc.get(pmap, ZERO) + as_scalar(coeff)
-            acc[pmap] = c
+            c = acc.get(pmap)
+            acc[pmap] = as_scalar(coeff) if c is None else c + coeff
         self.machine = machine
         self.terms = {b: c for b, c in acc.items() if not c.is_zero()}
 
@@ -349,7 +442,8 @@ def _refined_groups(elem: AlgebraElement):
         for w in itertools.product(range(d), repeat=depth - len(v)):
             bucket = buckets.setdefault((v + w, u + g.apply_word(w)), {})
             s = g.restrict(w).canonical()
-            bucket[s] = bucket.get(s, ZERO) + c
+            total = bucket.get(s)
+            bucket[s] = c if total is None else total + c
     out = []
     for key in sorted(buckets):
         cleaned = [(s, c) for s, c in buckets[key].items() if not c.is_zero()]
@@ -471,7 +565,8 @@ def _class_sums(coeffs: list[Scalar], tset: frozenset) -> list[Scalar]:
     sums: dict[int, Scalar] = {}
     for i, c in enumerate(coeffs):
         lead = next((j for j in range(i) if (j, i) in tset), i)
-        sums[lead] = sums.get(lead, ZERO) + c
+        total = sums.get(lead)
+        sums[lead] = c if total is None else total + c
     return list(sums.values())
 
 

@@ -774,6 +774,10 @@ def format_machine(machine: Machine) -> str:
 # Suffixes apply left to right, so a^-1|01 restricts the inverse of a to
 # the subtree below the input word 01.
 
+_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DIGITS_RE = re.compile(r"[0-9]+")
+
+
 def parse_state_expr(machine: Machine, text: str) -> Aut:
     pos = 0
     s = text.strip()
@@ -799,10 +803,10 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
                 fail("missing ')'")
             pos += 1
             return a
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", s[pos:])
+        m = _ATOM_RE.match(s, pos)
         if not m:
             fail(f"expected state name at column {pos + 1}")
-        pos += m.end()
+        pos = m.end()
         return machine.state(m.group(0))
 
     def parse_factor() -> Aut:
@@ -815,10 +819,10 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
                 a = a.inverse()
             elif pos < len(s) and s[pos] == "|":
                 pos += 1
-                m = re.match(r"[0-9]+", s[pos:])
+                m = _DIGITS_RE.match(s, pos)
                 if not m:
                     fail("expected word after '|'")
-                pos += m.end()
+                pos = m.end()
                 try:
                     a = a.restrict(parse_word(m.group(0), machine.alphabet_size))
                 except ValueError as exc:

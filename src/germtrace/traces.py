@@ -16,9 +16,8 @@ coefficients of the terms whose germ lands where it must.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .convalg import ZERO, AlgebraElement, Scalar
+from .convalg import ZERO, AlgebraElement, Scalar, _weighted_sum
 from .errors import DomainError
 from .fixedpoints import closure_boundary_null, mu_fix_exact
 from .germs import Germ, unit_germ
@@ -32,12 +31,12 @@ def _diagonal_terms(a: AlgebraElement):
 
 def _diagonal_sum(a: AlgebraElement) -> Scalar:
     """Sum over diagonal terms of coeff * mu(Fix of the state) / d^|v|."""
-    total = ZERO
     d = a.alphabet_size
+    weighted = []
     for pmap, coeff in _diagonal_terms(a):
-        weight = Fraction(mu_fix_exact(pmap.state), d ** len(pmap.source_prefix))
-        total = total + coeff * Scalar(weight)
-    return total
+        mu = mu_fix_exact(pmap.state)
+        weighted.append((coeff, mu.numerator, mu.denominator * d ** len(pmap.source_prefix)))
+    return _weighted_sum(weighted)
 
 
 def canonical_trace(a: AlgebraElement) -> Scalar:

@@ -479,6 +479,47 @@ class TestHostileInput:
         assert err.startswith("error:") and "bad word" in err
         assert "invalid literal" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("coeff", ["--1", "+-1", "1--2i", "1+-2i", "-+i"])
+    def test_one_sign_per_scalar_part(self, capsys, coeff):
+        self.assert_parse_error(capsys, "trace", "-m", "grigorchuk", "-e",
+                                f"{coeff} d:>", needle=f"bad scalar {coeff!r}")
+
+
+BIG = "1" + "0" * 400  # 10^400 is past the float range
+
+
+class TestFloatRange:
+    """A trace part past the float range prints as inf / -inf in the float
+    column; the exact column and the exit code are unaffected."""
+
+    @pytest.mark.parametrize("exact,floating", [
+        (BIG, "inf"),
+        ("-" + BIG, "-inf"),
+        (f"1/2+{BIG}i", "0.5+infi"),
+        (f"1/2-{BIG}i", "0.5-infi"),
+        (f"-{BIG}-{BIG}i", "-inf-infi"),
+    ], ids=["real", "negative-real", "imaginary", "negative-imaginary", "both"])
+    def test_trace_past_float_range(self, capsys, exact, floating):
+        # mu(Fix_e) = 1, so both traces of exact * e are exact
+        argv = ("trace", "-m", "grigorchuk", "-e", f"{exact} e:>")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert f"canonical trace = {exact} ({floating})\n" in out
+        assert f"isotropy trace  = {exact} ({floating})\n" in out
+        assert out.endswith("difference      = 0 (0.0)\n")
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == ("functional,value,float\n"
+                       f"canonical_trace,{exact},{floating}\n"
+                       f"isotropy_trace,{exact},{floating}\n"
+                       "difference,0,0.0\n")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        value = germtrace.parse_scalar(exact)
+        assert json.loads(out)["canonical_trace"] == {
+            part: {"num": f.numerator, "den": f.denominator}
+            for part, f in (("re", value.re), ("im", value.im))}
+
 
 class TestCaps:
     @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
 """Scalars, span elements, convolution, adjoints, zero and singularity tests."""
 
+import copy
 import itertools
+import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,6 +100,12 @@ class TestScalar:
         with pytest.raises(ElementParseError):
             parse_scalar(text)
 
+    @pytest.mark.parametrize("text", ["--1", "+-1", "-+1", "1--2i", "1+-2i", "1-+2i",
+                                      "--2/3i", "1/2+-i", "-1/-2"])
+    def test_rejects_doubled_signs(self, text):
+        with pytest.raises(ElementParseError, match="bad scalar"):
+            parse_scalar(text)
+
     def test_arithmetic(self):
         x = Scalar(F(1, 2), F(3))
         y = Scalar(F(2), F(-1))
@@ -140,6 +148,100 @@ class TestScalar:
         assert as_scalar(F(2, 5)) == Scalar(F(2, 5))
         assert as_scalar(Scalar(F(1))) == Scalar(F(1))
         assert 2 * Scalar(F(1, 2)) == Scalar(F(1))
+
+
+class TestScalarIntegerForm:
+    """Scalar holds (a + b*i)/den as ints: its arithmetic builds no
+    Fraction, and long chains agree with the kept Fraction class."""
+
+    def test_arithmetic_builds_no_fractions(self, monkeypatch):
+        rng = random.Random(1515)
+        values = [Scalar(F(rng.randint(-9, 9), rng.randint(1, 9)),
+                         F(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(60)]
+        values += [Scalar(rng.randint(-5, 5)) for _ in range(10)] + [Scalar()]
+        rng.shuffle(values)
+        built = []
+        fraction_new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return fraction_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        outcomes = set()
+        for x, y in zip(values, values[1:] + values[:1]):
+            for z in (x + y, x - y, x * y, -x, x.conjugate(), x + 3, 2 * x, 1 - x, x * 0):
+                outcomes.add((z.is_zero(), z.is_real(), z == x, z != y))
+        assert built == []
+        values[0].re  # reading a part builds one, so the count is live
+        monkeypatch.undo()
+        assert len(built) == 1
+        assert len(outcomes) >= 5, outcomes
+
+    def test_long_chains_match_reference(self):
+        rng = random.Random(1516)
+
+        def nonzero():
+            return rng.choice((-1, 1)) * rng.randint(1, rng.choice((9, 9999)))
+
+        def part():
+            return nonzero() if rng.randrange(2) else F(nonzero(), rng.randint(2, 9999))
+
+        def operand():
+            """An int, a Fraction, or a Scalar of mixed parts with its reference."""
+            kind = rng.randrange(3)
+            if kind == 2:
+                re, im = part(), part()
+                return Scalar(re, im), ReferenceScalar(re, im)
+            v = nonzero() if kind == 0 else F(nonzero(), rng.randint(2, 9999))
+            return v, ReferenceScalar(v)
+
+        biggest = 0
+        for _ in range(40):
+            x, rx = Scalar(1, F(1, 3)), ReferenceScalar(1, F(1, 3))
+            for _ in range(60):
+                y, ry = operand()
+                op = rng.randrange(8)
+                if op == 0:
+                    x, rx = x + y, rx + ry
+                elif op == 1:
+                    x, rx = y + x, ry + rx
+                elif op == 2:
+                    x, rx = x - y, rx - ry
+                elif op == 3:
+                    x, rx = y - x, ry - rx
+                elif op == 4:
+                    x, rx = -x.conjugate(), -rx.conjugate()
+                elif op == 5:
+                    x, rx = y * x, ry * rx
+                else:
+                    x, rx = x * y, rx * ry
+                assert type(x.re) is Fraction and type(x.im) is Fraction
+                assert (x.re, x.im) == (rx.re, rx.im)
+                assert hash(x) == hash(rx)
+                assert x.is_zero() == rx.is_zero()
+                if isinstance(y, Scalar):
+                    assert (x == y) == (rx == ry)
+                text = format_scalar(x)
+                assert text == format_scalar(rx)
+                assert parse_scalar(text) == x
+                biggest = max(biggest, abs(x.re.numerator), x.re.denominator,
+                              abs(x.im.numerator), x.im.denominator)
+        assert biggest > 10 ** 30
+
+    def test_equality_and_coercion_edges(self):
+        assert Scalar(F(2, 4), F(-6, 8)) == Scalar(F(1, 2), F(-3, 4))
+        assert Scalar(F(1, 2)) + Scalar(F(1, 2)) == Scalar(1)
+        assert Scalar(0, F(5, 7)) - Scalar(0, F(5, 7)) == Scalar()
+        assert hash(Scalar(F(3, 6), 2)) == hash((F(1, 2), F(2)))
+        assert Scalar("1/3") == Scalar(F(1, 3))
+        assert Scalar(1) != 1 and Scalar(1) != ReferenceScalar(1)
+        with pytest.raises(AttributeError):
+            Scalar(1).re = F(2)
+        with pytest.raises(AttributeError):
+            del Scalar(1).im
+        x = Scalar(F(-7, 3), F(5, 11))
+        assert pickle.loads(pickle.dumps(x)) == copy.copy(x) == copy.deepcopy(x) == x
 
 
 class TestElementText:

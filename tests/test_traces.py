@@ -394,3 +394,114 @@ class TestReferenceOracle:
                     closed.add(rep.closed)
         assert nonzero >= 250
         assert closed == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# kept reference: the traces path in Fraction arithmetic, as it ran when
+# Scalar held Fraction parts; values are (re, im) pairs of Fractions
+
+def parts(s):
+    return s.re, s.im
+
+
+def reference_diagonal_sum(a):
+    """Sum over diagonal terms of coeff * mu(Fix of the state) / d^|v|."""
+    total = (F(0), F(0))
+    d = a.alphabet_size
+    for pmap, coeff in a.terms.items():
+        if pmap.range_prefix == pmap.source_prefix:
+            weight = F(mu_fix_exact(pmap.state), d ** len(pmap.source_prefix))
+            total = (total[0] + coeff.re * weight, total[1] + coeff.im * weight)
+    return total
+
+
+def fraction_value(a, germ):
+    """a.evaluate(germ): the coefficients of the terms whose germ it is."""
+    total = (F(0), F(0))
+    for b, c in a.terms.items():
+        if b.contains_base(germ.base) and b.germ_at(germ.base) == germ:
+            total = (total[0] + c.re, total[1] + c.im)
+    return total
+
+
+def fraction_sum(values):
+    values = list(values)
+    return sum((v[0] for v in values), F(0)), sum((v[1] for v in values), F(0))
+
+
+def fraction_F_eval(a, x):
+    """reference_F_eval's candidate scan with Fraction sums."""
+    depth = max((len(b.source_prefix) for b in a.terms), default=0)
+    own = (b.germ_at(x) for b in a.terms if b.contains_base(x))
+    candidates = dict.fromkeys([unit_germ(a.alphabet_size, x),
+                                *isotropy_germs_at(x, a.machine, depth),
+                                *(g for g in own if g.range() == x)])
+    return fraction_sum(fraction_value(a, g) for g in candidates)
+
+
+def fraction_rep_entries(a, x, basis):
+    """entry(i, j) = a(g_i g_j^-1) with Fraction sums."""
+    return [[fraction_value(a, gi.compose(gj.inverse())) for gj in basis] for gi in basis]
+
+
+def fraction_matmul(p, q):
+    n = len(p)
+    return [[fraction_sum((p[i][k][0] * q[k][j][0] - p[i][k][1] * q[k][j][1],
+                           p[i][k][0] * q[k][j][1] + p[i][k][1] * q[k][j][0])
+                          for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def big_element(machine, rng):
+    """oracle_element with coefficients scaled by a large Gaussian rational."""
+    big = Scalar(F(rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12)),
+                 F(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 12)))
+    return oracle_element(machine, rng).scale(big)
+
+
+class TestFractionReference:
+    def test_traces_match_reference(self, bundled, ternary):
+        rng = random.Random(1501)
+        nonzero = complex_values = 0
+        for m in [*bundled.values(), ternary]:
+            for _ in range(40):
+                a = oracle_element(m, rng) if rng.randrange(2) else big_element(m, rng)
+                for elem in (a, a.adjoint() * a):
+                    want = reference_diagonal_sum(elem)
+                    assert parts(canonical_trace(elem)) == want
+                    assert parts(isotropy_trace(elem)) == want
+                    nonzero += want != (0, 0)
+                    complex_values += want[1] != 0
+        assert nonzero >= 200 and complex_values >= 40, (nonzero, complex_values)
+
+    def test_F_eval_matches_reference(self, bundled, ternary):
+        rng = random.Random(1502)
+        nonzero = 0
+        for m in [*bundled.values(), ternary]:
+            for _ in range(30):
+                a = oracle_element(m, rng) if rng.randrange(2) else big_element(m, rng)
+                for x in oracle_points(m, rng):
+                    want = fraction_F_eval(a, x)
+                    assert parts(F_eval(a, x)) == want
+                    nonzero += want != (0, 0)
+        assert nonzero >= 120, nonzero
+
+    def test_rep_matrix_matches_reference(self, bundled, ternary):
+        rng = random.Random(1503)
+        grig = bundled["grigorchuk"]
+        x = parse_point("(1)", 2)
+        cases = [(grig, x, klein_basis(grig, x))]
+        for m in [bundled["adding"], bundled["lamplighter"], ternary]:
+            for y in oracle_points(m, rng)[:4]:
+                cases.append((m, y, [PartialMap(q, (), (), label=m.name_of(q.state)).germ_at(y)
+                                     for q in m.states()]))
+        nonzero = 0
+        for m, y, basis in cases:
+            for _ in range(6):
+                a, b = big_element(m, rng), oracle_element(m, rng)
+                ra, rb = rep_matrix(a, y, basis), rep_matrix(b, y, basis)
+                want_a = fraction_rep_entries(a, y, basis)
+                assert [list(map(parts, row)) for row in ra.entries] == want_a
+                assert [list(map(parts, row)) for row in ra.product(rb).entries] == (
+                    fraction_matmul(want_a, fraction_rep_entries(b, y, basis)))
+                nonzero += sum(v != (0, 0) for row in want_a for v in row)
+        assert nonzero >= 100, nonzero
