@@ -62,6 +62,11 @@ def _frac_json(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
+def _certificate_json(cert) -> dict:
+    return {"depth": cert.depth, "checks": [list(c) for c in cert.checks],
+            "holds": cert.holds}
+
+
 def _scalar_json(s: Scalar) -> dict:
     return {"re": _frac_json(s.re), "im": _frac_json(s.im)}
 
@@ -88,13 +93,26 @@ def _table(rows: list[list[str]], indent: str = "  ") -> list[str]:
             for r in rows]
 
 
-def _element_json(elem: AlgebraElement) -> list[dict]:
-    text = format_element(elem)
-    out = []
-    for line in text.splitlines():
-        coeff, shift = line.split(None, 1)
-        out.append({"coeff": coeff, "shift": shift})
-    return out
+def _printable(what: str, s: Scalar) -> Scalar:
+    """s, once no part has more decimal digits than Python converts to text
+    (a part of at most 3 * limit bits is below 8**limit < 10**limit)."""
+    limit = sys.get_int_max_str_digits()
+    for n in (*s.re.as_integer_ratio(), *s.im.as_integer_ratio()):
+        if limit and abs(n).bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+            raise ParseError(f"{what} has more than {limit} decimal digits, "
+                             "too many to print")
+    return s
+
+
+def _element_text(elem: AlgebraElement, what: str = "element") -> str:
+    for coeff in elem.terms.values():
+        _printable(f"{what} coefficient", coeff)
+    return format_element(elem)
+
+
+def _element_json(text: str) -> list[dict]:
+    return [dict(zip(("coeff", "shift"), line.split(None, 1)))
+            for line in text.splitlines()]
 
 
 def _machine_header(name: str, machine) -> str:
@@ -147,11 +165,7 @@ def _cmd_fixmeasure(args) -> str:
             "mu_fix": _frac_json(mu),
             "mu_fix_float": float(mu),
             "bracket_holds": bracket,
-            "certificate": {
-                "depth": cert.depth,
-                "checks": [list(c) for c in cert.checks],
-                "holds": cert.holds,
-            },
+            "certificate": _certificate_json(cert),
         })
     lines = [_machine_header(name, machine), f"state: {args.state}", ""]
     rows = [["k", "f_k", "i_k", "P_k", "P_k/d^k"]]
@@ -185,9 +199,7 @@ def _cmd_essfree(args) -> str:
             "machine": name,
             "rows": [{"state": state, "mu_fix": _frac_json(mu),
                       "mu_fix_float": float(mu),
-                      "certificate": {"depth": cert.depth,
-                                      "checks": [list(c) for c in cert.checks],
-                                      "holds": cert.holds}}
+                      "certificate": _certificate_json(cert)}
                      for (state, mu), cert in zip(report.rows, report.certificates)],
             "essentially_free": report.essentially_free,
             "topologically_free": report.topologically_free,
@@ -208,28 +220,20 @@ def _cmd_essfree(args) -> str:
 def _cmd_hausdorff(args) -> str:
     machine, name = _load_machine(args.machine)
     witness = hausdorff_witness(machine)
+    if witness is not None:
+        state, point = machine.name_of(witness[0].state), format_point(witness[1])
     if args.format == "json":
-        payload = {"machine": name, "hausdorff": witness is None}
-        payload["witness"] = None if witness is None else {
-            "state": witness[0].machine.name_of(witness[0].state),
-            "point": format_point(witness[1]),
-        }
-        return _json_dump(payload)
+        found = None if witness is None else {"state": state, "point": point}
+        return _json_dump({"machine": name, "hausdorff": witness is None, "witness": found})
     if args.format == "csv":
-        if witness is None:
-            return "hausdorff,witness_state,witness_point\nyes,,\n"
-        state, point = witness
-        return ("hausdorff,witness_state,witness_point\n"
-                f"no,{state.machine.name_of(state.state)},{format_point(point)}\n")
+        row = "yes,," if witness is None else f"no,{state},{point}"
+        return f"hausdorff,witness_state,witness_point\n{row}\n"
     lines = [_machine_header(name, machine)]
     if witness is None:
         lines.append("hausdorff: yes (no state admits a boundary fixed point "
                      "with interiorizable restrictions)")
     else:
-        state, point = witness
-        lines.append("hausdorff: no")
-        lines.append(f"witness state: {state.machine.name_of(state.state)}")
-        lines.append(f"witness point: {format_point(point)}")
+        lines += ["hausdorff: no", f"witness state: {state}", f"witness point: {point}"]
     return "\n".join(lines) + "\n"
 
 
@@ -250,13 +254,13 @@ def _cmd_dangerous(args) -> str:
 def _cmd_trace(args) -> str:
     machine, name = _load_machine(args.machine)
     elem = _read_element(machine, args.element)
-    tau = canonical_trace(elem)
-    phi = isotropy_trace(elem)
-    diff = tau - phi
+    tau = _printable("canonical trace", canonical_trace(elem))
+    phi = _printable("isotropy trace", isotropy_trace(elem))
+    diff = _printable("difference", tau - phi)
     if args.format == "json":
         return _json_dump({
             "machine": name,
-            "element": _element_json(elem),
+            "element": _element_json(_element_text(elem)),
             "canonical_trace": _scalar_json(tau),
             "isotropy_trace": _scalar_json(phi),
             "difference": _scalar_json(diff),
@@ -267,7 +271,7 @@ def _cmd_trace(args) -> str:
                 f"isotropy_trace,{format_scalar(phi)},{_scalar_float_text(phi)}\n"
                 f"difference,{format_scalar(diff)},{_scalar_float_text(diff)}\n")
     lines = [_machine_header(name, machine), "element:"]
-    lines.extend("  " + ln for ln in (format_element(elem).splitlines() or ["0"]))
+    lines.extend("  " + ln for ln in (_element_text(elem).splitlines() or ["0"]))
     lines.append(f"canonical trace = {format_scalar(tau)} ({_scalar_float_text(tau)})")
     lines.append(f"isotropy trace  = {format_scalar(phi)} ({_scalar_float_text(phi)})")
     lines.append(f"difference      = {format_scalar(diff)} ({_scalar_float_text(diff)})")
@@ -293,7 +297,7 @@ def _cmd_alg(args) -> str:
     verdict = decide(args.cap_patterns)
     key = "is_zero" if op == "iszero" else "is_singular"
     if args.format == "json":
-        return _json_dump({"machine": name, "element": _element_json(elem),
+        return _json_dump({"machine": name, "element": _element_json(_element_text(elem)),
                            key: verdict})
     if args.format == "csv":
         return f"{key}\n{'yes' if verdict else 'no'}\n"
@@ -302,9 +306,9 @@ def _cmd_alg(args) -> str:
 
 
 def _emit_element(args, name: str, machine, elem: AlgebraElement) -> str:
-    text = format_element(elem)
+    text = _element_text(elem, {"mult": "product", "add": "sum"}.get(args.op, args.op))
     if args.format == "json":
-        return _json_dump({"machine": name, "result": _element_json(elem)})
+        return _json_dump({"machine": name, "result": _element_json(text)})
     if args.format == "csv":
         return text + "\n" if text else "# zero element\n"
     lines = [_machine_header(name, machine), "result:"]
@@ -321,6 +325,9 @@ def _cmd_rep(args) -> str:
     iso = [parse_shift(machine, part).germ_at(x)
            for part in (args.iso.split(";") if args.iso else []) if part.strip()]
     mat = rep_matrix(elem, x, basis, iso)
+    for label, row in zip(mat.labels, mat.entries):
+        for column, entry in zip(mat.labels, row):
+            _printable(f"representation entry ({label}, {column})", entry)
     if args.format == "json":
         return _json_dump({
             "machine": name,

@@ -21,7 +21,7 @@ from operator import add
 
 from .errors import SingularSystemError
 from .mealy import (Aut, Machine, backward_distances, distinguishing_depth,
-                    infinite_path_nodes, minimize, strong_components)
+                    forward_closure, infinite_path_nodes, minimize, strong_components)
 from .points import Point, state_lasso
 
 
@@ -46,20 +46,6 @@ def _fixed_successors(m: Machine):
                       if m.outputs[q][x] == x]
 
 
-def _fixed_reach(m: Machine, start: int) -> list[int]:
-    """States reachable from start through letters they fix, start first;
-    the set is closed under _fixed_successors."""
-    succ = _fixed_successors(m)
-    order = [start]
-    seen = {start}
-    for q in order:
-        for t in succ(q):
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-    return order
-
-
 def _word_counts(m: Machine, start: int, depth: int, live: bool) -> list[int]:
     """Number of words of length k = 0 .. depth that start fixes: all of
     them, or with live only those below which the restriction is not e.
@@ -72,7 +58,7 @@ def _word_counts(m: Machine, start: int, depth: int, live: bool) -> list[int]:
     Python frame per state.  m must be minimal, so e is its only trivial
     state.
     """
-    reach = _fixed_reach(m, start)
+    reach = forward_closure([start], _fixed_successors(m))
     pos = {q: i for i, q in enumerate(reach)}
     rows = [(m.outputs[q], m.transitions[q]) for q in reach]
     first, *rest = [[pos[t[x]] if o[x] == x else -1 for o, t in rows]
@@ -253,7 +239,7 @@ def _mu_table(m: Machine, start: int) -> dict[int, Fraction]:
     d = m.alphabet_size
     succ = _fixed_successors(m)
     # the solved states are closed under succ: only new blocks remain
-    nodes = [q for q in _fixed_reach(m, start) if q not in mu]
+    nodes = [q for q in forward_closure([start], succ) if q not in mu]
     for block in strong_components(nodes, succ):
         if len(block) == 1:
             q = block[0]
@@ -314,21 +300,31 @@ class FreenessReport:
         return True
 
 
+def _least_states(mapping: list[int]) -> dict[int, int]:
+    """Class -> least input state in it, for a minimize mapping, the
+    classes in order of that state: the order and names of report rows."""
+    least: dict[int, int] = {}
+    for q, c in enumerate(mapping):
+        least.setdefault(c, q)
+    return least
+
+
 def essential_freeness_report(machine: Machine) -> FreenessReport:
     """Certify essential freeness of the state action, with exact measures.
 
     For every nontrivial state the decay certificate pins the boundary
     of its fixed set as null, which is the essential-freeness condition
-    shift by shift; the reported measure is mu(Fix) = mu(int Fix).
+    shift by shift; the reported measure is mu(Fix) = mu(int Fix).  Rows
+    are listed and named as _least_states orders them.
     """
-    mm, _ = minimize(machine)
+    mm, mapping = minimize(machine)
     rows = []
     certs = []
-    for q in range(mm.size):
-        if q == mm.identity:
+    for c, q in _least_states(mapping).items():
+        if c == mm.identity:
             continue
-        aut = mm.state(q)
-        rows.append((mm.name_of(q), mu_fix_exact(aut)))
+        aut = mm.state(c)
+        rows.append((machine.name_of(q), mu_fix_exact(aut)))
         certs.append(boundary_null_certificate(aut))
     return FreenessReport(tuple(rows), tuple(certs))
 
@@ -410,15 +406,16 @@ def hausdorff_witness(machine: Machine):
 
     The eligible states are those with an infinite fixed path through
     nontrivial interiorizable states of the minimised machine.  Among
-    them the one with the shortest trivially fixed word is reported, ties
-    broken by machine order; the point walks smallest letters first
-    inside the eligible states.
+    them the one with the shortest trivially fixed word is reported as
+    the least input state of its class, ties broken by that state; the
+    point walks smallest letters first inside the eligible states.
     """
     mm, depths, eligible = _witness_states(machine)
     if not eligible:
         return None
-    chosen = min(eligible, key=lambda q: (depths[q], q))
-    return mm.state(chosen), _fixed_lasso(mm, chosen, eligible)
+    least = _least_states(minimize(machine)[1])
+    chosen = min(eligible, key=lambda c: (depths[c], least[c]))
+    return machine.state(least[chosen]), _fixed_lasso(mm, chosen, eligible)
 
 
 def is_dangerous(machine: Machine, x: Point) -> bool:

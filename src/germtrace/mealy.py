@@ -11,20 +11,22 @@ Every machine has one quotient by automorphism equality, computed once
 and memoised (`minimize`).  The refinement behind it names each class by
 the rank of its signature, so a minimal machine gets an order on its
 states that does not depend on how they were numbered; a minimal machine
-has no symmetry, so that order numbers it canonically.  A state's
-canonical form is a pair (interned machine, state): the machine holds the
-states reachable from the state's strongly connected component (SCC),
-numbered in that order, with the component marked as its root.  All
-states of a component share one interned machine, and a state in the root
-of an interned machine is its own canonical form.  Products and inverses
-are explored from canonical operands, and their quotients are numbered
-and interned the same way.  Two automorphisms are equal iff their
-canonical forms have the identical machine and the same state, which
-makes equality, hashing and identity tests cheap for every higher layer.
-Products and inverses are memoised on the interned machine of the left
-canonical operand, next to the canonical forms of its states; keys and
-values hold interned machines only.  The intern table is the only
-module-level state; every memo sits on a machine.
+has no symmetry, so that order numbers it canonically.  It is the one
+numbering of minimal machines: the quotient, which has no state names,
+and every interned machine use it.  A state's canonical form is a pair
+(interned machine, state): the machine holds the states reachable from
+the state's strongly connected component (SCC), numbered in that order,
+with the component marked as its root.  All states of a component share
+one interned machine, and a state in the root of an interned machine is
+its own canonical form.  Products and inverses are explored from
+canonical operands, and their quotients are numbered and interned the
+same way.  Two automorphisms are equal iff their canonical forms have
+the identical machine and the same state, which makes equality, hashing
+and identity tests cheap for every higher layer.  Products and inverses
+are memoised on the interned machine of the left canonical operand, next
+to the canonical forms of its states; keys and values hold interned
+machines only.  The intern table is the only module-level state; every
+memo sits on a machine.
 """
 
 from __future__ import annotations
@@ -321,24 +323,17 @@ def _derive(d, start, out_fn, trans_fn, what, *machines):
     return len(outs), Aut(_intern(d, q_outs, q_trans, block[0]), block[0])
 
 
-def _interned_closure(m: Machine, rank, q) -> "Aut":
-    """Canonical form of state q of a minimal machine whose states rank
-    orders as _quotient would.
+def _interned_closure(m: Machine, q) -> "Aut":
+    """Canonical form of state q of an interned machine or a quotient,
+    minimal machines numbered as _quotient numbers them.
 
     Every state of q's strongly connected component reaches the same
-    states, its closure.  The closure is interned, numbered in the order
-    of rank, with the component as its root, and the canonical forms of
-    all the component's states are memoised on m.
+    states, its closure.  The closure is interned, numbered in m's order,
+    with the component as its root, and the canonical forms of all the
+    component's states are memoised on m.
     """
     transitions = m.transitions
-    order = [q]
-    seen = {q}
-    for s in order:
-        for t in transitions[s]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-    order.sort(key=rank.__getitem__)
+    order = sorted(forward_closure([q], transitions.__getitem__))
     number = {s: i for i, s in enumerate(order)}
     closure = _intern(m.alphabet_size, tuple(m.outputs[s] for s in order),
                       tuple(tuple(number[t] for t in transitions[s]) for s in order),
@@ -364,9 +359,9 @@ class Aut:
         minimize), numbered canonically (see the module docstring).
 
         A state in the root of an interned machine is returned as it is.
-        Other states of an interned machine, which is minimal and
-        canonically numbered already, are canonicalised without
-        refinement; every state takes one memo lookup afterwards.
+        Other states of an interned machine or of a quotient, which are
+        minimal and canonically numbered already, are canonicalised
+        without refinement; every state takes one memo lookup afterwards.
         """
         m, q = self.machine, self.state
         root = m.root
@@ -374,12 +369,12 @@ class Aut:
             return self
         cached = m._memo.get(("canon", q))
         if cached is None:
-            rank = range(m.size) if root is not None else m._memo.get("rank")
-            if rank is None:  # not known to be minimal
+            quotient = m._memo.get("minimize")
+            if root is not None or quotient is not None and quotient[0] is m:
+                cached = _interned_closure(m, q)
+            else:
                 mm, mapping = minimize(m)
                 cached = m._memo[("canon", q)] = Aut(mm, mapping[q]).canonical()
-            else:
-                cached = _interned_closure(m, rank, q)
         return cached
 
     def apply_word(self, w) -> Word:
@@ -488,9 +483,7 @@ class Aut:
         return c.machine.table_hash ^ c.state
 
     def __repr__(self):
-        m = self.machine
-        label = m.name_of(self.state) if m.names is not None else f"q{self.state}"
-        return f"<Aut {label} of {m!r}>"
+        return f"<Aut {self.machine.name_of(self.state)} of {self.machine!r}>"
 
 
 def _canonical_pair(m: Machine, q: int) -> tuple[Machine, int]:
@@ -511,34 +504,36 @@ def minimize(machine: Machine) -> tuple[Machine, list[int]]:
     """Quotient by automorphism equality, memoised on the machine.
 
     Returns the quotient machine plus the old-state -> new-state mapping
-    (a fresh list on every call).  Classes are ordered by their least
-    original index and keep that representative's row and name.  Every
-    canonical form of a state of a machine that is not interned is read
-    off this quotient (interned machines are minimal already), in the
-    order _quotient ranks the classes; the quotient keeps those ranks as
-    its "rank" memo.
+    (a fresh list on every call).  The quotient's states are the classes
+    in the order _quotient ranks them, the one numbering of a minimal
+    machine; the quotient has no state names, and is its own quotient.
+    Every canonical form of a state of a machine that is not interned is
+    read off this quotient (interned machines are minimal already).
     """
     cached = machine._memo.get("minimize")
     if cached is None:
         d = machine.alphabet_size
-        block = _quotient(machine.outputs, machine.transitions)[2]
-        least = {}  # class rank -> least member, in order of least member
-        for q, b in enumerate(block):
-            least.setdefault(b, q)
-        number = {b: i for i, b in enumerate(least)}
-        outputs = tuple(machine.outputs[q] for q in least.values())
-        transitions = tuple(tuple(number[block[t]] for t in machine.transitions[q])
-                            for q in least.values())
-        names = None
-        if machine.names is not None:
-            names = tuple(machine.names[q] for q in least.values())
+        outputs, transitions, block = _quotient(machine.outputs, machine.transitions)
         quotient = object.__new__(Machine)._fill(
-            d, outputs, transitions, _identity_state(d, outputs, transitions), names, None)
-        quotient._memo["rank"] = tuple(least)
-        cached = (quotient, tuple(number[b] for b in block))
-        machine._memo["minimize"] = cached
+            d, outputs, transitions, _identity_state(d, outputs, transitions), None, None)
+        quotient._memo["minimize"] = (quotient, tuple(range(len(outputs))))
+        cached = machine._memo["minimize"] = (quotient, tuple(block))
     quotient, block = cached
     return quotient, list(block)
+
+
+def forward_closure(starts, succ) -> list:
+    """Nodes reachable from starts, the distinct starts first in the order
+    given and the rest breadth-first; succ(q) lists the successors of q
+    (repeats allowed).  Linear in the size of the closure."""
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
+    for q in order:
+        for t in succ(q):
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    return order
 
 
 def backward_distances(nodes, succ, targets) -> dict:

@@ -521,6 +521,44 @@ class TestFloatRange:
             for part, f in (("re", value.re), ("im", value.im))}
 
 
+LONG_PRODUCT = "1" + "0" * 3000  # its square has 6,001 digits
+DEEP = "0" * 15000  # the trace of e on a cylinder this deep is 1/2^15000
+NINES = "9" * 4300  # twice it has 4,301 digits
+
+PAST_DIGIT_LIMIT = {
+    "product": (("alg", "mult", "-m", "grigorchuk", "-e1", f"{LONG_PRODUCT} e:>",
+                 "-e2", f"{LONG_PRODUCT} e:>"), "product coefficient"),
+    "trace": (("trace", "-m", "grigorchuk", "-e", f"1 e:{DEEP}>{DEEP}"),
+              "canonical trace"),
+    "rep": (("rep", "-m", "grigorchuk", "-e", f"{NINES} e:>;{NINES} e:1>1",
+             "-x", "(1)", "--basis", "e:>"), "representation entry (e, e)"),
+}
+
+
+class TestDigitLimit:
+    """A value with more decimal digits than Python converts to text is a
+    parse-style limit of the output: exit 2, a message naming the value,
+    nothing on stdout, and the process-wide limit left alone."""
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("case", sorted(PAST_DIGIT_LIMIT))
+    def test_value_past_limit_is_refused(self, capsys, case, fmt):
+        argv, what = PAST_DIGIT_LIMIT[case]
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {what} has more than {limit} decimal digits, "
+                       "too many to print\n")
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_value_at_limit_prints(self, capsys, fmt):
+        code, out, err = run(capsys, "rep", "-m", "grigorchuk", "-e", f"{NINES} e:>",
+                             "-x", "(1)", "--basis", "e:>", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert NINES in out
+
+
 class TestCaps:
     @pytest.mark.parametrize("argv", [
         ("wordproblem", "-m", "grigorchuk", "-s", "a*b", "--cap-states", "1"),
@@ -561,6 +599,19 @@ class TestDeterminism:
         second = run(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.json"
+
+
+class TestGolden:
+    def test_stdout_matches_golden_file(self, capsys):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert len(golden) >= 26
+        for key, expected in golden.items():
+            code, out, err = run(capsys, *json.loads(key))
+            assert (code, err) == (0, ""), key
+            assert out.encode() == expected.encode(), key
 
 
 def run_fresh(*argv):

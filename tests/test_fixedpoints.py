@@ -27,7 +27,7 @@ from germtrace import (
     parse_machine,
     parse_point,
 )
-from germtrace import fixedpoints
+from germtrace import fixedpoints, mealy
 from germtrace.fixedpoints import (DecayCertificate, FixCounts, _mu_table,
                                    _solve_integer_system, closure_boundary_null,
                                    essential_freeness_report)
@@ -815,13 +815,21 @@ class TestCountKernelOracle:
                 assert boundary_null_certificate(g) == reference_certificate(g)
 
     def test_reports_match_reference(self, bundled, ternary):
-        for m in list(bundled.values()) + [ternary] + list(self.machines()):
-            mm = minimize(m)[0]
+        # states 0 and 1 are equal; each row is named after the least input
+        # state of its class, so state 2's row is q2 (its quotient index is 1)
+        unnamed = Machine(2, [(1, 0), (1, 0), (0, 1), (0, 1)],
+                          [(3, 3), (3, 3), (0, 3), (3, 3)], identity=3)
+        assert minimize(unnamed)[0].size == 3
+        assert essential_freeness_report(unnamed).rows == (
+            ("q0", Fraction(0)), ("q2", Fraction(1, 2)))
+        for m in list(bundled.values()) + [ternary] + list(self.machines()) + [unnamed]:
+            mapping = minimize(m)[1]
             report = essential_freeness_report(m)
-            states = [q for q in range(mm.size) if q != mm.identity]
+            least = [q for q in range(m.size) if mapping[q] not in mapping[:q]]
+            states = [q for q in least if not m.state(q).is_identity()]
             assert report.certificates == tuple(
-                reference_certificate(mm.state(q)) for q in states)
-            assert report.rows == tuple((mm.name_of(q), mu_fix_exact(mm.state(q)))
+                reference_certificate(m.state(q)) for q in states)
+            assert report.rows == tuple((m.name_of(q), mu_fix_exact(m.state(q)))
                                         for q in states)
             for q in range(m.size):
                 c = m.state(q).canonical()
@@ -849,3 +857,83 @@ class TestCountKernelOracle:
         for m in machines:
             for q in range(m.size):
                 assert boundary_null_certificate(m.state(q)) == cold[m, q]
+
+
+# ---------------------------------------------------------------------------
+# one numbering of minimal machines: the quotient's, with report rows and
+# witnesses listed and named by least input state
+
+
+def raw_mu_table(m):
+    """mu(Fix_q) for every state of a machine that need not be minimal,
+    from one dense system over the states oracle_trivial finds nontrivial;
+    trivial states have measure 1."""
+    d = m.alphabet_size
+    trivial = [oracle_trivial(m, q) for q in range(m.size)]
+    others = [q for q in range(m.size) if not trivial[q]]
+    idx = {q: i for i, q in enumerate(others)}
+    A = [[0] * len(others) for _ in others]
+    b = [0] * len(others)
+    for q in others:
+        A[idx[q]][idx[q]] += d
+        for x in range(d):
+            t = m.transitions[q][x]
+            if m.outputs[q][x] != x:
+                continue
+            if trivial[t]:
+                b[idx[q]] += 1
+            else:
+                A[idx[q]][idx[t]] -= 1
+    table = [Fraction(1)] * m.size
+    for q, x in zip(others, reference_bareiss(A, b) if others else []):
+        table[q] = x
+    return table
+
+
+class TestOneNumbering:
+    def machines(self):
+        rng = random.Random(1717)
+        return [layered_machine(rng, rng.randint(5, 7), rng.choice((2, 3)),
+                                rng.random() < 0.75) for _ in range(120)]
+
+    def test_interned_machines_and_quotients_number_themselves(self):
+        for m in self.machines():
+            mm = minimize(m)[0]
+            assert mealy._quotient(mm.outputs, mm.transitions)[2] == list(range(mm.size))
+            for q in range(m.size):
+                m.state(q).canonical()
+        interned = list(mealy._interned.values())
+        assert len(interned) >= 50
+        for M in interned:
+            assert mealy._quotient(M.outputs, M.transitions)[2] == list(range(M.size))
+            assert "rank" not in M._memo
+
+    def test_values_cold_and_warm(self):
+        machines = self.machines()
+        mus = [raw_mu_table(m) for m in machines]
+        oracles = [RawOracle(m) for m in machines]
+        for m in machines:
+            for q in range(m.size):
+                memo = m.state(q).canonical().machine._memo
+                for key in ("mu", "depth", "boundary_null"):
+                    memo.pop(key, None)
+        for warm in (False, True):
+            nonminimal = witnesses = 0
+            for m, mu, oracle in zip(machines, mus, oracles):
+                mapping = minimize(m)[1]
+                nonminimal += len(set(mapping)) < m.size
+                for q in range(m.size):
+                    g = m.state(q)
+                    assert mu_fix_exact(g) == mu[q], (warm, m.outputs, m.transitions, q)
+                    assert boundary_null_certificate(g) == reference_certificate(g)
+                witness = hausdorff_witness(m)
+                eligible = [q for q in range(m.size)
+                            if any(oracle.points(q, oracle.eligible))]
+                assert (witness is not None) == bool(eligible)
+                if witness is not None:
+                    g, x = witness
+                    witnesses += 1
+                    assert g.machine is m and g.state in eligible
+                    assert g.state == mapping.index(mapping[g.state])
+                    assert oracle.walk_ok(g.state, x, oracle.eligible)
+            assert nonminimal >= 80 and witnesses >= 15, (nonminimal, witnesses)

@@ -652,11 +652,10 @@ class TestQuotientOracle:
             for q, b in enumerate(mapping):
                 got.setdefault(b, set()).add(q)
             assert {frozenset(c) for c in got.values()} == expected
-            least = sorted(min(c) for c in got.values())
-            assert [mapping[q] for q in least] == list(range(mm.size))
-            for q in least:
-                assert mm.outputs[mapping[q]] == m.outputs[q]
-                assert mm.names[mapping[q]] == m.names[q]
+            assert (mm.outputs, mm.transitions) == mealy._quotient(m.outputs,
+                                                                   m.transitions)[:2]
+            assert mm.names is None
+            assert minimize(mm) == (mm, list(range(mm.size)))
             merged += mm.size < m.size
             singleton += mm.size == m.size
         assert merged >= 20 and singleton >= 20, (merged, singleton)
