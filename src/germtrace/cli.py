@@ -316,14 +316,24 @@ def _emit_element(args, name: str, machine, elem: AlgebraElement) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _germs_at(machine, x, text: str, flag: str) -> list:
+    """Germs at x of the semicolon-separated shifts of one flag; a domain
+    error names the offending part."""
+    germs = []
+    for part in filter(str.strip, text.split(";")):
+        try:
+            germs.append(parse_shift(machine, part).germ_at(x))
+        except DomainError as exc:
+            raise DomainError(f"{flag} part {excerpt(part.strip())}: {exc}") from None
+    return germs
+
+
 def _cmd_rep(args) -> str:
     machine, name = _load_machine(args.machine)
     elem = _read_element(machine, args.element)
     x = parse_point(args.point, machine.alphabet_size)
-    basis = [parse_shift(machine, part).germ_at(x)
-             for part in args.basis.split(";") if part.strip()]
-    iso = [parse_shift(machine, part).germ_at(x)
-           for part in (args.iso.split(";") if args.iso else []) if part.strip()]
+    basis = _germs_at(machine, x, args.basis, "--basis")
+    iso = _germs_at(machine, x, args.iso, "--iso")
     mat = rep_matrix(elem, x, basis, iso)
     for label, row in zip(mat.labels, mat.entries):
         for column, entry in zip(mat.labels, row):

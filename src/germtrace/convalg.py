@@ -22,7 +22,7 @@ from math import gcd
 
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
-from .germs import Germ, PartialMap, bisection_product, unit_germ
+from .germs import Germ, PartialMap, _germ_key, _unit_key, bisection_product
 from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore,
                     _quotient, _state_cap, backward_distances, identity_aut,
                     infinite_path_nodes, parse_state_expr, parse_word, word_text)
@@ -344,15 +344,16 @@ class AlgebraElement:
 
     def evaluate(self, germ: Germ) -> Scalar:
         """Value of the represented function at a germ."""
-        total = ZERO
-        for b, c in self.terms.items():
-            if b.contains_base(germ.base) and b.germ_at(germ.base) == germ:
-                total = total + c
-        return total
+        return self._value_at(germ.base, germ.key)
 
     def unit_restriction_eval(self, x: Point) -> Scalar:
         """E(a)(x): the value at the unit germ over x."""
-        return self.evaluate(unit_germ(self.alphabet_size, x))
+        return self._value_at(x, _unit_key(self.alphabet_size, x))
+
+    def _value_at(self, x: Point, key: tuple) -> Scalar:
+        """Sum of c_t over the terms t whose germ at x has this key."""
+        return sum((c for b, c in self.terms.items()
+                    if b.contains_base(x) and _germ_key(b, x) == key), ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .mealy import (Aut, Machine, Word, _canonical_pair, check_word, compose_labels,
+from .mealy import (Aut, Machine, Word, _canonical_pair, _inverse_recorded,
+                    _product_recorded, _replay_steps, check_word, compose_labels,
                     identity_aut, invert_label, restrict_label, word_text)
 from .points import BOUNDARY, Point, apply_to_point, fixed_walk, state_lasso
 
@@ -103,21 +104,28 @@ def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
     """
     if b1.alphabet_size != b2.alphabet_size:
         raise DomainError("alphabet size mismatch")
+    piece = _piece(b1, b2, [])
+    return [] if piece is None else [piece]
+
+
+def _piece(b1: PartialMap, b2: PartialMap, steps: list) -> PartialMap | None:
+    """bisection_product's one piece or None, appending the replay records
+    of the products and inverses it takes to steps."""
     v1, u2 = b1.source_prefix, b2.range_prefix
     if len(u2) >= len(v1):
         if u2[:len(v1)] != v1:
-            return []
+            return None
         left = b1.restrict_source(u2[len(v1):])
-        state = left.state * b2.state
-        return [PartialMap(state, left.range_prefix, b2.source_prefix,
-                           compose_labels(left.label, b2.label))]
+        state = _product_recorded(left.state, b2.state, steps)
+        return PartialMap(state, left.range_prefix, b2.source_prefix,
+                          compose_labels(left.label, b2.label))
     if v1[:len(u2)] != u2:
-        return []
-    w = b2.state.inverse().apply_word(v1[len(u2):])
+        return None
+    w = _inverse_recorded(b2.state, steps).apply_word(v1[len(u2):])
     right = b2.restrict_source(w)
-    state = b1.state * right.state
-    return [PartialMap(state, b1.range_prefix, right.source_prefix,
-                       compose_labels(b1.label, right.label))]
+    state = _product_recorded(b1.state, right.state, steps)
+    return PartialMap(state, b1.range_prefix, right.source_prefix,
+                      compose_labels(b1.label, right.label))
 
 
 class Germ:
@@ -132,9 +140,12 @@ class Germ:
     the one at depth n stored at index n mod len(cycle).  Invariant: two
     germs are equal iff their keys are, so equal germs hash equal.
     Anchoring the cycle to the depth keeps apart two states that chase
-    each other round the same cycle.  The key is computed on first use
-    from one walk of q's lasso along the shifted base, which yields the
-    range's letters and the cycle together; range() reads it off the key.
+    each other round the same cycle.  The key comes from one walk of q's
+    lasso along the shifted base, which yields the range's letters and
+    the cycle together; range() reads it off the key.  The walk runs
+    once per (shift, base): its key is memoised on the interned machine
+    of q (see _germ_key), so a germ rebuilt from a fresh map looks its
+    key up.
     """
 
     __slots__ = ("map", "base", "_key")
@@ -152,22 +163,11 @@ class Germ:
     @property
     def key(self) -> tuple:
         if self._key is None:
-            aut = self.map.state  # canonical, so its states are distinct
-            k = len(self.map.source_prefix)
-            y = self.base.shift(k)
-            states, start = state_lasso(aut, y)
-            out = aut.machine.outputs
-            image = self.map.range_prefix + tuple(
-                out[q][y.letter(i)] for i, q in enumerate(states))
-            cycle = states[start:]  # cycle[i] sits at depth k + start + i
-            r = (k + start) % len(cycle)
-            cycle = cycle[-r:] + cycle[:-r]
-            self._key = (self.base, Point(image[:k + start], image[k + start:]),
-                         tuple(_canonical_pair(aut.machine, s) for s in cycle))
+            self._key = _germ_key(self.map, self.base)
         return self._key
 
     def is_unit(self) -> bool:
-        return self.key == unit_germ(self.map.alphabet_size, self.base).key
+        return self.key == _unit_key(self.map.alphabet_size, self.base)
 
     def fixes_base(self) -> bool:
         return self.range() == self.base
@@ -202,7 +202,71 @@ class Germ:
 
 
 def unit_germ(alphabet_size: int, x: Point) -> Germ:
-    return PartialMap(identity_aut(alphabet_size), (), (), "e").germ_at(x)
+    return Germ(_unit_map(alphabet_size), x)
+
+
+# Derived germ data is memoised on the interned machine of a shift's
+# (canonical) state, next to its products and inverses, so it lives and
+# dies with the machine and adds no module state.
+
+def _germ_key(pmap: PartialMap, x: Point) -> tuple:
+    """Germ.key of pmap's germ at x, where pmap's source cylinder holds x,
+    memoised under ("germ", state, u, v, x)."""
+    aut = pmap.state
+    u, v = pmap.range_prefix, pmap.source_prefix
+    memo = aut.machine._memo
+    slot = ("germ", aut.state, u, v, x)
+    key = memo.get(slot)
+    if key is None:
+        k = len(v)
+        y = x.shift(k)
+        states, start = state_lasso(aut, y)
+        out = aut.machine.outputs
+        image = u + tuple(out[q][y.letter(i)] for i, q in enumerate(states))
+        cycle = states[start:]  # cycle[i] sits at depth k + start + i
+        r = (k + start) % len(cycle)
+        cycle = cycle[-r:] + cycle[:-r]
+        key = memo[slot] = (x, Point(image[:k + start], image[k + start:]),
+                            tuple(_canonical_pair(aut.machine, s) for s in cycle))
+    return key
+
+
+def _unit_map(alphabet_size: int) -> PartialMap:
+    """The identity shift, memoised on the identity machine."""
+    e = identity_aut(alphabet_size)
+    unit = e.machine._memo.get("unit")
+    if unit is None:
+        unit = e.machine._memo["unit"] = PartialMap(e, (), (), "e")
+    return unit
+
+
+def _unit_key(alphabet_size: int, x: Point) -> tuple:
+    return _germ_key(_unit_map(alphabet_size), x)
+
+
+def _after_key(t: PartialMap, g: PartialMap, x: Point) -> tuple:
+    """Key of the germ at x of t after g, where g's source cylinder holds
+    x and t's holds g(x): the germ of t at g(x) composed with g's at x.
+
+    Memoised under ("after", t, g, x) with the replay records of the
+    products and inverses the composite took, which a hit replays: it
+    is refused under exactly the caps, and with the text, that refuse
+    building it afresh.
+    """
+    aut, gaut = t.state, g.state
+    memo = aut.machine._memo
+    slot = ("after", aut.state, t.range_prefix, t.source_prefix,
+            gaut.machine, gaut.state, g.range_prefix, g.source_prefix, x)
+    entry = memo.get(slot)
+    if entry is not None:
+        _replay_steps(entry[0])
+        return entry[1]
+    steps = []
+    piece = _piece(t, g, steps)
+    if piece is None or not piece.contains_base(x):
+        raise DomainError("germ sources and ranges do not match up")
+    entry = memo[slot] = (tuple(steps), _germ_key(piece, x))
+    return entry[1]
 
 
 def isotropy_germs_at(x: Point, machine: Machine, depth_cap: int) -> list[Germ]:

@@ -25,7 +25,8 @@ the identical machine and the same state, which makes equality, hashing
 and identity tests cheap for every higher layer.  Products and inverses
 are memoised on the interned machine of the left canonical operand, next
 to the canonical forms of its states; keys and values hold interned
-machines only.  The intern table is the only module-level state; every
+machines only.  The germs layer keeps its germ keys and composites on
+the same memos.  The intern table is the only module-level state; every
 memo sits on a machine.
 """
 
@@ -304,6 +305,33 @@ def _replay(explored, result, what, *machines) -> "Aut":
     if explored > cap:
         raise _cap_error(cap, what.format(*machines))
     return result
+
+
+def _product_recorded(x: "Aut", y: "Aut", steps: list) -> "Aut":
+    """x * y, appending to steps its replay record (explored, what,
+    *machines): what _replay needs to refuse the memoised product as
+    building it afresh would."""
+    a, b = x.canonical(), y.canonical()
+    result = a.compose(b)
+    A, B = a.machine, b.machine
+    steps.append((A._memo[("compose", a.state, B, b.state)][0], _PRODUCT, A, B))
+    return result
+
+
+def _inverse_recorded(x: "Aut", steps: list) -> "Aut":
+    """x.inverse(), appending its replay record to steps like
+    _product_recorded."""
+    c = x.canonical()
+    result = c.inverse()
+    steps.append((c.machine._memo[("inverse", c.state)][0], _INVERSE, c.machine))
+    return result
+
+
+def _replay_steps(steps) -> None:
+    """Refuse, as the first of the recorded products and inverses the
+    current cap would refuse, or pass."""
+    for explored, *what in steps:
+        _replay(explored, None, *what)
 
 
 def _derive(d, start, out_fn, trans_fn, what, *machines):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .convalg import ZERO, AlgebraElement, Scalar, _weighted_sum
 from .errors import DomainError
 from .fixedpoints import closure_boundary_null, mu_fix_exact
-from .germs import Germ, unit_germ
+from .germs import Germ, _after_key, _germ_key, _unit_key, _unit_map
 from .mealy import word_text
 from .points import Point
 
@@ -64,7 +64,7 @@ def F_eval(a: AlgebraElement, x: Point) -> Scalar:
     cylinder holds x and whose germ there fixes x.
     """
     return sum((c for b, c in a.terms.items()
-                if b.contains_base(x) and b.germ_at(x).fixes_base()), ZERO)
+                if b.contains_base(x) and _germ_key(b, x)[1] == x), ZERO)
 
 
 def isotropy_defect(a: AlgebraElement, x: Point) -> Scalar:
@@ -91,7 +91,9 @@ class RepMatrix:
     """Matrix of an element on a germ basis with common source.
 
     closed reports whether every term of the element maps every basis
-    germ back into the basis; only then is the truncation multiplicative.
+    germ back into the basis and no two basis germs lie in one coset of
+    the isotropy subgroup (or coincide); only then is the truncation
+    multiplicative.
     """
 
     labels: tuple[str, ...]
@@ -136,35 +138,41 @@ def rep_matrix(a: AlgebraElement, x: Point, basis: list[Germ],
     basis germs must all have source x; iso, when nonempty, must be a
     finite set of isotropy germs at x closed under composition and
     inverse (the unit is adjoined automatically), and the matrix then
-    acts on the basis germs' cosets.
+    acts on the basis germs' cosets.  Germs are handled by key, and each
+    composite's key is memoised (see germs._after_key), so a repeated
+    call builds no shift or germ.
     """
     for g in basis:
         if g.base != x:
             raise DomainError("basis germ does not have source x")
     if not basis:
         raise DomainError("basis must be nonempty")
-    subgroup = dict.fromkeys([unit_germ(a.alphabet_size, x), *iso])
-    for h in subgroup:
+    unit = _unit_key(a.alphabet_size, x)
+    subgroup = {unit: _unit_map(a.alphabet_size)}  # key -> shift
+    for h in iso:
         if h.base != x or h.range() != x:
             raise DomainError("iso germ is not isotropy at x")
-    for h1 in subgroup:
-        if any(h1.compose(h2) not in subgroup for h2 in subgroup):
+        subgroup.setdefault(h.key, h.map)
+    for h1 in subgroup.values():
+        products = {_after_key(h1, h2, x) for h2 in subgroup.values()}
+        if not products <= subgroup.keys():
             raise DomainError("iso germs are not closed under composition")
-        if h1.inverse() not in subgroup:
+        if unit not in products:  # h1 h2 = 1 for no h2 in the subgroup
             raise DomainError("iso germs are not closed under inverse")
 
     # a(g_i h g_j^-1) sums c_t over the terms t with t o g_j = g_i o h
-    rows: dict[Germ, list[int]] = {}
+    rows: dict[tuple, list[int]] = {}
     for i, gi in enumerate(basis):
-        for h in subgroup:
-            rows.setdefault(gi.compose(h), []).append(i)
-    members = set(basis)
+        for h in subgroup.values():
+            rows.setdefault(_after_key(gi.map, h, x), []).append(i)
+    members = {g.key for g in basis}
     entries = [[ZERO] * len(basis) for _ in basis]
-    closed = True
+    # two rows under one key: basis germs that share a coset, or repeat
+    closed = all(len(r) == 1 for r in rows.values())
     for pmap, coeff in a.terms.items():
         for j, gj in enumerate(basis):
             if pmap.contains_base(gj.range()):
-                moved = pmap.germ_at(gj.range()).compose(gj)
+                moved = _after_key(pmap, gj.map, x)
                 closed = closed and moved in members
                 for i in rows.get(moved, ()):
                     entries[i][j] += coeff

@@ -15,6 +15,7 @@ from germtrace import (
     Scalar,
     parse_machine,
 )
+from germtrace import mealy
 
 
 def _bundled(name: str) -> Machine:
@@ -99,6 +100,14 @@ def random_element(
         pm = PartialMap(state, u, v, label=label)
         terms[pm] = terms.get(pm, Scalar(Fraction(0))) + random_scalar(rng, complex_ok)
     return AlgebraElement(machine, terms)
+
+
+def pop_memos(*kinds: str) -> None:
+    """Drop the memo entries of these kinds ("germ", "after", "compose",
+    "inverse", "unit", ...) from every interned machine."""
+    for m in list(mealy._interned.values()):
+        for key in [k for k in m._memo if (k if isinstance(k, str) else k[0]) in kinds]:
+            del m._memo[key]
 
 
 # Acceptance criteria report one line each at the end of the run.

@@ -12,6 +12,7 @@ import pytest
 
 import germtrace
 from germtrace import ParseError
+from germtrace.errors import excerpt
 from germtrace.cli import _build_parser, _check_printable_depth, main
 
 
@@ -244,6 +245,16 @@ class TestRep:
         assert code == 0
 
 
+    @pytest.mark.parametrize("argv", [
+        ("-e", "1 e:>", "--basis", "e:>;e:>"),
+        ("-e", "1 e:>", "--basis", "e:>;b:>;c:>;d:>", "--iso", "d:>"),
+    ], ids=["repeat", "shared-coset"])
+    def test_not_multiplicative_is_not_closed(self, capsys, argv):
+        code, out, _ = run(capsys, "rep", "-m", "grigorchuk", "-x", "(1)", *argv)
+        assert code == 0
+        assert "closed: no" in out
+
+
 class TestWordproblem:
     def test_identity(self, capsys):
         code, out, _ = run(
@@ -334,6 +345,21 @@ class TestHostileInput:
     ], ids=["essfree", "hausdorff", "dangerous", "fixmeasure", "wordproblem"])
     def test_cap_flag_only_where_it_bounds_work(self, capsys, argv):
         self.assert_parse_error(capsys, *argv, needle=argv[-2])
+
+    @pytest.mark.parametrize("flag, part", [
+        ("--basis", "e:0>0"),
+        ("--iso", "d:0>0"),
+        ("--basis", "b:" + "0" * 3000 + ">" + "0" * 3000),
+    ], ids=["basis", "iso", "long"])
+    def test_rep_names_the_part_off_the_point(self, capsys, flag, part):
+        argv = {"--basis": ("--basis", f"b:>; {part}"),
+                "--iso": ("--basis", "e:>;b:>", "--iso", f"d:>;{part}")}[flag]
+        code, out, err = run(capsys, "rep", "-m", "grigorchuk", "-e", "1 b:>",
+                             "-x", "(1)", *argv)
+        assert code == 4 and out == ""
+        assert err.startswith(f"error: {flag} part {excerpt(part)}: ")
+        assert "outside the source cylinder" in err and "Traceback" not in err
+        assert len(err) < 300
 
     def test_non_integer_cap(self, capsys):
         self.assert_parse_error(capsys, "fixmeasure", "-m", "grigorchuk",

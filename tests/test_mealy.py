@@ -27,10 +27,10 @@ from germtrace import (
     state_cap,
 )
 
-from germtrace import mealy
+from germtrace import AlgebraElement, PartialMap, Point, Scalar, germs, mealy, rep_matrix
 from germtrace.mealy import backward_distances, infinite_path_nodes, strong_components
 
-from conftest import random_word
+from conftest import pop_memos, random_element, random_word
 
 
 def oracle_min_moved(machine, q, max_len=8):
@@ -506,6 +506,117 @@ class TestCapReplay:
             "5-state automorphism")
         assert cap_outcome(3, b.inverse) == (
             "more than 3 states while building the inverse of a 5-state automorphism")
+
+
+def rep_outcome(cap, a, x, basis, iso=()):
+    """rep_matrix's (entries, closed) under the cap, or the text of the
+    StateCapError it raises."""
+    with state_cap(cap):
+        try:
+            rep = rep_matrix(a, x, basis, iso)
+            return rep.entries, rep.closed
+        except StateCapError as exc:
+            return str(exc)
+
+
+def after_outcome(cap, t, g):
+    """The composite key germs._after_key gives under the cap, or the
+    text of the StateCapError it raises."""
+    with state_cap(cap):
+        try:
+            return germs._after_key(t, g.map, g.base)
+        except StateCapError as exc:
+            return str(exc)
+
+
+def outcomes_over_caps(outcome):
+    """outcome(cap) for caps 1, 2, ... up to the first accepted one, each
+    built with every product, inverse and germ memo dropped first."""
+    cold = []
+    while not cold or isinstance(cold[-1], str):
+        pop_memos("germ", "after", "compose", "inverse")
+        cold.append(outcome(len(cold) + 1))
+    return cold
+
+
+class TestCompositeCapReplay:
+    """A memoised composite germ key replays the products and inverses its
+    build took, so rep_matrix is refused under exactly the caps, and with
+    the text, that refuse it when nothing is memoised."""
+
+    def composites(self, bundled, ternary):
+        """(term, basis germ) pairs of both bisection_product branches: a
+        term whose source prefix is no longer than the germ's range prefix
+        (a product) and one whose prefix is longer (an inverse, then a
+        product)."""
+        rng = random.Random(9094)
+        for m in [bundled["grigorchuk"], bundled["lamplighter"], ternary]:
+            d = m.alphabet_size
+            for _ in range(6):
+                x = Point(random_word(rng, d, rng.randint(0, 2)),
+                          random_word(rng, d, rng.randint(1, 2)))
+                k = rng.randint(0, 1)
+                g = PartialMap(m.state(rng.randrange(m.size)),
+                               random_word(rng, d, k), x.prefix(k)).germ_at(x)
+                y = g.range()
+                for depth in (k, k + 1, k + 2):
+                    t = PartialMap(m.state(rng.randrange(m.size)),
+                                   random_word(rng, d, depth), y.prefix(depth))
+                    yield m, t, g
+
+    def test_composite_refused_alike_cold_and_warm(self, bundled, ternary):
+        refusals = {"product": 0, "inverse": 0}
+        for _, t, g in self.composites(bundled, ternary):
+            cold = outcomes_over_caps(lambda cap: after_outcome(cap, t, g))
+            germs._after_key(t, g.map, g.base)
+            assert [after_outcome(c, t, g) for c in range(1, len(cold) + 1)] == cold
+            for outcome in cold[:-1]:
+                kind = outcome.split("building the ")[1].split(" ")[0]
+                refusals[kind] += 1
+        assert refusals["product"] >= 20 and refusals["inverse"] >= 20, refusals
+
+    def test_rep_matrix_refused_alike_cold_and_warm(self, bundled, ternary, monkeypatch):
+        inverses = []
+        real_inverse = germs._inverse_recorded
+        monkeypatch.setattr(germs, "_inverse_recorded",
+                            lambda x, steps: inverses.append(x) or real_inverse(x, steps))
+        rng = random.Random(9095)
+        refused = 0
+        composites = list(self.composites(bundled, ternary))
+        for m, t, g in composites[::3]:
+            a = random_element(m, rng, max_terms=2)
+            a = AlgebraElement(m, {**a.terms, t: Scalar(1)})
+            basis = [PartialMap(identity_aut(m.alphabet_size), (), ()).germ_at(g.base), g]
+            cold = outcomes_over_caps(lambda cap: rep_outcome(cap, a, g.base, basis))
+            rep_matrix(a, g.base, basis)
+            assert [rep_outcome(c, a, g.base, basis) for c in range(1, len(cold) + 1)] == cold
+            refused += len(cold) - 1
+        assert refused >= 20 and len(inverses) >= 5, (refused, len(inverses))
+
+    def test_threads_keep_their_own_cap_on_a_warm_composite(self, grig):
+        x = Point((), (1,))
+        g = PartialMap(grig.state("b"), (), ()).germ_at(x)
+        t = PartialMap(grig.state("a"), (0,), (1,))
+        expected = germs._after_key(t, g.map, x)
+        outcomes = {}
+
+        def capped():
+            outcomes["capped"] = after_outcome(2, t, g)
+
+        def default():
+            outcomes["default"] = germs._after_key(t, g.map, x)
+
+        workers = [threading.Thread(target=capped), threading.Thread(target=default)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+        assert outcomes == {
+            "capped": "more than 2 states while building the inverse of a "
+                      "5-state automorphism",
+            "default": expected,
+        }
 
 
 def reference_refine(d, outputs, transitions, members):

@@ -1,5 +1,6 @@
 """Trace functionals, the fibered expectation gap and finite representations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,10 +28,13 @@ from germtrace import (
     unit_element,
     unit_germ,
 )
+from germtrace import germs
 from germtrace.convalg import ZERO
 from germtrace.traces import _germ_label
 
-from conftest import random_element, random_word
+from germtrace.points import INTERIOR, fixed_walk
+
+from conftest import pop_memos, random_element, random_word
 
 
 def F(*args):
@@ -271,6 +275,19 @@ class TestRepMatrix:
         rep = rep_matrix(indicator(grig, "d"), x, basis)
         assert not rep.closed
 
+    def test_shared_coset_or_repeat_is_not_closed(self, grig):
+        x = parse_point("(1)", 2)
+        klein = klein_basis(grig, x)
+        e = parse_element(grig, "1 e:>")
+        twice = rep_matrix(e, x, [klein[0], klein[0]])
+        one = Scalar(F(1))
+        assert twice.entries == ((one, one), (one, one))
+        assert twice.product(twice).entries != twice.entries  # rho(e)^2 != rho(e)
+        assert twice.closed is False
+        # e and d lie in one coset of {1, d}, as do b and c
+        assert rep_matrix(e, x, klein, iso=[klein[3]]).closed is False
+        assert rep_matrix(e, x, klein).closed is True
+
     def test_rejects_bad_inputs(self, grig):
         x = parse_point("(1)", 2)
         basis = klein_basis(grig, x)
@@ -307,7 +324,9 @@ def reference_F_eval(a, x, depth_cap=None):
 
 
 def reference_rep_matrix(a, x, basis, iso=()):
-    """entry(i, j) = sum over h of a.evaluate(g_i h g_j^-1), then closure."""
+    """entry(i, j) = sum over h of a.evaluate(g_i h g_j^-1), then closure:
+    every term maps every basis germ into the basis, and no basis germ
+    is another's times an isotropy germ (a shared coset or a repeat)."""
     subgroup = dict.fromkeys([unit_germ(a.alphabet_size, x), *iso])
     inverses = [gj.inverse() for gj in basis]
     entries = []
@@ -319,6 +338,9 @@ def reference_rep_matrix(a, x, basis, iso=()):
     closed = all(pmap.germ_at(gj.range()).compose(gj) in members
                  for pmap in a.terms for gj in basis
                  if pmap.contains_base(gj.range()))
+    closed = closed and not any(gi.compose(h) == gj
+                                for i, gi in enumerate(basis) for gj in basis[i + 1:]
+                                for h in subgroup)
     labels = tuple(_germ_label(g, i) for i, g in enumerate(basis))
     return RepMatrix(labels, tuple(entries), closed)
 
@@ -394,6 +416,104 @@ class TestReferenceOracle:
                     closed.add(rep.closed)
         assert nonzero >= 250
         assert closed == {True, False}
+
+
+def reference_unit_value(a, x):
+    """E(a)(x) from fixed walks: the terms u = v whose state fixes a whole
+    cylinder around x shifted past v."""
+    return sum((c for b, c in a.terms.items()
+                if b.range_prefix == b.source_prefix and b.contains_base(x)
+                and fixed_walk(b.state, x.shift(b.depth))[0] == INTERIOR), ZERO)
+
+
+def order_two_isotropy(x, machine):
+    """Isotropy germs h at x with h h = 1, from states up to depth 2."""
+    return [h for h in isotropy_germs_at(x, machine, 2) if h.compose(h).is_unit()]
+
+
+class TestGermMemo:
+    """The germ-key and composite memos: values agree with the kept
+    references whether the memos start empty or full, and a repeat
+    builds nothing."""
+
+    def test_cold_and_warm_match_the_references(self, bundled, ternary):
+        """Each case runs cold (germ memos dropped), then every case runs
+        again warm, on memos filled by all the cases at every point."""
+        rng = random.Random(73)
+        cases = []
+        grig, one = bundled["grigorchuk"], parse_point("(1)", 2)
+        for m in [*bundled.values(), ternary]:
+            for x in oracle_points(m, rng):
+                states = [PartialMap(q, (), (), label=m.name_of(q.state)) for q in m.states()]
+                isos = [[]] + [[h] for h in order_two_isotropy(x, m)[:2]]
+                if m is grig and x == one:
+                    isos.append(klein_basis(grig, x)[1:])
+                for iso, _ in itertools.product(isos, range(2)):
+                    a = oracle_element(m, rng)
+                    pop_memos("germ", "after", "unit")
+                    ref = reference_rep_matrix(a, x, [s.germ_at(x) for s in states], iso)
+                    want = (ref.entries, ref.closed, reference_F_eval(a, x),
+                            reference_F_eval(a, x) - reference_unit_value(a, x))
+                    cases.append((a, x, states, iso, want))
+                    pop_memos("germ", "after", "unit")
+                    self.check(*cases[-1])
+        for case in cases:
+            self.check(*case)
+        wants = [want for *_, want in cases]
+        nonzero = sum(not s.is_zero() for w in wants for row in w[0] for s in row)
+        iso_cases = sum(bool(iso) for _, _, _, iso, _ in cases)
+        assert len(cases) >= 70 and iso_cases >= 12 and nonzero >= 200, (
+            len(cases), iso_cases, nonzero)
+        assert {w[1] for w in wants} == {True, False}
+
+    @staticmethod
+    def check(a, x, states, iso, want):
+        basis = [s.germ_at(x) for s in states]  # fresh germs: no cached keys
+        rep = rep_matrix(a, x, basis, iso)
+        assert (rep.entries, rep.closed, F_eval(a, x), isotropy_defect(a, x)) == want
+
+    def test_repeat_builds_no_shift_germ_or_product(self, grig, monkeypatch):
+        x = parse_point("(1)", 2)
+        klein = klein_basis(grig, x)
+        a = parse_element(grig, "1 b:>; 2 c:0>1; -1 d:1>1; 1 a:>")
+        rep_matrix(a, x, klein, iso=[klein[3]])
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(germs, name, wrapper)
+
+        counted("_piece", germs._piece)
+        counted("bisection_product", germs.bisection_product)
+        counted("state_lasso", germs.state_lasso)
+        real_post_init, real_germ_init = PartialMap.__post_init__, germs.Germ.__init__
+
+        def post_init(self):
+            calls.append("PartialMap")
+            real_post_init(self)
+
+        def germ_init(self, *args):
+            calls.append("Germ")
+            real_germ_init(self, *args)
+
+        monkeypatch.setattr(PartialMap, "__post_init__", post_init)
+        monkeypatch.setattr(germs.Germ, "__init__", germ_init)
+        values = []
+        for memos in ("cold", "warm"):
+            if memos == "cold":
+                pop_memos("germ", "after")
+            basis = [germs.Germ(g.map, x) for g in klein]  # no cached keys
+            del calls[:]
+            values.append((rep_matrix(a, x, basis, iso=[basis[3]]),
+                           F_eval(a, x), isotropy_defect(a, x)))
+            if memos == "cold":
+                assert {"_piece", "state_lasso"} <= set(calls)
+        assert calls == []
+        monkeypatch.undo()
+        assert values[0] == values[1]
+        assert values[0][0] == reference_rep_matrix(a, x, klein, [klein[3]])
 
 
 # ---------------------------------------------------------------------------
