@@ -41,15 +41,22 @@ def _read_file(path: str, what: str) -> str:
 
 
 def _load_machine(spec: str):
-    """Return (machine, display name) from a path or a bundled name."""
+    """Return (machine, display name) from a path or a bundled name.  A
+    file is read and parsed on every call; a bundled machine is parsed
+    once per process, so later calls reuse its memos."""
     if os.path.exists(spec):
         return parse_machine(_read_file(spec, "machine")), os.path.basename(spec)
     name = spec[:-3] if spec.endswith(".gt") else spec
     if name in BUNDLED:
-        text = resources.files("germtrace.data").joinpath(f"{name}.gt").read_text()
-        return parse_machine(text), f"{name}.gt"
+        return _bundled_machine(name), f"{name}.gt"
     raise ParseError(f"machine {spec!r}: no such file or bundled machine "
                      f"(bundled: {', '.join(BUNDLED)})")
+
+
+@functools.cache
+def _bundled_machine(name: str):
+    """The bundled machine of that name, parsed once per process."""
+    return parse_machine(resources.files("germtrace.data").joinpath(f"{name}.gt").read_text())
 
 
 def _read_element(machine, spec: str) -> AlgebraElement:

@@ -24,8 +24,9 @@ from .errors import (DomainError, ElementParseError, ParseError, PatternCapError
                      excerpt)
 from .germs import Germ, PartialMap, _germ_key, _unit_key, bisection_product
 from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore,
-                    _quotient, _state_cap, backward_distances, identity_aut,
-                    infinite_path_nodes, parse_state_expr, parse_word, word_text)
+                    _parse_state_expr, _quotient, _replay_steps, _state_cap,
+                    backward_distances, identity_aut, infinite_path_nodes, parse_word,
+                    word_text)
 from .points import Point
 
 PATTERN_CAP = 10 ** 6
@@ -575,23 +576,45 @@ def _class_sums(coeffs: list[Scalar], tset: frozenset) -> list[Scalar]:
 # text format
 
 def parse_shift(machine: Machine, text: str) -> PartialMap:
-    """Parse the shift syntax <state-expr>:<u>><v> into a PartialMap."""
+    """Parse the shift syntax <state-expr>:<u>><v> into a PartialMap.
+
+    A parsed shift is memoised on machine under ("shift", stripped text),
+    so it lives as long as the machine, with the replay records of the
+    products and inverses its state expression took (only those whose
+    explored count beats every earlier one: the first step a cap refuses
+    is always among them).  A hit replays them, so it is refused under
+    exactly the caps, and with the same text, as a fresh parse.  Texts
+    that fail to parse or that a cap refuses are not stored.
+    """
     shift_text = text.strip()
+    slot = ("shift", shift_text)
+    entry = machine._memo.get(slot)
+    if entry is not None:
+        _replay_steps(entry[0])
+        return entry[1]
     if ":" not in shift_text:
         raise ElementParseError(f"shift {excerpt(shift_text)}: missing ':'")
     expr_text, _, words = shift_text.partition(":")
     if words.count(">") != 1:
         raise ElementParseError(f"shift {excerpt(shift_text)}: needs exactly one '>'")
     u_text, _, v_text = words.partition(">")
+    steps = []
     try:
-        state = parse_state_expr(machine, expr_text)
+        state = _parse_state_expr(machine, expr_text, steps)
         u = parse_word(u_text, machine.alphabet_size)
         v = parse_word(v_text, machine.alphabet_size)
-        return PartialMap(state, u, v, expr_text.strip())
+        pmap = PartialMap(state, u, v, expr_text.strip())
     except ElementParseError:
         raise
     except (ParseError, DomainError, ValueError) as exc:
         raise ElementParseError(f"shift {excerpt(shift_text)}: {exc}") from exc
+    records, top = [], 0
+    for step in steps:
+        if step[0] > top:
+            records.append(step)
+            top = step[0]
+    machine._memo[slot] = (tuple(records), pmap)
+    return pmap
 
 
 def parse_element(machine: Machine, text: str) -> AlgebraElement:

@@ -20,7 +20,7 @@ from .mealy import (Aut, Machine, Word, _canonical_pair, _inverse_recorded,
 from .points import BOUNDARY, Point, apply_to_point, fixed_walk, state_lasso
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialMap:
     """A cylinder shift v y -> u q(y); label is display-only."""
 

@@ -26,8 +26,9 @@ and identity tests cheap for every higher layer.  Products and inverses
 are memoised on the interned machine of the left canonical operand, next
 to the canonical forms of its states; keys and values hold interned
 machines only.  The germs layer keeps its germ keys and composites on
-the same memos.  The intern table is the only module-level state; every
-memo sits on a machine.
+the same memos, and convalg keeps each parsed shift on the memo of the
+machine it was parsed against.  The intern table is the only
+module-level state; every memo sits on a machine.
 """
 
 from __future__ import annotations
@@ -802,6 +803,21 @@ _DIGITS_RE = re.compile(r"[0-9]+")
 
 
 def parse_state_expr(machine: Machine, text: str) -> Aut:
+    return _parse_state_expr(machine, text, None)
+
+
+def _parse_state_expr(machine: Machine, text: str, steps) -> Aut:
+    """parse_state_expr; unless steps is None, every product and inverse
+    the expression takes appends its replay record to steps (see
+    _product_recorded)."""
+    if steps is None:
+        inverse, product = Aut.inverse, Aut.compose
+    else:
+        def inverse(a):
+            return _inverse_recorded(a, steps)
+
+        def product(a, b):
+            return _product_recorded(a, b, steps)
     pos = 0
     s = text.strip()
 
@@ -839,7 +855,7 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
             skip_ws()
             if s.startswith("^-1", pos):
                 pos += 3
-                a = a.inverse()
+                a = inverse(a)
             elif pos < len(s) and s[pos] == "|":
                 pos += 1
                 m = _DIGITS_RE.match(s, pos)
@@ -860,7 +876,7 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
             skip_ws()
             if pos < len(s) and s[pos] == "*":
                 pos += 1
-                a = a.compose(parse_factor())
+                a = product(a, parse_factor())
             else:
                 return a
 

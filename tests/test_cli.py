@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import germtrace
 from germtrace import ParseError
 from germtrace.errors import excerpt
-from germtrace.cli import _build_parser, _check_printable_depth, main
+from germtrace.cli import _build_parser, _check_printable_depth, _load_machine, main
 
 
 def run(capsys, *argv):
@@ -638,6 +639,47 @@ class TestGolden:
             code, out, err = run(capsys, *json.loads(key))
             assert (code, err) == (0, ""), key
             assert out.encode() == expected.encode(), key
+
+    def test_every_command_twice_in_one_process(self, capsys):
+        """The second run of a command reuses the bundled machine and its
+        memos, and still prints the golden bytes."""
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        for key, expected in golden.items():
+            for _ in range(2):
+                code, out, err = run(capsys, *json.loads(key))
+                assert (code, err, out.encode()) == (0, "", expected.encode()), key
+
+
+class TestBundledMachineReuse:
+    def test_bundled_machine_is_parsed_once(self):
+        machine, name = _load_machine("grigorchuk")
+        assert name == "grigorchuk.gt"
+        assert _load_machine("grigorchuk.gt")[0] is machine
+        assert _load_machine("grigorchuk")[0] is machine
+        assert _load_machine("adding")[0] is not machine
+
+    def test_file_is_read_on_every_call(self, tmp_path):
+        path = tmp_path / "m.gt"
+        path.write_text("alphabet 2\nstate a perm 1 0 to e a\n", encoding="utf-8")
+        first = _load_machine(str(path))[0]
+        assert _load_machine(str(path))[0] is not first
+        path.write_text("alphabet 3\nstate a perm 1 2 0 to e a e\n", encoding="utf-8")
+        assert _load_machine(str(path))[0].alphabet_size == 3
+
+    def test_copy_of_bundled_file_prints_the_same_bytes(self, capsys, tmp_path):
+        copy = tmp_path / "grigorchuk.gt"
+        copy.write_text(resources.files("germtrace.data").joinpath("grigorchuk.gt")
+                        .read_text(), encoding="utf-8")
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        commands = [json.loads(key) for key in golden]
+        commands = [argv for argv in commands if argv[argv.index("-m") + 1] == "grigorchuk"]
+        assert len(commands) >= 10
+        for argv in commands:
+            from_file = list(argv)
+            from_file[argv.index("-m") + 1] = str(copy)
+            bundled = run(capsys, *argv)
+            assert bundled[0] == 0
+            assert run(capsys, *from_file) == bundled, argv
 
 
 def run_fresh(*argv):

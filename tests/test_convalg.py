@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,10 +12,12 @@ import pytest
 
 from germtrace import (
     AlgebraElement,
+    DomainError,
     ElementParseError,
     Machine,
     PartialMap,
     PATTERN_CAP,
+    ParseError,
     PatternCapError,
     Point,
     Scalar,
@@ -22,11 +25,15 @@ from germtrace import (
     as_scalar,
     format_element,
     format_scalar,
+    format_machine,
     indicator,
     parse_element,
+    parse_machine,
     parse_point,
     parse_scalar,
     parse_shift,
+    parse_state_expr,
+    parse_word,
     state_cap,
     unit_element,
     unit_germ,
@@ -34,9 +41,10 @@ from germtrace import (
 from germtrace import convalg
 from germtrace.convalg import (_BROKEN, _TRIVIAL, _joint_walk, _realizable_class_sums,
                                _refined_groups)
+from germtrace.errors import excerpt
 from germtrace.mealy import _cap_error, _explore, _quotient, _state_cap
 
-from conftest import random_element, random_scalar, random_word
+from conftest import pop_memos, random_element, random_scalar, random_word
 
 
 def F(*args):
@@ -1113,3 +1121,181 @@ class TestOneTermBuckets:
             assert all(len(bucket) == 1 for bucket in _refined_groups(elem))
             assert not elem.is_zero()
             assert not elem.is_singular()
+
+
+def reference_parse_shift(machine, text):
+    """parse_shift without its memo: the parser as it stood before
+    parsed shifts were memoised."""
+    shift_text = text.strip()
+    if ":" not in shift_text:
+        raise ElementParseError(f"shift {excerpt(shift_text)}: missing ':'")
+    expr_text, _, words = shift_text.partition(":")
+    if words.count(">") != 1:
+        raise ElementParseError(f"shift {excerpt(shift_text)}: needs exactly one '>'")
+    u_text, _, v_text = words.partition(">")
+    try:
+        state = parse_state_expr(machine, expr_text)
+        u = parse_word(u_text, machine.alphabet_size)
+        v = parse_word(v_text, machine.alphabet_size)
+        return PartialMap(state, u, v, expr_text.strip())
+    except ElementParseError:
+        raise
+    except (ParseError, DomainError, ValueError) as exc:
+        raise ElementParseError(f"shift {excerpt(shift_text)}: {exc}") from exc
+
+
+def random_state_expr(rng, names, d, depth=0):
+    """A state expression over names with products, inverses,
+    restrictions and parentheses, spaced at random."""
+    def space():
+        return rng.choice(["", "", " "])
+
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        if depth < 2 and rng.random() < 0.3:
+            atom = f"({space()}{random_state_expr(rng, names, d, depth + 1)}{space()})"
+        else:
+            atom = rng.choice(names)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if rng.random() < 0.5:
+                atom += f"{space()}^-1"
+            else:
+                atom += f"{space()}|" + "".join(map(str, random_word(rng, d, rng.randint(1, 3))))
+        factors.append(atom)
+    return f"{space()}*{space()}".join(factors)
+
+
+def random_shift_text(rng, machine):
+    d = machine.alphabet_size
+    n = rng.randint(0, 2)
+    u, v = ("".join(map(str, random_word(rng, d, n))) for _ in range(2))
+    expr = random_state_expr(rng, list(machine.names), d)
+    return rng.choice(["", " "]) + f"{expr}:{u}>{v}" + rng.choice(["", "\n"])
+
+
+def fresh_copy(machine):
+    """The machine parsed again from its text, with cold memos."""
+    return parse_machine(format_machine(machine))
+
+
+def shift_outcome(cap, parse):
+    """(PartialMap, label) parse() returns under the cap, or the text of
+    the StateCapError it raises."""
+    with state_cap(cap):
+        try:
+            pmap = parse()
+        except StateCapError as exc:
+            return str(exc)
+    return pmap, pmap.label
+
+
+class TestShiftMemo:
+    """parse_shift is memoised per machine and stripped text; a hit gives
+    what a fresh parse gives, and is refused under exactly its caps."""
+
+    TEXTS_PER_MACHINE = 40
+
+    def texts(self, rng, machine):
+        return [random_shift_text(rng, machine) for _ in range(self.TEXTS_PER_MACHINE)]
+
+    def test_cold_and_warm_match_the_reference(self, bundled, ternary):
+        rng = random.Random(1818)
+        seen = set()
+        for m in [*bundled.values(), ternary]:
+            m = fresh_copy(m)
+            for text in self.texts(rng, m):
+                seen.update(c for c in "*^|(" if c in text)
+                expected = reference_parse_shift(m, text)
+                cold = parse_shift(m, text)
+                warm = parse_shift(m, text)
+                assert warm is cold
+                assert (cold, cold.label) == (expected, expected.label), text
+                assert cold.state.machine is expected.state.machine
+                assert ("shift", text.strip()) in m._memo
+        assert seen == set("*^|(")
+
+    def test_warm_hit_refused_like_a_cold_parse(self, bundled, ternary):
+        """Under a cap just below each recorded explored count, and at it,
+        a hit gives what parsing the text on a fresh copy of the machine
+        gives, with no product or inverse memoised anywhere."""
+        rng = random.Random(1819)
+        checked = refused = 0
+        for m in [*bundled.values(), ternary]:
+            for text in self.texts(rng, m):
+                warm_machine = fresh_copy(m)
+                parse_shift(warm_machine, text)
+                records = warm_machine._memo[("shift", text.strip())][0]
+                counts = [r[0] for r in records]
+                assert counts == sorted(set(counts))  # strictly increasing
+                for cap in sorted({1, *(n - 1 for n in counts if n > 1), *counts}):
+                    warm = shift_outcome(cap, lambda: parse_shift(warm_machine, text))
+                    pop_memos("compose", "inverse")
+                    cold_machine = fresh_copy(m)
+                    cold = shift_outcome(cap, lambda: parse_shift(cold_machine, text))
+                    pop_memos("compose", "inverse")
+                    reference = shift_outcome(
+                        cap, lambda: reference_parse_shift(fresh_copy(m), text))
+                    assert warm == cold == reference, (text, cap)
+                    refused += isinstance(warm, str)
+                    checked += 1
+        assert refused >= 20 and checked >= 100, (refused, checked)
+
+    def test_refused_text_is_not_stored(self, grig):
+        m = fresh_copy(grig)
+        text = "a*b*a*c:>"
+        with state_cap(3), pytest.raises(StateCapError) as info:
+            parse_shift(m, text)
+        assert str(info.value) == ("more than 3 states while building the product "
+                                   "of a 2-state and a 5-state automorphism")
+        assert ("shift", text) not in m._memo
+        assert parse_shift(m, text) == reference_parse_shift(m, text)
+        assert ("shift", text) in m._memo
+
+    @pytest.mark.parametrize("text", [
+        "zz:>", "a:2>0", "a:0>00", "a", "a:>>", "(a:>", "a*:>", "a|:>", "a^-1|x:>",
+        "a:²>", " b *  zz^-1 :1>0",
+    ])
+    def test_failing_text_raises_the_same_error_and_is_not_stored(self, grig, text):
+        m = fresh_copy(grig)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ElementParseError) as info:
+                parse_shift(m, text)
+            messages.append(str(info.value))
+            assert not any(isinstance(k, tuple) and k[0] == "shift" for k in m._memo)
+        with pytest.raises(ElementParseError) as info:
+            reference_parse_shift(m, text)
+        assert messages == [str(info.value)] * 3
+
+    def test_outer_whitespace_shares_one_entry(self, grig):
+        m = fresh_copy(grig)
+        first = parse_shift(m, "b*c :0>1")
+        assert parse_shift(m, "  b*c :0>1\n") is first
+        assert first.label == "b*c"
+        assert [k for k in m._memo if isinstance(k, tuple) and k[0] == "shift"] == [
+            ("shift", "b*c :0>1")]
+
+    def test_warm_hit_in_a_thread_keeps_its_own_cap(self, grig):
+        m = fresh_copy(grig)
+        text = "(a*b)^-1*c:1>0"
+        expected = parse_shift(m, text)
+        outcomes = {}
+
+        def capped():
+            outcomes["capped"] = shift_outcome(2, lambda: parse_shift(m, text))
+
+        def default():
+            outcomes["default"] = parse_shift(m, text)
+
+        workers = [threading.Thread(target=capped), threading.Thread(target=default)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+        assert outcomes == {
+            "capped": "more than 2 states while building the product of a "
+                      "2-state and a 5-state automorphism",
+            "default": expected,
+        }
+        assert outcomes["default"] is expected
