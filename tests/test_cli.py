@@ -633,21 +633,15 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.json
 
 class TestGolden:
     def test_stdout_matches_golden_file(self, capsys):
+        """Each command runs twice in this process; the second run reuses
+        the bundled machine and its memos and prints the same bytes."""
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
         assert len(golden) >= 26
         for key, expected in golden.items():
-            code, out, err = run(capsys, *json.loads(key))
-            assert (code, err) == (0, ""), key
-            assert out.encode() == expected.encode(), key
-
-    def test_every_command_twice_in_one_process(self, capsys):
-        """The second run of a command reuses the bundled machine and its
-        memos, and still prints the golden bytes."""
-        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-        for key, expected in golden.items():
             for _ in range(2):
                 code, out, err = run(capsys, *json.loads(key))
-                assert (code, err, out.encode()) == (0, "", expected.encode()), key
+                assert (code, err) == (0, ""), key
+                assert out.encode() == expected.encode(), key
 
 
 class TestBundledMachineReuse:
