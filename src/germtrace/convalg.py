@@ -30,6 +30,8 @@ from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore,
 from .points import Point
 
 PATTERN_CAP = 10 ** 6
+# parsed shifts memoised per machine (see parse_shift)
+_SHIFT_MEMO_LIMIT = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +580,16 @@ def _class_sums(coeffs: list[Scalar], tset: frozenset) -> list[Scalar]:
 def parse_shift(machine: Machine, text: str) -> PartialMap:
     """Parse the shift syntax <state-expr>:<u>><v> into a PartialMap.
 
-    A parsed shift is memoised on machine under ("shift", stripped text),
-    so it lives as long as the machine, with the replay records of the
-    products and inverses its state expression took (only those whose
-    explored count beats every earlier one: the first step a cap refuses
-    is always among them).  A hit replays them, so it is refused under
+    Parsed shifts are memoised on machine, keyed by the stripped text, so
+    they live as long as the machine; at most _SHIFT_MEMO_LIMIT of them,
+    after which new texts are parsed without being stored.  Each entry
+    keeps the replay records of the products and inverses its state
+    expression took, and a hit replays them, so it is refused under
     exactly the caps, and with the same text, as a fresh parse.  Texts
     that fail to parse or that a cap refuses are not stored.
     """
     shift_text = text.strip()
-    slot = ("shift", shift_text)
-    entry = machine._memo.get(slot)
+    entry = machine._memo.get("shift", {}).get(shift_text)
     if entry is not None:
         _replay_steps(entry[0])
         return entry[1]
@@ -608,12 +609,9 @@ def parse_shift(machine: Machine, text: str) -> PartialMap:
         raise
     except (ParseError, DomainError, ValueError) as exc:
         raise ElementParseError(f"shift {excerpt(shift_text)}: {exc}") from exc
-    records, top = [], 0
-    for step in steps:
-        if step[0] > top:
-            records.append(step)
-            top = step[0]
-    machine._memo[slot] = (tuple(records), pmap)
+    shifts = machine._memo.setdefault("shift", {})
+    if len(shifts) < _SHIFT_MEMO_LIMIT:
+        shifts[shift_text] = (tuple(steps), pmap)
     return pmap
 
 

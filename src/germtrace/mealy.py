@@ -803,21 +803,12 @@ _DIGITS_RE = re.compile(r"[0-9]+")
 
 
 def parse_state_expr(machine: Machine, text: str) -> Aut:
-    return _parse_state_expr(machine, text, None)
+    return _parse_state_expr(machine, text, [])
 
 
-def _parse_state_expr(machine: Machine, text: str, steps) -> Aut:
-    """parse_state_expr; unless steps is None, every product and inverse
-    the expression takes appends its replay record to steps (see
-    _product_recorded)."""
-    if steps is None:
-        inverse, product = Aut.inverse, Aut.compose
-    else:
-        def inverse(a):
-            return _inverse_recorded(a, steps)
-
-        def product(a, b):
-            return _product_recorded(a, b, steps)
+def _parse_state_expr(machine: Machine, text: str, steps: list) -> Aut:
+    """parse_state_expr, appending to steps the replay record of every
+    product and inverse the expression takes (see _product_recorded)."""
     pos = 0
     s = text.strip()
 
@@ -855,7 +846,7 @@ def _parse_state_expr(machine: Machine, text: str, steps) -> Aut:
             skip_ws()
             if s.startswith("^-1", pos):
                 pos += 3
-                a = inverse(a)
+                a = _inverse_recorded(a, steps)
             elif pos < len(s) and s[pos] == "|":
                 pos += 1
                 m = _DIGITS_RE.match(s, pos)
@@ -876,7 +867,7 @@ def _parse_state_expr(machine: Machine, text: str, steps) -> Aut:
             skip_ws()
             if pos < len(s) and s[pos] == "*":
                 pos += 1
-                a = product(a, parse_factor())
+                a = _product_recorded(a, parse_factor(), steps)
             else:
                 return a
 

@@ -1178,6 +1178,11 @@ def fresh_copy(machine):
     return parse_machine(format_machine(machine))
 
 
+def stored_shifts(machine):
+    """The parsed shifts memoised on machine, by stripped text."""
+    return machine._memo.get("shift", {})
+
+
 def shift_outcome(cap, parse):
     """(PartialMap, label) parse() returns under the cap, or the text of
     the StateCapError it raises."""
@@ -1211,7 +1216,7 @@ class TestShiftMemo:
                 assert warm is cold
                 assert (cold, cold.label) == (expected, expected.label), text
                 assert cold.state.machine is expected.state.machine
-                assert ("shift", text.strip()) in m._memo
+                assert text.strip() in stored_shifts(m)
         assert seen == set("*^|(")
 
     def test_warm_hit_refused_like_a_cold_parse(self, bundled, ternary):
@@ -1224,9 +1229,8 @@ class TestShiftMemo:
             for text in self.texts(rng, m):
                 warm_machine = fresh_copy(m)
                 parse_shift(warm_machine, text)
-                records = warm_machine._memo[("shift", text.strip())][0]
+                records = stored_shifts(warm_machine)[text.strip()][0]
                 counts = [r[0] for r in records]
-                assert counts == sorted(set(counts))  # strictly increasing
                 for cap in sorted({1, *(n - 1 for n in counts if n > 1), *counts}):
                     warm = shift_outcome(cap, lambda: parse_shift(warm_machine, text))
                     pop_memos("compose", "inverse")
@@ -1247,9 +1251,9 @@ class TestShiftMemo:
             parse_shift(m, text)
         assert str(info.value) == ("more than 3 states while building the product "
                                    "of a 2-state and a 5-state automorphism")
-        assert ("shift", text) not in m._memo
+        assert text not in stored_shifts(m)
         assert parse_shift(m, text) == reference_parse_shift(m, text)
-        assert ("shift", text) in m._memo
+        assert text in stored_shifts(m)
 
     @pytest.mark.parametrize("text", [
         "zz:>", "a:2>0", "a:0>00", "a", "a:>>", "(a:>", "a*:>", "a|:>", "a^-1|x:>",
@@ -1262,7 +1266,7 @@ class TestShiftMemo:
             with pytest.raises(ElementParseError) as info:
                 parse_shift(m, text)
             messages.append(str(info.value))
-            assert not any(isinstance(k, tuple) and k[0] == "shift" for k in m._memo)
+            assert stored_shifts(m) == {}
         with pytest.raises(ElementParseError) as info:
             reference_parse_shift(m, text)
         assert messages == [str(info.value)] * 3
@@ -1272,8 +1276,22 @@ class TestShiftMemo:
         first = parse_shift(m, "b*c :0>1")
         assert parse_shift(m, "  b*c :0>1\n") is first
         assert first.label == "b*c"
-        assert [k for k in m._memo if isinstance(k, tuple) and k[0] == "shift"] == [
-            ("shift", "b*c :0>1")]
+        assert list(stored_shifts(m)) == ["b*c :0>1"]
+
+    def test_memo_keeps_at_most_the_limit(self, grig):
+        """Past the limit a new text is parsed as before but not stored,
+        and the stored entries still hit."""
+        m = fresh_copy(grig)
+        limit = convalg._SHIFT_MEMO_LIMIT
+        texts = [f"b*a:{w:b}>{w:b}" for w in range(2 * limit)]
+        for text in texts:
+            expected = reference_parse_shift(m, text)
+            parsed = parse_shift(m, text)
+            assert (parsed, parsed.label) == (expected, expected.label)
+            assert len(stored_shifts(m)) <= limit
+        assert list(stored_shifts(m)) == texts[:limit]
+        assert parse_shift(m, texts[0]) is stored_shifts(m)[texts[0]][1]
+        assert parse_shift(m, texts[-1]) is not parse_shift(m, texts[-1])
 
     def test_warm_hit_in_a_thread_keeps_its_own_cap(self, grig):
         m = fresh_copy(grig)

@@ -42,7 +42,10 @@ def _is_stateful(value) -> bool:
 def test_module_level_state_is_the_intern_table_alone():
     """Memos live on machines and caps in a context variable: the only
     module-level mutable objects are the intern table, its lock, the
-    cap's context variable and the package's __all__."""
+    cap's context variable and the package's __all__.  This check reads
+    assignments only; the CLI's `functools.cache` functions (its argument
+    parser and the bundled machines, with their memos) are state too,
+    kept for the whole process."""
     found = []
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
