@@ -313,19 +313,63 @@ def _product_recorded(x: "Aut", y: "Aut", steps: list) -> "Aut":
     *machines): what _replay needs to refuse the memoised product as
     building it afresh would."""
     a, b = x.canonical(), y.canonical()
-    result = a.compose(b)
+    explored, result = _product_entry(a, b)
     A, B = a.machine, b.machine
-    steps.append((A._memo[("compose", a.state, B, b.state)][0], _PRODUCT, A, B))
-    return result
+    steps.append((explored, _PRODUCT, A, B))
+    return _replay(explored, result, _PRODUCT, A, B)
 
 
 def _inverse_recorded(x: "Aut", steps: list) -> "Aut":
     """x.inverse(), appending its replay record to steps like
     _product_recorded."""
     c = x.canonical()
-    result = c.inverse()
-    steps.append((c.machine._memo[("inverse", c.state)][0], _INVERSE, c.machine))
-    return result
+    explored, result = _inverse_entry(c)
+    steps.append((explored, _INVERSE, c.machine))
+    return _replay(explored, result, _INVERSE, c.machine)
+
+
+def _product_entry(a: "Aut", b: "Aut"):
+    """The compose memo entry (explored, product) of canonical a and b,
+    derived under the current cap on a miss."""
+    A, B = a.machine, b.machine
+    if A.alphabet_size != B.alphabet_size:
+        raise DomainError("cannot compose states over different alphabets")
+    key = ("compose", a.state, B, b.state)
+    entry = A._memo.get(key)
+    if entry is None:
+        d = A.alphabet_size
+        out1, tr1, out2, tr2 = A.outputs, A.transitions, B.outputs, B.transitions
+
+        def out_fn(pair):
+            p, q = pair
+            return tuple(out1[p][out2[q][x]] for x in range(d))
+
+        def trans_fn(pair, x):
+            p, q = pair
+            return (tr1[p][out2[q][x]], tr2[q][x])
+
+        entry = A._memo[key] = _derive(d, (a.state, b.state), out_fn, trans_fn,
+                                       _PRODUCT, A, B)
+    return entry
+
+
+def _inverse_entry(c: "Aut"):
+    """The inverse memo entry (explored, inverse) of canonical c, derived
+    under the current cap on a miss."""
+    m = c.machine
+    key = ("inverse", c.state)
+    entry = m._memo.get(key)
+    if entry is None:
+        d = m.alphabet_size
+        tr = m.transitions
+        inv = [tuple(row.index(x) for x in range(d)) for row in m.outputs]
+
+        def trans_fn(q, x):
+            return tr[q][inv[q][x]]
+
+        entry = m._memo[key] = _derive(d, c.state, inv.__getitem__, trans_fn,
+                                       _INVERSE, m)
+    return entry
 
 
 def _replay_steps(steps) -> None:
@@ -434,27 +478,8 @@ class Aut:
         on A under the key ("compose", i, B, j); see state_cap for what
         the cap counts.
         """
-        if self.machine.alphabet_size != other.machine.alphabet_size:
-            raise DomainError("cannot compose states over different alphabets")
         a, b = self.canonical(), other.canonical()
-        A, B = a.machine, b.machine
-        key = ("compose", a.state, B, b.state)
-        entry = A._memo.get(key)
-        if entry is None:
-            d = A.alphabet_size
-            out1, tr1, out2, tr2 = A.outputs, A.transitions, B.outputs, B.transitions
-
-            def out_fn(pair):
-                p, q = pair
-                return tuple(out1[p][out2[q][x]] for x in range(d))
-
-            def trans_fn(pair, x):
-                p, q = pair
-                return (tr1[p][out2[q][x]], tr2[q][x])
-
-            entry = A._memo[key] = _derive(d, (a.state, b.state), out_fn, trans_fn,
-                                           _PRODUCT, A, B)
-        return _replay(*entry, _PRODUCT, A, B)
+        return _replay(*_product_entry(a, b), _PRODUCT, a.machine, b.machine)
 
     def inverse(self) -> "Aut":
         """The inverse automorphism, minimised and interned.
@@ -463,20 +488,7 @@ class Aut:
         the key ("inverse", i), like compose.
         """
         c = self.canonical()
-        m = c.machine
-        key = ("inverse", c.state)
-        entry = m._memo.get(key)
-        if entry is None:
-            d = m.alphabet_size
-            tr = m.transitions
-            inv = [tuple(row.index(x) for x in range(d)) for row in m.outputs]
-
-            def trans_fn(q, x):
-                return tr[q][inv[q][x]]
-
-            entry = m._memo[key] = _derive(d, c.state, inv.__getitem__, trans_fn,
-                                           _INVERSE, m)
-        return _replay(*entry, _INVERSE, m)
+        return _replay(*_inverse_entry(c), _INVERSE, c.machine)
 
     def is_identity(self) -> bool:
         c = self.canonical()
