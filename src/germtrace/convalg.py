@@ -23,8 +23,8 @@ from math import gcd
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
 from .germs import Germ, PartialMap, _germ_key, _unit_key, bisection_product
-from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore,
-                    _parse_state_expr, _quotient, _replay_steps, _state_cap,
+from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore, _index,
+                    _memoised, _parse_state_expr, _quotient, _state_cap,
                     backward_distances, identity_aut, infinite_path_nodes, parse_word,
                     word_text)
 from .points import Point
@@ -378,7 +378,9 @@ class AlgebraElement:
         q_j^-1 q_i, which earlier releases explored: a cap that sufficed
         there suffices here.  The state cap (state_cap) bounds the states
         of the pattern graph, the bucket's pairs of restrictions and its
-        two sinks together; a one-term bucket builds none.
+        two sinks together; a one-term bucket builds none.  cap must be
+        None or an integer (anything operator.index accepts) of at least
+        1, else ValueError, whatever the element.
         """
         for class_sums, _ in _realizable_class_sums(self, cap):
             if any(not s.is_zero() for s in class_sums):
@@ -392,7 +394,7 @@ class AlgebraElement:
         closed region, and a locally closed region is nowhere dense
         unless it contains a whole cylinder, so the element is singular
         exactly when no pattern with a nonzero class sum does.  cap is
-        as for is_zero.
+        as for is_zero, and accepts the same values.
         """
         for class_sums, has_open in _realizable_class_sums(self, cap):
             if has_open and any(not s.is_zero() for s in class_sums):
@@ -540,8 +542,9 @@ def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
     have the same T/B future, so both properties are those of the walk
     over the unrefined pairs of restrictions.
     """
-    if cap is None:
-        cap = PATTERN_CAP
+    cap = PATTERN_CAP if cap is None else _index(cap, "pattern cap")
+    if cap < 1:
+        raise ValueError("pattern cap must be positive")
     for bucket in _refined_groups(elem):
         coeffs = [c for _, c in bucket]
         pairs, positions, succ = _joint_walk([s for s, _ in bucket], cap)
@@ -580,39 +583,34 @@ def _class_sums(coeffs: list[Scalar], tset: frozenset) -> list[Scalar]:
 def parse_shift(machine: Machine, text: str) -> PartialMap:
     """Parse the shift syntax <state-expr>:<u>><v> into a PartialMap.
 
-    Parsed shifts are memoised on machine, keyed by the stripped text, so
-    they live as long as the machine; at most _SHIFT_MEMO_LIMIT of them,
-    after which new texts are parsed without being stored.  Each entry
-    keeps the replay records of the products and inverses its state
-    expression took, and a hit replays them, so it is refused under
-    exactly the caps, and with the same text, as a fresh parse.  Texts
-    that fail to parse or that a cap refuses are not stored.
+    Parsed shifts are memoised on machine through mealy._memoised, keyed
+    by the stripped text, so they live as long as the machine; at most
+    _SHIFT_MEMO_LIMIT of them, after which new texts are parsed without
+    being stored.  Texts that fail to parse or that a cap refuses are not
+    stored.
     """
     shift_text = text.strip()
-    entry = machine._memo.get("shift", {}).get(shift_text)
-    if entry is not None:
-        _replay_steps(entry[0])
-        return entry[1]
+    shifts = machine._memo.setdefault("shift", {})
+    if len(shifts) >= _SHIFT_MEMO_LIMIT and shift_text not in shifts:
+        shifts = {}
+    return _memoised(shifts, shift_text, _parse_shift, machine, shift_text)
+
+
+def _parse_shift(machine: Machine, shift_text: str, records: list) -> PartialMap:
+    """parse_shift of stripped text, appending replay records to records."""
     if ":" not in shift_text:
         raise ElementParseError(f"shift {excerpt(shift_text)}: missing ':'")
     expr_text, _, words = shift_text.partition(":")
     if words.count(">") != 1:
         raise ElementParseError(f"shift {excerpt(shift_text)}: needs exactly one '>'")
     u_text, _, v_text = words.partition(">")
-    steps = []
     try:
-        state = _parse_state_expr(machine, expr_text, steps)
+        state = _parse_state_expr(machine, expr_text, records)
         u = parse_word(u_text, machine.alphabet_size)
         v = parse_word(v_text, machine.alphabet_size)
-        pmap = PartialMap(state, u, v, expr_text.strip())
-    except ElementParseError:
-        raise
+        return PartialMap(state, u, v, expr_text.strip())
     except (ParseError, DomainError, ValueError) as exc:
         raise ElementParseError(f"shift {excerpt(shift_text)}: {exc}") from exc
-    shifts = machine._memo.setdefault("shift", {})
-    if len(shifts) < _SHIFT_MEMO_LIMIT:
-        shifts[shift_text] = (tuple(steps), pmap)
-    return pmap
 
 
 def parse_element(machine: Machine, text: str) -> AlgebraElement:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .mealy import (Aut, Machine, Word, _canonical_pair, _inverse_recorded,
-                    _product_recorded, _replay_steps, check_word, compose_labels,
-                    identity_aut, invert_label, restrict_label, word_text)
+from .mealy import (Aut, Machine, Word, _canonical_pair, _inverse_recorded, _memoised,
+                    _product_recorded, check_word, compose_labels, identity_aut,
+                    invert_label, restrict_label, word_text)
 from .points import BOUNDARY, Point, apply_to_point, fixed_walk, state_lasso
 
 
@@ -108,22 +108,22 @@ def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
     return [] if piece is None else [piece]
 
 
-def _piece(b1: PartialMap, b2: PartialMap, steps: list) -> PartialMap | None:
+def _piece(b1: PartialMap, b2: PartialMap, records: list) -> PartialMap | None:
     """bisection_product's one piece or None, appending the replay records
-    of the products and inverses it takes to steps."""
+    of the products and inverses it takes to records."""
     v1, u2 = b1.source_prefix, b2.range_prefix
     if len(u2) >= len(v1):
         if u2[:len(v1)] != v1:
             return None
         left = b1.restrict_source(u2[len(v1):])
-        state = _product_recorded(left.state, b2.state, steps)
+        state = _product_recorded(left.state, b2.state, records)
         return PartialMap(state, left.range_prefix, b2.source_prefix,
                           compose_labels(left.label, b2.label))
     if v1[:len(u2)] != u2:
         return None
-    w = _inverse_recorded(b2.state, steps).apply_word(v1[len(u2):])
+    w = _inverse_recorded(b2.state, records).apply_word(v1[len(u2):])
     right = b2.restrict_source(w)
-    state = _product_recorded(b1.state, right.state, steps)
+    state = _product_recorded(b1.state, right.state, records)
     return PartialMap(state, b1.range_prefix, right.source_prefix,
                       compose_labels(b1.label, right.label))
 
@@ -247,26 +247,20 @@ def _unit_key(alphabet_size: int, x: Point) -> tuple:
 def _after_key(t: PartialMap, g: PartialMap, x: Point) -> tuple:
     """Key of the germ at x of t after g, where g's source cylinder holds
     x and t's holds g(x): the germ of t at g(x) composed with g's at x.
-
-    Memoised under ("after", t, g, x) with the replay records of the
-    products and inverses the composite took, which a hit replays: it
-    is refused under exactly the caps, and with the text, that refuse
-    building it afresh.
-    """
+    Memoised under ("after", t, g, x) through mealy._memoised, so a hit is
+    refused as a fresh build would be."""
     aut, gaut = t.state, g.state
-    memo = aut.machine._memo
     slot = ("after", aut.state, t.range_prefix, t.source_prefix,
             gaut.machine, gaut.state, g.range_prefix, g.source_prefix, x)
-    entry = memo.get(slot)
-    if entry is not None:
-        _replay_steps(entry[0])
-        return entry[1]
-    steps = []
-    piece = _piece(t, g, steps)
+    return _memoised(aut.machine._memo, slot, _composite_key, t, g, x)
+
+
+def _composite_key(t: PartialMap, g: PartialMap, x: Point, records: list) -> tuple:
+    """_after_key built afresh, appending replay records to records."""
+    piece = _piece(t, g, records)
     if piece is None or not piece.contains_base(x):
         raise DomainError("germ sources and ranges do not match up")
-    entry = memo[slot] = (tuple(steps), _germ_key(piece, x))
-    return entry[1]
+    return _germ_key(piece, x)
 
 
 def isotropy_germs_at(x: Point, machine: Machine, depth_cap: int) -> list[Germ]:

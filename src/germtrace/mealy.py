@@ -24,11 +24,15 @@ same way.  Two automorphisms are equal iff their canonical forms have
 the identical machine and the same state, which makes equality, hashing
 and identity tests cheap for every higher layer.  Products and inverses
 are memoised on the interned machine of the left canonical operand, next
-to the canonical forms of its states; keys and values hold interned
-machines only.  The germs layer keeps its germ keys and composites on
-the same memos, and convalg keeps each parsed shift on the memo of the
-machine it was parsed against.  The intern table is the only
-module-level state; every memo sits on a machine.
+to the canonical forms of its states, as (explored, result); keys and
+values hold interned machines only.  The germs layer keeps its germ keys
+on the same memos, and composites built through _memoised (germ keys of
+a term after a basis germ, shifts parsed against the machine) are stored
+there as (records, value), with the replay records of the products and
+inverses they took.  Only this module reads either format, and a hit is
+refused under exactly the caps, and with the text, that refuse building
+it afresh.  The intern table is the only module-level state; every memo
+sits on a machine.
 """
 
 from __future__ import annotations
@@ -56,12 +60,14 @@ def state_cap(n: int):
     operand that is never more than its raw machine would give).  For
     is_zero / is_singular it counts the states of each bucket's pattern
     graph: the pairs of restrictions reached from all of the bucket's
-    term pairs, plus its two sinks.  A memoised product or inverse is
-    refused under a cap it would exceed when built afresh, so the outcome
-    does not depend on what earlier calls cached.  The bound holds for
-    the current thread or task only; code running in another context,
-    such as a new thread, keeps its own (by default STATE_CAP).
+    term pairs, plus its two sinks.  A memoised result is refused under a
+    cap that would refuse building it afresh, so the outcome does not
+    depend on what earlier calls cached.  The bound holds for the current
+    thread or task only; code running in another context, such as a new
+    thread, keeps its own (by default STATE_CAP).  n must be an integer
+    (anything operator.index accepts) of at least 1, else ValueError.
     """
+    n = _index(n, "state cap")
     if n < 1:
         raise ValueError("state cap must be positive")
     token = _state_cap.set(n)
@@ -297,40 +303,37 @@ _PRODUCT = "the product of a {0.size}-state and a {1.size}-state automorphism"
 _INVERSE = "the inverse of a {0.size}-state automorphism"
 
 
-def _replay(explored, result, what, *machines) -> "Aut":
-    """A memoised product or inverse, refused exactly as _explore would
-    refuse rebuilding its explored states under the current cap.  The
-    cap error's text is what formatted with the operand machines, built
-    only when the cap refuses."""
+def _replay(records) -> None:
+    """Refuse memoised work as a fresh build would: raise the cap error,
+    worded as _derive words it, of the first replay record (explored,
+    what, *machines) that explored more states than the current cap."""
     cap = _state_cap.get()
-    if explored > cap:
-        raise _cap_error(cap, what.format(*machines))
-    return result
+    for record in records:
+        if record[0] > cap:
+            raise _cap_error(cap, record[1].format(*record[2:]))
 
 
-def _product_recorded(x: "Aut", y: "Aut", steps: list) -> "Aut":
-    """x * y, appending to steps its replay record (explored, what,
-    *machines): what _replay needs to refuse the memoised product as
-    building it afresh would."""
+def _memoised(memo, slot, build, *args):
+    """memo[slot]'s value, built on a miss by build(*args, records) and
+    stored as (records, value): records, a tuple, holds the replay record
+    of each product and inverse the build took, and a hit replays them.
+    A build that raises stores nothing.  Only mealy reads memo entries:
+    these, and (explored, result) for products and inverses."""
+    entry = memo.get(slot)
+    if entry is None:
+        records = []
+        value = build(*args, records)
+        memo[slot] = (tuple(records), value)
+        return value
+    _replay(entry[0])
+    return entry[1]
+
+
+def _product_recorded(x: "Aut", y: "Aut", records: list) -> "Aut":
+    """x * y (see Aut.compose), appending its replay record (explored,
+    _PRODUCT, A, B) to records; a memo hit is refused as _replay refuses
+    that record."""
     a, b = x.canonical(), y.canonical()
-    explored, result = _product_entry(a, b)
-    A, B = a.machine, b.machine
-    steps.append((explored, _PRODUCT, A, B))
-    return _replay(explored, result, _PRODUCT, A, B)
-
-
-def _inverse_recorded(x: "Aut", steps: list) -> "Aut":
-    """x.inverse(), appending its replay record to steps like
-    _product_recorded."""
-    c = x.canonical()
-    explored, result = _inverse_entry(c)
-    steps.append((explored, _INVERSE, c.machine))
-    return _replay(explored, result, _INVERSE, c.machine)
-
-
-def _product_entry(a: "Aut", b: "Aut"):
-    """The compose memo entry (explored, product) of canonical a and b,
-    derived under the current cap on a miss."""
     A, B = a.machine, b.machine
     if A.alphabet_size != B.alphabet_size:
         raise DomainError("cannot compose states over different alphabets")
@@ -350,12 +353,17 @@ def _product_entry(a: "Aut", b: "Aut"):
 
         entry = A._memo[key] = _derive(d, (a.state, b.state), out_fn, trans_fn,
                                        _PRODUCT, A, B)
-    return entry
+    explored, result = entry
+    records.append((explored, _PRODUCT, A, B))
+    if explored > _state_cap.get():
+        _replay(records[-1:])
+    return result
 
 
-def _inverse_entry(c: "Aut"):
-    """The inverse memo entry (explored, inverse) of canonical c, derived
-    under the current cap on a miss."""
+def _inverse_recorded(x: "Aut", records: list) -> "Aut":
+    """x.inverse(), appending its replay record (explored, _INVERSE, M)
+    to records like _product_recorded."""
+    c = x.canonical()
     m = c.machine
     key = ("inverse", c.state)
     entry = m._memo.get(key)
@@ -369,14 +377,11 @@ def _inverse_entry(c: "Aut"):
 
         entry = m._memo[key] = _derive(d, c.state, inv.__getitem__, trans_fn,
                                        _INVERSE, m)
-    return entry
-
-
-def _replay_steps(steps) -> None:
-    """Refuse, as the first of the recorded products and inverses the
-    current cap would refuse, or pass."""
-    for explored, *what in steps:
-        _replay(explored, None, *what)
+    explored, result = entry
+    records.append((explored, _INVERSE, m))
+    if explored > _state_cap.get():
+        _replay(records[-1:])
+    return result
 
 
 def _derive(d, start, out_fn, trans_fn, what, *machines):
@@ -478,8 +483,7 @@ class Aut:
         on A under the key ("compose", i, B, j); see state_cap for what
         the cap counts.
         """
-        a, b = self.canonical(), other.canonical()
-        return _replay(*_product_entry(a, b), _PRODUCT, a.machine, b.machine)
+        return _product_recorded(self, other, [])
 
     def inverse(self) -> "Aut":
         """The inverse automorphism, minimised and interned.
@@ -487,8 +491,7 @@ class Aut:
         Explored from the canonical form (M, i) and memoised on M under
         the key ("inverse", i), like compose.
         """
-        c = self.canonical()
-        return _replay(*_inverse_entry(c), _INVERSE, c.machine)
+        return _inverse_recorded(self, [])
 
     def is_identity(self) -> bool:
         c = self.canonical()
@@ -818,8 +821,8 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
     return _parse_state_expr(machine, text, [])
 
 
-def _parse_state_expr(machine: Machine, text: str, steps: list) -> Aut:
-    """parse_state_expr, appending to steps the replay record of every
+def _parse_state_expr(machine: Machine, text: str, records: list) -> Aut:
+    """parse_state_expr, appending to records the replay record of every
     product and inverse the expression takes (see _product_recorded)."""
     pos = 0
     s = text.strip()
@@ -858,7 +861,7 @@ def _parse_state_expr(machine: Machine, text: str, steps: list) -> Aut:
             skip_ws()
             if s.startswith("^-1", pos):
                 pos += 3
-                a = _inverse_recorded(a, steps)
+                a = _inverse_recorded(a, records)
             elif pos < len(s) and s[pos] == "|":
                 pos += 1
                 m = _DIGITS_RE.match(s, pos)
@@ -879,7 +882,7 @@ def _parse_state_expr(machine: Machine, text: str, steps: list) -> Aut:
             skip_ws()
             if pos < len(s) and s[pos] == "*":
                 pos += 1
-                a = _product_recorded(a, parse_factor(), steps)
+                a = _product_recorded(a, parse_factor(), records)
             else:
                 return a
 

@@ -1123,6 +1123,35 @@ class TestOneTermBuckets:
             assert not elem.is_singular()
 
 
+class TestCapValidation:
+    """Both caps are integers of at least 1, read through operator.index;
+    anything else raises ValueError before any work: the state cap as its
+    block is entered, the pattern cap before any bucket, so also for an
+    element with no terms or only one-term buckets."""
+
+    @pytest.mark.parametrize("value", [0, -5, 2.5, "3", None])
+    def test_bad_state_cap_rejected(self, value):
+        with pytest.raises(ValueError, match="state cap must be"), state_cap(value):
+            pass
+
+    @pytest.mark.parametrize("value", [0, -5, 2.5, "3"])
+    def test_bad_pattern_cap_rejected(self, grig, value):
+        elements = [AlgebraElement(grig, []), indicator(grig, "b"),
+                    indicator(grig, "a") + indicator(grig, "b") - indicator(grig, "c")]
+        for elem in elements:
+            for decide in (elem.is_zero, elem.is_singular):
+                with pytest.raises(ValueError, match="pattern cap must be"):
+                    decide(cap=value)
+
+    def test_bool_caps_read_as_integers(self, grig):
+        with state_cap(True), pytest.raises(StateCapError) as info:
+            grig.state("a") * grig.state("b")
+        assert str(info.value).startswith("more than 1 states while building")
+        elem = indicator(grig, "a") + indicator(grig, "b") - indicator(grig, "c")
+        with pytest.raises(PatternCapError, match="more than the cap of 1;"):
+            elem.is_zero(cap=True)
+
+
 def reference_parse_shift(machine, text):
     """parse_shift without its memo: the parser as it stood before
     parsed shifts were memoised."""

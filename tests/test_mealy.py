@@ -619,6 +619,51 @@ class TestCompositeCapReplay:
         }
 
 
+class TestFailedCompositeBuild:
+    """A composite germ key whose build raises leaves no entry behind, so
+    the next call builds it afresh; once stored, a hit replays it."""
+
+    def after_slots(self, t):
+        return [k for k in t.state.machine._memo if k[0] == "after"]
+
+    def counting_builds(self, monkeypatch):
+        builds = []
+        real_piece = germs._piece
+        monkeypatch.setattr(germs, "_piece",
+                            lambda *args: builds.append(args) or real_piece(*args))
+        return builds
+
+    def test_refused_build_stores_nothing(self, grig, monkeypatch):
+        builds = self.counting_builds(monkeypatch)
+        x = Point((), (1,))
+        g = PartialMap(grig.state("b"), (), ()).germ_at(x)
+        t = PartialMap(grig.state("a"), (0,), (1,))
+        pop_memos("after", "compose", "inverse")
+        refusal = after_outcome(2, t, g)
+        assert refusal == ("more than 2 states while building the inverse of a "
+                           "5-state automorphism")
+        assert self.after_slots(t) == [] and len(builds) == 1
+        key = germs._after_key(t, g.map, x)
+        (slot,) = self.after_slots(t)
+        assert len(builds) == 2
+        records, value = t.state.machine._memo[slot]
+        assert value is key and records
+        assert after_outcome(2, t, g) == refusal
+        assert germs._after_key(t, g.map, x) is key
+        assert len(builds) == 2
+
+    def test_germs_that_do_not_compose_store_nothing(self, grig, monkeypatch):
+        builds = self.counting_builds(monkeypatch)
+        x = Point((), (1,))
+        g = PartialMap(grig.state("b"), (), ()).germ_at(x)
+        t = PartialMap(grig.state("a"), (0,), (0,))  # g(x) starts with 1
+        pop_memos("after")
+        for attempt in (1, 2):
+            with pytest.raises(DomainError, match="do not match up"):
+                germs._after_key(t, g.map, x)
+            assert self.after_slots(t) == [] and len(builds) == attempt
+
+
 def reference_refine(d, outputs, transitions, members):
     """The Moore refinement the quotient replaced, kept verbatim."""
     block = {}
