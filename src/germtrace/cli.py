@@ -426,7 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if cap_states:
             p.add_argument("--cap-states", type=_cap, default=STATE_CAP,
                            help="limit on the states of each product, inverse or "
-                                "pattern graph built")
+                                "pattern graph built; for the state expression "
+                                "itself, on the reduced words explored")
 
     p = sub.add_parser("fixmeasure", help="fixed-word counts and exact measure")
     p.add_argument("-s", "--state", required=True)

@@ -41,8 +41,9 @@ class CapExceededError(GermTraceError):
 
 
 class StateCapError(CapExceededError):
-    """Too many states materialised while building a product, an inverse or
-    a bucket's pattern graph."""
+    """Too many states materialised while building a product, an inverse,
+    a state expression (its freely reduced words) or a bucket's pattern
+    graph."""
 
 
 class PatternCapError(CapExceededError):

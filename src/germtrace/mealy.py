@@ -19,20 +19,22 @@ the state's strongly connected component (SCC), numbered in that order,
 with the component marked as its root.  All states of a component share
 one interned machine, and a state in the root of an interned machine is
 its own canonical form.  Products and inverses are explored from
-canonical operands, and their quotients are numbered and interned the
-same way.  Two automorphisms are equal iff their canonical forms have
-the identical machine and the same state, which makes equality, hashing
-and identity tests cheap for every higher layer.  Products and inverses
-are memoised on the interned machine of the left canonical operand, next
-to the canonical forms of its states, as (explored, result); keys and
-values hold interned machines only.  The germs layer keeps its germ keys
-on the same memos, and composites built through _memoised (germ keys of
-a term after a basis germ, shifts parsed against the machine) are stored
-there as (records, value), with the replay records of the products and
-inverses they took.  Only this module reads either format, and a hit is
-refused under exactly the caps, and with the text, that refuse building
-it afresh.  The intern table is the only module-level state; every memo
-sits on a machine.
+canonical operands, a state expression from the freely reduced word over
+the machine's classes that it parses to, and their quotients are
+numbered and interned the same way.  Two automorphisms are equal iff
+their canonical forms have the identical machine and the same state,
+which makes equality, hashing and identity tests cheap for every higher
+layer.  Products and inverses are memoised on the interned machine of the
+left canonical operand, next to the canonical forms of its states, as
+(explored, result); keys and values hold interned machines only.  The
+germs layer keeps its germ keys on the same memos, and composites built
+through _memoised (germ keys of a term after a basis germ, shifts parsed
+against the machine) are stored there as (records, value), with the
+replay records of the products, inverses and state expressions they
+explored.  Only this module reads either format, and a hit is refused
+under exactly the caps, and with the text, that refuse building it
+afresh.  State expressions themselves are not memoised.  The intern table
+is the only module-level state; every memo sits on a machine.
 """
 
 from __future__ import annotations
@@ -57,10 +59,14 @@ def state_cap(n: int):
 
     For a product or an inverse the cap counts the states of the machine
     explored from the operands' canonical forms (for a non-minimal
-    operand that is never more than its raw machine would give).  For
-    is_zero / is_singular it counts the states of each bucket's pattern
-    graph: the pairs of restrictions reached from all of the bucket's
-    term pairs, plus its two sinks.  A memoised result is refused under a
+    operand that is never more than its raw machine would give).  For a
+    state expression it counts the freely reduced words reached from the
+    word the expression parses to (see parse_state_expr), so one that
+    cancels freely reaches the empty word only and is never refused; one
+    name with restrictions explores nothing.  For is_zero / is_singular
+    it counts the states of each bucket's pattern graph: the pairs of
+    restrictions reached from all of the bucket's term pairs, plus its
+    two sinks.  A memoised result is refused under a
     cap that would refuse building it afresh, so the outcome does not
     depend on what earlier calls cached.  The bound holds for the current
     thread or task only; code running in another context, such as a new
@@ -306,7 +312,7 @@ _INVERSE = "the inverse of a {0.size}-state automorphism"
 def _replay(records) -> None:
     """Refuse memoised work as a fresh build would: raise the cap error,
     worded as _derive words it, of the first replay record (explored,
-    what, *machines) that explored more states than the current cap."""
+    what, *args) that explored more states than the current cap."""
     cap = _state_cap.get()
     for record in records:
         if record[0] > cap:
@@ -316,7 +322,8 @@ def _replay(records) -> None:
 def _memoised(memo, slot, build, *args):
     """memo[slot]'s value, built on a miss by build(*args, records) and
     stored as (records, value): records, a tuple, holds the replay record
-    of each product and inverse the build took, and a hit replays them.
+    of each product, inverse and state expression the build explored, and
+    a hit replays them.
     A build that raises stores nothing.  Only mealy reads memo entries:
     these, and (explored, result) for products and inverses."""
     entry = memo.get(slot)
@@ -384,19 +391,19 @@ def _inverse_recorded(x: "Aut", records: list) -> "Aut":
     return result
 
 
-def _derive(d, start, out_fn, trans_fn, what, *machines):
-    """(states explored, interned result) of a product or inverse machine
-    explored from start under the current cap: a compose / inverse memo
-    entry.  Every explored state is reachable from start, so the quotient
-    is the closure of the start's class, numbered by _quotient as it
-    would number itself, and is interned as it stands.  A refusal is
-    raised with the text of _replay's.
+def _derive(d, start, out_fn, trans_fn, what, *args):
+    """(states explored, interned result) of a product, inverse or state
+    expression machine explored from start under the current cap.  Every
+    explored state is reachable from start, so the quotient is the
+    closure of the start's class, numbered by _quotient as it would
+    number itself, and is interned as it stands.  A refusal is raised
+    with the text of _replay's, what.format(*args).
     """
     cap = _state_cap.get()
     try:
         outs, trans = _explore(d, [start], out_fn, trans_fn, cap, StateCapError)
     except StateCapError:
-        raise _cap_error(cap, what.format(*machines)) from None
+        raise _cap_error(cap, what.format(*args)) from None
     q_outs, q_trans, block = _quotient(outs, trans)
     return len(outs), Aut(_intern(d, q_outs, q_trans, block[0]), block[0])
 
@@ -451,8 +458,8 @@ class Aut:
             if root is not None or quotient is not None and quotient[0] is m:
                 cached = _interned_closure(m, q)
             else:
-                mm, mapping = minimize(m)
-                cached = m._memo[("canon", q)] = Aut(mm, mapping[q]).canonical()
+                mm, block = _minimized(m)
+                cached = m._memo[("canon", q)] = Aut(mm, block[q]).canonical()
         return cached
 
     def apply_word(self, w) -> Word:
@@ -554,6 +561,13 @@ def minimize(machine: Machine) -> tuple[Machine, list[int]]:
     Every canonical form of a state of a machine that is not interned is
     read off this quotient (interned machines are minimal already).
     """
+    quotient, block = _minimized(machine)
+    return quotient, list(block)
+
+
+def _minimized(machine: Machine) -> tuple[Machine, tuple[int, ...]]:
+    """minimize's memo entry, (quotient, class of each state), filled on
+    first use."""
     cached = machine._memo.get("minimize")
     if cached is None:
         d = machine.alphabet_size
@@ -562,8 +576,7 @@ def minimize(machine: Machine) -> tuple[Machine, list[int]]:
             d, outputs, transitions, _identity_state(d, outputs, transitions), None, None)
         quotient._memo["minimize"] = (quotient, tuple(range(len(outputs))))
         cached = machine._memo["minimize"] = (quotient, tuple(block))
-    quotient, block = cached
-    return quotient, list(block)
+    return cached
 
 
 def forward_closure(starts, succ) -> list:
@@ -812,88 +825,187 @@ def format_machine(machine: Machine) -> str:
 #
 # Suffixes apply left to right, so a^-1|01 restricts the inverse of a to
 # the subtree below the input word 01.
+#
+# An expression is kept as a freely reduced word over the classes of
+# minimize(machine), its rightmost entry acting first: entry 2c stands for
+# class c and 2c + 1 for its inverse, and the identity class is dropped.
+# A product concatenates two words, cancelling x x^-1 at the seam; ^-1
+# reverses a word and inverts each entry; |w takes the word's section
+# below w, letter by letter, reduced again.  A section of a reduced word
+# is one again, so an expression's machine is one exploration over the
+# reduced words its sections reach, with no intermediate product: the
+# standard recursion of automaton groups (Nekrashevych, Self-Similar
+# Groups, AMS 2005).  Equal states are one class, so x x^-1 cancels
+# whichever of two equal states x names.
 
-_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_DIGITS_RE = re.compile(r"[0-9]+")
+_EXPRESSION = "the state expression {0}"
+
+# One token after optional whitespace, as (NAME, ''), or ('', symbol) for
+# '^-1', '*', '(', ')', '|' with the digits after it (none is an error) or
+# any other character (an error).
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\^-1|[*()]|\|[0-9]*|\S))")
 
 
 def parse_state_expr(machine: Machine, text: str) -> Aut:
+    """The automorphism that the state expression text names over the
+    states of machine.
+
+    An expression that is one state name with '|w' suffixes only gives
+    that state's handle on machine, walked on its tables.  Any other is
+    parsed whole into a freely reduced word (see above) before anything
+    is explored, then explored once from that word under the state cap,
+    which counts the reduced words reached, and returned minimised and
+    interned.  So name and syntax errors come before cap refusals, and an
+    expression that cancels freely, the empty word, explores one state
+    and is never refused.  Error columns count characters of text as
+    given.
+    """
     return _parse_state_expr(machine, text, [])
 
 
 def _parse_state_expr(machine: Machine, text: str, records: list) -> Aut:
-    """parse_state_expr, appending to records the replay record of every
-    product and inverse the expression takes (see _product_recorded)."""
-    pos = 0
-    s = text.strip()
-
-    def fail(msg):
-        raise ParseError(f"state expression {excerpt(text)}: {msg}")
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-
-    def parse_atom() -> Aut:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(s):
-            fail("unexpected end")
-        if s[pos] == "(":
-            pos += 1
-            a = parse_expr()
-            skip_ws()
-            if pos >= len(s) or s[pos] != ")":
-                fail("missing ')'")
-            pos += 1
-            return a
-        m = _ATOM_RE.match(s, pos)
-        if not m:
-            fail(f"expected state name at column {pos + 1}")
-        pos = m.end()
-        return machine.state(m.group(0))
-
-    def parse_factor() -> Aut:
-        nonlocal pos
-        a = parse_atom()
-        while True:
-            skip_ws()
-            if s.startswith("^-1", pos):
-                pos += 3
-                a = _inverse_recorded(a, records)
-            elif pos < len(s) and s[pos] == "|":
-                pos += 1
-                m = _DIGITS_RE.match(s, pos)
-                if not m:
-                    fail("expected word after '|'")
-                pos = m.end()
-                try:
-                    a = a.restrict(parse_word(m.group(0), machine.alphabet_size))
-                except ValueError as exc:
-                    fail(str(exc))
-            else:
-                return a
-
-    def parse_expr() -> Aut:
-        nonlocal pos
-        a = parse_factor()
-        while True:
-            skip_ws()
-            if pos < len(s) and s[pos] == "*":
-                pos += 1
-                a = _product_recorded(a, parse_factor(), records)
-            else:
-                return a
-
+    """parse_state_expr, appending to records the replay record
+    (explored, _EXPRESSION, excerpt(text)) of the exploration it takes,
+    if it takes one."""
+    parser = _ExpressionParser(machine, text)
     try:
-        result = parse_expr()
+        value = parser.expr()
     except RecursionError:
-        fail("parentheses nested too deeply")
-    skip_ws()
-    if pos != len(s):
-        fail(f"trailing input at column {pos + 1}")
+        parser.fail("parentheses nested too deeply")
+    if parser.i < len(parser.tokens) - 1:
+        parser.fail(f"trailing input at column {parser.column()}")
+    if not isinstance(value, tuple):
+        return Aut(machine, value)
+    what = excerpt(text)
+    explored, result = _derive(machine.alphabet_size, value, parser.outputs, parser.section,
+                               _EXPRESSION, what)
+    records.append((explored, _EXPRESSION, what))
     return result
+
+
+class _ExpressionParser:
+    """One parse of a state expression over a machine.  A value is a state
+    of the machine, while the expression is one name with restrictions,
+    or a reduced word (see above).
+
+    A class, not nested functions: mutually recursive closures form a
+    reference cycle that only the cyclic garbage collector frees, and one
+    cycle per parse made it collect about eight times as often over a
+    session of short expressions.
+    """
+
+    __slots__ = ("machine", "text", "tokens", "i", "classes", "moves")
+
+    def __init__(self, machine: Machine, text: str):
+        self.machine = machine
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append(("", ""))  # the end
+        self.i = 0  # the next token
+        self.classes = None  # minimize(machine)'s (quotient, class of each state), on first use
+        self.moves = {}  # entry -> (its output row, its entry below each letter or None)
+
+    def fail(self, msg):
+        raise ParseError(f"state expression {excerpt(self.text)}: {msg}")
+
+    def column(self) -> int:
+        """The column of the next token, counted from 1."""
+        for k, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            if k == self.i:
+                return m.start(m.lastindex) + 1
+
+    def word_of(self, value) -> tuple:
+        """value as a reduced word."""
+        if isinstance(value, tuple):
+            return value
+        if self.classes is None:
+            self.classes = _minimized(self.machine)
+        quotient, block = self.classes
+        c = block[value]
+        return () if c == quotient.identity else (2 * c,)
+
+    def move(self, e):
+        """moves[e], filled on first use."""
+        quotient = self.classes[0]
+        c, inverted = e >> 1, e & 1
+        out, below = quotient.outputs[c], quotient.transitions[c]
+        if inverted:  # c^-1 sends out[x] to x, and (c|x)^-1 acts below
+            out = tuple(map(out.index, range(quotient.alphabet_size)))
+            below = [below[x] for x in out]
+        row = self.moves[e] = (out, tuple(None if t == quotient.identity else 2 * t + inverted
+                                          for t in below))
+        return row
+
+    def section(self, word, x) -> tuple:
+        """The reduced section of word below the input letter x."""
+        moves = self.moves
+        stack = []  # the section's entries, rightmost first
+        for e in reversed(word):
+            out, below = moves.get(e) or self.move(e)
+            t = below[x]
+            x = out[x]
+            if t is not None:
+                if stack and stack[-1] == t ^ 1:
+                    stack.pop()
+                else:
+                    stack.append(t)
+        stack.reverse()
+        return tuple(stack)
+
+    def outputs(self, word) -> tuple:
+        """The output row of word."""
+        row = tuple(range(self.machine.alphabet_size))
+        for e in reversed(word):
+            row = tuple(map((self.moves.get(e) or self.move(e))[0].__getitem__, row))
+        return row
+
+    def factor(self):
+        name, symbol = self.tokens[self.i]
+        if name:
+            value = self.machine.index_of(name)
+        elif symbol == "(":
+            self.i += 1
+            value = self.expr()
+            if self.tokens[self.i][1] != ")":
+                self.fail("missing ')'")
+        elif symbol:
+            self.fail(f"expected state name at column {self.column()}")
+        else:
+            self.fail("unexpected end")
+        self.i += 1
+        while True:
+            symbol = self.tokens[self.i][1]
+            if symbol == "^-1":
+                value = tuple(e ^ 1 for e in reversed(self.word_of(value)))
+            elif symbol[:1] == "|":
+                if symbol == "|":
+                    self.fail("expected word after '|'")
+                try:
+                    w = parse_word(symbol[1:], self.machine.alphabet_size)
+                except ValueError as exc:
+                    self.fail(str(exc))
+                for x in w:
+                    if isinstance(value, tuple):
+                        value = self.section(value, x)
+                    else:
+                        value = self.machine.transitions[value][x]
+            else:
+                return value
+            self.i += 1
+
+    def expr(self):
+        value = self.factor()
+        if self.tokens[self.i][1] != "*":
+            return value
+        stack = list(self.word_of(value))
+        while self.tokens[self.i][1] == "*":
+            self.i += 1
+            for e in self.word_of(self.factor()):
+                if stack and stack[-1] == e ^ 1:
+                    stack.pop()
+                else:
+                    stack.append(e)
+        return tuple(stack)
 
 
 def _needs_parens(label: str) -> bool:

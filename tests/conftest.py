@@ -60,6 +60,27 @@ def random_word(rng: random.Random, d: int, length: int) -> tuple[int, ...]:
     return tuple(rng.randrange(d) for _ in range(length))
 
 
+def random_state_expr(rng, names, d, depth=0):
+    """A state expression over names with products, inverses,
+    restrictions and parentheses, spaced at random."""
+    def space():
+        return rng.choice(["", "", " "])
+
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        if depth < 2 and rng.random() < 0.3:
+            atom = f"({space()}{random_state_expr(rng, names, d, depth + 1)}{space()})"
+        else:
+            atom = rng.choice(names)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if rng.random() < 0.5:
+                atom += f"{space()}^-1"
+            else:
+                atom += f"{space()}|" + "".join(map(str, random_word(rng, d, rng.randint(1, 3))))
+        factors.append(atom)
+    return f"{space()}*{space()}".join(factors)
+
+
 def random_scalar(rng: random.Random, complex_ok: bool = True) -> Scalar:
     def frac() -> Fraction:
         return Fraction(rng.randint(-3, 3), rng.randint(1, 4))

@@ -605,8 +605,8 @@ class TestCaps:
         argv = ("wordproblem", "-m", "grigorchuk", "-s", "a*b*a*c", "--cap-states", "3")
         assert run(capsys, *argv[:-2])[0] == 0
         capped = run(capsys, *argv)
-        assert capped == (3, "", "error: more than 3 states while building the product "
-                                 "of a 2-state and a 5-state automorphism\n")
+        assert capped == (3, "", "error: more than 3 states while building the state "
+                                 "expression 'a*b*a*c'\n")
         assert capped == run_fresh(*argv)
 
 

@@ -44,7 +44,8 @@ from germtrace.convalg import (_BROKEN, _TRIVIAL, _joint_walk, _realizable_class
 from germtrace.errors import excerpt
 from germtrace.mealy import _cap_error, _explore, _quotient, _state_cap
 
-from conftest import pop_memos, random_element, random_scalar, random_word
+from conftest import (pop_memos, random_element, random_scalar, random_state_expr,
+                      random_word)
 
 
 def F(*args):
@@ -1173,27 +1174,6 @@ def reference_parse_shift(machine, text):
         raise ElementParseError(f"shift {excerpt(shift_text)}: {exc}") from exc
 
 
-def random_state_expr(rng, names, d, depth=0):
-    """A state expression over names with products, inverses,
-    restrictions and parentheses, spaced at random."""
-    def space():
-        return rng.choice(["", "", " "])
-
-    factors = []
-    for _ in range(rng.randint(1, 3)):
-        if depth < 2 and rng.random() < 0.3:
-            atom = f"({space()}{random_state_expr(rng, names, d, depth + 1)}{space()})"
-        else:
-            atom = rng.choice(names)
-        for _ in range(rng.choice([0, 0, 1, 2])):
-            if rng.random() < 0.5:
-                atom += f"{space()}^-1"
-            else:
-                atom += f"{space()}|" + "".join(map(str, random_word(rng, d, rng.randint(1, 3))))
-        factors.append(atom)
-    return f"{space()}*{space()}".join(factors)
-
-
 def random_shift_text(rng, machine):
     d = machine.alphabet_size
     n = rng.randint(0, 2)
@@ -1273,13 +1253,32 @@ class TestShiftMemo:
                     checked += 1
         assert refused >= 20 and checked >= 100, (refused, checked)
 
+    def test_entry_keeps_at_most_one_record(self, bundled, ternary):
+        """A stored shift keeps at most the replay record of its
+        expression's exploration, which names the expression; one name
+        with restrictions explores nothing and keeps none."""
+        rng = random.Random(1820)
+        recorded = 0
+        for m in [*bundled.values(), ternary]:
+            m = fresh_copy(m)
+            for text in [*self.texts(rng, m), f"{m.names[0]}|0:>"]:
+                parse_shift(m, text)
+                records = stored_shifts(m)[text.strip()][0]
+                expr = text.strip().partition(":")[0]
+                assert len(records) <= 1, text
+                for _, what, quoted in records:
+                    assert what.format(quoted) == f"the state expression {excerpt(expr)}"
+                recorded += len(records)
+            assert records == ()
+        assert recorded >= 50, recorded
+
     def test_refused_text_is_not_stored(self, grig):
         m = fresh_copy(grig)
         text = "a*b*a*c:>"
         with state_cap(3), pytest.raises(StateCapError) as info:
             parse_shift(m, text)
-        assert str(info.value) == ("more than 3 states while building the product "
-                                   "of a 2-state and a 5-state automorphism")
+        assert str(info.value) == ("more than 3 states while building the state "
+                                   "expression 'a*b*a*c'")
         assert text not in stored_shifts(m)
         assert parse_shift(m, text) == reference_parse_shift(m, text)
         assert text in stored_shifts(m)
@@ -1341,8 +1340,8 @@ class TestShiftMemo:
             w.join(timeout=60)
             assert not w.is_alive()
         assert outcomes == {
-            "capped": "more than 2 states while building the product of a "
-                      "2-state and a 5-state automorphism",
+            "capped": "more than 2 states while building the state expression "
+                      "'(a*b)^-1*c'",
             "default": expected,
         }
         assert outcomes["default"] is expected

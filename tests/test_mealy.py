@@ -3,6 +3,7 @@ the memoised group law and its caps."""
 
 import itertools
 import random
+import re
 import sys
 import threading
 
@@ -30,7 +31,7 @@ from germtrace import (
 from germtrace import AlgebraElement, PartialMap, Point, Scalar, germs, mealy, rep_matrix
 from germtrace.mealy import backward_distances, infinite_path_nodes, strong_components
 
-from conftest import pop_memos, random_element, random_word
+from conftest import pop_memos, random_element, random_state_expr, random_word
 
 
 def oracle_min_moved(machine, q, max_len=8):
@@ -293,6 +294,27 @@ class TestStateExpr:
         with pytest.raises(DomainError):
             parse_state_expr(grig, "zz")
 
+    @pytest.mark.parametrize("text, message", [
+        ("   a)", "trailing input at column 5"),
+        ("\t a * b  c", "trailing input at column 10"),
+        ("  a*%", "expected state name at column 5"),
+    ])
+    def test_error_columns_count_the_quoted_text(self, grig, text, message):
+        from germtrace import ParseError
+
+        with pytest.raises(ParseError) as info:
+            parse_state_expr(grig, text)
+        assert str(info.value) == f"state expression {text!r}: {message}"
+
+    def test_one_atom_is_walked_on_the_raw_tables(self, grig):
+        """A name with restrictions only is the raw state it leads to, and
+        the machine is not minimised for it."""
+        m = parse_machine(format_machine(grig))
+        for text, name in [("d|11", "c"), ("((d)|1)|1", "c"), (" a ", "a"), ("e|0", "e")]:
+            a = parse_state_expr(m, text)
+            assert (a.machine, a.state) == (m, m.index_of(name))
+        assert "minimize" not in m._memo
+
 
 class TestLabels:
     def test_helpers(self):
@@ -347,6 +369,240 @@ class TestStateCap:
         for n in (0, -1):
             with pytest.raises(ValueError), state_cap(n):
                 pass
+
+
+def reference_parse_state_expr(machine, text):
+    """The state expression parser as it stood before expressions became
+    reduced words: a chain that builds, minimises and interns every
+    prefix product and every inverse through Aut.compose / Aut.inverse."""
+    from germtrace import ParseError
+
+    pos = 0
+    s = text.strip()
+
+    def fail(msg):
+        raise ParseError(f"state expression {text!r}: {msg}")
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(s) and s[pos].isspace():
+            pos += 1
+
+    def parse_atom():
+        nonlocal pos
+        skip_ws()
+        if pos >= len(s):
+            fail("unexpected end")
+        if s[pos] == "(":
+            pos += 1
+            a = parse_expr()
+            skip_ws()
+            if pos >= len(s) or s[pos] != ")":
+                fail("missing ')'")
+            pos += 1
+            return a
+        m = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").match(s, pos)
+        if not m:
+            fail("expected state name")
+        pos = m.end()
+        return machine.state(m.group(0))
+
+    def parse_factor():
+        nonlocal pos
+        a = parse_atom()
+        while True:
+            skip_ws()
+            if s.startswith("^-1", pos):
+                pos += 3
+                a = a.inverse()
+            elif pos < len(s) and s[pos] == "|":
+                pos += 1
+                m = re.compile(r"[0-9]+").match(s, pos)
+                if not m:
+                    fail("expected word after '|'")
+                pos = m.end()
+                a = a.restrict(tuple(map(int, m.group(0))))
+            else:
+                return a
+
+    def parse_expr():
+        nonlocal pos
+        a = parse_factor()
+        while True:
+            skip_ws()
+            if pos < len(s) and s[pos] == "*":
+                pos += 1
+                a = a * parse_factor()
+            else:
+                return a
+
+    result = parse_expr()
+    skip_ws()
+    if pos != len(s):
+        fail("trailing input")
+    return result
+
+
+def chain_outcome(machine, text, cap):
+    """The canonical (machine, state) of reference_parse_state_expr under
+    the cap, or None when a product or inverse of the chain is refused."""
+    with state_cap(cap):
+        try:
+            c = reference_parse_state_expr(machine, text).canonical()
+        except StateCapError:
+            return None
+    return c.machine, c.state
+
+
+def invert_factor(f):
+    return f[:-3] if f.endswith("^-1") else f + "^-1"
+
+
+def free_reduction(factors):
+    """The factors ('x' or 'x^-1') with adjacent x, x^-1 cancelled."""
+    stack = []
+    for f in factors:
+        if stack and stack[-1] == invert_factor(f):
+            stack.pop()
+        else:
+            stack.append(f)
+    return stack
+
+
+def word_action(machine, factors, length):
+    """Image of every input word of the given length under the product of
+    factors, the rightmost acting first, by walking the raw tables."""
+    images = []
+    for w in itertools.product(range(machine.alphabet_size), repeat=length):
+        for f in reversed(factors):
+            inverse = f.endswith("^-1")
+            q = machine.index_of(f[:-3] if inverse else f)
+            image = []
+            for y in w:
+                x = machine.outputs[q].index(y) if inverse else y
+                image.append(x if inverse else machine.outputs[q][x])
+                q = machine.transitions[q][x]
+            w = tuple(image)
+        images.append(w)
+    return images
+
+
+class TestChainReference:
+    """parse_state_expr against the chain parser it replaced: the same
+    interned machine and state whenever the chain is accepted, under a
+    bounded cap, and the action the raw tables give."""
+
+    CAP = 2000
+
+    def test_random_expressions_match_the_chain(self, bundled, ternary):
+        rng = random.Random(2301)
+        machines = [*bundled.values(), ternary]
+        while len(machines) < 16:
+            m = oracle_machine(rng, duplicate=True, size=10)
+            if minimize(m)[0].size < m.size:
+                machines.append(Machine(m.alphabet_size, m.outputs, m.transitions,
+                                        names=[f"s{q}" for q in range(m.size)]))
+        compared = nonminimal = 0
+        seen = set()
+        for m in machines:
+            for _ in range(40):
+                text = random_state_expr(rng, list(m.names), m.alphabet_size)
+                expected = chain_outcome(m, text, self.CAP)
+                if expected is None:
+                    continue
+                with state_cap(self.CAP):
+                    got = parse_state_expr(m, text).canonical()
+                assert (got.machine, got.state) == expected, text
+                seen.update(c for c in "*^|(" if c in text)
+                compared += 1
+                nonminimal += m.names[0] == "s0"
+        assert seen == set("*^|(")
+        assert compared >= 500 and nonminimal >= 300, (compared, nonminimal)
+
+    def words(self, rng):
+        """(machine name, factors) of words that do not cancel freely:
+        conjugates of (p*q^-1)^2 on lamplighter and of grigorchuk
+        relators, and random lamplighter and ternary words."""
+        def conjugate(gens, core):
+            w = [rng.choice(gens) for _ in range(rng.randint(1, 4))]
+            return w + core + [invert_factor(f) for f in reversed(w)]
+
+        relators = [["b", "c", "d"], ["a", "d"] * 4, ["a", "c"] * 8, ["a", "a"]]
+        lamp = ["p", "q", "p^-1", "q^-1"]
+        tern = ["s", "t", "u", "s^-1", "t^-1", "u^-1"]
+        for _ in range(30):
+            yield "lamplighter", conjugate(lamp, ["p", "q^-1", "p", "q^-1"]), True
+            yield "grigorchuk", conjugate(list("abcd"), rng.choice(relators)), True
+            yield "lamplighter", [rng.choice(lamp) for _ in range(rng.randint(2, 8))], None
+            yield "ternary", [rng.choice(tern) for _ in range(rng.randint(2, 6))], None
+
+    def test_words_that_do_not_cancel_match_the_chain_and_the_tables(self, bundled,
+                                                                      ternary):
+        machines = {**bundled, "ternary": ternary}
+        rng = random.Random(2302)
+        checked = identities = 0
+        for name, factors, identity in self.words(rng):
+            m = machines[name]
+            if not free_reduction(factors):
+                continue
+            text = "*".join(factors)
+            got = parse_state_expr(m, text)
+            assert (got.machine, got.state) == chain_outcome(m, text, STATE_CAP), text
+            assert [got.apply_word(w) for w in itertools.product(
+                range(m.alphabet_size), repeat=5)] == word_action(m, factors, 5), text
+            if identity:
+                assert got.is_identity(), text
+                identities += 1
+            checked += 1
+        assert checked >= 100 and identities >= 50, (checked, identities)
+
+
+class TestExpressionCap:
+    """The state cap counts the reduced words an expression's exploration
+    reaches; the whole text is parsed first."""
+
+    def test_refusal_names_the_expression(self, grig):
+        assert cap_outcome(3, lambda: parse_state_expr(grig, "a*b*a*c")) == (
+            "more than 3 states while building the state expression 'a*b*a*c'")
+        long_text = "*".join("abcd" * 15)
+        assert cap_outcome(3, lambda: parse_state_expr(grig, long_text)) == (
+            f"more than 3 states while building the state expression "
+            f"{long_text[:40]!r}... ({len(long_text)} characters)")
+
+    def test_cap_counts_the_reduced_words(self, grig, lamp):
+        """The least cap that accepts an expression is the number of
+        reduced words its exploration reaches, identity entries dropped."""
+        for machine, text, explored in [(grig, "a*b*a*c", 8), (grig, "(a*b)^-1*c", 12),
+                                         (grig, "a*b", 6), (grig, "b*c", 6),
+                                         (lamp, "p*q^-1*p*q^-1", 2)]:
+            assert least_cap(lambda: parse_state_expr(machine, text), 100) == explored, text
+
+    def test_unknown_name_comes_before_the_cap(self, grig):
+        with state_cap(1), pytest.raises(DomainError, match="unknown state name 'zz'"):
+            parse_state_expr(grig, "a*b*zz")
+
+    def test_free_cancellation_is_never_refused(self, grig):
+        with state_cap(1):
+            assert parse_state_expr(grig, "a*b*b^-1*a^-1").is_identity()
+            assert parse_state_expr(grig, "e*e|01").is_identity()
+            assert parse_state_expr(grig, "(a*d^-1)^-1*a*d^-1") == identity_aut(2)
+
+    def test_each_expression_interns_at_most_one_machine(self, ternary):
+        rng = random.Random(2303)
+        gens = ["s", "t", "u", "s^-1", "t^-1", "u^-1"]
+        words = []
+        while len(words) < 40:
+            factors = [rng.choice(gens) for _ in range(12)]
+            if len(free_reduction(factors)) == 12:
+                words.append("*".join(factors))
+        before = len(mealy._interned)
+        for text in words[:20]:
+            parse_state_expr(ternary, text)
+        assert len(mealy._interned) - before <= 20
+        before = len(mealy._interned)
+        for text in words[20:]:
+            reference_parse_state_expr(ternary, text)
+        assert len(mealy._interned) - before > 20
 
 
 def oracle_machine(rng, duplicate, d=None, size=30):
