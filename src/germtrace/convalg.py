@@ -22,11 +22,10 @@ from math import gcd
 
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
-from .germs import Germ, PartialMap, _germ_key, _unit_key, bisection_product
+from .germs import PartialMap, _germ_key, _unit_key, bisection_product
 from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore, _index,
-                    _memoised, _parse_state_expr, _quotient, _state_cap,
-                    backward_distances, identity_aut, infinite_path_nodes, parse_word,
-                    word_text)
+                    _memoised, _quotient, _state_cap, backward_distances, identity_aut,
+                    infinite_path_nodes, parse_state_expr, parse_word, word_text)
 from .points import Point
 
 PATTERN_CAP = 10 ** 6
@@ -298,9 +297,6 @@ class AlgebraElement:
     def term_list(self) -> list[tuple[Scalar, PartialMap]]:
         return [(c, b) for b, c in self.terms.items()]
 
-    def is_termwise_zero(self) -> bool:
-        return not self.terms
-
     def _require_compatible(self, other: "AlgebraElement"):
         if not isinstance(other, AlgebraElement):
             raise TypeError("expected an AlgebraElement")
@@ -345,16 +341,10 @@ class AlgebraElement:
                               [(c.conjugate(), b.inverse())
                                for c, b in self.term_list()])
 
-    def evaluate(self, germ: Germ) -> Scalar:
-        """Value of the represented function at a germ."""
-        return self._value_at(germ.base, germ.key)
-
     def unit_restriction_eval(self, x: Point) -> Scalar:
-        """E(a)(x): the value at the unit germ over x."""
-        return self._value_at(x, _unit_key(self.alphabet_size, x))
-
-    def _value_at(self, x: Point, key: tuple) -> Scalar:
-        """Sum of c_t over the terms t whose germ at x has this key."""
+        """E(a)(x): the value at the unit germ over x, the sum of c_t over
+        the terms t whose germ at x is the unit."""
+        key = _unit_key(self.alphabet_size, x)
         return sum((c for b, c in self.terms.items()
                     if b.contains_base(x) and _germ_key(b, x) == key), ZERO)
 
@@ -504,7 +494,7 @@ def _joint_walk(states: list[Aut], cap: int):
 
     term = [_canonical_pair(s.machine, s.state) for s in states]
     starts = [pair_or_sink(term[i], term[j]) for i, j in pairs]
-    state_cap = _state_cap.get()
+    state_cap = _state_cap()
     state_error = _cap_error(state_cap, f"the pattern graph of a bucket of {k} terms "
                                         f"({len(pairs)} term pairs)")
     labels, qtrans, classes = _quotient(*_explore(d, starts, label, step, state_cap,
@@ -596,8 +586,8 @@ def parse_shift(machine: Machine, text: str) -> PartialMap:
     return _memoised(shifts, shift_text, _parse_shift, machine, shift_text)
 
 
-def _parse_shift(machine: Machine, shift_text: str, records: list) -> PartialMap:
-    """parse_shift of stripped text, appending replay records to records."""
+def _parse_shift(machine: Machine, shift_text: str) -> PartialMap:
+    """parse_shift of stripped text, built afresh."""
     if ":" not in shift_text:
         raise ElementParseError(f"shift {excerpt(shift_text)}: missing ':'")
     expr_text, _, words = shift_text.partition(":")
@@ -605,7 +595,7 @@ def _parse_shift(machine: Machine, shift_text: str, records: list) -> PartialMap
         raise ElementParseError(f"shift {excerpt(shift_text)}: needs exactly one '>'")
     u_text, _, v_text = words.partition(">")
     try:
-        state = _parse_state_expr(machine, expr_text, records)
+        state = parse_state_expr(machine, expr_text)
         u = parse_word(u_text, machine.alphabet_size)
         v = parse_word(v_text, machine.alphabet_size)
         return PartialMap(state, u, v, expr_text.strip())

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .mealy import (Aut, Machine, Word, _canonical_pair, _inverse_recorded, _memoised,
-                    _product_recorded, check_word, compose_labels, identity_aut,
-                    invert_label, restrict_label, word_text)
-from .points import BOUNDARY, Point, apply_to_point, fixed_walk, state_lasso
+from .mealy import (Aut, Machine, Word, _canonical_pair, _memoised, check_word,
+                    compose_labels, identity_aut, invert_label, restrict_label, word_text)
+from .points import BOUNDARY, Point, fixed_walk, state_lasso
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,12 +62,6 @@ class PartialMap:
             raise DomainError("word lies outside the source cylinder")
         return self.range_prefix + self.state.apply_word(w[k:])
 
-    def apply_point(self, x: Point) -> Point:
-        if not self.contains_base(x):
-            raise DomainError("point lies outside the source cylinder")
-        y = apply_to_point(self.state, x.shift(len(self.source_prefix)))
-        return Point(self.range_prefix + y.preperiod, y.period)
-
     def restrict_source(self, w) -> "PartialMap":
         """The same map cut down to the source cylinder extended by w."""
         w = check_word(w, self.alphabet_size)
@@ -80,10 +73,6 @@ class PartialMap:
     def inverse(self) -> "PartialMap":
         return PartialMap(self.state.inverse(), self.source_prefix,
                           self.range_prefix, invert_label(self.label))
-
-    def is_identity_map(self) -> bool:
-        return (self.range_prefix == self.source_prefix
-                and self.state.is_identity())
 
     def germ_at(self, x: Point) -> "Germ":
         return Germ(self, x)
@@ -104,28 +93,18 @@ def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
     """
     if b1.alphabet_size != b2.alphabet_size:
         raise DomainError("alphabet size mismatch")
-    piece = _piece(b1, b2, [])
-    return [] if piece is None else [piece]
-
-
-def _piece(b1: PartialMap, b2: PartialMap, records: list) -> PartialMap | None:
-    """bisection_product's one piece or None, appending the replay records
-    of the products and inverses it takes to records."""
     v1, u2 = b1.source_prefix, b2.range_prefix
     if len(u2) >= len(v1):
         if u2[:len(v1)] != v1:
-            return None
+            return []
         left = b1.restrict_source(u2[len(v1):])
-        state = _product_recorded(left.state, b2.state, records)
-        return PartialMap(state, left.range_prefix, b2.source_prefix,
-                          compose_labels(left.label, b2.label))
+        return [PartialMap(left.state * b2.state, left.range_prefix, b2.source_prefix,
+                           compose_labels(left.label, b2.label))]
     if v1[:len(u2)] != u2:
-        return None
-    w = _inverse_recorded(b2.state, records).apply_word(v1[len(u2):])
-    right = b2.restrict_source(w)
-    state = _product_recorded(b1.state, right.state, records)
-    return PartialMap(state, b1.range_prefix, right.source_prefix,
-                      compose_labels(b1.label, right.label))
+        return []
+    right = b2.restrict_source(b2.state.inverse().apply_word(v1[len(u2):]))
+    return [PartialMap(b1.state * right.state, b1.range_prefix, right.source_prefix,
+                       compose_labels(b1.label, right.label))]
 
 
 class Germ:
@@ -165,12 +144,6 @@ class Germ:
         if self._key is None:
             self._key = _germ_key(self.map, self.base)
         return self._key
-
-    def is_unit(self) -> bool:
-        return self.key == _unit_key(self.map.alphabet_size, self.base)
-
-    def fixes_base(self) -> bool:
-        return self.range() == self.base
 
     def compose(self, other: "Germ") -> "Germ":
         """Germ of self after other, based where other is."""
@@ -255,12 +228,12 @@ def _after_key(t: PartialMap, g: PartialMap, x: Point) -> tuple:
     return _memoised(aut.machine._memo, slot, _composite_key, t, g, x)
 
 
-def _composite_key(t: PartialMap, g: PartialMap, x: Point, records: list) -> tuple:
-    """_after_key built afresh, appending replay records to records."""
-    piece = _piece(t, g, records)
-    if piece is None or not piece.contains_base(x):
+def _composite_key(t: PartialMap, g: PartialMap, x: Point) -> tuple:
+    """_after_key built afresh."""
+    pieces = bisection_product(t, g)
+    if not pieces or not pieces[0].contains_base(x):
         raise DomainError("germ sources and ranges do not match up")
-    return _germ_key(piece, x)
+    return _germ_key(pieces[0], x)
 
 
 def isotropy_germs_at(x: Point, machine: Machine, depth_cap: int) -> list[Germ]:

@@ -25,16 +25,18 @@ numbered and interned the same way.  Two automorphisms are equal iff
 their canonical forms have the identical machine and the same state,
 which makes equality, hashing and identity tests cheap for every higher
 layer.  Products and inverses are memoised on the interned machine of the
-left canonical operand, next to the canonical forms of its states, as
-(explored, result); keys and values hold interned machines only.  The
-germs layer keeps its germ keys on the same memos, and composites built
-through _memoised (germ keys of a term after a basis germ, shifts parsed
-against the machine) are stored there as (records, value), with the
-replay records of the products, inverses and state expressions they
-explored.  Only this module reads either format, and a hit is refused
-under exactly the caps, and with the text, that refuse building it
-afresh.  State expressions themselves are not memoised.  The intern table
-is the only module-level state; every memo sits on a machine.
+left canonical operand, next to the canonical forms of its states; keys
+and values hold interned machines only.  The germs layer keeps its germ
+keys on the same memos.  Every memoised result built from explorations
+(a product, an inverse, a shift parsed against the machine, the germ key
+of a term after a basis germ) is stored through _memoised in one format,
+(records, value), with the replay records of the explorations it took:
+_derive records each exploration in the scope of the memoised build in
+progress, and no other module sees a record.  A hit is refused under
+exactly the caps, and with the text, that refuse building it afresh.
+State expressions themselves are not memoised.  The intern table is the
+only module-level state besides one context variable holding the
+current state cap and build scope; every memo sits on a machine.
 """
 
 from __future__ import annotations
@@ -50,7 +52,14 @@ from .errors import DomainError, MachineParseError, ParseError, StateCapError, e
 Word = tuple[int, ...]
 
 STATE_CAP = 100_000
-_state_cap: ContextVar[int] = ContextVar("state_cap", default=STATE_CAP)
+# (state cap, records of the memoised build in progress or None): the
+# cap is set by state_cap, the records by _memoised
+_scope: ContextVar[tuple[int, list | None]] = ContextVar("scope", default=(STATE_CAP, None))
+
+
+def _state_cap() -> int:
+    """The state cap in force in this context."""
+    return _scope.get()[0]
 
 
 @contextmanager
@@ -67,20 +76,22 @@ def state_cap(n: int):
     it counts the states of each bucket's pattern graph: the pairs of
     restrictions reached from all of the bucket's term pairs, plus its
     two sinks.  A memoised result is refused under a
-    cap that would refuse building it afresh, so the outcome does not
-    depend on what earlier calls cached.  The bound holds for the current
-    thread or task only; code running in another context, such as a new
-    thread, keeps its own (by default STATE_CAP).  n must be an integer
-    (anything operator.index accepts) of at least 1, else ValueError.
+    cap that would refuse building it afresh (see _memoised), so the
+    outcome does not depend on what earlier calls cached.  The bound holds
+    for the current thread or task only; code running in another context,
+    such as a new thread, keeps its own (by default STATE_CAP).  Entered
+    inside a memoised build, the block keeps that build's records.  n must
+    be an integer (anything operator.index accepts) of at least 1, else
+    ValueError.
     """
     n = _index(n, "state cap")
     if n < 1:
         raise ValueError("state cap must be positive")
-    token = _state_cap.set(n)
+    token = _scope.set((n, _scope.get()[1]))
     try:
         yield
     finally:
-        _state_cap.reset(token)
+        _scope.reset(token)
 
 
 def word_text(w: Word) -> str:
@@ -309,103 +320,88 @@ _PRODUCT = "the product of a {0.size}-state and a {1.size}-state automorphism"
 _INVERSE = "the inverse of a {0.size}-state automorphism"
 
 
-def _replay(records) -> None:
-    """Refuse memoised work as a fresh build would: raise the cap error,
-    worded as _derive words it, of the first replay record (explored,
-    what, *args) that explored more states than the current cap."""
-    cap = _state_cap.get()
-    for record in records:
-        if record[0] > cap:
-            raise _cap_error(cap, record[1].format(*record[2:]))
-
-
 def _memoised(memo, slot, build, *args):
-    """memo[slot]'s value, built on a miss by build(*args, records) and
-    stored as (records, value): records, a tuple, holds the replay record
-    of each product, inverse and state expression the build explored, and
-    a hit replays them.
-    A build that raises stores nothing.  Only mealy reads memo entries:
-    these, and (explored, result) for products and inverses."""
+    """memo[slot]'s value, built on a miss by build(*args).
+
+    Every memo entry of a product, inverse, parsed shift or composite
+    germ key is (records, value): records, a tuple, holds the replay
+    record (explored, what, *args) of each exploration behind the value,
+    its own (_derive) and those of the memoised entries its build used.
+    A miss runs build with an empty record list in scope, where _derive
+    and nested _memoised calls add theirs; a build that raises stores
+    nothing.  A hit is refused as a fresh build would be: with the cap
+    error of the first record that explored more states than the current
+    cap, worded as _derive words it.  Either way the entry's records join
+    those of the build in progress, if any, so a composite replays what
+    its parts explored."""
     entry = memo.get(slot)
+    cap, outer = _scope.get()
     if entry is None:
         records = []
-        value = build(*args, records)
-        memo[slot] = (tuple(records), value)
-        return value
-    _replay(entry[0])
+        token = _scope.set((cap, records))
+        try:
+            value = build(*args)
+        finally:
+            _scope.reset(token)
+        entry = memo[slot] = (tuple(records), value)
+    else:
+        for record in entry[0]:
+            if record[0] > cap:
+                raise _cap_error(cap, record[1].format(*record[2:]))
+    if outer is not None:
+        outer.extend(entry[0])
     return entry[1]
 
 
-def _product_recorded(x: "Aut", y: "Aut", records: list) -> "Aut":
-    """x * y (see Aut.compose), appending its replay record (explored,
-    _PRODUCT, A, B) to records; a memo hit is refused as _replay refuses
-    that record."""
-    a, b = x.canonical(), y.canonical()
+def _product(a: "Aut", b: "Aut") -> "Aut":
+    """a * b of canonical forms over one alphabet, built afresh."""
     A, B = a.machine, b.machine
-    if A.alphabet_size != B.alphabet_size:
-        raise DomainError("cannot compose states over different alphabets")
-    key = ("compose", a.state, B, b.state)
-    entry = A._memo.get(key)
-    if entry is None:
-        d = A.alphabet_size
-        out1, tr1, out2, tr2 = A.outputs, A.transitions, B.outputs, B.transitions
+    d = A.alphabet_size
+    out1, tr1, out2, tr2 = A.outputs, A.transitions, B.outputs, B.transitions
 
-        def out_fn(pair):
-            p, q = pair
-            return tuple(out1[p][out2[q][x]] for x in range(d))
+    def out_fn(pair):
+        p, q = pair
+        return tuple(out1[p][out2[q][x]] for x in range(d))
 
-        def trans_fn(pair, x):
-            p, q = pair
-            return (tr1[p][out2[q][x]], tr2[q][x])
+    def trans_fn(pair, x):
+        p, q = pair
+        return (tr1[p][out2[q][x]], tr2[q][x])
 
-        entry = A._memo[key] = _derive(d, (a.state, b.state), out_fn, trans_fn,
-                                       _PRODUCT, A, B)
-    explored, result = entry
-    records.append((explored, _PRODUCT, A, B))
-    if explored > _state_cap.get():
-        _replay(records[-1:])
-    return result
+    return _derive(d, (a.state, b.state), out_fn, trans_fn, _PRODUCT, A, B)
 
 
-def _inverse_recorded(x: "Aut", records: list) -> "Aut":
-    """x.inverse(), appending its replay record (explored, _INVERSE, M)
-    to records like _product_recorded."""
-    c = x.canonical()
+def _inverse(c: "Aut") -> "Aut":
+    """c.inverse() of a canonical form, built afresh."""
     m = c.machine
-    key = ("inverse", c.state)
-    entry = m._memo.get(key)
-    if entry is None:
-        d = m.alphabet_size
-        tr = m.transitions
-        inv = [tuple(row.index(x) for x in range(d)) for row in m.outputs]
+    d = m.alphabet_size
+    tr = m.transitions
+    inv = [tuple(row.index(x) for x in range(d)) for row in m.outputs]
 
-        def trans_fn(q, x):
-            return tr[q][inv[q][x]]
+    def trans_fn(q, x):
+        return tr[q][inv[q][x]]
 
-        entry = m._memo[key] = _derive(d, c.state, inv.__getitem__, trans_fn,
-                                       _INVERSE, m)
-    explored, result = entry
-    records.append((explored, _INVERSE, m))
-    if explored > _state_cap.get():
-        _replay(records[-1:])
-    return result
+    return _derive(d, c.state, inv.__getitem__, trans_fn, _INVERSE, m)
 
 
-def _derive(d, start, out_fn, trans_fn, what, *args):
-    """(states explored, interned result) of a product, inverse or state
-    expression machine explored from start under the current cap.  Every
-    explored state is reachable from start, so the quotient is the
-    closure of the start's class, numbered by _quotient as it would
-    number itself, and is interned as it stands.  A refusal is raised
-    with the text of _replay's, what.format(*args).
+def _derive(d, start, out_fn, trans_fn, what, *args) -> "Aut":
+    """The interned result of a product, inverse or state expression
+    machine explored from start under the current cap.  Every explored
+    state is reachable from start, so the quotient is the closure of the
+    start's class, numbered by _quotient as it would number itself, and
+    is interned as it stands.  A refusal reads what.format(*args); an
+    accepted exploration adds its replay record (explored, what, *args)
+    to the records of the memoised build in progress, if there is one
+    (see _memoised).
     """
-    cap = _state_cap.get()
+    cap, records = _scope.get()
     try:
         outs, trans = _explore(d, [start], out_fn, trans_fn, cap, StateCapError)
     except StateCapError:
         raise _cap_error(cap, what.format(*args)) from None
+    if records is not None:
+        records.append((len(outs), what, *args))
     q_outs, q_trans, block = _quotient(outs, trans)
-    return len(outs), Aut(_intern(d, q_outs, q_trans, block[0]), block[0])
+    return Aut(_intern(d, q_outs, q_trans, block[0]), block[0])
 
 
 def _interned_closure(m: Machine, q) -> "Aut":
@@ -487,10 +483,15 @@ class Aut:
 
         The product is explored from the canonical forms (A, i) and
         (B, j) of the operands, from the state pair (i, j), and memoised
-        on A under the key ("compose", i, B, j); see state_cap for what
-        the cap counts.
+        through _memoised on A under the key ("compose", i, B, j), so a
+        hit is refused under the caps that refuse building it afresh;
+        see state_cap for what the cap counts.
         """
-        return _product_recorded(self, other, [])
+        a, b = self.canonical(), other.canonical()
+        A, B = a.machine, b.machine
+        if A.alphabet_size != B.alphabet_size:
+            raise DomainError("cannot compose states over different alphabets")
+        return _memoised(A._memo, ("compose", a.state, B, b.state), _product, a, b)
 
     def inverse(self) -> "Aut":
         """The inverse automorphism, minimised and interned.
@@ -498,7 +499,8 @@ class Aut:
         Explored from the canonical form (M, i) and memoised on M under
         the key ("inverse", i), like compose.
         """
-        return _inverse_recorded(self, [])
+        c = self.canonical()
+        return _memoised(c.machine._memo, ("inverse", c.state), _inverse, c)
 
     def is_identity(self) -> bool:
         c = self.canonical()
@@ -860,13 +862,6 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
     and is never refused.  Error columns count characters of text as
     given.
     """
-    return _parse_state_expr(machine, text, [])
-
-
-def _parse_state_expr(machine: Machine, text: str, records: list) -> Aut:
-    """parse_state_expr, appending to records the replay record
-    (explored, _EXPRESSION, excerpt(text)) of the exploration it takes,
-    if it takes one."""
     parser = _ExpressionParser(machine, text)
     try:
         value = parser.expr()
@@ -876,11 +871,8 @@ def _parse_state_expr(machine: Machine, text: str, records: list) -> Aut:
         parser.fail(f"trailing input at column {parser.column()}")
     if not isinstance(value, tuple):
         return Aut(machine, value)
-    what = excerpt(text)
-    explored, result = _derive(machine.alphabet_size, value, parser.outputs, parser.section,
-                               _EXPRESSION, what)
-    records.append((explored, _EXPRESSION, what))
-    return result
+    return _derive(machine.alphabet_size, value, parser.outputs, parser.section,
+                   _EXPRESSION, excerpt(text))
 
 
 class _ExpressionParser:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import PointParseError, excerpt
+from .errors import DomainError, PointParseError, excerpt
 from .mealy import Aut, Word, parse_word, word_text
 
 # outcomes of walking a state along a point while it keeps fixing letters
@@ -101,9 +101,14 @@ def state_lasso(g: Aut, x: Point) -> tuple[list[int], int]:
     The walk stops at the first repeat of (state, position in the
     period): from index start on, the sequence of (state, letter) pairs
     repeats with period len(states) - start, a multiple of x's period.
+    A letter of x outside g's alphabet raises DomainError.
     """
     trans = g.machine.transitions
     per = x.period
+    top = max(x.preperiod + per)
+    if top >= g.machine.alphabet_size:
+        raise DomainError(f"point letter {top} outside alphabet of size "
+                          f"{g.machine.alphabet_size}")
     q = g.state
     states: list[int] = []
     for a in x.preperiod:

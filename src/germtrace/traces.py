@@ -114,12 +114,6 @@ class RepMatrix:
             for i in range(n))
         return RepMatrix(self.labels, rows, self.closed and other.closed)
 
-    def conjugate_transpose(self) -> "RepMatrix":
-        n = self.size
-        rows = tuple(tuple(self.entries[j][i].conjugate() for j in range(n))
-                     for i in range(n))
-        return RepMatrix(self.labels, rows, self.closed)
-
 
 def _germ_label(g: Germ, i: int) -> str:
     lab = g.map.label

@@ -10,12 +10,18 @@ import pytest
 
 from germtrace import (
     AlgebraElement,
+    DomainError,
     Machine,
     PartialMap,
+    Point,
+    RepMatrix,
     Scalar,
+    apply_to_point,
     parse_machine,
+    unit_germ,
 )
 from germtrace import mealy
+from germtrace.convalg import ZERO
 
 
 def _bundled(name: str) -> Machine:
@@ -129,6 +135,47 @@ def pop_memos(*kinds: str) -> None:
     for m in list(mealy._interned.values()):
         for key in [k for k in m._memo if (k if isinstance(k, str) else k[0]) in kinds]:
             del m._memo[key]
+
+
+# Methods the library dropped for want of a caller there, kept as test
+# oracles written with its public API.
+
+def evaluate(a: AlgebraElement, germ) -> Scalar:
+    """Value of the function a represents at a germ: the sum of the
+    coefficients of the terms whose germ at its base it is."""
+    x = germ.base
+    return sum((c for b, c in a.terms.items() if b.contains_base(x) and b.germ_at(x) == germ),
+               ZERO)
+
+
+def is_termwise_zero(a: AlgebraElement) -> bool:
+    return not a.terms
+
+
+def apply_point(pmap: PartialMap, x: Point) -> Point:
+    """The image of a point of pmap's source cylinder."""
+    if not pmap.contains_base(x):
+        raise DomainError("point lies outside the source cylinder")
+    y = apply_to_point(pmap.state, x.shift(len(pmap.source_prefix)))
+    return Point(pmap.range_prefix + y.preperiod, y.period)
+
+
+def is_identity_map(pmap: PartialMap) -> bool:
+    return pmap.range_prefix == pmap.source_prefix and pmap.state.is_identity()
+
+
+def is_unit(germ) -> bool:
+    return germ == unit_germ(germ.map.alphabet_size, germ.base)
+
+
+def fixes_base(germ) -> bool:
+    return germ.range() == germ.base
+
+
+def conjugate_transpose(rep: RepMatrix) -> RepMatrix:
+    n = rep.size
+    rows = tuple(tuple(rep.entries[j][i].conjugate() for j in range(n)) for i in range(n))
+    return RepMatrix(rep.labels, rows, rep.closed)
 
 
 # Acceptance criteria report one line each at the end of the run.

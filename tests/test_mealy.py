@@ -1,6 +1,7 @@
 """Machine parsing, composition, interning equality, minimization, depth,
 the memoised group law and its caps."""
 
+import contextlib
 import itertools
 import random
 import re
@@ -13,6 +14,7 @@ from germtrace import (
     STATE_CAP,
     Aut,
     DomainError,
+    ElementParseError,
     Machine,
     MachineParseError,
     StateCapError,
@@ -23,6 +25,7 @@ from germtrace import (
     invert_label,
     minimize,
     parse_machine,
+    parse_shift,
     parse_state_expr,
     restrict_label,
     state_cap,
@@ -833,9 +836,8 @@ class TestCompositeCapReplay:
 
     def test_rep_matrix_refused_alike_cold_and_warm(self, bundled, ternary, monkeypatch):
         inverses = []
-        real_inverse = germs._inverse_recorded
-        monkeypatch.setattr(germs, "_inverse_recorded",
-                            lambda x, steps: inverses.append(x) or real_inverse(x, steps))
+        real_inverse = mealy._inverse
+        monkeypatch.setattr(mealy, "_inverse", lambda c: inverses.append(c) or real_inverse(c))
         rng = random.Random(9095)
         refused = 0
         composites = list(self.composites(bundled, ternary))
@@ -884,9 +886,9 @@ class TestFailedCompositeBuild:
 
     def counting_builds(self, monkeypatch):
         builds = []
-        real_piece = germs._piece
-        monkeypatch.setattr(germs, "_piece",
-                            lambda *args: builds.append(args) or real_piece(*args))
+        real_build = germs._composite_key
+        monkeypatch.setattr(germs, "_composite_key",
+                            lambda *args: builds.append(args) or real_build(*args))
         return builds
 
     def test_refused_build_stores_nothing(self, grig, monkeypatch):
@@ -918,6 +920,107 @@ class TestFailedCompositeBuild:
             with pytest.raises(DomainError, match="do not match up"):
                 germs._after_key(t, g.map, x)
             assert self.after_slots(t) == [] and len(builds) == attempt
+
+
+class TestBuildScope:
+    """The records of a memoised build in progress, like the cap, belong to
+    the context running it: a build paused in one thread collects none of
+    another thread's, and every call leaves the scope as it found it."""
+
+    SHIFTS = ("a*b:0>1", "(b*c)^-1*a:>", "a*d|1*c:10>01", "b:1>1")
+
+    def composites(self, grig):
+        x = Point((1,), (0,))
+        g = PartialMap(grig.state("b"), (0,), (1,)).germ_at(x)
+        y = g.range()
+        return [(PartialMap(grig.state(s), u, y.prefix(len(u))), g)
+                for s, u in (("a", (0,)), ("c", (1, 0)), ("d", (0, 1, 1)))]
+
+    def entries(self, grig):
+        """(shift texts -> records, composite slots -> records) of the
+        entries built by parsing SHIFTS and keying the composites, from
+        cold memos."""
+        pop_memos("after", "compose", "inverse")
+        grig._memo.pop("shift", None)
+        for text in self.SHIFTS:
+            parse_shift(grig, text)
+        for t, g in self.composites(grig):
+            germs._after_key(t, g.map, g.base)
+        shifts = {text: grig._memo["shift"][text][0] for text in self.SHIFTS}
+        after = {slot: entry[0] for m in list(mealy._interned.values())
+                 for slot, entry in m._memo.items() if slot[0] == "after"}
+        return shifts, after
+
+    def paused_build(self, grig, started, release):
+        """Records, explorations first, of a build that parses, waits for
+        release, and parses again; it reads the cap it runs under."""
+        caps = [mealy._state_cap()]
+        parse_state_expr(grig, "a*b*a*c")
+        started.set()
+        assert release.wait(timeout=60)
+        with state_cap(500):
+            parse_state_expr(grig, "(b*a)^-1*d")
+        caps.append(mealy._state_cap())
+        return caps
+
+    def test_paused_build_collects_only_its_own_records(self, grig):
+        solo = self.entries(grig)
+        unpaused = threading.Event()
+        unpaused.set()
+        solo_memo, memo = {}, {}
+        with state_cap(400):
+            mealy._memoised(solo_memo, "slot", self.paused_build, grig, unpaused, unpaused)
+        started, release = threading.Event(), threading.Event()
+
+        def paused():
+            with state_cap(400):
+                mealy._memoised(memo, "slot", self.paused_build, grig, started, release)
+
+        worker = threading.Thread(target=paused)
+        worker.start()
+        try:
+            assert started.wait(timeout=60)
+            with state_cap(300):
+                assert mealy._state_cap() == 300
+                concurrent = self.entries(grig)
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert concurrent == solo
+        assert all(solo[0][text] for text in self.SHIFTS[:3]) and not solo[0]["b:1>1"]
+        assert solo[1] and all(solo[1].values())
+        assert memo == solo_memo
+        records, caps = memo["slot"]
+        assert caps == [400, 400]
+        assert [r[1:] for r in records] == [
+            (mealy._EXPRESSION, "'a*b*a*c'"), (mealy._EXPRESSION, "'(b*a)^-1*d'")]
+
+    def test_every_outcome_restores_the_scope(self, grig):
+        t, g = self.composites(grig)[1]
+        for cap in (None, 1, 2):
+            with contextlib.ExitStack() as stack:
+                if cap is not None:
+                    stack.enter_context(state_cap(cap))
+                before = mealy._scope.get()
+                assert before == (cap or STATE_CAP, None)
+                pop_memos("after", "compose", "inverse")
+                grig._memo.pop("shift", None)
+                calls = [lambda: parse_shift(grig, "a*b*a*c:>"),
+                         lambda: germs._after_key(t, g.map, g.base),
+                         lambda: parse_shift(grig, "a*zz:>"),
+                         lambda: parse_shift(grig, "a*(b:>")]
+                outcomes = []
+                for call in calls:
+                    try:
+                        call()
+                        outcomes.append("built")
+                    except (StateCapError, ElementParseError) as exc:
+                        outcomes.append(type(exc).__name__)
+                    assert mealy._scope.get() is before
+                built = "built" if cap is None else "StateCapError"
+                assert outcomes == [built, built, "ElementParseError", "ElementParseError"]
+            assert mealy._scope.get() == (STATE_CAP, None)
 
 
 def reference_refine(d, outputs, transitions, members):
@@ -1369,7 +1472,7 @@ class TestGroupLawOracle:
             for key, value in list(m._memo.items()):
                 if key[0] in ("compose", "inverse"):
                     memos += 1
-                    explored, result = value
+                    ((explored, *_),), result = value
                     assert explored >= result.machine.size
                     assert m.root[key[1]] and result.machine.root[result.state]
                     assert id(result.machine) in interned

@@ -58,7 +58,7 @@ def test_module_level_state_is_the_intern_table_alone():
             if _is_stateful(value):
                 found += [(path.name, t.id) for t in targets if isinstance(t, ast.Name)]
     assert sorted(found) == [("__init__.py", "__all__"), ("mealy.py", "_intern_lock"),
-                             ("mealy.py", "_interned"), ("mealy.py", "_state_cap")]
+                             ("mealy.py", "_interned"), ("mealy.py", "_scope")]
 
 
 # the layer stack: each module may import only the modules below it

@@ -8,12 +8,20 @@ from germtrace import (
     BOUNDARY,
     INTERIOR,
     MOVED,
+    DomainError,
+    PartialMap,
     Point,
     PointParseError,
+    F_eval,
     apply_to_point,
     fixed_walk,
     format_point,
+    is_dangerous,
+    isotropy_defect,
+    isotropy_germs_at,
+    parse_element,
     parse_point,
+    rep_matrix,
 )
 
 
@@ -143,3 +151,33 @@ class TestFixedWalk:
                     n = len(pre) + len(per) + m.size + 2
                     w = x.prefix(n)
                     assert g.apply_word(w) == w and g.restrict(w).is_identity()
+
+
+def _germ(m, x):
+    return PartialMap(m.state("a"), (), ()).germ_at(x)
+
+
+class TestLetterOutsideAlphabet:
+    """A point built in code may carry letters the machine has no row
+    for; every walk along it refuses such a letter as out of the domain,
+    where it used to index past the table."""
+
+    ENTRY_POINTS = {
+        "F_eval": lambda m, x: F_eval(parse_element(m, "1 a:>"), x),
+        "isotropy_defect": lambda m, x: isotropy_defect(parse_element(m, "1 a:>"), x),
+        "unit_restriction_eval": lambda m, x: parse_element(m, "1 a:>").unit_restriction_eval(x),
+        "Germ.key": lambda m, x: _germ(m, x).key,
+        "rep_matrix": lambda m, x: rep_matrix(parse_element(m, "1 a:>"), x, [_germ(m, x)]),
+        "fixed_walk": lambda m, x: fixed_walk(m.state("a"), x),
+        "apply_to_point": lambda m, x: apply_to_point(m.state("a"), x),
+        "is_dangerous": lambda m, x: is_dangerous(m, x),
+        "isotropy_germs_at": lambda m, x: isotropy_germs_at(x, m, 1),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("pre, per, letter", [((), (5,), 5), ((0, 1), (1, 12), 12),
+                                                  ((7,), (0,), 7)])
+    def test_refused_as_domain_error(self, grig, entry, pre, per, letter):
+        with pytest.raises(DomainError, match=f"^point letter {letter} outside alphabet "
+                                              "of size 2$"):
+            self.ENTRY_POINTS[entry](grig, Point(pre, per))
