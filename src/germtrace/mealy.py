@@ -30,13 +30,13 @@ and values hold interned machines only.  The germs layer keeps its germ
 keys on the same memos.  Every memoised result built from explorations
 (a product, an inverse, a shift parsed against the machine, the germ key
 of a term after a basis germ) is stored through _memoised in one format,
-(records, value), with the replay records of the explorations it took:
-_derive records each exploration in the scope of the memoised build in
-progress, and no other module sees a record.  A hit is refused under
-exactly the caps, and with the text, that refuse building it afresh.
-State expressions themselves are not memoised.  The intern table is the
-only module-level state besides one context variable holding the
-current state cap and build scope; every memo sits on a machine.
+(explored, value), where explored is the most states any one exploration
+behind the value reached.  A hit whose explored is over the current cap
+is built afresh, so it is refused exactly as a cold build is, by
+_derive.  State expressions themselves are not memoised.  The intern
+table is the only module-level state besides one context variable
+holding the current state cap and build scope; every memo sits on a
+machine.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .errors import DomainError, MachineParseError, ParseError, StateCapError, e
 Word = tuple[int, ...]
 
 STATE_CAP = 100_000
-# (state cap, records of the memoised build in progress or None): the
-# cap is set by state_cap, the records by _memoised
+# (state cap, [running maximum] of the memoised build in progress or
+# None): the cap is set by state_cap, the maximum by _memoised
 _scope: ContextVar[tuple[int, list | None]] = ContextVar("scope", default=(STATE_CAP, None))
 
 
@@ -75,12 +75,12 @@ def state_cap(n: int):
     name with restrictions explores nothing.  For is_zero / is_singular
     it counts the states of each bucket's pattern graph: the pairs of
     restrictions reached from all of the bucket's term pairs, plus its
-    two sinks.  A memoised result is refused under a
-    cap that would refuse building it afresh (see _memoised), so the
-    outcome does not depend on what earlier calls cached.  The bound holds
-    for the current thread or task only; code running in another context,
-    such as a new thread, keeps its own (by default STATE_CAP).  Entered
-    inside a memoised build, the block keeps that build's records.  n must
+    two sinks.  A memoised result that explored more states than the
+    cap is built afresh (see _memoised), so the outcome does not depend
+    on what earlier calls cached.  The bound holds for the current thread
+    or task only; code running in another context, such as a new thread,
+    keeps its own (by default STATE_CAP).  Entered inside a memoised
+    build, the block keeps that build's running maximum.  n must
     be an integer (anything operator.index accepts) of at least 1, else
     ValueError.
     """
@@ -194,8 +194,7 @@ class Machine:
 
     def state(self, ref) -> "Aut":
         """State handle by name or index."""
-        if isinstance(ref, str):
-            ref = self.index_of(ref)
+        ref = self.index_of(ref) if isinstance(ref, str) else _index(ref, "state index")
         if not 0 <= ref < self.size:
             raise DomainError(f"state index {ref} out of range")
         return Aut(self, ref)
@@ -324,32 +323,27 @@ def _memoised(memo, slot, build, *args):
     """memo[slot]'s value, built on a miss by build(*args).
 
     Every memo entry of a product, inverse, parsed shift or composite
-    germ key is (records, value): records, a tuple, holds the replay
-    record (explored, what, *args) of each exploration behind the value,
-    its own (_derive) and those of the memoised entries its build used.
-    A miss runs build with an empty record list in scope, where _derive
-    and nested _memoised calls add theirs; a build that raises stores
-    nothing.  A hit is refused as a fresh build would be: with the cap
-    error of the first record that explored more states than the current
-    cap, worded as _derive words it.  Either way the entry's records join
-    those of the build in progress, if any, so a composite replays what
-    its parts explored."""
-    entry = memo.get(slot)
+    germ key is (explored, value): the most states that one exploration
+    behind the value reached, its own (_derive) or one of the memoised
+    entries its build used.  A miss runs build with a running maximum of
+    0 in scope, which _derive and nested _memoised calls raise; a build
+    that raises stores nothing.  An entry that explored more states than
+    the current cap counts as a miss, so it is built again under the cap
+    and refused, if at all, by the same exploration and text as a cold
+    build.  Either way the entry's explored raises the running maximum
+    of the build in progress, if any."""
     cap, outer = _scope.get()
-    if entry is None:
-        records = []
-        token = _scope.set((cap, records))
+    entry = memo.get(slot)
+    if entry is None or entry[0] > cap:
+        top = [0]
+        token = _scope.set((cap, top))
         try:
             value = build(*args)
         finally:
             _scope.reset(token)
-        entry = memo[slot] = (tuple(records), value)
-    else:
-        for record in entry[0]:
-            if record[0] > cap:
-                raise _cap_error(cap, record[1].format(*record[2:]))
-    if outer is not None:
-        outer.extend(entry[0])
+        entry = memo[slot] = (top[0], value)
+    if outer is not None and entry[0] > outer[0]:
+        outer[0] = entry[0]
     return entry[1]
 
 
@@ -388,18 +382,18 @@ def _derive(d, start, out_fn, trans_fn, what, *args) -> "Aut":
     machine explored from start under the current cap.  Every explored
     state is reachable from start, so the quotient is the closure of the
     start's class, numbered by _quotient as it would number itself, and
-    is interned as it stands.  A refusal reads what.format(*args); an
-    accepted exploration adds its replay record (explored, what, *args)
-    to the records of the memoised build in progress, if there is one
-    (see _memoised).
+    is interned as it stands.  A refusal reads what.format(*args), the
+    one wording of a cap refusal for a derived machine; an accepted
+    exploration raises the running maximum of the memoised build in
+    progress, if there is one (see _memoised), to the states it reached.
     """
-    cap, records = _scope.get()
+    cap, top = _scope.get()
     try:
         outs, trans = _explore(d, [start], out_fn, trans_fn, cap, StateCapError)
     except StateCapError:
         raise _cap_error(cap, what.format(*args)) from None
-    if records is not None:
-        records.append((len(outs), what, *args))
+    if top is not None and len(outs) > top[0]:
+        top[0] = len(outs)
     q_outs, q_trans, block = _quotient(outs, trans)
     return Aut(_intern(d, q_outs, q_trans, block[0]), block[0])
 
@@ -484,8 +478,8 @@ class Aut:
         The product is explored from the canonical forms (A, i) and
         (B, j) of the operands, from the state pair (i, j), and memoised
         through _memoised on A under the key ("compose", i, B, j), so a
-        hit is refused under the caps that refuse building it afresh;
-        see state_cap for what the cap counts.
+        hit that explored more states than the cap is built afresh; see
+        state_cap for what the cap counts.
         """
         a, b = self.canonical(), other.canonical()
         A, B = a.machine, b.machine
@@ -549,8 +543,10 @@ def _canonical_pair(m: Machine, q: int) -> tuple[Machine, int]:
 
 
 def identity_aut(alphabet_size: int) -> Aut:
-    letters = tuple(range(alphabet_size))
-    return Aut(_intern(alphabet_size, (letters,), ((0,) * alphabet_size,), 0), 0)
+    d = _index(alphabet_size, "alphabet size")
+    if d < 2:
+        raise ValueError("alphabet must have at least two letters")
+    return Aut(_intern(d, (tuple(range(d)),), ((0,) * d,), 0), 0)
 
 
 def minimize(machine: Machine) -> tuple[Machine, list[int]]:

@@ -29,19 +29,15 @@ def _diagonal_terms(a: AlgebraElement):
     return [(b, c) for b, c in a.terms.items() if b.range_prefix == b.source_prefix]
 
 
-def _diagonal_sum(a: AlgebraElement) -> Scalar:
-    """Sum over diagonal terms of coeff * mu(Fix of the state) / d^|v|."""
+def canonical_trace(a: AlgebraElement) -> Scalar:
+    """Integral of the element over unit germs against Bernoulli measure:
+    the sum over diagonal terms of coeff * mu(Fix of the state) / d^|v|."""
     d = a.alphabet_size
     weighted = []
     for pmap, coeff in _diagonal_terms(a):
         mu = mu_fix_exact(pmap.state)
         weighted.append((coeff, mu.numerator, mu.denominator * d ** len(pmap.source_prefix)))
     return _weighted_sum(weighted)
-
-
-def canonical_trace(a: AlgebraElement) -> Scalar:
-    """Integral of the element over unit germs against Bernoulli measure."""
-    return _diagonal_sum(a)
 
 
 def isotropy_trace(a: AlgebraElement) -> Scalar:
@@ -53,7 +49,7 @@ def isotropy_trace(a: AlgebraElement) -> Scalar:
     for pmap, _ in _diagonal_terms(a):
         if not closure_boundary_null(pmap.state):
             raise DomainError("boundary decay certificate failed")
-    return _diagonal_sum(a)
+    return canonical_trace(a)
 
 
 def F_eval(a: AlgebraElement, x: Point) -> Scalar:

@@ -1229,7 +1229,7 @@ class TestShiftMemo:
         assert seen == set("*^|(")
 
     def test_warm_hit_refused_like_a_cold_parse(self, bundled, ternary):
-        """Under a cap just below each recorded explored count, and at it,
+        """Under a cap just below the entry's explored count, and at it,
         a hit gives what parsing the text on a fresh copy of the machine
         gives, with no product or inverse memoised anywhere."""
         rng = random.Random(1819)
@@ -1238,9 +1238,8 @@ class TestShiftMemo:
             for text in self.texts(rng, m):
                 warm_machine = fresh_copy(m)
                 parse_shift(warm_machine, text)
-                records = stored_shifts(warm_machine)[text.strip()][0]
-                counts = [r[0] for r in records]
-                for cap in sorted({1, *(n - 1 for n in counts if n > 1), *counts}):
+                explored = stored_shifts(warm_machine)[text.strip()][0]
+                for cap in sorted(c for c in {1, explored - 1, explored} if c > 0):
                     warm = shift_outcome(cap, lambda: parse_shift(warm_machine, text))
                     pop_memos("compose", "inverse")
                     cold_machine = fresh_copy(m)
@@ -1254,22 +1253,31 @@ class TestShiftMemo:
         assert refused >= 20 and checked >= 100, (refused, checked)
 
     def test_entry_keeps_at_most_one_record(self, bundled, ternary):
-        """A stored shift keeps at most the replay record of its
-        expression's exploration, which names the expression; one name
-        with restrictions explores nothing and keeps none."""
+        """A stored shift keeps the states its expression's exploration
+        reached: a hit is refused one below that count, with the text
+        naming the expression, leaves the entry as it was, and is
+        accepted at the count.  One name with restrictions explores
+        nothing and keeps 0."""
         rng = random.Random(1820)
         recorded = 0
         for m in [*bundled.values(), ternary]:
             m = fresh_copy(m)
             for text in [*self.texts(rng, m), f"{m.names[0]}|0:>"]:
-                parse_shift(m, text)
-                records = stored_shifts(m)[text.strip()][0]
+                cold = parse_shift(m, text)
+                entry = stored_shifts(m)[text.strip()]
+                explored = entry[0]
                 expr = text.strip().partition(":")[0]
-                assert len(records) <= 1, text
-                for _, what, quoted in records:
-                    assert what.format(quoted) == f"the state expression {excerpt(expr)}"
-                recorded += len(records)
-            assert records == ()
+                if explored > 1:
+                    with state_cap(explored - 1), pytest.raises(StateCapError) as info:
+                        parse_shift(m, text)
+                    assert str(info.value) == (
+                        f"more than {explored - 1} states while building the state "
+                        f"expression {excerpt(expr)}")
+                    assert stored_shifts(m)[text.strip()] is entry
+                with state_cap(max(explored, 1)):
+                    assert parse_shift(m, text) is cold
+                recorded += explored > 0
+            assert explored == 0
         assert recorded >= 50, recorded
 
     def test_refused_text_is_not_stored(self, grig):

@@ -209,6 +209,26 @@ class TestEquality:
         assert grig.state("e") == adding.state("e")
         assert grig.state("a") != adding.state("a")
 
+    @pytest.mark.parametrize("size, message", [
+        (1, "alphabet must have at least two letters"),
+        (0, "alphabet must have at least two letters"),
+        (-3, "alphabet must have at least two letters"),
+        (2.0, "alphabet size must be an integer, not 2.0"),
+    ])
+    def test_identity_aut_refuses_a_bad_alphabet(self, size, message):
+        before = len(mealy._interned)
+        with pytest.raises(ValueError, match=message):
+            identity_aut(size)
+        assert len(mealy._interned) == before
+
+    def test_state_index_is_an_integer(self, grig):
+        for ref in (2.5, 1.0, None):
+            with pytest.raises(ValueError, match=f"state index must be an integer, not {ref}"):
+                grig.state(ref)
+        assert grig.state(True) == grig.state(1)
+        with pytest.raises(DomainError, match="state index 5 out of range"):
+            grig.state(5)
+
 
 class TestMinimize:
     def test_collapses_duplicate_states(self):
@@ -879,7 +899,8 @@ class TestCompositeCapReplay:
 
 class TestFailedCompositeBuild:
     """A composite germ key whose build raises leaves no entry behind, so
-    the next call builds it afresh; once stored, a hit replays it."""
+    the next call builds it afresh; once stored, a hit over the cap is
+    built again, refused and leaves the entry as it was."""
 
     def after_slots(self, t):
         return [k for k in t.state.machine._memo if k[0] == "after"]
@@ -904,11 +925,13 @@ class TestFailedCompositeBuild:
         key = germs._after_key(t, g.map, x)
         (slot,) = self.after_slots(t)
         assert len(builds) == 2
-        records, value = t.state.machine._memo[slot]
-        assert value is key and records
+        entry = t.state.machine._memo[slot]
+        explored, value = entry
+        assert value is key and explored > 2
         assert after_outcome(2, t, g) == refusal
+        assert len(builds) == 3 and t.state.machine._memo[slot] is entry
         assert germs._after_key(t, g.map, x) is key
-        assert len(builds) == 2
+        assert len(builds) == 3
 
     def test_germs_that_do_not_compose_store_nothing(self, grig, monkeypatch):
         builds = self.counting_builds(monkeypatch)
@@ -923,9 +946,10 @@ class TestFailedCompositeBuild:
 
 
 class TestBuildScope:
-    """The records of a memoised build in progress, like the cap, belong to
-    the context running it: a build paused in one thread collects none of
-    another thread's, and every call leaves the scope as it found it."""
+    """The running maximum of a memoised build in progress, like the cap,
+    belongs to the context running it: a build paused in one thread
+    counts none of another thread's explorations, and every call leaves
+    the scope as it found it."""
 
     SHIFTS = ("a*b:0>1", "(b*c)^-1*a:>", "a*d|1*c:10>01", "b:1>1")
 
@@ -937,7 +961,7 @@ class TestBuildScope:
                 for s, u in (("a", (0,)), ("c", (1, 0)), ("d", (0, 1, 1)))]
 
     def entries(self, grig):
-        """(shift texts -> records, composite slots -> records) of the
+        """(shift texts -> explored, composite slots -> explored) of the
         entries built by parsing SHIFTS and keying the composites, from
         cold memos."""
         pop_memos("after", "compose", "inverse")
@@ -952,8 +976,8 @@ class TestBuildScope:
         return shifts, after
 
     def paused_build(self, grig, started, release):
-        """Records, explorations first, of a build that parses, waits for
-        release, and parses again; it reads the cap it runs under."""
+        """The caps read by a build that parses, waits for release, and
+        parses again under a cap of its own."""
         caps = [mealy._state_cap()]
         parse_state_expr(grig, "a*b*a*c")
         started.set()
@@ -991,10 +1015,28 @@ class TestBuildScope:
         assert all(solo[0][text] for text in self.SHIFTS[:3]) and not solo[0]["b:1>1"]
         assert solo[1] and all(solo[1].values())
         assert memo == solo_memo
-        records, caps = memo["slot"]
+        explored, caps = memo["slot"]
         assert caps == [400, 400]
-        assert [r[1:] for r in records] == [
-            (mealy._EXPRESSION, "'a*b*a*c'"), (mealy._EXPRESSION, "'(b*a)^-1*d'")]
+        assert explored == max(least_cap(lambda: parse_state_expr(grig, text), 500)
+                               for text in ("a*b*a*c", "(b*a)^-1*d"))
+
+    def test_build_that_sets_its_own_cap_is_hit_like_a_cold_build(self, grig):
+        """A build that raises its own cap counts what it explored under
+        that cap; a hit under a lower cap builds it again and gives what
+        a cold build gives, and the count joins an enclosing build's."""
+        def build():
+            with state_cap(100):
+                return parse_state_expr(grig, "a*b*a*c")
+
+        warm, outer = {}, {}
+        value = mealy._memoised(warm, "slot", build)
+        with state_cap(2):
+            cold = mealy._memoised({}, "slot", build)
+            warm_hit = mealy._memoised(warm, "slot", build)
+            assert warm_hit.machine is cold.machine is value.machine
+            assert warm_hit.state == cold.state == value.state
+            mealy._memoised(outer, "slot", mealy._memoised, warm, "slot", build)
+        assert warm == outer == {"slot": (8, value)}
 
     def test_every_outcome_restores_the_scope(self, grig):
         t, g = self.composites(grig)[1]
@@ -1472,7 +1514,7 @@ class TestGroupLawOracle:
             for key, value in list(m._memo.items()):
                 if key[0] in ("compose", "inverse"):
                     memos += 1
-                    ((explored, *_),), result = value
+                    explored, result = value
                     assert explored >= result.machine.size
                     assert m.root[key[1]] and result.machine.root[result.state]
                     assert id(result.machine) in interned
