@@ -5,8 +5,9 @@ basis shifts and represents a function on germs.  Convolution, adjoint
 and evaluation are exact; is_zero decides function equality (distinct
 term lists can represent the same function when the germ space is not
 Hausdorff) and is_singular decides whether the nonzero-germ set sits
-over a meagre part of the boundary.  Both read one walk per bucket of
-terms over joint states: one class of the bucket's pattern graph per pair
+over a meagre part of the boundary.  A bucket of terms whose coefficients
+do not sum to 0 makes both False at once; otherwise both read one walk per
+bucket over joint states: one class of the bucket's pattern graph per pair
 of terms.  That graph follows pairs of restrictions, is explored once from
 all of the bucket's term pairs and refined once, and records where two
 terms' germs agree without forming any product of automorphisms.
@@ -370,12 +371,11 @@ class AlgebraElement:
         of the pattern graph, the bucket's pairs of restrictions and its
         two sinks together; a one-term bucket builds none.  cap must be
         None or an integer (anything operator.index accepts) of at least
-        1, else ValueError, whatever the element.
+        1, else ValueError, whatever the element.  An element with a
+        bucket whose coefficients do not sum to 0 is answered without a
+        walk, so neither cap ever refuses it (see _decide).
         """
-        for class_sums, _ in _realizable_class_sums(self, cap):
-            if any(not s.is_zero() for s in class_sums):
-                return False
-        return True
+        return _decide(self, cap, False)
 
     def is_singular(self, cap: int | None = None) -> bool:
         """True iff the germs where the element is nonzero sit over a meagre set.
@@ -384,12 +384,11 @@ class AlgebraElement:
         closed region, and a locally closed region is nowhere dense
         unless it contains a whole cylinder, so the element is singular
         exactly when no pattern with a nonzero class sum does.  cap is
-        as for is_zero, and accepts the same values.
+        as for is_zero, and accepts the same values; as there, an element
+        with a bucket whose coefficients do not sum to 0 is answered
+        without a walk and never refused.
         """
-        for class_sums, has_open in _realizable_class_sums(self, cap):
-            if has_open and any(not s.is_zero() for s in class_sums):
-                return False
-        return True
+        return _decide(self, cap, True)
 
     def equals(self, other: "AlgebraElement", cap: int | None = None) -> bool:
         """Extensional equality: the difference vanishes at every germ."""
@@ -519,10 +518,45 @@ def _joint_walk(states: list[Aut], cap: int):
     return pairs, positions, succ
 
 
+def _pattern_cap(cap) -> int:
+    cap = PATTERN_CAP if cap is None else _index(cap, "pattern cap")
+    if cap < 1:
+        raise ValueError("pattern cap must be positive")
+    return cap
+
+
+def _decide(elem: AlgebraElement, cap: int | None, open_only: bool) -> bool:
+    """is_zero (open_only False) or is_singular (True) of elem.
+
+    Every bucket has a realizable pattern whose region contains a
+    cylinder: T-sets only grow along joint-walk edges, so a walk from the
+    start reaches a joint state from which no larger T-set is reachable,
+    which is not in can_grow and lies on an infinite path.  That
+    pattern's class sums partition the bucket's coefficients, so when
+    they do not sum to 0 some class sum is nonzero and both verdicts are
+    False.  Only elements whose every bucket sums to 0 are walked.
+    """
+    cap = _pattern_cap(cap)
+    buckets = _refined_groups(elem)
+    if any(not sum((c for _, c in bucket), ZERO).is_zero() for bucket in buckets):
+        return False
+    return not any((has_open or not open_only) and any(not s.is_zero() for s in class_sums)
+                   for bucket in buckets
+                   for class_sums, has_open in _bucket_class_sums(bucket, cap))
+
+
 def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
+    """Yield _bucket_class_sums over the buckets of elem, in order: the
+    whole pattern search, with no test of the coefficients first."""
+    cap = _pattern_cap(cap)
+    for bucket in _refined_groups(elem):
+        yield from _bucket_class_sums(bucket, cap)
+
+
+def _bucket_class_sums(bucket: list[tuple[Aut, Scalar]], cap: int):
     """Yield (coefficient sums per germ class, region contains a cylinder).
 
-    One item per realizable coincidence pattern per bucket.  A pattern
+    One item per realizable coincidence pattern of the bucket.  A pattern
     (T-set) records which term pairs have equal germs.  It is realizable
     iff the joint pattern states showing it contain an infinite path
     among themselves, and its region contains a cylinder iff one of
@@ -532,25 +566,21 @@ def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
     have the same T/B future, so both properties are those of the walk
     over the unrefined pairs of restrictions.
     """
-    cap = PATTERN_CAP if cap is None else _index(cap, "pattern cap")
-    if cap < 1:
-        raise ValueError("pattern cap must be positive")
-    for bucket in _refined_groups(elem):
-        coeffs = [c for _, c in bucket]
-        pairs, positions, succ = _joint_walk([s for s, _ in bucket], cap)
-        # joint states grouped by T-set, read as the positions holding T
-        # (pairs are listed in order, so these sort as the T-sets would)
-        groups: dict[tuple, list[int]] = {}
-        for i, tpos in enumerate(positions):
-            groups.setdefault(tpos, []).append(i)
-        growing = [i for i, row in enumerate(succ)
-                   if any(positions[j] != positions[i] for j in row)]
-        can_grow = backward_distances(range(len(succ)), succ.__getitem__, growing)
-        for tpos, members in sorted(groups.items()):
-            if infinite_path_nodes(members, succ.__getitem__):
-                tset = frozenset(pairs[p] for p in tpos)
-                yield (_class_sums(coeffs, tset),
-                       any(i not in can_grow for i in members))
+    coeffs = [c for _, c in bucket]
+    pairs, positions, succ = _joint_walk([s for s, _ in bucket], cap)
+    # joint states grouped by T-set, read as the positions holding T
+    # (pairs are listed in order, so these sort as the T-sets would)
+    groups: dict[tuple, list[int]] = {}
+    for i, tpos in enumerate(positions):
+        groups.setdefault(tpos, []).append(i)
+    growing = [i for i, row in enumerate(succ)
+               if any(positions[j] != positions[i] for j in row)]
+    can_grow = backward_distances(range(len(succ)), succ.__getitem__, growing)
+    for tpos, members in sorted(groups.items()):
+        if infinite_path_nodes(members, succ.__getitem__):
+            tset = frozenset(pairs[p] for p in tpos)
+            yield (_class_sums(coeffs, tset),
+                   any(i not in can_grow for i in members))
 
 
 def _class_sums(coeffs: list[Scalar], tset: frozenset) -> list[Scalar]:

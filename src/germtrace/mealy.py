@@ -854,9 +854,9 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
     is explored, then explored once from that word under the state cap,
     which counts the reduced words reached, and returned minimised and
     interned.  So name and syntax errors come before cap refusals, and an
-    expression that cancels freely, the empty word, explores one state
-    and is never refused.  Error columns count characters of text as
-    given.
+    expression that cancels freely, the empty word, is the identity,
+    explores nothing and is never refused.  Error columns count
+    characters of text as given.
     """
     parser = _ExpressionParser(machine, text)
     try:
@@ -867,6 +867,8 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
         parser.fail(f"trailing input at column {parser.column()}")
     if not isinstance(value, tuple):
         return Aut(machine, value)
+    if not value:
+        return identity_aut(machine.alphabet_size)
     return _derive(machine.alphabet_size, value, parser.outputs, parser.section,
                    _EXPRESSION, excerpt(text))
 

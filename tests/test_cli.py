@@ -287,6 +287,22 @@ class TestErrorsAndIO:
         )
         assert code == 3
 
+    def test_nonzero_bucket_total_is_answered_under_any_cap(self, capsys):
+        """b + c - d sums to 1, so it is not zero whatever the caps; a
+        bucket summing to 0 is still walked and refused."""
+        code, out, err = run(
+            capsys, "alg", "iszero", "-m", "grigorchuk", "-e", "1 b:>;1 c:>;-1 d:>",
+            "--cap-patterns", "1", "--cap-states", "1")
+        assert (code, err) == (0, "")
+        assert "is_zero: no" in out
+        code, out, err = run(
+            capsys, "alg", "iszero", "-m", "grigorchuk", "-e", "1 b:>;1 c:>;-2 d:>",
+            "--cap-patterns", "1")
+        assert (code, out) == (3, "")
+        assert err == ("error: pattern search on a bucket of 3 terms (3 term pairs) "
+                       "reached 2 joint states, more than the cap of 1; raise the "
+                       "pattern cap to decide this element\n")
+
     def test_error_message_on_stderr(self, capsys):
         _, out, err = run(capsys, "wordproblem", "-m", "grigorchuk", "-s", "zz")
         assert out == ""

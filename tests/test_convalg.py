@@ -1,5 +1,6 @@
 """Scalars, span elements, convolution, adjoints, zero and singularity tests."""
 
+import contextlib
 import copy
 import itertools
 import pickle
@@ -39,7 +40,7 @@ from germtrace import (
     unit_germ,
 )
 from germtrace import convalg
-from germtrace.convalg import (_BROKEN, _TRIVIAL, _joint_walk, _realizable_class_sums,
+from germtrace.convalg import (_BROKEN, _TRIVIAL, ZERO, _joint_walk, _realizable_class_sums,
                                _refined_groups)
 from germtrace.errors import excerpt
 from germtrace.mealy import _cap_error, _explore, _quotient, _state_cap
@@ -762,6 +763,26 @@ def distinct_states_element(rng, m, states):
          PartialMap(m.state(q), u, v)) for q in states])
 
 
+def zero_total_element(rng, m, count):
+    """count states of m, pairwise distinct as automorphisms, on one
+    cylinder pair with coefficients c, ..., c, -(count - 1)c.  The bucket
+    sums to 0 and no proper part of it does, so the element is walked,
+    and two distinct states have distinct germs on a whole cylinder:
+    it is neither zero nor singular."""
+    distinct = {}
+    for q in rng.sample(range(m.size), m.size):
+        distinct.setdefault(m.state(q).canonical(), q)
+    states = list(distinct.values())[:count]
+    assert len(states) == count
+    c = random_scalar(rng)
+    d = m.alphabet_size
+    k = rng.randint(0, 2)
+    u, v = random_word(rng, d, k), random_word(rng, d, k)
+    return AlgebraElement(m, [(c * (1 - count if i == count - 1 else 1),
+                               PartialMap(m.state(q), u, v))
+                              for i, q in enumerate(states)])
+
+
 def zero_by_construction(rng, m):
     """c(q1 - q2 - q3 + q4) for four new states of m with the identity
     output row.  Below letter 0 they act as x, x, w, w, below letter 1 as
@@ -1022,9 +1043,10 @@ class TestRestrictionEquality:
             d = 2 + k % 2
             m = spinal_chain(rng, d) if k % 3 == 0 else random_machine(rng, 20, d)
             zero = k % 2 == 0
-            # one bucket of 2 to 4 terms: each call refines at least one graph
-            elem = (zero_by_construction(rng, m) if zero else distinct_states_element(
-                rng, m, rng.sample(range(m.size), 2 + k % 3)))
+            # one bucket of 2 to 4 terms summing to 0: each call refines at
+            # least one graph
+            elem = (zero_by_construction(rng, m) if zero
+                    else zero_total_element(rng, m, 2 + k % 3))
             assert elem.is_zero() == zero
             assert elem.is_singular() == zero
         assert len(tables) >= 48
@@ -1038,7 +1060,7 @@ class TestPatternCapAndCaches:
         the element's products and canonical forms are warm."""
         rng = random.Random(4242)
         m = random_machine(rng, 20, 2)
-        elem = distinct_states_element(rng, m, rng.sample(range(m.size), 3))
+        elem = zero_total_element(rng, m, 3)  # a bucket summing to 0 is walked
         caps = range(1, 40)
 
         def outcomes():
@@ -1082,7 +1104,9 @@ class TestBucketGraphCap:
         pairs' own automata fit under."""
         rng = random.Random(61)
         m = spinal_chain(rng, 2)
-        elem = AlgebraElement(m, [(1, PartialMap(m.state(q), (), ())) for q in (1, 2, 3)])
+        # coefficients summing to 0, so the bucket is walked
+        elem = AlgebraElement(m, [(c, PartialMap(m.state(q), (), ()))
+                                  for c, q in zip((1, 1, -2), (1, 2, 3))])
         (bucket,) = _refined_groups(elem)
         states = [s for s, _ in bucket]
         assert len(states) == 3
@@ -1148,9 +1172,139 @@ class TestCapValidation:
         with state_cap(True), pytest.raises(StateCapError) as info:
             grig.state("a") * grig.state("b")
         assert str(info.value).startswith("more than 1 states while building")
-        elem = indicator(grig, "a") + indicator(grig, "b") - indicator(grig, "c")
+        elem = indicator(grig, "a") + indicator(grig, "b") - 2 * indicator(grig, "c")
         with pytest.raises(PatternCapError, match="more than the cap of 1;"):
             elem.is_zero(cap=True)
+
+
+def one_bucket_element(rng, m):
+    """2 to 4 states of m on one cylinder pair with random coefficients,
+    the last one chosen to make them sum to 0 in about a third of draws."""
+    d = m.alphabet_size
+    k = rng.randint(0, 2)
+    u, v = random_word(rng, d, k), random_word(rng, d, k)
+    states = rng.sample(range(m.size), min(m.size, rng.randint(2, 4)))
+    coeffs = [random_scalar(rng) for _ in states]
+    if rng.random() < 0.35:
+        coeffs[-1] = -sum(coeffs[:-1], ZERO)
+    return AlgebraElement(m, [(c, PartialMap(m.state(q), u, v))
+                              for c, q in zip(coeffs, states)])
+
+
+def bucket_total(bucket):
+    return sum((c for _, c in bucket), ZERO)
+
+
+def walk_verdicts(elem, cap):
+    """(is_zero, is_singular) read off the whole pattern search, with no
+    test of the coefficients first."""
+    nonzero = [has_open for class_sums, has_open in _realizable_class_sums(elem, cap)
+               if any(not s.is_zero() for s in class_sums)]
+    return not nonzero, not any(nonzero)
+
+
+def refusal_or(decide):
+    """decide(), or (type, text) of the cap refusal it raises."""
+    try:
+        return decide()
+    except (PatternCapError, StateCapError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOpenPatternLemma:
+    """Every bucket has a realizable pattern whose region contains a
+    cylinder, and every pattern's class sums add up to the bucket's
+    total.  So a bucket whose coefficients do not sum to 0 has a nonzero
+    class sum on a cylinder, which is why is_zero / is_singular may answer
+    False from that total without a walk."""
+
+    def test_every_bucket_has_an_open_pattern(self, bundled, ternary):
+        rng = random.Random(2626)
+        named = [*bundled.values(), ternary]
+        checked = 0
+        for k in range(600):
+            if k % 2:
+                m = named[k // 2 % len(named)]
+            elif k % 4 == 0:
+                m = spinal_chain(rng, 2 + k // 4 % 2)
+            else:
+                m = random_machine(rng, 20, 2 + k // 4 % 2)
+            elem = one_bucket_element(rng, m)
+            buckets = _refined_groups(elem)
+            if not buckets:
+                continue
+            (bucket,) = buckets
+            items = list(_realizable_class_sums(elem, None))
+            assert any(has_open for _, has_open in items), format_element(elem)
+            assert all(sum(class_sums, ZERO) == bucket_total(bucket)
+                       for class_sums, _ in items)
+            checked += 1
+        assert checked >= 550, checked
+
+
+class TestTotalShortcut:
+    """is_zero / is_singular answer False without a walk when a bucket's
+    coefficients do not sum to 0.  The whole pattern search is the
+    reference: where both decide they agree, and where only the search is
+    refused the shortcut answers False."""
+
+    CAPS = [(None, None), (1, None), (3, None), (None, 2), (None, 5)]
+
+    def elements(self, rng, bundled, ternary):
+        named = [*bundled.values(), ternary]
+        for k in range(60):
+            m = named[k % len(named)]
+            yield random_element(m, rng, max_terms=4)
+            yield one_bucket_element(rng, m)
+            rm = random_machine(rng, 12, 2 + k % 2)
+            yield zero_total_element(rng, rm, 2 + k % 3)
+            zero = zero_by_construction(rng, rm)
+            # zero-total buckets beside one bucket whose total is not 0
+            yield zero + random_element(zero.machine, rng, max_terms=1, max_depth=1)
+            yield zero + zero_total_element(rng, zero.machine, 2)
+
+    def test_matches_the_walk(self, bundled, ternary):
+        rng = random.Random(2627)
+        tally = dict.fromkeys(["agree", "zero total", "refusal answered",
+                               "one nonzero total of several"], 0)
+        for elem in self.elements(rng, bundled, ternary):
+            totals = [bucket_total(bucket) for bucket in _refined_groups(elem)]
+            nonzero_totals = sum(not t.is_zero() for t in totals)
+            for cap, states in self.CAPS:
+                with state_cap(states) if states else contextlib.nullcontext():
+                    walk = refusal_or(lambda: walk_verdicts(elem, cap))
+                    got = (refusal_or(lambda: elem.is_zero(cap)),
+                           refusal_or(lambda: elem.is_singular(cap)))
+                if nonzero_totals:
+                    assert got == (False, False), format_element(elem)
+                    if walk == (False, False):
+                        tally["agree"] += 1
+                    else:  # the lemma: the search cannot decide otherwise
+                        assert isinstance(walk[0], type), format_element(elem)
+                        tally["refusal answered"] += 1
+                    tally["one nonzero total of several"] += (
+                        nonzero_totals == 1 and len(totals) > 1)
+                elif isinstance(walk[0], bool):
+                    assert got == walk, format_element(elem)
+                    tally["zero total"] += 1
+                else:  # a walk that stops at a deciding bucket is refused no later
+                    assert all(v is False or v == walk for v in got), format_element(elem)
+        assert min(tally.values()) >= 20, tally
+
+    def test_buckets_are_computed_once(self, grig, monkeypatch):
+        calls = []
+
+        def spy(elem):
+            calls.append(elem)
+            return _refined_groups(elem)
+
+        monkeypatch.setattr(convalg, "_refined_groups", spy)
+        a, b, c = (indicator(grig, q) for q in "abc")
+        for elem in (a + b - c, a + b - 2 * c, a - a):
+            for decide in (elem.is_zero, elem.is_singular):
+                calls.clear()
+                decide()
+                assert calls == [elem]
 
 
 def reference_parse_shift(machine, text):
@@ -1279,6 +1433,17 @@ class TestShiftMemo:
                 recorded += explored > 0
             assert explored == 0
         assert recorded >= 50, recorded
+
+    def test_free_cancellation_counts_nothing(self, grig, lamp):
+        """A shift whose expression cancels freely is the identity and keeps
+        0 explored, like one name with restrictions."""
+        for m, text in [(grig, "a*b*b^-1*a^-1:0>1"), (lamp, "p*q*q^-1*p^-1:>"),
+                        (grig, "b|0:>")]:
+            m = fresh_copy(m)
+            with state_cap(1):
+                pmap = parse_shift(m, text)
+            assert stored_shifts(m)[text][0] == 0
+            assert pmap == reference_parse_shift(m, text)
 
     def test_refused_text_is_not_stored(self, grig):
         m = fresh_copy(grig)

@@ -610,6 +610,19 @@ class TestExpressionCap:
             assert parse_state_expr(grig, "e*e|01").is_identity()
             assert parse_state_expr(grig, "(a*d^-1)^-1*a*d^-1") == identity_aut(2)
 
+    def test_free_cancellation_explores_nothing(self, grig, lamp, ternary, monkeypatch):
+        """The empty reduced word is identity_aut's interned machine,
+        returned without an exploration."""
+        def refuse(*args):
+            raise AssertionError("explored an expression that cancels freely")
+
+        monkeypatch.setattr(mealy, "_derive", refuse)
+        for machine, text in [(lamp, "p*q*q^-1*p^-1"), (grig, "a*b|1*(a*b|1)^-1"),
+                              (ternary, "s*t*u*(s*t*u)^-1"), (ternary, "(s*t)^-1*s*t")]:
+            cancelled = parse_state_expr(machine, text)
+            assert cancelled.machine is identity_aut(machine.alphabet_size).machine
+            assert cancelled == identity_aut(machine.alphabet_size)
+
     def test_each_expression_interns_at_most_one_machine(self, ternary):
         rng = random.Random(2303)
         gens = ["s", "t", "u", "s^-1", "t^-1", "u^-1"]
