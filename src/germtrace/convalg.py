@@ -25,13 +25,12 @@ from .errors import (DomainError, ElementParseError, ParseError, PatternCapError
                      excerpt)
 from .germs import PartialMap, _germ_key, _unit_key, bisection_product
 from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore, _index,
-                    _memoised, _quotient, _state_cap, backward_distances, identity_aut,
-                    infinite_path_nodes, parse_state_expr, parse_word, word_text)
+                    _memoised, _parse_memo, _quotient, _state_cap, backward_distances,
+                    identity_aut, infinite_path_nodes, parse_state_expr, parse_word,
+                    word_text)
 from .points import Point
 
 PATTERN_CAP = 10 ** 6
-# parsed shifts memoised per machine (see parse_shift)
-_SHIFT_MEMO_LIMIT = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +271,26 @@ class AlgebraElement:
     Terms are kept canonical: shifts merged under canonical state
     equality, zero coefficients dropped.  Equality of AlgebraElement
     objects is termwise; use equals (is_zero of the difference) for
-    equality as functions on germs.
+    equality as functions on germs.  A product memoises the pieces of
+    each pair of terms (bisection_product), through mealy._memoised on
+    the interned machine of the left term's state, under the two shifts'
+    content and labels, so every piece carries the label its terms give.
     """
 
     __slots__ = ("machine", "terms")
 
     def __init__(self, machine: Machine, terms=()):
-        acc: dict[PartialMap, Scalar] = {}
         if isinstance(terms, Mapping):
             terms = [(coeff, pmap) for pmap, coeff in terms.items()]
+        checked = []
         for coeff, pmap in terms:
             if not isinstance(pmap, PartialMap):
                 raise TypeError("term must be (scalar, PartialMap)")
             if pmap.alphabet_size != machine.alphabet_size:
                 raise DomainError("term alphabet does not match the machine")
-            c = acc.get(pmap)
-            acc[pmap] = as_scalar(coeff) if c is None else c + coeff
+            checked.append((as_scalar(coeff), pmap))
         self.machine = machine
-        self.terms = {b: c for b, c in acc.items() if not c.is_zero()}
+        self.terms = _merged(checked)
 
     @property
     def alphabet_size(self) -> int:
@@ -306,20 +307,17 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._require_compatible(other)
-        return AlgebraElement(self.machine,
-                              self.term_list() + other.term_list())
+        return _element(self.machine, self.term_list() + other.term_list())
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(self.machine,
-                              [(-c, b) for c, b in self.term_list()])
+        return _element(self.machine, [(-c, b) for c, b in self.term_list()])
 
     def scale(self, coeff) -> "AlgebraElement":
         c = as_scalar(coeff)
-        return AlgebraElement(self.machine,
-                              [(c * t, b) for t, b in self.term_list()])
+        return _element(self.machine, [(c * t, b) for t, b in self.term_list()])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -332,15 +330,20 @@ class AlgebraElement:
         self._require_compatible(other)
         out = []
         for b1, c1 in self.terms.items():
+            a = b1.state
+            memo = a.machine._memo
+            left = ("times", a.state, b1.range_prefix, b1.source_prefix, b1.label)
             for b2, c2 in other.terms.items():
-                for piece in bisection_product(b1, b2):
+                b = b2.state
+                for piece in _memoised(memo, left + (b.machine, b.state, b2.range_prefix,
+                                                     b2.source_prefix, b2.label),
+                                       bisection_product, b1, b2):
                     out.append((c1 * c2, piece))
-        return AlgebraElement(self.machine, out)
+        return _element(self.machine, out)
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.machine,
-                              [(c.conjugate(), b.inverse())
-                               for c, b in self.term_list()])
+        return _element(self.machine, [(c.conjugate(), b.inverse())
+                                       for c, b in self.term_list()])
 
     def unit_restriction_eval(self, x: Point) -> Scalar:
         """E(a)(x): the value at the unit germ over x, the sum of c_t over
@@ -397,6 +400,25 @@ class AlgebraElement:
     def __repr__(self):
         text = format_element(self).replace("\n", "; ")
         return f"<element {text or '0'}>"
+
+
+def _merged(terms) -> dict[PartialMap, Scalar]:
+    """The terms dict of (Scalar, PartialMap) pairs: coefficients of equal
+    shifts added, in order of first occurrence, and zeros dropped."""
+    acc: dict[PartialMap, Scalar] = {}
+    for c, pmap in terms:
+        total = acc.get(pmap)
+        acc[pmap] = c if total is None else total + c
+    return {b: c for b, c in acc.items() if not c.is_zero()}
+
+
+def _element(machine: Machine, terms) -> AlgebraElement:
+    """AlgebraElement(machine, terms) of (Scalar, PartialMap) pairs the
+    algebra built itself over machine's alphabet, without the checks."""
+    elem = object.__new__(AlgebraElement)
+    elem.machine = machine
+    elem.terms = _merged(terms)
+    return elem
 
 
 def unit_element(machine: Machine) -> AlgebraElement:
@@ -545,14 +567,6 @@ def _decide(elem: AlgebraElement, cap: int | None, open_only: bool) -> bool:
                    for class_sums, has_open in _bucket_class_sums(bucket, cap))
 
 
-def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
-    """Yield _bucket_class_sums over the buckets of elem, in order: the
-    whole pattern search, with no test of the coefficients first."""
-    cap = _pattern_cap(cap)
-    for bucket in _refined_groups(elem):
-        yield from _bucket_class_sums(bucket, cap)
-
-
 def _bucket_class_sums(bucket: list[tuple[Aut, Scalar]], cap: int):
     """Yield (coefficient sums per germ class, region contains a cylinder).
 
@@ -605,15 +619,13 @@ def parse_shift(machine: Machine, text: str) -> PartialMap:
 
     Parsed shifts are memoised on machine through mealy._memoised, keyed
     by the stripped text, so they live as long as the machine; at most
-    _SHIFT_MEMO_LIMIT of them, after which new texts are parsed without
-    being stored.  Texts that fail to parse or that a cap refuses are not
-    stored.
+    mealy._SHIFT_MEMO_LIMIT of them, after which new texts are parsed
+    without being stored (mealy._parse_memo).  Texts that fail to parse or
+    that a cap refuses are not stored.
     """
     shift_text = text.strip()
-    shifts = machine._memo.setdefault("shift", {})
-    if len(shifts) >= _SHIFT_MEMO_LIMIT and shift_text not in shifts:
-        shifts = {}
-    return _memoised(shifts, shift_text, _parse_shift, machine, shift_text)
+    return _memoised(_parse_memo(machine, "shift", shift_text), shift_text,
+                     _parse_shift, machine, shift_text)
 
 
 def _parse_shift(machine: Machine, shift_text: str) -> PartialMap:
@@ -647,13 +659,23 @@ def parse_element(machine: Machine, text: str) -> AlgebraElement:
         coeff_text, shift_text = split
         coeff = parse_scalar(coeff_text)
         terms.append((coeff, parse_shift(machine, shift_text)))
-    return AlgebraElement(machine, terms)
+    return _element(machine, terms)
 
 
 def _term_label(machine: Machine, pmap: PartialMap) -> str:
-    for q in range(machine.size):
-        if machine.state(q) == pmap.state:
-            return machine.name_of(q)
+    """The name of the least state of machine equal to the term's state,
+    else the term's label.  The least state of each canonical pair is
+    memoised on machine."""
+    least = machine._memo.get("least_state")
+    if least is None:
+        least = {}
+        for q in range(machine.size):
+            c = machine.state(q).canonical()
+            least.setdefault((c.machine, c.state), q)
+        machine._memo["least_state"] = least
+    q = least.get((pmap.state.machine, pmap.state.state))
+    if q is not None:
+        return machine.name_of(q)
     if pmap.label is not None:
         return pmap.label
     raise DomainError("term state has no printable name; supply a label")

@@ -22,7 +22,7 @@ from operator import add
 from .errors import SingularSystemError
 from .mealy import (Aut, Machine, backward_distances, distinguishing_depth,
                     forward_closure, infinite_path_nodes, minimize, strong_components)
-from .points import Point, state_lasso
+from .points import Point, check_letters
 
 
 @dataclass(frozen=True)
@@ -425,16 +425,21 @@ def is_dangerous(machine: Machine, x: Point) -> bool:
     germ of a state q at the shifted point y = x without u; that germ is
     a non-unit limit of units iff y is fixed by q, never with trivial
     restriction, while every restriction along y fixes some cylinder.
-    Only the finitely many distinct suffixes of x need checking, and only
-    the eligible states of hausdorff_witness: the lasso of such a state
-    along y must fix every letter and stay among the eligible states.
+    Only the eligible states of hausdorff_witness need checking: such a
+    state must fix every letter of y and stay among the eligible states.
+    A state that does so from some position of x does so again from the
+    next position where x's period starts, so only the period matters:
+    x is dangerous iff some pair (eligible state, phase of the period)
+    has an infinite path through such pairs, each fixing the phase's
+    letter and moving to its restriction at the next phase.  That is one
+    greatest fixed point over those pairs, linear in their number and
+    independent of the preperiod's length.  A letter of x outside the
+    alphabet raises DomainError.
     """
     mm, _, eligible = _witness_states(machine)
-    for n in range(len(x.preperiod) + len(x.period)):
-        y = x.shift(n)
-        for q in eligible:
-            states, _ = state_lasso(mm.state(q), y)
-            if all(s in eligible and mm.outputs[s][y.letter(i)] == y.letter(i)
-                   for i, s in enumerate(states)):
-                return True
-    return False
+    check_letters(x, mm.alphabet_size)
+    out, trans, per = mm.outputs, mm.transitions, x.period
+    n = len(per)
+    pairs = [(q, j) for j, a in enumerate(per) for q in eligible if out[q][a] == a]
+    return bool(infinite_path_nodes(
+        pairs, lambda pair: [(trans[pair[0]][per[pair[1]]], (pair[1] + 1) % n)]))

@@ -19,23 +19,28 @@ from .mealy import (Aut, Machine, Word, _canonical_pair, _memoised, check_word,
 from .points import BOUNDARY, Point, fixed_walk, state_lasso
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PartialMap:
-    """A cylinder shift v y -> u q(y); label is display-only."""
+    """A cylinder shift v y -> u q(y); label is display-only.
+
+    The state is kept canonical, so two maps are equal iff their states
+    have the identical interned machine and the same state and their
+    prefixes agree.  The hash is computed once, from that content: the
+    machine's table_hash xor the state, with u and v.
+    """
 
     state: Aut
     range_prefix: Word
     source_prefix: Word
-    label: str | None = field(default=None, compare=False)
+    label: str | None = None
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         u = check_word(self.range_prefix, self.alphabet_size)
         v = check_word(self.source_prefix, self.alphabet_size)
         if len(u) != len(v):
             raise DomainError("range and source prefixes must have equal length")
-        object.__setattr__(self, "state", self.state.canonical())
-        object.__setattr__(self, "range_prefix", u)
-        object.__setattr__(self, "source_prefix", v)
+        _fill(self, self.state.canonical(), u, v, self.label)
 
     @property
     def alphabet_size(self) -> int:
@@ -65,22 +70,61 @@ class PartialMap:
     def restrict_source(self, w) -> "PartialMap":
         """The same map cut down to the source cylinder extended by w."""
         w = check_word(w, self.alphabet_size)
-        return PartialMap(self.state.restrict(w),
-                          self.range_prefix + self.state.apply_word(w),
-                          self.source_prefix + w,
-                          restrict_label(self.label, w))
+        image, below = _walk(self.state, w)
+        return _shift(below, self.range_prefix + image, self.source_prefix + w,
+                      restrict_label(self.label, w))
 
     def inverse(self) -> "PartialMap":
-        return PartialMap(self.state.inverse(), self.source_prefix,
-                          self.range_prefix, invert_label(self.label))
+        return _shift(self.state.inverse(), self.source_prefix, self.range_prefix,
+                      invert_label(self.label))
 
     def germ_at(self, x: Point) -> "Germ":
         return Germ(self, x)
+
+    def __eq__(self, other):
+        if not isinstance(other, PartialMap):
+            return NotImplemented
+        a, b = self.state, other.state
+        return (self._hash == other._hash and a.machine is b.machine
+                and a.state == b.state and self.range_prefix == other.range_prefix
+                and self.source_prefix == other.source_prefix)
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         name = self.label if self.label is not None else "?"
         return (f"<shift {name}:{word_text(self.range_prefix)}>"
                 f"{word_text(self.source_prefix)}>")
+
+
+def _fill(pmap: PartialMap, state: Aut, u: Word, v: Word, label) -> PartialMap:
+    """Set pmap's fields to a canonical state, checked prefixes of equal
+    length and a label, and its hash."""
+    put = object.__setattr__
+    put(pmap, "state", state)
+    put(pmap, "range_prefix", u)
+    put(pmap, "source_prefix", v)
+    put(pmap, "label", label)
+    put(pmap, "_hash", hash((state.machine.table_hash ^ state.state, u, v)))
+    return pmap
+
+
+def _shift(state: Aut, u: Word, v: Word, label) -> PartialMap:
+    """PartialMap(state, u, v, label) from parts that pass its checks
+    already: a canonical state and checked prefixes of equal length."""
+    return _fill(object.__new__(PartialMap), state, u, v, label)
+
+
+def _walk(g: Aut, w: Word) -> tuple[Word, Aut]:
+    """(g(w), canonical form of g below w) for a checked word w."""
+    out, trans = g.machine.outputs, g.machine.transitions
+    q = g.state
+    image = []
+    for x in w:
+        image.append(out[q][x])
+        q = trans[q][x]
+    return tuple(image), Aut(g.machine, q).canonical()
 
 
 def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
@@ -89,7 +133,8 @@ def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
     Because shifts preserve prefix length, the range cylinder of b2
     either misses the source cylinder of b1 (no piece) or the overlap is
     the image of a single refinement of b2 (one piece), found by pulling
-    the missing source letters of b1 back through b2.
+    the missing source letters of b1 back through b2.  The piece is built
+    once, labelled as b1's restriction after b2's.
     """
     if b1.alphabet_size != b2.alphabet_size:
         raise DomainError("alphabet size mismatch")
@@ -97,14 +142,16 @@ def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
     if len(u2) >= len(v1):
         if u2[:len(v1)] != v1:
             return []
-        left = b1.restrict_source(u2[len(v1):])
-        return [PartialMap(left.state * b2.state, left.range_prefix, b2.source_prefix,
-                           compose_labels(left.label, b2.label))]
+        w = u2[len(v1):]
+        image, left = _walk(b1.state, w)
+        return [_shift(left * b2.state, b1.range_prefix + image, b2.source_prefix,
+                       compose_labels(restrict_label(b1.label, w), b2.label))]
     if v1[:len(u2)] != u2:
         return []
-    right = b2.restrict_source(b2.state.inverse().apply_word(v1[len(u2):]))
-    return [PartialMap(b1.state * right.state, b1.range_prefix, right.source_prefix,
-                       compose_labels(b1.label, right.label))]
+    w = b2.state.inverse().apply_word(v1[len(u2):])
+    right = _walk(b2.state, w)[1]
+    return [_shift(b1.state * right, b1.range_prefix, b2.source_prefix + w,
+                   compose_labels(b1.label, restrict_label(b2.label, w)))]
 
 
 class Germ:

@@ -27,16 +27,18 @@ which makes equality, hashing and identity tests cheap for every higher
 layer.  Products and inverses are memoised on the interned machine of the
 left canonical operand, next to the canonical forms of its states; keys
 and values hold interned machines only.  The germs layer keeps its germ
-keys on the same memos.  Every memoised result built from explorations
-(a product, an inverse, a shift parsed against the machine, the germ key
-of a term after a basis germ) is stored through _memoised in one format,
-(explored, value), where explored is the most states any one exploration
-behind the value reached.  A hit whose explored is over the current cap
-is built afresh, so it is refused exactly as a cold build is, by
-_derive.  State expressions themselves are not memoised.  The intern
-table is the only module-level state besides one context variable
-holding the current state cap and build scope; every memo sits on a
-machine.
+keys on the same memos, and the algebra layer the pieces of its term
+products.  Every memoised result built from explorations (a product, an
+inverse, a state expression, a shift parsed against the machine, a term
+product, the germ key of a term after a basis germ) is stored through
+_memoised in one format, (explored, value), where explored is the most
+states any one exploration behind the value reached.  A hit whose
+explored is over the current cap is built afresh, so it is refused
+exactly as a cold build is, by _derive.  A state expression is memoised
+on the quotient of the machine it is parsed against, by the reduced word
+it parses to.  The intern table is the only module-level state besides
+one context variable holding the current state cap and build scope;
+every memo sits on a machine.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ from .errors import DomainError, MachineParseError, ParseError, StateCapError, e
 Word = tuple[int, ...]
 
 STATE_CAP = 100_000
+# entries per machine in each memo of parsed text (see _parse_memo)
+_SHIFT_MEMO_LIMIT = 4096
 # (state cap, [running maximum] of the memoised build in progress or
 # None): the cap is set by state_cap, the maximum by _memoised
 _scope: ContextVar[tuple[int, list | None]] = ContextVar("scope", default=(STATE_CAP, None))
@@ -75,9 +79,11 @@ def state_cap(n: int):
     name with restrictions explores nothing.  For is_zero / is_singular
     it counts the states of each bucket's pattern graph: the pairs of
     restrictions reached from all of the bucket's term pairs, plus its
-    two sinks.  A memoised result that explored more states than the
-    cap is built afresh (see _memoised), so the outcome does not depend
-    on what earlier calls cached.  The bound holds for the current thread
+    two sinks.  Products, inverses, state expressions and the pieces of
+    term products are memoised per machine; a memoised result that
+    explored more states than the cap is built afresh (see _memoised), so
+    the outcome, a refusal's text included, does not depend on what
+    earlier calls cached.  The bound holds for the current thread
     or task only; code running in another context, such as a new thread,
     keeps its own (by default STATE_CAP).  Entered inside a memoised
     build, the block keeps that build's running maximum.  n must
@@ -322,12 +328,13 @@ _INVERSE = "the inverse of a {0.size}-state automorphism"
 def _memoised(memo, slot, build, *args):
     """memo[slot]'s value, built on a miss by build(*args).
 
-    Every memo entry of a product, inverse, parsed shift or composite
-    germ key is (explored, value): the most states that one exploration
-    behind the value reached, its own (_derive) or one of the memoised
-    entries its build used.  A miss runs build with a running maximum of
-    0 in scope, which _derive and nested _memoised calls raise; a build
-    that raises stores nothing.  An entry that explored more states than
+    Every memo entry of a product, inverse, state expression, parsed
+    shift, term product or composite germ key is (explored, value): the
+    most states that one exploration behind the value reached, its own
+    (_derive) or one of the memoised entries its build used.  A miss
+    runs build with a running maximum of 0 in scope, which _derive and
+    nested _memoised calls raise; a build that raises stores nothing.
+    An entry that explored more states than
     the current cap counts as a miss, so it is built again under the cap
     and refused, if at all, by the same exploration and text as a cold
     build.  Either way the entry's explored raises the running maximum
@@ -345,6 +352,17 @@ def _memoised(memo, slot, build, *args):
     if outer is not None and entry[0] > outer[0]:
         outer[0] = entry[0]
     return entry[1]
+
+
+def _parse_memo(machine: Machine, kind: str, key) -> dict:
+    """machine's memo of parsed kind ("shift" texts or expression "word"s)
+    to store key in through _memoised.  It keeps at most _SHIFT_MEMO_LIMIT
+    entries; past that a new key gets a throwaway dict, so it is built as
+    before but not stored, and the stored entries still hit."""
+    memo = machine._memo.setdefault(kind, {})
+    if len(memo) >= _SHIFT_MEMO_LIMIT and key not in memo:
+        return {}
+    return memo
 
 
 def _product(a: "Aut", b: "Aut") -> "Aut":
@@ -855,8 +873,12 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
     which counts the reduced words reached, and returned minimised and
     interned.  So name and syntax errors come before cap refusals, and an
     expression that cancels freely, the empty word, is the identity,
-    explores nothing and is never refused.  Error columns count
-    characters of text as given.
+    explores nothing and is never refused.  The exploration is memoised
+    on minimize(machine)'s quotient under its reduced word, through
+    _memoised and _parse_memo, so two texts with one reduced word share
+    it; a hit that explored more words than the cap is explored again and
+    refused with this text.  Error columns count characters of text as
+    given.
     """
     parser = _ExpressionParser(machine, text)
     try:
@@ -869,8 +891,10 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
         return Aut(machine, value)
     if not value:
         return identity_aut(machine.alphabet_size)
-    return _derive(machine.alphabet_size, value, parser.outputs, parser.section,
-                   _EXPRESSION, excerpt(text))
+    # a reduced word came from word_of, which filled parser.classes
+    return _memoised(_parse_memo(parser.classes[0], "word", value), value, _derive,
+                     machine.alphabet_size, value, parser.outputs, parser.section,
+                     _EXPRESSION, excerpt(text))
 
 
 class _ExpressionParser:

@@ -21,9 +21,12 @@ BOUNDARY = "boundary"  # fixed, but no neighbourhood is
 
 
 class Point:
-    """An eventually periodic infinite word u v v v ..."""
+    """An eventually periodic infinite word u v v v ...
 
-    __slots__ = ("preperiod", "period")
+    Its hash is computed once, from the normalised preperiod and period.
+    """
+
+    __slots__ = ("preperiod", "period", "_hash")
 
     def __init__(self, preperiod, period):
         pre, per = tuple(preperiod), tuple(period)
@@ -41,6 +44,7 @@ class Point:
             pre = pre[:-1]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
+        object.__setattr__(self, "_hash", hash((pre, per)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Point is immutable")
@@ -66,10 +70,11 @@ class Point:
     def __eq__(self, other):
         if not isinstance(other, Point):
             return NotImplemented
-        return self.preperiod == other.preperiod and self.period == other.period
+        return (self._hash == other._hash and self.preperiod == other.preperiod
+                and self.period == other.period)
 
     def __hash__(self):
-        return hash((self.preperiod, self.period))
+        return self._hash
 
     def __repr__(self):
         return format_point(self)
@@ -94,6 +99,13 @@ def format_point(p: Point) -> str:
     return f"{word_text(p.preperiod)}({word_text(p.period)})"
 
 
+def check_letters(x: Point, alphabet_size: int) -> None:
+    """Raise DomainError if a letter of x lies outside the alphabet."""
+    top = max(x.preperiod + x.period)
+    if top >= alphabet_size:
+        raise DomainError(f"point letter {top} outside alphabet of size {alphabet_size}")
+
+
 def state_lasso(g: Aut, x: Point) -> tuple[list[int], int]:
     """States of g's machine met along x, as a lasso (states, start).
 
@@ -105,10 +117,7 @@ def state_lasso(g: Aut, x: Point) -> tuple[list[int], int]:
     """
     trans = g.machine.transitions
     per = x.period
-    top = max(x.preperiod + per)
-    if top >= g.machine.alphabet_size:
-        raise DomainError(f"point letter {top} outside alphabet of size "
-                          f"{g.machine.alphabet_size}")
+    check_letters(x, g.machine.alphabet_size)
     q = g.state
     states: list[int] = []
     for a in x.preperiod:

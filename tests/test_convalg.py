@@ -39,11 +39,13 @@ from germtrace import (
     unit_element,
     unit_germ,
 )
-from germtrace import convalg
-from germtrace.convalg import (_BROKEN, _TRIVIAL, ZERO, _joint_walk, _realizable_class_sums,
-                               _refined_groups)
+from germtrace import convalg, mealy
+from germtrace.convalg import (_BROKEN, _TRIVIAL, ZERO, _bucket_class_sums, _joint_walk,
+                               _pattern_cap, _refined_groups)
 from germtrace.errors import excerpt
-from germtrace.mealy import _cap_error, _explore, _quotient, _state_cap
+from germtrace.germs import bisection_product
+from germtrace.mealy import (_cap_error, _explore, _quotient, _state_cap, compose_labels,
+                             restrict_label)
 
 from conftest import (evaluate, is_termwise_zero, pop_memos, random_element, random_scalar,
                       random_state_expr, random_word)
@@ -51,6 +53,15 @@ from conftest import (evaluate, is_termwise_zero, pop_memos, random_element, ran
 
 def F(*args):
     return Fraction(*args)
+
+
+def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
+    """Yield _bucket_class_sums over the buckets of elem, in order: the
+    whole pattern search, with no test of the coefficients first (the
+    reference for the coefficient-total shortcut of is_zero / is_singular)."""
+    cap = _pattern_cap(cap)
+    for bucket in _refined_groups(elem):
+        yield from _bucket_class_sums(bucket, cap)
 
 
 @dataclass(frozen=True)
@@ -1483,7 +1494,7 @@ class TestShiftMemo:
         """Past the limit a new text is parsed as before but not stored,
         and the stored entries still hit."""
         m = fresh_copy(grig)
-        limit = convalg._SHIFT_MEMO_LIMIT
+        limit = mealy._SHIFT_MEMO_LIMIT
         texts = [f"b*a:{w:b}>{w:b}" for w in range(2 * limit)]
         for text in texts:
             expected = reference_parse_shift(m, text)
@@ -1518,3 +1529,177 @@ class TestShiftMemo:
             "default": expected,
         }
         assert outcomes["default"] is expected
+
+
+# ---------------------------------------------------------------------------
+# memoised term products against bisection_product
+
+
+def reference_bisection_product(b1, b2):
+    """bisection_product as it stood before term products were memoised:
+    the restricted operand built as a checked PartialMap, then the piece."""
+    v1, u2 = b1.source_prefix, b2.range_prefix
+    if len(u2) >= len(v1):
+        if u2[:len(v1)] != v1:
+            return []
+        w = u2[len(v1):]
+        left = PartialMap(b1.state.restrict(w), b1.range_prefix + b1.state.apply_word(w),
+                          v1 + w, restrict_label(b1.label, w))
+        return [PartialMap(left.state * b2.state, left.range_prefix, b2.source_prefix,
+                           compose_labels(left.label, b2.label))]
+    if v1[:len(u2)] != u2:
+        return []
+    w = b2.state.inverse().apply_word(v1[len(u2):])
+    right = PartialMap(b2.state.restrict(w), b2.range_prefix + b2.state.apply_word(w),
+                       b2.source_prefix + w, restrict_label(b2.label, w))
+    return [PartialMap(b1.state * right.state, b1.range_prefix, right.source_prefix,
+                       compose_labels(b1.label, right.label))]
+
+
+def reference_product(a, b):
+    """AlgebraElement.__mul__ before term products were memoised."""
+    return AlgebraElement(a.machine, [(c1 * c2, piece)
+                                      for b1, c1 in a.terms.items()
+                                      for b2, c2 in b.terms.items()
+                                      for piece in reference_bisection_product(b1, b2)])
+
+
+def labelled(elem):
+    """The terms of elem in order, each with its label."""
+    return [(b, b.label, c) for b, c in elem.terms.items()]
+
+
+def labelled_element(rng, machine, max_terms=3):
+    """A random element whose terms carry expression labels, some none."""
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        pmap = parse_shift(machine, random_shift_text(rng, machine))
+        if rng.random() < 0.25:
+            pmap = PartialMap(pmap.state, pmap.range_prefix, pmap.source_prefix)
+        terms.append((random_scalar(rng), pmap))
+    return AlgebraElement(machine, terms)
+
+
+def stored_pieces(b1, b2):
+    """The memo entry (explored, pieces) of b1 after b2, or None."""
+    a, b = b1.state, b2.state
+    return a.machine._memo.get(("times", a.state, b1.range_prefix, b1.source_prefix,
+                                b1.label, b.machine, b.state, b2.range_prefix,
+                                b2.source_prefix, b2.label))
+
+
+def product_outcome(cap, a, b):
+    """labelled(a * b) under the cap, or the text of its StateCapError."""
+    with state_cap(cap):
+        try:
+            return labelled(a * b)
+        except StateCapError as exc:
+            return str(exc)
+
+
+class TestProductMemo:
+    """a * b memoises the pieces of each pair of terms on the left term's
+    machine; products equal the reference, labels included, and act warm
+    as they act cold under every cap."""
+
+    def test_products_match_the_reference(self, bundled, ternary):
+        rng = random.Random(3105)
+        pieces = 0
+        for k in range(240):
+            m = [*bundled.values(), ternary][k % 4]
+            a, b = labelled_element(rng, m), labelled_element(rng, m)
+            expected = labelled(reference_product(a, b))
+            assert labelled(a * b) == expected  # cold or warm, as earlier pairs left it
+            assert labelled(a * b) == expected  # warm
+            for b1 in a.terms:
+                for b2 in b.terms:
+                    got = bisection_product(b1, b2)
+                    assert [(p, p.label) for p in got] == [
+                        (p, p.label) for p in reference_bisection_product(b1, b2)]
+                    pieces += len(got)
+        assert pieces >= 400, pieces
+
+    def test_labels_come_from_the_terms(self, grig):
+        """Products of equal terms under different labels keep their own
+        labels."""
+        right = parse_element(grig, "1 a:10>00")
+        for text, label in [("1 b*c:0>1", "(b*c)|0*a"), ("1 d:0>1", "d|0*a"),
+                            ("1 (c*b)^-1:0>1", "(c*b)^-1|0*a")]:
+            (pmap,) = (parse_element(grig, text) * right).terms
+            assert pmap.label == label
+        left = PartialMap(grig.state("d"), (0,), (1,))
+        (pmap,) = (AlgebraElement(grig, [(1, left)]) * right).terms
+        assert pmap.label is None
+
+    def test_warm_acts_like_cold_under_every_cap(self, bundled, ternary):
+        rng = random.Random(3106)
+        checked = refused = 0
+        for k in range(120):
+            m = [*bundled.values(), ternary][k % 4]
+            a = labelled_element(rng, m, max_terms=1)
+            b = labelled_element(rng, m, max_terms=1)
+            (b1,), (b2,) = a.terms, b.terms
+            a * b
+            explored, pieces = stored_pieces(b1, b2)
+            for cap in sorted(c for c in {1, explored - 1, explored, explored + 1} if c > 0):
+                a * b
+                warm = product_outcome(cap, a, b)
+                pop_memos("compose", "inverse", "times")
+                cold = product_outcome(cap, a, b)
+                assert warm == cold == product_outcome(cap, a, b), (a, b, cap)
+                if isinstance(warm, str):
+                    refused += 1
+                    assert cap < explored
+                elif pieces:
+                    a * b
+                    (got,) = (a * b).terms
+                    assert got is stored_pieces(b1, b2)[1][0]
+                checked += 1
+        assert refused >= 30 and checked >= 200, (refused, checked)
+
+
+# ---------------------------------------------------------------------------
+# term labels from one memoised dict
+
+
+def reference_term_label(machine, pmap):
+    """_term_label before it was memoised: a scan over the machine's states."""
+    for q in range(machine.size):
+        if machine.state(q) == pmap.state:
+            return machine.name_of(q)
+    if pmap.label is not None:
+        return pmap.label
+    raise DomainError("term state has no printable name; supply a label")
+
+
+def format_or_error(elem):
+    try:
+        return format_element(elem)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+class TestTermLabel:
+    def test_format_matches_the_scan(self, bundled, ternary, monkeypatch):
+        """Byte-identical text on products of labelled elements, and on a
+        machine that names one automorphism twice (the least name wins)."""
+        twice = parse_machine("alphabet 2\nstate a perm 1 0 to e e\n"
+                              "state b perm 1 0 to e e\nstate c perm 0 1 to a b\n")
+        rng = random.Random(3107)
+        elems = []
+        for k in range(120):
+            m = [*bundled.values(), ternary, twice][k % 5]
+            a, b = labelled_element(rng, m), labelled_element(rng, m)
+            elems += [a, a * b, b.adjoint()]
+        texts = [format_or_error(e) for e in elems]
+        monkeypatch.setattr(convalg, "_term_label", reference_term_label)
+        assert texts == [format_or_error(e) for e in elems]
+        assert sum(t.startswith("DomainError") for t in texts) >= 20
+        assert any(" a:" in t for t in texts if "b:" not in t)
+
+    def test_unnamed_state_without_label_is_refused(self, grig):
+        (pmap,) = (parse_element(grig, "1 b*c:>") * parse_element(grig, "1 c:>")).terms
+        assert (pmap.label, convalg._term_label(grig, pmap)) == ("b*c*c", "b")
+        odd = PartialMap(parse_state_expr(grig, "a*b"), (), ())
+        with pytest.raises(DomainError, match="no printable name"):
+            convalg._term_label(grig, odd)

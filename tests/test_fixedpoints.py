@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from germtrace.fixedpoints import (DecayCertificate, FixCounts, _mu_table,
                                    _solve_integer_system, closure_boundary_null,
                                    essential_freeness_report)
 from germtrace.mealy import strong_components
+from germtrace.points import state_lasso
 
 from conftest import random_word
 
@@ -388,6 +390,86 @@ class TestDangerous:
     def test_free_machine(self, adding):
         for text in ["(0)", "(1)", "01(10)"]:
             assert not is_dangerous(adding, parse_point(text, 2))
+
+
+def reference_is_dangerous(machine, x):
+    """is_dangerous as it stood before the greatest fixed point: one lasso
+    per shift of x and per eligible state."""
+    mm, _, eligible = fixedpoints._witness_states(machine)
+    for n in range(len(x.preperiod) + len(x.period)):
+        y = x.shift(n)
+        for q in eligible:
+            states, _ = state_lasso(mm.state(q), y)
+            if all(s in eligible and mm.outputs[s][y.letter(i)] == y.letter(i)
+                   for i, s in enumerate(states)):
+                return True
+    return False
+
+
+def traced_lines(fn, *args):
+    """Lines of Python executed by fn(*args), nested calls included."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+class TestDangerousReference:
+    def test_matches_the_lasso_loop(self, bundled, ternary):
+        """Seeded points with preperiods up to 50 letters on the bundled
+        machines and on random ones; three in four end in a cycle that an
+        eligible state fixes where the machine has one, so both verdicts
+        occur often."""
+        rng = random.Random(3103)
+        machines = [*bundled.values(), ternary]
+        tally = {True: 0, False: 0}
+        for k in range(600):
+            m = machines[k % 4] if k % 2 else random_raw_machine(rng)
+            d = m.alphabet_size
+            pre = random_word(rng, d, rng.randint(0, 50))
+            period = random_word(rng, d, rng.randint(1, 4))
+            if k % 4 < 3:
+                oracle = RawOracle(m)
+                cycles = [v for q in range(m.size) for _, v in oracle.points(q, oracle.eligible)]
+                if cycles:
+                    period = rng.choice(cycles)
+            x = Point(pre, period)
+            verdict = is_dangerous(m, x)
+            assert verdict == reference_is_dangerous(m, x), (m.outputs, m.transitions, x)
+            tally[verdict] += 1
+        assert min(tally.values()) >= 40, tally
+
+    def test_preperiod_adds_no_steps(self, grig):
+        """0^k(1) on grigorchuk is dangerous for every k, and the verdict
+        costs the same number of executed lines at k = 3,000 as at k = 1:
+        the lasso loop's cost grew with k squared."""
+        is_dangerous(grig, parse_point("(1)", 2))  # minimise once
+        counts = {}
+        for k in (1, 3000):
+            x = Point((0,) * k, (1,))
+            assert is_dangerous(grig, x)
+            counts[k] = traced_lines(is_dangerous, grig, x)
+        assert counts[1] == counts[3000] < 2000, counts
+
+    def test_long_period(self, grig):
+        """A period of n letters costs at most linearly many lines in n."""
+        counts = {}
+        for n in (100, 200):
+            x = Point((), (1,) * (n - 1) + (0,))
+            assert is_dangerous(grig, x) == reference_is_dangerous(grig, x)
+            counts[n] = traced_lines(is_dangerous, grig, x)
+        assert counts[200] <= 2.1 * counts[100], counts
 
 
 class TestCsv:

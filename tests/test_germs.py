@@ -1,7 +1,11 @@
 """Shift pieces, their composition, germs and the groupoid laws."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +18,11 @@ from germtrace import (
     bisection_product,
     essential_freeness_report,
     fixed_walk,
+    format_machine,
     isotropy_germs_at,
     parse_machine,
     parse_point,
+    parse_shift,
     unit_germ,
     verify_invariance,
 )
@@ -26,7 +32,7 @@ import germtrace.points as points_module
 from germtrace.points import state_lasso
 
 from conftest import (apply_point, fixes_base, is_identity_map, is_unit,
-                      random_word)
+                      random_state_expr, random_word)
 
 
 def shift(machine, name, u=(), v=()):
@@ -403,3 +409,56 @@ class TestFreenessReport:
             report = essential_freeness_report(m)
             assert all(mu == 0 for _, mu in report.rows)
             assert report.essentially_free
+
+
+class TestContentKeys:
+    """PartialMap and Point hash once, from content, so copies built
+    apart compare and hash equal, in this process and in any other."""
+
+    def test_copies_of_one_machine_text(self, bundled, ternary):
+        rng = random.Random(3108)
+        checked = 0
+        for m in [*bundled.values(), ternary]:
+            d = m.alphabet_size
+            one, two = (parse_machine(format_machine(m)) for _ in range(2))
+            for _ in range(40):
+                n = rng.randint(0, 2)
+                u, v = ("".join(map(str, random_word(rng, d, n))) for _ in range(2))
+                text = f"{random_state_expr(rng, list(m.names), d)}:{u}>{v}"
+                p1, p2 = parse_shift(one, text), parse_shift(two, text)
+                assert p1 == p2 and hash(p1) == hash(p2), text
+                assert len({p1, p2, PartialMap(p1.state, p1.range_prefix, p1.source_prefix)}) == 1
+                pre, per = random_word(rng, d, rng.randint(0, 3)), random_word(rng, d, 2)
+                point = "".join(map(str, pre)) + "(" + "".join(map(str, per)) + ")"
+                x1, x2 = parse_point(point, d), parse_point(point, d)
+                assert x1 == x2 and hash(x1) == hash(x2) and x1 is not x2
+                x = Point(tuple(map(int, v)) + pre, per)
+                assert hash(p1.germ_at(x)) == hash(p2.germ_at(x))
+                assert p1.germ_at(x) == p2.germ_at(x)
+                checked += 1
+        assert checked == 160
+
+    def test_equal_content_under_other_labels(self, grig):
+        for text in ["b*c:0>1", "d:0>1", "(c*b)^-1:0>1", "b|1|1:0>1"]:
+            pmap = parse_shift(grig, text)
+            plain = PartialMap(grig.state("d"), (0,), (1,))
+            assert pmap == plain and hash(pmap) == hash(plain)
+        assert parse_shift(grig, "d:0>1") != parse_shift(grig, "d:1>0")
+        assert parse_shift(grig, "d:0>1") != parse_shift(grig, "b:0>1")
+
+    def test_hash_is_the_same_in_every_process(self, grig):
+        """No hash reads an address or a salted string: two interpreters
+        with different hash seeds give the hashes this one gives."""
+        code = ("import sys\n"
+                "from germtrace import parse_machine, parse_shift, parse_point\n"
+                "m = parse_machine(sys.stdin.read())\n"
+                "print(hash(parse_shift(m, '(a*b)^-1|0:01>10')), "
+                "hash(parse_point('01(10)', 2)))")
+        src = Path(germs_module.__file__).resolve().parents[1]
+        here = f"{hash(parse_shift(grig, '(a*b)^-1|0:01>10'))} {hash(parse_point('01(10)', 2))}"
+        for seed in ("0", "1"):
+            out = subprocess.run([sys.executable, "-c", code], input=format_machine(grig),
+                                 capture_output=True, text=True, check=True,
+                                 env={**os.environ, "PYTHONHASHSEED": seed,
+                                      "PYTHONPATH": str(src)}).stdout
+            assert out.split() == here.split()

@@ -32,6 +32,7 @@ from germtrace import (
 )
 
 from germtrace import AlgebraElement, PartialMap, Point, Scalar, germs, mealy, rep_matrix
+from germtrace.errors import excerpt
 from germtrace.mealy import backward_distances, infinite_path_nodes, strong_components
 
 from conftest import pop_memos, random_element, random_state_expr, random_word
@@ -639,6 +640,92 @@ class TestExpressionCap:
         for text in words[20:]:
             reference_parse_state_expr(ternary, text)
         assert len(mealy._interned) - before > 20
+
+
+def stored_words(machine):
+    """The explorations memoised on minimize(machine)'s quotient, by
+    reduced word, as (explored, Aut)."""
+    return minimize(machine)[0]._memo.get("word", {})
+
+
+def expression_outcome(cap, machine, text):
+    """The Aut parse_state_expr returns under the cap, or the text of the
+    StateCapError it raises."""
+    with state_cap(cap):
+        try:
+            return parse_state_expr(machine, text)
+        except StateCapError as exc:
+            return str(exc)
+
+
+class TestExpressionMemo:
+    """A state expression's exploration is memoised on the quotient of its
+    machine by reduced word, and acts warm as it acts cold under every cap:
+    the identical Aut under the cap, the same refusal over it."""
+
+    def test_warm_acts_like_cold_under_every_cap(self, bundled, ternary):
+        rng = random.Random(3104)
+        checked = refused = 0
+        for m in [*bundled.values(), ternary]:
+            for _ in range(30):
+                text = random_state_expr(rng, list(m.names), m.alphabet_size)
+                warm_machine = parse_machine(format_machine(m))
+                parse_state_expr(warm_machine, text)
+                if not stored_words(warm_machine):
+                    continue  # one name with restrictions, or free cancellation
+                (entry,) = stored_words(warm_machine).values()
+                explored, value = entry
+                for cap in sorted(c for c in {1, explored - 1, explored, explored + 1} if c):
+                    warm = expression_outcome(cap, warm_machine, text)
+                    cold_machine = parse_machine(format_machine(m))
+                    cold = expression_outcome(cap, cold_machine, text)
+                    if isinstance(cold, str):
+                        assert warm == cold, (text, cap)
+                        assert cold == (f"more than {cap} states while building the "
+                                        f"state expression {excerpt(text)}")
+                        refused += 1
+                    else:
+                        assert warm is value, (text, cap)
+                        assert (cold.machine, cold.state) == (value.machine, value.state)
+                        assert cap >= explored
+                    checked += 1
+                (kept,) = stored_words(warm_machine).values()
+                assert kept is entry
+        assert refused >= 100 and checked >= 250, (refused, checked)
+
+    def test_texts_with_one_reduced_word_share_an_entry(self, grig):
+        m = parse_machine(format_machine(grig))
+        texts = ["a*b*a*c", "a*(b*a)*c", "a*b*d^-1*d*a*c", "(c^-1*a^-1*b^-1*a^-1)^-1"]
+        first = parse_state_expr(m, texts[0])
+        for text in texts[1:]:
+            assert parse_state_expr(m, text) is first
+        assert len(stored_words(m)) == 1
+        for text in texts:
+            assert expression_outcome(3, m, text) == (
+                f"more than 3 states while building the state expression {text!r}")
+        assert parse_state_expr(m, texts[-1]) is first
+
+    def test_names_and_cancellations_store_nothing(self, grig):
+        m = parse_machine(format_machine(grig))
+        for text in ["a", "b|0", "b|01", "a*a^-1", "(a*b)|0|1*((a*b)|01)^-1"]:
+            parse_state_expr(m, text)
+        assert stored_words(m) == {}
+
+    def test_memo_keeps_at_most_the_limit(self, ternary, monkeypatch):
+        """Past the limit a new word is explored as before but not stored,
+        and the stored words still hit."""
+        monkeypatch.setattr(mealy, "_SHIFT_MEMO_LIMIT", 5)
+        m = parse_machine(format_machine(ternary))
+        texts = ["*".join(w) for w in itertools.product("stu", repeat=2)]
+        got = [parse_state_expr(m, text) for text in texts]
+        assert len(stored_words(m)) == 5
+        for text, aut in zip(texts, got):
+            again = parse_state_expr(m, text)
+            assert (again.machine, again.state) == (aut.machine, aut.state)
+            assert (again is aut) == (text in texts[:5])
+            cold = parse_state_expr(parse_machine(format_machine(ternary)), text)
+            assert (cold.machine, cold.state) == (aut.machine, aut.state)
+        assert len(stored_words(m)) == 5
 
 
 def oracle_machine(rng, duplicate, d=None, size=30):
