@@ -194,9 +194,19 @@ class Machine:
         return f"q{q}"
 
     def index_of(self, name: str) -> int:
-        if self.names is None or name not in self.names:
+        """The index of the state named name, through a name -> index dict
+        kept in the memo (parse_machine stores its own; else it is built
+        on first use)."""
+        index = self._memo.get("index")
+        if index is None and self.names is not None:
+            index = self._memo["index"] = {n: q for q, n in enumerate(self.names)}
+        try:
+            q = None if index is None else index.get(name)
+        except TypeError:  # unhashable, so no state's name
+            q = None
+        if q is None:
             raise DomainError(f"unknown state name {excerpt(name)}")
-        return self.names.index(name)
+        return q
 
     def state(self, ref) -> "Aut":
         """State handle by name or index."""
@@ -243,13 +253,29 @@ def _intern(d, outputs, transitions, start) -> Machine:
     with _intern_lock:
         m = _interned.get(key)
         if m is None:
-            reach = backward_distances(range(len(outputs)), transitions.__getitem__,
-                                       [start])
             m = object.__new__(Machine)._fill(
                 d, outputs, transitions, _identity_state(d, outputs, transitions), None,
-                tuple(q in reach for q in range(len(outputs))))
+                _reaching(transitions, start))
             _interned[key] = m
     return m
+
+
+def _reaching(transitions, start) -> tuple[bool, ...]:
+    """For each state, whether it reaches start: one search from start
+    over reversed edges."""
+    preds = [[] for _ in transitions]
+    for q, row in enumerate(transitions):
+        for t in row:
+            preds[t].append(q)
+    reach = [False] * len(transitions)
+    reach[start] = True
+    stack = [start]
+    while stack:
+        for q in preds[stack.pop()]:
+            if not reach[q]:
+                reach[q] = True
+                stack.append(q)
+    return tuple(reach)
 
 
 def _cap_error(cap, what) -> StateCapError:
@@ -296,24 +322,31 @@ def _quotient(outputs, transitions):
     and are split by their successors' classes until nothing changes.
     Each round names a class by the rank of its signature among the
     distinct ones, sorted: the output row at first, then the class's own
-    name and its successors' names (colour refinement).  The names never
-    depend on how the states are numbered, so isomorphic machines get
-    identical quotient tables, and the order of a machine's classes is
-    the order the quotient gives its own states.  Each round compares only
-    signatures of states and their successors, so a forward-closed set of
-    states is ordered as it would be alone.  Returns (outputs,
+    name and its successors' names (colour refinement).  Those names are
+    written as one integer, the class name followed by the successors'
+    names as base-count digits (count classes so far); every digit is
+    below count, so the integers sort as the tuples (name, successor
+    names) would.  A round whose signatures are as many as the classes
+    splits nothing and ends the refinement without sorting.  The names
+    never depend on how the states are numbered, so isomorphic machines
+    get identical quotient tables, and the order of a machine's classes
+    is the order the quotient gives its own states.  Each round compares
+    only signatures of states and their successors, so a forward-closed
+    set of states is ordered as it would be alone.  Returns (outputs,
     transitions, block) of the quotient, where block[q] is the class of
     state q, numbered by that rank.  The machine must have a state.
     """
-    block, count = None, 0
-    signatures = outputs
-    while True:
-        rank = {s: r for r, s in enumerate(sorted(set(signatures)))}
-        if len(rank) == count:  # no class split: the names are final
-            break
-        block, count = [rank[s] for s in signatures], len(rank)
+    signatures, count = outputs, 0
+    distinct = set(outputs)
+    columns = list(zip(*transitions))  # the successors of all states, letter by letter
+    while len(distinct) != count:
+        rank = {s: r for r, s in enumerate(sorted(distinct))}
+        block, count = list(map(rank.__getitem__, signatures)), len(rank)
         at = block.__getitem__
-        signatures = [(b, tuple(map(at, row))) for b, row in zip(block, transitions)]
+        signatures = block
+        for column in columns:
+            signatures = [s * count + c for s, c in zip(signatures, map(at, column))]
+        distinct = set(signatures)
     member = dict(zip(block, range(len(block))))  # class -> one of its states
     member = [member[c] for c in range(count)]
     return (tuple(outputs[q] for q in member),
@@ -427,11 +460,10 @@ def _interned_closure(m: Machine, q) -> "Aut":
     """
     transitions = m.transitions
     order = sorted(forward_closure([q], transitions.__getitem__))
-    number = {s: i for i, s in enumerate(order)}
-    closure = _intern(m.alphabet_size, tuple(m.outputs[s] for s in order),
-                      tuple(tuple(number[t] for t in transitions[s]) for s in order),
-                      number[q])
-    for s, i in number.items():
+    at = dict(zip(order, range(len(order)))).__getitem__
+    closure = _intern(m.alphabet_size, tuple(map(m.outputs.__getitem__, order)),
+                      tuple(tuple(map(at, transitions[s])) for s in order), at(q))
+    for i, s in enumerate(order):
         if closure.root[i]:
             m._memo[("canon", s)] = Aut(closure, i)
     return m._memo[("canon", q)]
@@ -745,11 +777,19 @@ def parse_machine(text: str) -> Machine:
     to <d successor names>` line per state.  `#` starts a comment.  The
     name `e` is reserved for the identity; if absent, an identity state
     is synthesised.
+
+    A machine has at most d! distinct output rows, so each permutation
+    text is checked once per call and its row kept by its text: states
+    with one row text share one tuple, and a repeated text only has its
+    successor count checked.  The checks, their order and their messages
+    are those of a first sighting either way.  The name -> index dict
+    built here is kept in the machine's memo for index_of.
     """
     d = None
     rows = []  # (lineno, name, perm, successor names)
+    perms = {}  # permutation text -> its checked row
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         if line.startswith("alphabet"):
@@ -774,23 +814,26 @@ def parse_machine(text: str) -> Machine:
                 f"line {lineno}: unrecognised directive {excerpt(line)}")
         if d is None:
             raise MachineParseError(f"line {lineno}: state before alphabet directive")
-        name, perm_text, to_text = m.group(1), m.group(2), m.group(3)
+        name, perm_text, to_text = m.groups()
         if not _NAME_RE.match(name):
             raise MachineParseError(f"line {lineno}: bad state name {excerpt(name)}")
-        perm_parts = perm_text.split()
         to_parts = to_text.split()
-        if len(perm_parts) != d or len(to_parts) != d:
-            raise MachineParseError(
-                f"line {lineno}: state {name} needs {d} images and {d} successors")
-        if not all(map(_is_numeral, perm_parts)):
-            raise MachineParseError(f"line {lineno}: non-integer image")
-        try:
-            perm = tuple(map(int, perm_parts))
-        except ValueError:  # more digits than int() converts
-            raise MachineParseError(f"line {lineno}: image numeral too long") from None
-        if tuple(sorted(perm)) != tuple(range(d)):
-            raise MachineParseError(
-                f"line {lineno}: output row of {name} is not a permutation")
+        perm = perms.get(perm_text)
+        if perm is None or len(to_parts) != d:
+            perm_parts = perm_text.split()
+            if len(perm_parts) != d or len(to_parts) != d:
+                raise MachineParseError(
+                    f"line {lineno}: state {name} needs {d} images and {d} successors")
+            if not all(map(_is_numeral, perm_parts)):
+                raise MachineParseError(f"line {lineno}: non-integer image")
+            try:
+                perm = tuple(map(int, perm_parts))
+            except ValueError:  # more digits than int() converts
+                raise MachineParseError(f"line {lineno}: image numeral too long") from None
+            if tuple(sorted(perm)) != tuple(range(d)):
+                raise MachineParseError(
+                    f"line {lineno}: output row of {name} is not a permutation")
+            perms[perm_text] = perm
         rows.append((lineno, name, perm, to_parts))
     if d is None:
         raise MachineParseError("missing alphabet directive")
@@ -803,23 +846,24 @@ def parse_machine(text: str) -> Machine:
         rows.append((0, "e", tuple(range(d)), ["e"] * d))
         names.append("e")
     index = {n: i for i, n in enumerate(names)}
+    get = index.get
     outputs = []
     transitions = []
     for lineno, name, perm, to_parts in rows:
         outputs.append(perm)
-        row = []
-        for t in to_parts:
-            if t not in index:
-                raise MachineParseError(
-                    f"line {lineno}: unknown successor state {excerpt(t)}")
-            row.append(index[t])
-        transitions.append(tuple(row))
+        row = tuple(map(get, to_parts))
+        if None in row:
+            raise MachineParseError(
+                f"line {lineno}: unknown successor state {excerpt(to_parts[row.index(None)])}")
+        transitions.append(row)
     e = index["e"]
     if outputs[e] != tuple(range(d)) or any(t != e for t in transitions[e]):
         raise MachineParseError("state 'e' is reserved for the identity")
     # the tables passed every check Machine() makes
-    return object.__new__(Machine)._fill(d, tuple(outputs), tuple(transitions), e,
-                                         tuple(names), None)
+    machine = object.__new__(Machine)._fill(d, tuple(outputs), tuple(transitions), e,
+                                            tuple(names), None)
+    machine._memo["index"] = index
+    return machine
 
 
 def format_machine(machine: Machine) -> str:

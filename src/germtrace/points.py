@@ -49,6 +49,9 @@ class Point:
     def __setattr__(self, name, value):
         raise AttributeError("Point is immutable")
 
+    def __reduce__(self):
+        return Point, (self.preperiod, self.period)
+
     def letter(self, i: int) -> int:
         if i < len(self.preperiod):
             return self.preperiod[i]

@@ -137,6 +137,25 @@ def pop_memos(*kinds: str) -> None:
             del m._memo[key]
 
 
+def reference_quotient(outputs, transitions):
+    """mealy._quotient before its signatures became integers, kept
+    verbatim: each round ranks the tuples (class, successor classes)."""
+    block, count = None, 0
+    signatures = outputs
+    while True:
+        rank = {s: r for r, s in enumerate(sorted(set(signatures)))}
+        if len(rank) == count:  # no class split: the names are final
+            break
+        block, count = [rank[s] for s in signatures], len(rank)
+        at = block.__getitem__
+        signatures = [(b, tuple(map(at, row))) for b, row in zip(block, transitions)]
+    member = dict(zip(block, range(len(block))))  # class -> one of its states
+    member = [member[c] for c in range(count)]
+    return (tuple(outputs[q] for q in member),
+            tuple(tuple(map(at, transitions[q])) for q in member),
+            block)
+
+
 # Methods the library dropped for want of a caller there, kept as test
 # oracles written with its public API.
 

@@ -48,7 +48,7 @@ from germtrace.mealy import (_cap_error, _explore, _quotient, _state_cap, compos
                              restrict_label)
 
 from conftest import (evaluate, is_termwise_zero, pop_memos, random_element, random_scalar,
-                      random_state_expr, random_word)
+                      random_state_expr, random_word, reference_quotient)
 
 
 def F(*args):
@@ -1062,6 +1062,27 @@ class TestRestrictionEquality:
             assert elem.is_singular() == zero
         assert len(tables) >= 48
         assert all(rows <= {(0,), (1,), (2,)} for rows in tables)
+
+    def test_pattern_graph_quotients_match_tuple_signatures(self, monkeypatch):
+        """The quotient of every pattern graph refined is the one the tuple
+        signatures _quotient replaced give."""
+        graphs = []
+
+        def spy(outputs, transitions):
+            got = _quotient(outputs, transitions)
+            graphs.append(got == reference_quotient(outputs, transitions))
+            return got
+
+        monkeypatch.setattr(convalg, "_quotient", spy)
+        rng = random.Random(2468)
+        for k in range(24):
+            d = 2 + k % 3
+            m = spinal_chain(rng, d) if k % 4 == 0 else random_machine(rng, 30, d)
+            elem = (zero_by_construction(rng, m) if k % 2 == 0
+                    else zero_total_element(rng, m, 2 + k % 3))
+            elem.is_zero()
+            elem.is_singular()
+        assert len(graphs) >= 48 and all(graphs)
 
 
 class TestPatternCapAndCaches:

@@ -35,7 +35,8 @@ from germtrace import AlgebraElement, PartialMap, Point, Scalar, germs, mealy, r
 from germtrace.errors import excerpt
 from germtrace.mealy import backward_distances, infinite_path_nodes, strong_components
 
-from conftest import pop_memos, random_element, random_state_expr, random_word
+from conftest import (pop_memos, random_element, random_state_expr, random_word,
+                      reference_quotient)
 
 
 def oracle_min_moved(machine, q, max_len=8):
@@ -59,6 +60,44 @@ def oracle_min_moved(machine, q, max_len=8):
     return None
 
 
+# malformed machine texts and the message each is refused with
+MALFORMED_MACHINES = {
+    "state a perm 1 0 to e e\n":  # missing alphabet
+        "line 1: state before alphabet directive",
+    "alphabet 1\nstate a perm 0 to e\n":  # alphabet too small
+        "line 1: alphabet must have 2 to 10 letters, got '1'",
+    "alphabet 2\nstate a perm 1 1 to e e\n":  # not a permutation
+        "line 2: output row of a is not a permutation",
+    "alphabet 2\nstate a perm 1 0 to e zz\n":  # unknown target
+        "line 2: unknown successor state 'zz'",
+    "alphabet 2\nstate a perm 1 0 to e\n":  # short target row
+        "line 2: state a needs 2 images and 2 successors",
+    "alphabet 2\nstate a perm 1 0 to e e\nstate a perm 0 1 to a a\n":
+        "duplicate state name",
+    "alphabet 2\nstate e perm 1 0 to e e\n":  # e must act trivially
+        "state 'e' is reserved for the identity",
+    "alphabet 2\n":  # no states
+        "machine has no states",
+    "alphabet 11\nstate a perm 1 0 2 3 4 5 6 7 8 9 10 to e e e e e e e e e e e\n":
+        "line 1: alphabet must have 2 to 10 letters, got '11'",
+    "alphabet \u0662\nstate a perm 1 0 to e e\n":  # non-ASCII numeral
+        "line 1: expected 'alphabet <d>'",
+    "alphabet 2\nstate a perm +1 0 to e a\n":  # signed image
+        "line 2: non-integer image",
+    "alphabet 2\nstate a perm 1 \u0660 to e a\n":  # non-ASCII image
+        "line 2: non-integer image",
+    # a row text seen before, then a short successor list
+    "alphabet 2\nstate a perm 1 0 to e e\nstate b perm 1 0 to a\n":
+        "line 3: state b needs 2 images and 2 successors",
+    # a good row, then one that is not a permutation
+    "alphabet 3\nstate a perm 1 0 2 to e e e\nstate b perm 1 1 2 to a a a\n":
+        "line 3: output row of b is not a permutation",
+    # an unknown successor on a later line, after known ones
+    "alphabet 2\nstate a perm 1 0 to e b\nstate b perm 0 1 to a e\nstate c perm 1 0 to b x1\n":
+        "line 4: unknown successor state 'x1'",
+}
+
+
 class TestParsing:
     def test_bundled_grigorchuk_shape(self, grig):
         assert grig.alphabet_size == 2
@@ -77,26 +116,27 @@ class TestParsing:
         )
         assert m.state("e").is_identity()
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "state a perm 1 0 to e e\n",  # missing alphabet
-            "alphabet 1\nstate a perm 0 to e\n",  # alphabet too small
-            "alphabet 2\nstate a perm 1 1 to e e\n",  # not a permutation
-            "alphabet 2\nstate a perm 1 0 to e zz\n",  # unknown target
-            "alphabet 2\nstate a perm 1 0 to e\n",  # short target row
-            "alphabet 2\nstate a perm 1 0 to e e\nstate a perm 0 1 to a a\n",
-            "alphabet 2\nstate e perm 1 0 to e e\n",  # e must act trivially
-            "alphabet 2\n",  # no states
-            "alphabet 11\nstate a perm 1 0 2 3 4 5 6 7 8 9 10 to e e e e e e e e e e e\n",
-            "alphabet \u0662\nstate a perm 1 0 to e e\n",  # non-ASCII numeral
-            "alphabet 2\nstate a perm +1 0 to e a\n",  # signed image
-            "alphabet 2\nstate a perm 1 \u0660 to e a\n",  # non-ASCII image
-        ],
-    )
+    @pytest.mark.parametrize("text", list(MALFORMED_MACHINES))
     def test_rejects_malformed(self, text):
-        with pytest.raises(MachineParseError):
+        with pytest.raises(MachineParseError) as info:
             parse_machine(text)
+        assert str(info.value) == MALFORMED_MACHINES[text]
+
+    def test_index_of_reads_a_dict(self):
+        m = parse_machine("alphabet 2\nstate a perm 1 0 to e b\nstate b perm 0 1 to a e\n")
+        assert m._memo["index"] == {"a": 0, "b": 1, "e": 2}
+        assert [m.index_of(n) for n in ("a", "b", "e")] == [0, 1, 2]
+        built = Machine(2, m.outputs, m.transitions, identity=2, names=("x", "y", "z"))
+        assert "index" not in built._memo
+        assert [built.index_of(n) for n in ("z", "x", "y")] == [2, 0, 1]
+        assert built._memo["index"] == {"x": 0, "y": 1, "z": 2}
+        anonymous = Machine(2, m.outputs, m.transitions)
+        for machine, name in ((m, "x"), (built, "a"), (anonymous, "q0"), (m, "a" * 50),
+                              (m, ["a"])):
+            with pytest.raises(DomainError) as info:
+                machine.index_of(name)
+            assert str(info.value) == f"unknown state name {excerpt(name)}"
+        assert "index" not in anonymous._memo
 
     def test_format_round_trip(self, bundled):
         for m in bundled.values():
@@ -1897,3 +1937,224 @@ class TestGraphHelpers:
         components = strong_components(range(2 * n), chain.__getitem__)
         assert sorted(components[0]) == list(range(n, 2 * n))
         assert components[1:] == [[q] for q in reversed(range(n))]
+
+
+def reference_parse_machine(text):
+    """parse_machine before it kept checked rows by their text, kept
+    verbatim up to building the machine through Machine()."""
+    d = None
+    rows = []  # (lineno, name, perm, successor names)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("alphabet"):
+            if d is not None:
+                raise MachineParseError(f"line {lineno}: duplicate alphabet directive")
+            parts = line.split()
+            if len(parts) != 2 or not mealy._is_numeral(parts[1]):
+                raise MachineParseError(f"line {lineno}: expected 'alphabet <d>'")
+            try:
+                d = int(parts[1])
+            except ValueError:  # more digits than int() converts
+                raise MachineParseError(
+                    f"line {lineno}: alphabet size {excerpt(parts[1])} too long") from None
+            if not 2 <= d <= 10:
+                raise MachineParseError(
+                    f"line {lineno}: alphabet must have 2 to 10 letters, "
+                    f"got {excerpt(parts[1])}")
+            continue
+        m = mealy._STATE_RE.match(line)
+        if not m:
+            raise MachineParseError(
+                f"line {lineno}: unrecognised directive {excerpt(line)}")
+        if d is None:
+            raise MachineParseError(f"line {lineno}: state before alphabet directive")
+        name, perm_text, to_text = m.group(1), m.group(2), m.group(3)
+        if not mealy._NAME_RE.match(name):
+            raise MachineParseError(f"line {lineno}: bad state name {excerpt(name)}")
+        perm_parts = perm_text.split()
+        to_parts = to_text.split()
+        if len(perm_parts) != d or len(to_parts) != d:
+            raise MachineParseError(
+                f"line {lineno}: state {name} needs {d} images and {d} successors")
+        if not all(map(mealy._is_numeral, perm_parts)):
+            raise MachineParseError(f"line {lineno}: non-integer image")
+        try:
+            perm = tuple(map(int, perm_parts))
+        except ValueError:  # more digits than int() converts
+            raise MachineParseError(f"line {lineno}: image numeral too long") from None
+        if tuple(sorted(perm)) != tuple(range(d)):
+            raise MachineParseError(
+                f"line {lineno}: output row of {name} is not a permutation")
+        rows.append((lineno, name, perm, to_parts))
+    if d is None:
+        raise MachineParseError("missing alphabet directive")
+    if not rows:
+        raise MachineParseError("machine has no states")
+    names = [r[1] for r in rows]
+    if len(set(names)) != len(names):
+        raise MachineParseError("duplicate state name")
+    if "e" not in names:
+        rows.append((0, "e", tuple(range(d)), ["e"] * d))
+        names.append("e")
+    index = {n: i for i, n in enumerate(names)}
+    outputs = []
+    transitions = []
+    for lineno, name, perm, to_parts in rows:
+        outputs.append(perm)
+        row = []
+        for t in to_parts:
+            if t not in index:
+                raise MachineParseError(
+                    f"line {lineno}: unknown successor state {excerpt(t)}")
+            row.append(index[t])
+        transitions.append(tuple(row))
+    e = index["e"]
+    if outputs[e] != tuple(range(d)) or any(t != e for t in transitions[e]):
+        raise MachineParseError("state 'e' is reserved for the identity")
+    return Machine(d, outputs, transitions, identity=e, names=names)
+
+
+def machine_text_lines(rng, d):
+    """The lines of a valid machine text over d letters.  Its output rows
+    come from a pool of three permutations and the identity, so row texts
+    repeat, some with other spacing; comments, blank lines and an
+    explicit identity e appear on some texts."""
+    names = rng.sample([f"{c}{i}" for c in "abs_" for i in range(40)], rng.randint(1, 24))
+    pool = [tuple(rng.sample(range(d), d)) for _ in range(3)] + [tuple(range(d))]
+    targets = names + ["e"]
+    lines = [f"# random machine over {d} letters", f"alphabet {d}"]
+    for name in names:
+        perm = rng.choice(pool)
+        gaps = " \t" if rng.random() < 0.2 else " "
+        perm_text = "".join(f"{x}{rng.choice(gaps)}" for x in perm)
+        line = (f"state {name} perm {perm_text.rstrip()} to "
+                + " ".join(rng.choice(targets) for _ in range(d)))
+        if rng.random() < 0.15:
+            line += "  # note"
+        if rng.random() < 0.1:
+            lines.append("" if rng.random() < 0.5 else "   # between states")
+        lines.append(line)
+    if rng.random() < 0.4:
+        identity = f"state e perm {' '.join(map(str, range(d)))} to {' '.join(['e'] * d)}"
+        lines.insert(rng.randint(2, len(lines)), identity)
+    return lines
+
+
+def mutated_text(rng, lines):
+    """lines with one or two random edits, each of which may or may not
+    break the text: tokens dropped, added or replaced, lines moved,
+    repeated or deleted, a comment cutting a line short."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 2)):
+        states = [i for i, line in enumerate(lines) if line.startswith("state")]
+        if not states:
+            break
+        i = rng.choice(states)
+        head, _, tail = lines[i].partition(" to ")
+        words = lines[i].split()
+        kind = rng.randrange(16)
+        if kind == 0:  # an unknown or an extra successor, or one dropped
+            lines[i] = f"{head} to {tail} " + rng.choice(("zz9", "e", ""))
+        elif kind == 1:
+            lines[i] = lines[i].rsplit(" ", 1)[0]
+        elif kind == 2:  # an image repeated, dropped or added
+            k = words.index("perm") + 1
+            words[k + rng.randrange(2)] = words[k + 2 - rng.randrange(2)]
+            lines[i] = " ".join(words)
+        elif kind == 3:
+            lines[i] = head.rsplit(" ", 1)[0] + " to " + tail
+        elif kind == 4:
+            lines[i] = head + " 0 to " + tail
+        elif kind == 5:  # images no longer plain ASCII numerals, or out of range
+            k = words.index("perm") + 1 + rng.randrange(2)
+            words[k] = rng.choice(("+" + words[k], "\u0663", "9" * 5000, "10", "007", "1.0"))
+            lines[i] = " ".join(words)
+        elif kind == 6:  # a state named twice, or with a bad name
+            lines.insert(rng.randint(2, len(lines)), lines[i])
+        elif kind == 7:
+            words[1] = rng.choice(("1x", "a-b", "\u00e9t", "e"))
+            lines[i] = " ".join(words)
+        elif kind == 8:  # the alphabet directive dropped, moved, repeated or changed
+            del lines[1]
+        elif kind == 9:
+            lines.insert(rng.randint(1, len(lines)), lines.pop(1))
+        elif kind == 10:
+            lines.insert(rng.randint(2, len(lines)), lines[1])
+        elif kind == 11:
+            lines[1] = rng.choice(("alphabet 3", "alphabet 2", "alphabet 11", "alphabet",
+                                   "alphabet 2 3", "alphabet " + "9" * 5000))
+        elif kind == 12:  # keywords misspelt
+            lines[i] = lines[i].replace(rng.choice(("perm", " to ", "state")),
+                                        rng.choice(("prem", " 2 ", "stat")), 1)
+        elif kind == 13:  # a comment cuts the line short
+            lines[i] = lines[i][:rng.randrange(len(lines[i]))] + " # cut"
+        elif kind == 14:  # a state line deleted, its name maybe still a successor
+            del lines[i]
+        else:  # the identity made nontrivial
+            d = len(head.split()) - 3
+            lines.append(f"state e perm {' '.join(map(str, reversed(range(d))))} to "
+                         + " ".join(["e"] * d))
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, text):
+    try:
+        m = parse(text)
+    except MachineParseError as exc:
+        return type(exc), str(exc)
+    return (m.alphabet_size, m.outputs, m.transitions, m.identity, m.names, m.table_hash)
+
+
+class TestParseReference:
+    def test_valid_texts_match_reference(self):
+        rng = random.Random(3232)
+        shared = 0
+        for k in range(300):
+            text = "\n".join(machine_text_lines(rng, 2 + k % 9)) + "\n"
+            m = parse_machine(text)
+            assert parse_outcome(parse_machine, text) == parse_outcome(
+                reference_parse_machine, text)
+            assert [m.index_of(name) for name in m.names] == list(range(m.size))
+            # states whose row texts are equal share one tuple
+            rows = {}
+            for line in text.splitlines():
+                if line.startswith("state"):
+                    perm_text = line.partition(" perm ")[2].partition(" to ")[0]
+                    rows.setdefault(perm_text, []).append(m.outputs[m.index_of(line.split()[1])])
+            for same in rows.values():
+                assert all(row is same[0] for row in same)
+                shared += len(same) - 1
+        assert shared >= 1000, shared
+
+    def test_mutated_texts_match_reference(self):
+        rng = random.Random(3233)
+        messages = set()
+        accepted = 0
+        for k in range(1500):
+            text = mutated_text(rng, machine_text_lines(rng, 2 + k % 9))
+            got = parse_outcome(parse_machine, text)
+            assert got == parse_outcome(reference_parse_machine, text), text[:300]
+            if got[0] is MachineParseError:
+                messages.add(re.sub(r"line \d+|'.*'|\b[a-z_]\d+\b|\d+", "#", got[1]))
+            else:
+                accepted += 1
+        assert len(messages) >= 16 and accepted >= 50, (sorted(messages), accepted)
+
+
+class TestQuotientReference:
+    def test_raw_machines_match_tuple_signatures(self):
+        """_quotient ranks integer signatures; the tuple signatures it
+        replaced give the same tables and classes on machines over 2 to 10
+        letters, some large enough that the integers pass 64 bits."""
+        rng = random.Random(3234)
+        merged = wide = 0
+        for k in range(360):
+            d = 2 + k % 9
+            m = oracle_machine(rng, k % 3 != 0, d=d, size=rng.choice((6, 30, 160, 400)))
+            got = mealy._quotient(m.outputs, m.transitions)
+            assert got == reference_quotient(m.outputs, m.transitions)
+            merged += len(got[0]) < m.size
+            wide += len(got[0]) ** (d + 1) >= 2 ** 64
+        assert merged >= 150 and wide >= 20, (merged, wide)

@@ -1,5 +1,7 @@
 """Eventually periodic boundary points and orbit walks."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -65,6 +67,14 @@ class TestCanonicalForm:
         for pre, per in (("0", (1,)), ((), "01"), ((0.0,), (1,)), ((), (None,)), ((-1,), (0,))):
             with pytest.raises(ValueError, match="non-negative ints"):
                 Point(pre, per)
+
+    def test_copies_and_pickles_as_equal_points(self):
+        for x in (Point((0,), (1,)), Point((0, 1, 1), (1, 0)), Point((), (2, 0, 1))):
+            for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert y == x and hash(y) == hash(x)
+                assert (y.preperiod, y.period) == (x.preperiod, x.period)
+                with pytest.raises(AttributeError, match="Point is immutable"):
+                    y.period = (0,)
 
 
 class TestTextForm:
