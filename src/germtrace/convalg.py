@@ -5,17 +5,16 @@ basis shifts and represents a function on germs.  Convolution, adjoint
 and evaluation are exact; is_zero decides function equality (distinct
 term lists can represent the same function when the germ space is not
 Hausdorff) and is_singular decides whether the nonzero-germ set sits
-over a meagre part of the boundary.  A bucket of terms whose coefficients
-do not sum to 0 makes both False at once; otherwise both read one walk per
-bucket over joint states: one class of the bucket's pattern graph per pair
-of terms.  That graph follows pairs of restrictions, is explored once from
-all of the bucket's term pairs and refined once, and records where two
-terms' germs agree without forming any product of automorphisms.
+over a meagre part of the boundary.  Both bucket the terms over a prefix
+code of their source cylinders.  A bucket whose coefficients do not sum
+to 0 makes both False at once; otherwise each bucket is walked over joint
+states, one class of its pattern graph (pairs of restrictions, no
+products of automorphisms) per pair of terms, and one pass over the
+walk's strongly connected components decides it.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections.abc import Mapping
 from fractions import Fraction
@@ -23,11 +22,10 @@ from math import gcd
 
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
-from .germs import PartialMap, _germ_key, _unit_key, bisection_product
+from .germs import PartialMap, _germ_key, _unit_key, _walk, bisection_product
 from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore, _index,
-                    _memoised, _parse_memo, _quotient, _state_cap, backward_distances,
-                    identity_aut, infinite_path_nodes, parse_state_expr, parse_word,
-                    word_text)
+                    _memoised, _parse_memo, _quotient, _state_cap, identity_aut,
+                    parse_state_expr, parse_word, strong_components, word_text)
 from .points import Point
 
 PATTERN_CAP = 10 ** 6
@@ -365,18 +363,18 @@ class AlgebraElement:
     def is_zero(self, cap: int | None = None) -> bool:
         """Exactly decide whether the element vanishes at every germ.
 
-        cap bounds the joint pattern states explored per bucket; None
-        means PATTERN_CAP.  Exceeding it raises PatternCapError.  The
-        bucket's pattern graph is refined, so a bucket never has more
-        joint states than a walk over the minimised pairwise products
-        q_j^-1 q_i, which earlier releases explored: a cap that sufficed
-        there suffices here.  The state cap (state_cap) bounds the states
-        of the pattern graph, the bucket's pairs of restrictions and its
-        two sinks together; a one-term bucket builds none.  cap must be
-        None or an integer (anything operator.index accepts) of at least
-        1, else ValueError, whatever the element.  An element with a
-        bucket whose coefficients do not sum to 0 is answered without a
-        walk, so neither cap ever refuses it (see _decide).
+        The terms are bucketed over a prefix code of their source
+        cylinders; the element is zero iff no cyclic strongly connected
+        component of a bucket's joint walk has a nonzero class sum (see
+        _decide).  cap bounds the joint pattern states explored per
+        bucket; None means PATTERN_CAP.  Exceeding it raises
+        PatternCapError.  The state cap (state_cap) bounds the states of a
+        bucket's pattern graph, its pairs of restrictions and two sinks
+        together; a one-term bucket builds none.  cap must be None or an
+        integer (anything operator.index accepts) of at least 1, else
+        ValueError, whatever the element.  An element with a bucket whose
+        coefficients do not sum to 0 is answered without a walk, so
+        neither cap ever refuses it.
         """
         return _decide(self, cap, False)
 
@@ -442,23 +440,34 @@ def indicator(machine: Machine, state, range_prefix=(), source_prefix=(),
 # the coincidence-pattern search behind is_zero / is_singular
 
 def _refined_groups(elem: AlgebraElement):
-    """Split terms to a common source depth and bucket by (source, range).
+    """Buckets of terms by (part, image), sorted, over a prefix code.
 
-    Within one bucket the states are pairwise canonically distinct, and
-    germs from different buckets are never equal (different base
-    cylinder or different image cylinder), so each bucket is analysed on
-    its own.
+    A cylinder is split only between a source prefix and a deeper source
+    below it, so the parts are at most 1 + (d - 1) * (sum of source
+    lengths), and sources of one depth are not split.  Each term descends
+    from its own source to the parts in its cylinder.  Within one bucket
+    the states are pairwise canonically distinct, and germs from
+    different buckets are never equal, so each bucket is decided alone.
     """
-    if not elem.terms:
-        return []
+    sources = {b.source_prefix for b in elem.terms}
+    lengths = sorted({len(v) for v in sources})
+    split = set()
+    for v in sources:
+        # from the shallowest source above v down to v's parent
+        top = next((i for i in lengths if i < len(v) and v[:i] in sources), len(v))
+        split.update(v[:i] for i in range(top, len(v)))
     d = elem.alphabet_size
-    depth = max(len(b.source_prefix) for b in elem.terms)
     buckets: dict[tuple[Word, Word], dict[Aut, Scalar]] = {}
     for b, c in elem.terms.items():
         g, u, v = b.state, b.range_prefix, b.source_prefix
-        for w in itertools.product(range(d), repeat=depth - len(v)):
-            bucket = buckets.setdefault((v + w, u + g.apply_word(w)), {})
-            s = g.restrict(w).canonical()
+        below = [()]
+        while below:
+            w = below.pop()
+            if v + w in split:
+                below.extend(w + (x,) for x in range(d))
+                continue
+            image, s = _walk(g, w)
+            bucket = buckets.setdefault((v + w, u + image), {})
             total = bucket.get(s)
             bucket[s] = c if total is None else total + c
     out = []
@@ -550,51 +559,31 @@ def _pattern_cap(cap) -> int:
 def _decide(elem: AlgebraElement, cap: int | None, open_only: bool) -> bool:
     """is_zero (open_only False) or is_singular (True) of elem.
 
-    Every bucket has a realizable pattern whose region contains a
-    cylinder: T-sets only grow along joint-walk edges, so a walk from the
-    start reaches a joint state from which no larger T-set is reachable,
-    which is not in can_grow and lies on an infinite path.  That
-    pattern's class sums partition the bucket's coefficients, so when
-    they do not sum to 0 some class sum is nonzero and both verdicts are
-    False.  Only elements whose every bucket sums to 0 are walked.
+    A pattern (T-set) records which term pairs of a bucket have equal
+    germs.  T-sets only grow along joint-walk edges, so each strongly
+    connected component of the walk has one.  A pattern is realizable iff
+    a cyclic component has it, and its region contains a cylinder iff a
+    bottom component has it; refinement keeps both properties.  is_zero
+    reads cyclic components and is_singular bottom ones, and either is
+    False at the first with a nonzero class sum.  Every bucket has a
+    bottom component, whose class sums partition the bucket's
+    coefficients, so only elements whose buckets all sum to 0 are walked.
     """
     cap = _pattern_cap(cap)
     buckets = _refined_groups(elem)
     if any(not sum((c for _, c in bucket), ZERO).is_zero() for bucket in buckets):
         return False
-    return not any((has_open or not open_only) and any(not s.is_zero() for s in class_sums)
-                   for bucket in buckets
-                   for class_sums, has_open in _bucket_class_sums(bucket, cap))
-
-
-def _bucket_class_sums(bucket: list[tuple[Aut, Scalar]], cap: int):
-    """Yield (coefficient sums per germ class, region contains a cylinder).
-
-    One item per realizable coincidence pattern of the bucket.  A pattern
-    (T-set) records which term pairs have equal germs.  It is realizable
-    iff the joint pattern states showing it contain an infinite path
-    among themselves, and its region contains a cylinder iff one of
-    those states cannot reach a joint state with a successor of a
-    different T-set, i.e. can never be forced into a further
-    coincidence.  Refinement only merges pair states whose restrictions
-    have the same T/B future, so both properties are those of the walk
-    over the unrefined pairs of restrictions.
-    """
-    coeffs = [c for _, c in bucket]
-    pairs, positions, succ = _joint_walk([s for s, _ in bucket], cap)
-    # joint states grouped by T-set, read as the positions holding T
-    # (pairs are listed in order, so these sort as the T-sets would)
-    groups: dict[tuple, list[int]] = {}
-    for i, tpos in enumerate(positions):
-        groups.setdefault(tpos, []).append(i)
-    growing = [i for i, row in enumerate(succ)
-               if any(positions[j] != positions[i] for j in row)]
-    can_grow = backward_distances(range(len(succ)), succ.__getitem__, growing)
-    for tpos, members in sorted(groups.items()):
-        if infinite_path_nodes(members, succ.__getitem__):
-            tset = frozenset(pairs[p] for p in tpos)
-            yield (_class_sums(coeffs, tset),
-                   any(i not in can_grow for i in members))
+    for bucket in buckets:
+        coeffs = [c for _, c in bucket]
+        pairs, positions, succ = _joint_walk([s for s, _ in bucket], cap)
+        for component in strong_components(range(len(succ)), succ.__getitem__):
+            targets = {t for q in component for t in succ[q]}
+            if (targets.issubset(component) if open_only  # bottom
+                    else len(component) > 1 or component[0] in targets):  # cyclic
+                tset = frozenset(pairs[p] for p in positions[component[0]])
+                if any(not s.is_zero() for s in _class_sums(coeffs, tset)):
+                    return False
+    return True
 
 
 def _class_sums(coeffs: list[Scalar], tset: frozenset) -> list[Scalar]:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import operator
 import re
+import reprlib
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -204,8 +205,9 @@ class Machine:
             q = None if index is None else index.get(name)
         except TypeError:  # unhashable, so no state's name
             q = None
-        if q is None:
-            raise DomainError(f"unknown state name {excerpt(name)}")
+        if q is None:  # names may be any hashables; only str ones are user text
+            shown = excerpt(name) if isinstance(name, str) else reprlib.repr(name)
+            raise DomainError(f"unknown state name {shown}")
         return q
 
     def state(self, ref) -> "Aut":

@@ -378,6 +378,16 @@ class TestHostileInput:
         assert "outside the source cylinder" in err and "Traceback" not in err
         assert len(err) < 300
 
+    def test_term_far_below_another_is_decided(self, capsys):
+        """A term 200 letters below another splits 200 cylinders, not the
+        2^200 of a common depth: decided at once under small caps."""
+        deep = "0" * 200
+        code, out, err = run(capsys, "alg", "iszero", "-m", "grigorchuk",
+                             "-e", f"1 b:>;1 c:{deep}>{deep}",
+                             "--cap-patterns", "5", "--cap-states", "5")
+        assert (code, err) == (0, "")
+        assert "is_zero: no" in out
+
     def test_non_integer_cap(self, capsys):
         self.assert_parse_error(capsys, "fixmeasure", "-m", "grigorchuk",
                                 "-s", "b", "--cap-states", "abc",

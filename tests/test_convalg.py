@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 import threading
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,11 +41,11 @@ from germtrace import (
     unit_germ,
 )
 from germtrace import convalg, mealy
-from germtrace.convalg import (_BROKEN, _TRIVIAL, ZERO, _bucket_class_sums, _joint_walk,
-                               _pattern_cap, _refined_groups)
+from germtrace.convalg import _BROKEN, _TRIVIAL, ZERO, _class_sums, _joint_walk, _pattern_cap
 from germtrace.errors import excerpt
-from germtrace.germs import bisection_product
-from germtrace.mealy import (_cap_error, _explore, _quotient, _state_cap, compose_labels,
+from germtrace.germs import _walk, bisection_product
+from germtrace.mealy import (_cap_error, _explore, _quotient, _state_cap,
+                             backward_distances, compose_labels, infinite_path_nodes,
                              restrict_label)
 
 from conftest import (evaluate, is_termwise_zero, pop_memos, random_element, random_scalar,
@@ -53,6 +54,65 @@ from conftest import (evaluate, is_termwise_zero, pop_memos, random_element, ran
 
 def F(*args):
     return Fraction(*args)
+
+
+# The bucketing and pattern search convalg used before the prefix code and
+# the strongly-connected-components pass of _decide, kept as references.
+
+def _refined_groups(elem: AlgebraElement):
+    """Split terms to a common source depth and bucket by (source, range).
+
+    Within one bucket the states are pairwise canonically distinct, and
+    germs from different buckets are never equal (different base
+    cylinder or different image cylinder), so each bucket is analysed on
+    its own.
+    """
+    if not elem.terms:
+        return []
+    d = elem.alphabet_size
+    depth = max(len(b.source_prefix) for b in elem.terms)
+    buckets = {}
+    for b, c in elem.terms.items():
+        g, u, v = b.state, b.range_prefix, b.source_prefix
+        for w in itertools.product(range(d), repeat=depth - len(v)):
+            bucket = buckets.setdefault((v + w, u + g.apply_word(w)), {})
+            s = g.restrict(w).canonical()
+            total = bucket.get(s)
+            bucket[s] = c if total is None else total + c
+    out = []
+    for key in sorted(buckets):
+        cleaned = [(s, c) for s, c in buckets[key].items() if not c.is_zero()]
+        if cleaned:
+            out.append(cleaned)
+    return out
+
+
+def _bucket_class_sums(bucket, cap: int):
+    """Yield (coefficient sums per germ class, region contains a cylinder).
+
+    One item per realizable coincidence pattern of the bucket.  A pattern
+    (T-set) records which term pairs have equal germs.  It is realizable
+    iff the joint pattern states showing it contain an infinite path
+    among themselves, and its region contains a cylinder iff one of
+    those states cannot reach a joint state with a successor of a
+    different T-set, i.e. can never be forced into a further
+    coincidence.
+    """
+    coeffs = [c for _, c in bucket]
+    pairs, positions, succ = _joint_walk([s for s, _ in bucket], cap)
+    # joint states grouped by T-set, read as the positions holding T
+    # (pairs are listed in order, so these sort as the T-sets would)
+    groups = {}
+    for i, tpos in enumerate(positions):
+        groups.setdefault(tpos, []).append(i)
+    growing = [i for i, row in enumerate(succ)
+               if any(positions[j] != positions[i] for j in row)]
+    can_grow = backward_distances(range(len(succ)), succ.__getitem__, growing)
+    for tpos, members in sorted(groups.items()):
+        if infinite_path_nodes(members, succ.__getitem__):
+            tset = frozenset(pairs[p] for p in tpos)
+            yield (_class_sums(coeffs, tset),
+                   any(i not in can_grow for i in members))
 
 
 def _realizable_class_sums(elem: AlgebraElement, cap: int | None):
@@ -1337,6 +1397,218 @@ class TestTotalShortcut:
                 calls.clear()
                 decide()
                 assert calls == [elem]
+
+
+def mixed_depth_element(rng, m, gap):
+    """2 or 3 random terms whose source depths differ by up to gap letters:
+    the second lies 1 to gap letters below the first, and most sources
+    extend the first one's, so cylinders nest and get split."""
+    d = m.alphabet_size
+    top = rng.randint(0, 1)
+    v0 = random_word(rng, d, top)
+    terms = []
+    for i in range(rng.randint(2, 3)):
+        n = top + (0 if i == 0 else rng.randint(1, gap) if i == 1 else rng.randint(0, gap))
+        v = (v0 + random_word(rng, d, n - top) if rng.random() < 0.7
+             else random_word(rng, d, n))
+        terms.append((random_scalar(rng),
+                      PartialMap(m.state(rng.randrange(m.size)), random_word(rng, d, n), v)))
+    return AlgebraElement(m, terms)
+
+
+def refinement(elem, j):
+    """elem with every term cut into its d^j restrictions to the source
+    words j letters longer: the same function from other terms."""
+    words = list(itertools.product(range(elem.alphabet_size), repeat=j))
+    return AlgebraElement(elem.machine, [(c, b.restrict_source(w))
+                                         for c, b in elem.term_list() for w in words])
+
+
+def placed(elem, u, v):
+    """elem's terms moved onto the cylinder pair (u, v)."""
+    return AlgebraElement(elem.machine, [(c, PartialMap(b.state, u, v))
+                                         for c, b in elem.term_list()])
+
+
+def singular_by_construction(rng, m):
+    """c(q1 - q2 - q3 + q4) for four new states of m with the identity
+    output row that come back to themselves after two steps along the
+    last letter.  Below letter 0 they act as x, x, w, w, one step on as
+    y, z, y, z (w and z as in zero_by_construction), and as r below the
+    other letters, so every germ class sums to 0 except over the point
+    (d-1)(d-1)..., where the four germs differ: the element is singular
+    but not zero."""
+    d, n = m.alphabet_size, m.size
+    x, y, r = (rng.randrange(n) for _ in range(3))
+    shifted = [tuple((a + 1) % d for a in m.outputs[q]) for q in (x, y)]
+    w, z = n, n + 1
+    first = [(a,) + (r,) * (d - 2) + (n + 6 + i,) for i, a in enumerate((x, x, w, w))]
+    second = [(b,) + (r,) * (d - 2) + (n + 2 + i,) for i, b in enumerate((y, z, y, z))]
+    mm = Machine(d, [*m.outputs, *shifted, *[tuple(range(d))] * 8],
+                 [*m.transitions, m.transitions[x], m.transitions[y], *first, *second],
+                 identity=m.identity)
+    c = random_scalar(rng)
+    return AlgebraElement(mm, [(c * sign, PartialMap(mm.state(n + 2 + i), (), ()))
+                               for i, sign in enumerate((1, -1, -1, 1))])
+
+
+def depth_gap(elem):
+    depths = [len(b.source_prefix) for b in elem.terms]
+    return max(depths) - min(depths) if depths else 0
+
+
+def counted_walks(monkeypatch, bound):
+    """Record the (state, word) of every convalg._walk call, and fail as
+    soon as there are more than bound of them."""
+    calls = []
+
+    def counting(g, w):
+        calls.append((g, w))
+        if len(calls) > bound:
+            raise AssertionError(f"more than {bound} walks")
+        return _walk(g, w)
+
+    monkeypatch.setattr(convalg, "_walk", counting)
+    return calls
+
+
+class TestPrefixCode:
+    """Buckets come from a prefix code of the source cylinders, split only
+    above deeper sources.  The common-depth buckets (_refined_groups
+    above) and their whole pattern search (walk_verdicts) are the
+    reference for both verdicts."""
+
+    def test_verdicts_match_the_common_depth_reference(self, bundled, ternary):
+        """Half of the elements sum to 0 bucket by bucket: a mixed-depth
+        element minus its refinement by 1 to 3 letters, plus c(s - t), a
+        zero quartet or a singular quartet on one cylinder pair at some
+        depth.  They are walked unless that cylinder is split."""
+        rng = random.Random(3301)
+        named = [*bundled.values(), ternary]
+        tally = dict.fromkeys(["walked", "coarser", "zero", "singular, not zero",
+                               "gap 8", "gap 5"], 0)
+        for k in range(400):
+            if k % 4 == 0:
+                m = named[k // 4 % len(named)]
+            elif k % 4 == 1:
+                m = spinal_chain(rng, 2 + k // 4 % 2)
+            else:
+                m = random_machine(rng, rng.choice((6, 12, 20)), 2 + k // 4 % 2)
+            d = m.alphabet_size
+            gap = 8 if d == 2 else 5
+            if k % 2 == 0:
+                elem = mixed_depth_element(rng, m, gap)
+            else:
+                kind = k // 2 % 3
+                if kind == 0:
+                    c = random_scalar(rng)
+                    s, t = rng.sample(range(m.size), 2)
+                    part = AlgebraElement(m, [(c, PartialMap(m.state(s), (), ())),
+                                              (-c, PartialMap(m.state(t), (), ()))])
+                else:
+                    part = (zero_by_construction if kind == 1
+                            else singular_by_construction)(rng, m)
+                j = rng.randint(1, 3 if d == 2 else 2)
+                a = mixed_depth_element(rng, part.machine, gap - j)
+                n = rng.randint(0, gap)
+                elem = a - refinement(a, j) + placed(part, random_word(rng, d, n),
+                                                     random_word(rng, d, n))
+            buckets = convalg._refined_groups(elem)
+            got = (elem.is_zero(), elem.is_singular())
+            assert got == walk_verdicts(elem, None), format_element(elem)
+            tally["walked"] += bool(buckets) and all(
+                bucket_total(bucket).is_zero() for bucket in buckets)
+            tally["coarser"] += len(buckets) < len(_refined_groups(elem))
+            tally["zero"] += got[0]
+            tally["singular, not zero"] += got == (False, True)
+            tally[f"gap {gap}"] += depth_gap(elem) == gap
+        assert tally["walked"] >= 100 and tally["coarser"] >= 100, tally
+        assert min(tally.values()) >= 20, tally
+
+    def test_one_depth_gives_the_reference_buckets(self, bundled, ternary):
+        rng = random.Random(3302)
+        for m in [*bundled.values(), ternary]:
+            d = m.alphabet_size
+            for k in range(40):
+                n = k % 4
+                elem = AlgebraElement(m, [
+                    (random_scalar(rng), PartialMap(m.state(rng.randrange(m.size)),
+                                                    random_word(rng, d, n),
+                                                    random_word(rng, d, n)))
+                    for _ in range(rng.randint(1, 5))])
+                got, expected = convalg._refined_groups(elem), _refined_groups(elem)
+                assert [[(s.machine, s.state, c) for s, c in bucket] for bucket in got] == [
+                    [(s.machine, s.state, c) for s, c in bucket] for bucket in expected]
+
+    def test_parts_are_bounded_by_the_source_lengths(self, grig, monkeypatch):
+        """b on the root cylinder and c 200 letters below it: at most
+        1 + (d - 1) * 200 parts, where a common depth makes 2^200 copies."""
+        k = 200
+        elem = parse_element(grig, f"1 b:>;1 c:{'0' * k}>{'0' * k}")
+        bound = 1 + (grig.alphabet_size - 1) * k
+        source = {b.state: b.source_prefix for b in elem.terms}
+        calls = counted_walks(monkeypatch, len(elem.terms) * bound)
+        for decide in (elem.is_zero, elem.is_singular):
+            calls.clear()
+            assert decide(cap=5) is False
+            assert len({source[g] + w for g, w in calls}) <= bound
+
+    def test_one_deep_depth_splits_nothing(self, grig, monkeypatch):
+        """Three terms 20,000 letters deep at one depth: one walk per term
+        at its own source and no split prefix (a set of every proper
+        prefix would hold about 2 * 10^8 tuple slots), then one bucket
+        summing to 0 is walked."""
+        k = 20_000
+        word = "0" * k
+        elem = parse_element(grig, f"1 b:{word}>{word};1 c:{word}>{word};-2 d:{word}>{word}")
+        calls = counted_walks(monkeypatch, 3)
+        for decide in (elem.is_zero, elem.is_singular):
+            calls.clear()
+            tracemalloc.start()
+            try:
+                assert decide() is False
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [w for _, w in calls] == [(), (), ()]
+            assert peak < 2 ** 20, peak
+
+
+def distinct_on_raw_tables(m, states):
+    """Whether the states are pairwise distinct automorphisms, read off a
+    quotient of m's own tables rather than canonical forms."""
+    block = reference_quotient(m.outputs, m.transitions)[2]
+    return len({block[q] for q in states}) == len(states)
+
+
+class TestDoublingFamily:
+    """sum 2^i (s_i - t_i) over 2k distinct states on one cylinder pair
+    sums to 0, so its bucket is walked.  Where s_0 and t_0 differ, the
+    class of s_0 sums to 1 plus terms +-2^i with i >= 1: an odd sum, so the
+    element is never zero."""
+
+    def test_never_zero_and_singular_as_the_walk(self):
+        rng = random.Random(3303)
+        tally = {2: 0, 3: 0}
+        for j in range(120):
+            d = 2 + j % 2
+            k = 2 + j // 2 % 2
+            # six states on a larger machine can walk 10^5 joint states
+            n = rng.randint(8, 40 if k == 2 else 16)
+            m = spinal_chain(rng, d) if j % 3 == 0 else random_machine(rng, n, d)
+            states = rng.sample(range(m.size), min(m.size, 2 * k))
+            if len(states) < 2 * k or not distinct_on_raw_tables(m, states):
+                continue
+            n = rng.randint(0, 2)
+            u, v = random_word(rng, d, n), random_word(rng, d, n)
+            elem = AlgebraElement(m, [(2 ** (i // 2) * (-1) ** i, PartialMap(m.state(q), u, v))
+                                      for i, q in enumerate(states)])
+            (bucket,) = convalg._refined_groups(elem)
+            assert len(bucket) == 2 * k and bucket_total(bucket).is_zero()
+            assert elem.is_zero() is False
+            assert (False, elem.is_singular()) == walk_verdicts(elem, None)
+            tally[k] += 1
+        assert min(tally.values()) >= 20, tally
 
 
 def reference_parse_shift(machine, text):

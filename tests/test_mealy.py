@@ -138,6 +138,18 @@ class TestParsing:
             assert str(info.value) == f"unknown state name {excerpt(name)}"
         assert "index" not in anonymous._memo
 
+    def test_index_of_other_names_is_a_domain_error(self):
+        """Names may be any hashables, so index_of takes any value: one that
+        names no state is a DomainError, whatever its type."""
+        m = parse_machine("alphabet 2\nstate a perm 1 0 to e b\nstate b perm 0 1 to a e\n")
+        numbered = Machine(2, [(1, 0), (0, 1)], [(1, 1), (1, 1)], names=(7, "x"))
+        assert numbered.index_of(7) == 0
+        for machine, name, shown in ((m, 3, "3"), (m, None, "None"), (m, 2.5, "2.5"),
+                                     (numbered, 8, "8"), (numbered, "7", "'7'")):
+            with pytest.raises(DomainError) as info:
+                machine.index_of(name)
+            assert str(info.value) == f"unknown state name {shown}"
+
     def test_format_round_trip(self, bundled):
         for m in bundled.values():
             again = parse_machine(format_machine(m))
