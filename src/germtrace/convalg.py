@@ -9,15 +9,18 @@ over a meagre part of the boundary.  Both bucket the terms over a prefix
 code of their source cylinders.  A bucket whose coefficients do not sum
 to 0 makes both False at once; otherwise each bucket is walked over joint
 states, one class of its pattern graph (pairs of restrictions, no
-products of automorphisms) per pair of terms, and one pass over the
-walk's strongly connected components decides it.
+products of automorphisms) per pair of terms, by one lazy pass over its
+strongly connected components that counts the joint states it enters
+against the pattern cap: False can come early, True walks it whole.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
@@ -366,11 +369,12 @@ class AlgebraElement:
         The terms are bucketed over a prefix code of their source
         cylinders; the element is zero iff no cyclic strongly connected
         component of a bucket's joint walk has a nonzero class sum (see
-        _decide).  cap bounds the joint pattern states explored per
-        bucket; None means PATTERN_CAP.  Exceeding it raises
-        PatternCapError.  The state cap (state_cap) bounds the states of a
-        bucket's pattern graph, its pairs of restrictions and two sinks
-        together; a one-term bucket builds none.  cap must be None or an
+        _decide).  cap bounds the joint pattern states the search enters
+        per bucket; None means PATTERN_CAP.  Exceeding it raises
+        PatternCapError.  False can come before a walk is explored whole;
+        True explores every walk whole.  The state cap (state_cap) bounds
+        the states of a bucket's pattern graph, its pairs of restrictions
+        and two sinks together; a one-term bucket builds none.  cap must be None or an
         integer (anything operator.index accepts) of at least 1, else
         ValueError, whatever the element.  An element with a bucket whose
         coefficients do not sum to 0 is answered without a walk, so
@@ -385,7 +389,8 @@ class AlgebraElement:
         closed region, and a locally closed region is nowhere dense
         unless it contains a whole cylinder, so the element is singular
         exactly when no pattern with a nonzero class sum does.  cap is
-        as for is_zero, and accepts the same values; as there, an element
+        as for is_zero (joint states entered; False can come early, True
+        walks whole), and accepts the same values; as there, an element
         with a bucket whose coefficients do not sum to 0 is answered
         without a walk and never refused.
         """
@@ -449,13 +454,8 @@ def _refined_groups(elem: AlgebraElement):
     the states are pairwise canonically distinct, and germs from
     different buckets are never equal, so each bucket is decided alone.
     """
-    sources = {b.source_prefix for b in elem.terms}
-    lengths = sorted({len(v) for v in sources})
-    split = set()
-    for v in sources:
-        # from the shallowest source above v down to v's parent
-        top = next((i for i in lengths if i < len(v) and v[:i] in sources), len(v))
-        split.update(v[:i] for i in range(top, len(v)))
+    # a source strictly below a word p comes directly after p in this order
+    sources = sorted({b.source_prefix for b in elem.terms})
     d = elem.alphabet_size
     buckets: dict[tuple[Word, Word], dict[Aut, Scalar]] = {}
     for b, c in elem.terms.items():
@@ -463,11 +463,13 @@ def _refined_groups(elem: AlgebraElement):
         below = [()]
         while below:
             w = below.pop()
-            if v + w in split:
+            p = v + w
+            i = bisect_right(sources, p)
+            if i < len(sources) and sources[i][:len(p)] == p:
                 below.extend(w + (x,) for x in range(d))
                 continue
             image, s = _walk(g, w)
-            bucket = buckets.setdefault((v + w, u + image), {})
+            bucket = buckets.setdefault((p, u + image), {})
             total = bucket.get(s)
             bucket[s] = c if total is None else total + c
     out = []
@@ -482,8 +484,8 @@ _TRIVIAL = "T"
 _BROKEN = "B"
 
 
-def _joint_walk(states: list[Aut], cap: int):
-    """Explore the joint walk of a bucket's term pairs over its pattern graph.
+def _pattern_walk(states: list[Aut]):
+    """The joint walk of a bucket's term pairs over its pattern graph.
 
     Restrictions are read as canonical (machine, state) pairs, identical
     iff the automorphisms are equal.  The pattern graph has as nodes the
@@ -495,15 +497,15 @@ def _joint_walk(states: list[Aut], cap: int):
     is refined once with the sinks' labels fixed, so a class holds the
     nodes with the same T/B future, and a joint state is a tuple of
     classes, one per term pair.  No product of automorphisms is formed.
-    Returns (term pairs, T positions, successors) over the joint states as
-    _explore numbers them: positions[i] lists the pairs whose class is T.
-    A one-term bucket has one joint state and no pairs.
+    Returns (term pairs, start joint state, succ, T class): succ(joint)
+    lists the successors of a joint state by letter.  A one-term bucket
+    has one joint state, (), and no pairs.
     """
     d = states[0].machine.alphabet_size
     k = len(states)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     if not pairs:
-        return pairs, [()], [(0,) * d]
+        return pairs, (), lambda joint: (joint,) * d, None
 
     def pair_or_sink(s, t):
         if s == t:
@@ -534,19 +536,10 @@ def _joint_walk(states: list[Aut], cap: int):
     # _explore numbers the distinct starts first, in order
     number = {q: i for i, q in enumerate(dict.fromkeys(starts))}
 
-    def trivial_positions(joint):
-        return tuple(p for p, c in enumerate(joint) if c == trivial)
+    def succ(joint):
+        return [tuple(map(column.__getitem__, joint)) for column in columns]
 
-    def joint_step(joint, x):
-        return tuple(map(columns[x].__getitem__, joint))
-
-    error = PatternCapError(
-        f"pattern search on a bucket of {k} terms ({len(pairs)} term pairs) reached "
-        f"{cap + 1} joint states, more than the cap of {cap}; raise the pattern cap "
-        "to decide this element")
-    start = tuple(classes[number[q]] for q in starts)
-    positions, succ = _explore(d, [start], trivial_positions, joint_step, cap, error)
-    return pairs, positions, succ
+    return pairs, tuple(classes[number[q]] for q in starts), succ, trivial
 
 
 def _pattern_cap(cap) -> int:
@@ -564,10 +557,11 @@ def _decide(elem: AlgebraElement, cap: int | None, open_only: bool) -> bool:
     connected component of the walk has one.  A pattern is realizable iff
     a cyclic component has it, and its region contains a cylinder iff a
     bottom component has it; refinement keeps both properties.  is_zero
-    reads cyclic components and is_singular bottom ones, and either is
-    False at the first with a nonzero class sum.  Every bucket has a
-    bottom component, whose class sums partition the bucket's
-    coefficients, so only elements whose buckets all sum to 0 are walked.
+    reads cyclic components and is_singular bottom ones as one lazy pass
+    finds them, and either is False at the first with a nonzero class
+    sum.  Every bucket has a bottom component, whose class sums partition
+    the bucket's coefficients, so only elements whose buckets all sum to
+    0 are walked.
     """
     cap = _pattern_cap(cap)
     buckets = _refined_groups(elem)
@@ -575,12 +569,22 @@ def _decide(elem: AlgebraElement, cap: int | None, open_only: bool) -> bool:
         return False
     for bucket in buckets:
         coeffs = [c for _, c in bucket]
-        pairs, positions, succ = _joint_walk([s for s, _ in bucket], cap)
-        for component in strong_components(range(len(succ)), succ.__getitem__):
-            targets = {t for q in component for t in succ[q]}
-            if (targets.issubset(component) if open_only  # bottom
-                    else len(component) > 1 or component[0] in targets):  # cyclic
-                tset = frozenset(pairs[p] for p in positions[component[0]])
+        pairs, start, succ, trivial = _pattern_walk([s for s, _ in bucket])
+        entered = count(1)
+
+        def entering(joint):  # succ, counting the joint states entered
+            if next(entered) > cap:
+                raise PatternCapError(
+                    f"pattern search on a bucket of {len(coeffs)} terms ({len(pairs)} term "
+                    f"pairs) reached {cap + 1} joint states, more than the cap of {cap}; "
+                    "raise the pattern cap to decide this element")
+            return succ(joint)
+
+        for component in strong_components([start], entering):
+            members = set(component)
+            if (all(members.issuperset(succ(q)) for q in component) if open_only  # bottom
+                    else len(members) > 1 or component[0] in succ(component[0])):  # cyclic
+                tset = frozenset(p for p, c in zip(pairs, component[0]) if c == trivial)
                 if any(not s.is_zero() for s in _class_sums(coeffs, tset)):
                     return False
     return True

@@ -234,13 +234,12 @@ def _mu_table(m: Machine, start: int) -> dict[int, Fraction]:
     mu = m._memo.get("mu")
     if mu is None:
         mu = m._memo["mu"] = {} if m.identity is None else {m.identity: Fraction(1)}
-    elif start in mu:
+    if start in mu:
         return mu
     d = m.alphabet_size
     succ = _fixed_successors(m)
     # the solved states are closed under succ: only new blocks remain
-    nodes = [q for q in forward_closure([start], succ) if q not in mu]
-    for block in strong_components(nodes, succ):
+    for block in strong_components([start], lambda q: [t for t in succ(q) if t not in mu]):
         if len(block) == 1:
             q = block[0]
             below = succ(q)

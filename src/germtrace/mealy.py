@@ -80,16 +80,17 @@ def state_cap(n: int):
     name with restrictions explores nothing.  For is_zero / is_singular
     it counts the states of each bucket's pattern graph: the pairs of
     restrictions reached from all of the bucket's term pairs, plus its
-    two sinks.  Products, inverses, state expressions and the pieces of
-    term products are memoised per machine; a memoised result that
-    explored more states than the cap is built afresh (see _memoised), so
-    the outcome, a refusal's text included, does not depend on what
-    earlier calls cached.  The bound holds for the current thread
-    or task only; code running in another context, such as a new thread,
-    keeps its own (by default STATE_CAP).  Entered inside a memoised
-    build, the block keeps that build's running maximum.  n must
-    be an integer (anything operator.index accepts) of at least 1, else
-    ValueError.
+    two sinks; the pattern cap counts the joint states the walk over it
+    enters (False can stop early, True walks it whole).  Products,
+    inverses, state expressions and the pieces of term products are
+    memoised per machine; a memoised result that explored more states
+    than the cap is built afresh (see _memoised), so the outcome, a
+    refusal's text included, does not depend on what earlier calls
+    cached.  The bound holds for the current thread or task only; code
+    running in another context, such as a new thread, keeps its own (by
+    default STATE_CAP).  Entered inside a memoised build, the block keeps
+    that build's running maximum.  n must be an integer (anything
+    operator.index accepts) of at least 1, else ValueError.
     """
     n = _index(n, "state cap")
     if n < 1:
@@ -285,8 +286,8 @@ def _cap_error(cap, what) -> StateCapError:
 
 
 def _explore(d, starts, out_fn, trans_fn, cap, error):
-    """Breadth-first closure of an implicitly given machine: the package's
-    one capped search (products, inverses, pattern graphs, joint walk).
+    """Breadth-first closure of an implicitly given machine: the capped
+    search behind products, inverses and pattern graphs.
 
     States are hashable labels with outputs out_fn(q) (tuples) and
     successors trans_fn(q, x).  Returns dense output/transition lists:
@@ -696,21 +697,17 @@ def infinite_path_nodes(nodes, succ) -> set:
     return alive
 
 
-def strong_components(nodes, succ) -> list:
-    """Strongly connected components of the graph inside nodes, sinks first.
-
-    succ is as for backward_distances.  Each component is a list of nodes,
-    and no edge leads from a component to a later one.  Tarjan's algorithm
-    with an explicit stack, linear in the size of the graph.
-    """
-    nodes = list(nodes)
-    inside = set(nodes)
+def strong_components(starts, succ):
+    """Yield the strongly connected components reachable from starts, sinks
+    first (no edge leads to a later one), each a list of nodes.  succ(q)
+    lists the successors of q (repeats allowed).  Tarjan's algorithm with
+    an explicit stack, linear in the graph's size and lazy: a caller that
+    stops early explores no further."""
     index: dict = {}
     low: dict = {}
     stack: list = []
     on_stack: set = set()
     work: list = []  # (node, its unexplored edges) along the search path
-    components = []
 
     def enter(q):
         index[q] = low[q] = len(index)
@@ -718,15 +715,13 @@ def strong_components(nodes, succ) -> list:
         on_stack.add(q)
         work.append((q, iter(succ(q))))
 
-    for root in nodes:
+    for root in starts:
         if root in index:
             continue
         enter(root)
         while work:
             q, edges = work[-1]
             for t in edges:
-                if t not in inside:
-                    continue
                 if t not in index:
                     enter(t)
                     break
@@ -744,8 +739,7 @@ def strong_components(nodes, succ) -> list:
                         component.append(t)
                         if t == q:
                             break
-                    components.append(component)
-    return components
+                    yield component
 
 
 def distinguishing_depth(machine: Machine) -> int:

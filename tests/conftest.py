@@ -129,6 +129,38 @@ def random_element(
     return AlgebraElement(machine, terms)
 
 
+def random_machine(rng, n, d):
+    """n states plus the identity (the last state): each output row is the
+    identity with probability 1/2, successors are uniform over all states."""
+    letters = tuple(range(d))
+    outputs, transitions = [], []
+    for _ in range(n):
+        outputs.append(letters if rng.random() < 0.5 else tuple(rng.sample(letters, d)))
+        transitions.append(tuple(rng.randrange(n + 1) for _ in letters))
+    return Machine(d, outputs + [letters], transitions + [(n,) * d], identity=n)
+
+
+def zero_quartet(rng, m):
+    """c(q1 - q2 - q3 + q4) for four new states of m with the identity
+    output row, acting as x, x, w, w below letter 0, as y, z, y, z below
+    letter 1 and as r below the other letters, for distinct x, w and
+    distinct y, z of m.  Every germ class sums to 0 whatever the germs of
+    x, w and of y, z do, so the element is zero, and its walk follows
+    pairs of m's own restrictions."""
+    d, n = m.alphabet_size, m.size
+    canonical = [m.state(q).canonical() for q in range(n)]
+    while True:
+        x, w, y, z, r = (rng.randrange(n) for _ in range(5))
+        if canonical[x] != canonical[w] and canonical[y] != canonical[z]:
+            break
+    quads = [(a, b) + (r,) * (d - 2) for a in (x, w) for b in (y, z)]
+    mm = Machine(d, [*m.outputs, *[tuple(range(d))] * 4], [*m.transitions, *quads],
+                 identity=m.identity)
+    c = random_scalar(rng)
+    return AlgebraElement(mm, [(c * sign, PartialMap(mm.state(n + i), (), ()))
+                               for i, sign in enumerate((1, -1, -1, 1))])
+
+
 def pop_memos(*kinds: str) -> None:
     """Drop the memo entries of these kinds ("germ", "after", "compose",
     "inverse", "unit", ...) from every interned machine."""

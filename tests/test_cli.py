@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import germtrace
-from germtrace import ParseError
+from germtrace import ParseError, format_machine
 from germtrace.errors import excerpt
 from germtrace.cli import _build_parser, _check_printable_depth, _load_machine, main
+
+from conftest import random_machine, zero_quartet
 
 
 def run(capsys, *argv):
@@ -387,6 +390,38 @@ class TestHostileInput:
                              "--cap-patterns", "5", "--cap-states", "5")
         assert (code, err) == (0, "")
         assert "is_zero: no" in out
+
+    def ternary_file(self, tmp_path):
+        """A seeded 24-state ternary machine (q0 .. q23, identity q24) with
+        the four states q25 .. q28 of a zero quartet added."""
+        quartet = zero_quartet(random.Random(5), random_machine(random.Random(7), 24, 3))
+        path = tmp_path / "ternary.gt"
+        path.write_text(format_machine(quartet.machine), encoding="utf-8")
+        return str(path)
+
+    def test_doubling_element_answered_under_a_small_pattern_cap(self, capsys, tmp_path):
+        """sum 2^i (s_i - t_i) over six distinct states walks 267 joint
+        states, but its first bottom component already answers: no under
+        a pattern cap of 64, where a search of the whole walk exits 3."""
+        code, out, err = run(capsys, "alg", "iszero", "-m", self.ternary_file(tmp_path),
+                             "-e", "1 q0:>;-1 q1:>;2 q2:>;-2 q3:>;4 q4:>;-4 q5:>",
+                             "--cap-patterns", "64")
+        assert (code, err) == (0, "")
+        assert "is_zero: no" in out
+
+    def test_zero_element_refused_below_its_walk(self, capsys, tmp_path):
+        """A zero element is answered only after its whole walk of 56
+        joint states: refused (exit 3) under a cap of 55, yes under 56."""
+        argv = ("alg", "iszero", "-m", self.ternary_file(tmp_path),
+                "-e", "3 q25:>;-3 q26:>;-3 q27:>;3 q28:>", "--cap-patterns")
+        code, out, err = run(capsys, *argv, "55")
+        assert (code, out) == (3, "")
+        assert err == ("error: pattern search on a bucket of 4 terms (6 term pairs) "
+                       "reached 56 joint states, more than the cap of 55; raise the "
+                       "pattern cap to decide this element\n")
+        code, out, err = run(capsys, *argv, "56")
+        assert (code, err) == (0, "")
+        assert "is_zero: yes" in out
 
     def test_non_integer_cap(self, capsys):
         self.assert_parse_error(capsys, "fixmeasure", "-m", "grigorchuk",

@@ -41,15 +41,17 @@ from germtrace import (
     unit_germ,
 )
 from germtrace import convalg, mealy
-from germtrace.convalg import _BROKEN, _TRIVIAL, ZERO, _class_sums, _joint_walk, _pattern_cap
+from germtrace.convalg import (_BROKEN, _TRIVIAL, ZERO, _class_sums, _pattern_cap,
+                               _pattern_walk)
 from germtrace.errors import excerpt
 from germtrace.germs import _walk, bisection_product
 from germtrace.mealy import (_cap_error, _explore, _quotient, _state_cap,
                              backward_distances, compose_labels, infinite_path_nodes,
                              restrict_label)
 
-from conftest import (evaluate, is_termwise_zero, pop_memos, random_element, random_scalar,
-                      random_state_expr, random_word, reference_quotient)
+from conftest import (evaluate, is_termwise_zero, pop_memos, random_element, random_machine,
+                      random_scalar, random_state_expr, random_word, reference_quotient,
+                      zero_quartet)
 
 
 def F(*args):
@@ -85,6 +87,26 @@ def _refined_groups(elem: AlgebraElement):
         if cleaned:
             out.append(cleaned)
     return out
+
+
+def _joint_walk(states, cap: int):
+    """The whole joint walk of _pattern_walk, explored breadth-first into
+    dense tables as convalg did before _decide searched it lazily:
+    (term pairs, T positions, successors), where positions[i] lists the
+    pairs whose class is T in joint state i."""
+    d = states[0].machine.alphabet_size
+    pairs, start, succ, trivial = _pattern_walk(states)
+
+    def trivial_positions(joint):
+        return tuple(p for p, c in enumerate(joint) if c == trivial)
+
+    error = PatternCapError(
+        f"pattern search on a bucket of {len(states)} terms ({len(pairs)} term pairs) "
+        f"reached {cap + 1} joint states, more than the cap of {cap}; raise the "
+        "pattern cap to decide this element")
+    positions, table = _explore(d, [start], trivial_positions,
+                                lambda joint, x: succ(joint)[x], cap, error)
+    return pairs, positions, table
 
 
 def _bucket_class_sums(bucket, cap: int):
@@ -796,17 +818,6 @@ def reference_class_sums(elem, walk_sizes=None):
                 items.append((reference_sums_by_union_find(len(states), coeffs, tset),
                               has_open))
     return items
-
-
-def random_machine(rng, n, d):
-    """n states plus the identity (the last state): each output row is the
-    identity with probability 1/2, successors are uniform over all states."""
-    letters = tuple(range(d))
-    outputs, transitions = [], []
-    for _ in range(n):
-        outputs.append(letters if rng.random() < 0.5 else tuple(rng.sample(letters, d)))
-        transitions.append(tuple(rng.randrange(n + 1) for _ in letters))
-    return Machine(d, outputs + [letters], transitions + [(n,) * d], identity=n)
 
 
 def spinal_chain(rng, d):
@@ -1581,34 +1592,106 @@ def distinct_on_raw_tables(m, states):
     return len({block[q] for q in states}) == len(states)
 
 
+def doubling_element(m, states, u=(), v=()):
+    """sum 2^i (s_i - t_i) over the given states s_0, t_0, s_1, t_1, ...
+    of m on the cylinder pair (u, v)."""
+    return AlgebraElement(m, [(2 ** (i // 2) * (-1) ** i, PartialMap(m.state(q), u, v))
+                              for i, q in enumerate(states)])
+
+
 class TestDoublingFamily:
     """sum 2^i (s_i - t_i) over 2k distinct states on one cylinder pair
     sums to 0, so its bucket is walked.  Where s_0 and t_0 differ, the
-    class of s_0 sums to 1 plus terms +-2^i with i >= 1: an odd sum, so the
-    element is never zero."""
+    class of s_0 sums to 1 plus terms +-2^i with i >= 1: an odd sum.  The
+    pair (s_0, t_0) is broken below any letter they move, and every joint
+    state below it reaches a bottom component, so the element is neither
+    zero nor singular.  Six states on machines of up to 40 states can
+    walk more than 10^6 joint states, so the whole reference walk is
+    compared only where it has at most REFERENCE_CAP of them."""
+
+    REFERENCE_CAP = 5_000
 
     def test_never_zero_and_singular_as_the_walk(self):
         rng = random.Random(3303)
-        tally = {2: 0, 3: 0}
+        tally = {2: 0, 3: 0, "compared": 0, "walk too large": 0}
         for j in range(120):
             d = 2 + j % 2
             k = 2 + j // 2 % 2
-            # six states on a larger machine can walk 10^5 joint states
-            n = rng.randint(8, 40 if k == 2 else 16)
+            n = rng.randint(8, 40)
             m = spinal_chain(rng, d) if j % 3 == 0 else random_machine(rng, n, d)
             states = rng.sample(range(m.size), min(m.size, 2 * k))
             if len(states) < 2 * k or not distinct_on_raw_tables(m, states):
                 continue
             n = rng.randint(0, 2)
-            u, v = random_word(rng, d, n), random_word(rng, d, n)
-            elem = AlgebraElement(m, [(2 ** (i // 2) * (-1) ** i, PartialMap(m.state(q), u, v))
-                                      for i, q in enumerate(states)])
+            elem = doubling_element(m, states, random_word(rng, d, n), random_word(rng, d, n))
             (bucket,) = convalg._refined_groups(elem)
             assert len(bucket) == 2 * k and bucket_total(bucket).is_zero()
             assert elem.is_zero() is False
-            assert (False, elem.is_singular()) == walk_verdicts(elem, None)
+            assert elem.is_singular() is False
+            walk = refusal_or(lambda: walk_verdicts(elem, self.REFERENCE_CAP))
+            if walk == (False, False):
+                tally["compared"] += 1
+            else:
+                assert walk[0] is PatternCapError, format_element(elem)
+                tally["walk too large"] += 1
             tally[k] += 1
-        assert min(tally.values()) >= 20, tally
+        assert min(tally[2], tally[3], tally["compared"]) >= 20, tally
+        assert tally["walk too large"] >= 3, tally
+
+
+def doubling_family(count):
+    """count doubling elements with k = 3 at the root of one seeded
+    24-state ternary machine, each on six pairwise distinct states."""
+    m = random_machine(random.Random(7), 24, 3)
+    rng = random.Random(3304)
+    out = []
+    while len(out) < count:
+        states = rng.sample(range(m.size), 6)
+        if distinct_on_raw_tables(m, states):
+            out.append(doubling_element(m, states))
+    return out
+
+
+class TestEarlyVerdicts:
+    """The pattern search counts the joint states it enters and stops at
+    the first component that answers False, so False can come under a
+    cap far below the walk, while True needs every walk whole."""
+
+    def test_doubling_family_answers_under_a_small_cap(self):
+        walks_over_cap = 0
+        for elem in doubling_family(40):
+            assert elem.is_zero(cap=64) is False
+            assert elem.is_singular(cap=64) is False
+            (bucket,) = convalg._refined_groups(elem)
+            try:
+                _joint_walk([s for s, _ in bucket], 64)
+            except PatternCapError:
+                walks_over_cap += 1
+        assert walks_over_cap == 40, walks_over_cap
+
+    def test_zero_walk_is_refused_one_state_short(self):
+        """A zero element's bucket is walked whole by both verdicts: True
+        under a cap of its walk's joint states, refused under one less
+        with the message a whole breadth-first walk gave."""
+        rng = random.Random(3305)
+        sizes = set()
+        for j in range(30):
+            d = 2 + j % 2
+            m = (spinal_chain(rng, d) if j % 3 == 0
+                 else random_machine(rng, rng.randint(4, 12), d))
+            elem = zero_quartet(rng, m)
+            (bucket,) = convalg._refined_groups(elem)
+            n = len(_joint_walk([s for s, _ in bucket], PATTERN_CAP)[1])
+            message = (f"pattern search on a bucket of 4 terms (6 term pairs) reached "
+                       f"{n} joint states, more than the cap of {n - 1}; raise the "
+                       "pattern cap to decide this element")
+            for decide in (elem.is_zero, elem.is_singular):
+                assert decide(cap=n) is True
+                with pytest.raises(PatternCapError) as info:
+                    decide(cap=n - 1)
+                assert str(info.value) == message
+            sizes.add(n)
+        assert len(sizes) >= 10, sizes
 
 
 def reference_parse_shift(machine, text):

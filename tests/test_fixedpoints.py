@@ -879,7 +879,8 @@ class TestCountKernelOracle:
         rng = random.Random(6262)
         for m in self.machines():
             mm = minimize(m)[0]
-            several_sccs += len(strong_components(range(mm.size), mm.transitions.__getitem__)) >= 3
+            several_sccs += len(list(strong_components(range(mm.size),
+                                                       mm.transitions.__getitem__))) >= 3
             with_identity += mm.identity is not None
             without_identity += mm.identity is None
             for q in range(m.size):

@@ -1917,8 +1917,13 @@ class TestGraphHelpers:
         rng = random.Random(4343)
         seen = {"cyclic": 0, "all_singletons": 0, "several": 0, "empty": 0}
         for _ in range(600):
-            nodes, succ, _ = random_graph(rng)
-            components = strong_components(iter(nodes), succ)
+            nodes, edges, _ = random_graph(rng)
+            inside = set(nodes)
+
+            def succ(q):
+                return [t for t in edges(q) if t in inside]
+
+            components = list(strong_components(iter(nodes), succ))
             where = {q: i for i, c in enumerate(components) for q in c}
             assert sorted(where) == sorted(nodes)
             assert sum(map(len, components)) == len(nodes)
@@ -1937,18 +1942,37 @@ class TestGraphHelpers:
         assert min(seen.values()) >= 20, seen
 
     def test_strong_components_small_and_deep(self):
-        succ = {1: [2, 2], 2: [3, 1], 3: [3], 4: [9], 5: []}.__getitem__
+        succ = {1: [2, 2], 2: [3, 1], 3: [3], 4: [9], 5: [], 9: []}.__getitem__
         components = [sorted(c) for c in strong_components([1, 2, 3, 4, 5], succ)]
-        assert sorted(components) == [[1, 2], [3], [4], [5]]
+        assert sorted(components) == [[1, 2], [3], [4], [5], [9]]
         assert components.index([3]) < components.index([1, 2])
-        assert strong_components([], succ) == []
+        assert components.index([9]) < components.index([4])
+        assert list(strong_components([], succ)) == []
         # far deeper than the recursion limit: a path into one long cycle
         n = 5000
         chain = {q: [q + 1] for q in range(2 * n)}
         chain[2 * n - 1] = [n]
-        components = strong_components(range(2 * n), chain.__getitem__)
+        components = list(strong_components(range(2 * n), chain.__getitem__))
         assert sorted(components[0]) == list(range(n, 2 * n))
         assert components[1:] == [[q] for q in reversed(range(n))]
+
+    def test_strong_components_are_yielded_lazily(self):
+        """The sink cycle 1 -> 3 -> 1 comes out before succ is asked about
+        node 2, the other branch from 0, or the sink 4 beyond it."""
+        edges = {0: [1, 2], 1: [3], 3: [1], 2: [4], 4: []}
+
+        class AskedTooFar(Exception):
+            pass
+
+        def succ(q):
+            if q in (2, 4):
+                raise AskedTooFar(q)
+            return edges[q]
+
+        components = strong_components([0], succ)
+        assert sorted(next(components)) == [1, 3]
+        with pytest.raises(AskedTooFar):
+            next(components)
 
 
 def reference_parse_machine(text):
