@@ -18,17 +18,15 @@ from .mealy import (STATE_CAP, Aut, Machine, Word, check_word, compose_labels,
 from .points import (BOUNDARY, INTERIOR, MOVED, Point, apply_to_point,
                      fixed_walk, format_point, parse_point)
 from .fixedpoints import (DecayCertificate, FixCounts, FreenessReport,
-                          boundary_fixed_point, boundary_null_certificate,
-                          essential_freeness_report, fixed_counts,
-                          fixed_counts_csv, hausdorff_witness, interiorizable,
-                          is_dangerous, mu_fix_exact)
-from .germs import (Germ, PartialMap, bisection_product, isotropy_germs_at,
-                    unit_germ, verify_invariance)
+                          boundary_null_certificate, essential_freeness_report,
+                          fixed_counts, fixed_counts_csv, hausdorff_witness,
+                          interiorizable, is_dangerous, mu_fix_exact)
+from .germs import Germ, PartialMap, bisection_product, isotropy_germs_at, unit_germ
 from .convalg import (PATTERN_CAP, AlgebraElement, Scalar, as_scalar,
                       format_element, format_scalar, indicator, parse_element,
                       parse_scalar, parse_shift, unit_element)
-from .traces import (RepMatrix, F_eval, canonical_trace, check_positive,
-                     check_tracial, isotropy_defect, isotropy_trace, rep_matrix)
+from .traces import (RepMatrix, F_eval, canonical_trace, isotropy_defect,
+                     isotropy_trace, rep_matrix)
 
 __version__ = "0.1.0"
 

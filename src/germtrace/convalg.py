@@ -25,7 +25,7 @@ from math import gcd
 
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
-from .germs import PartialMap, _germ_key, _unit_key, _walk, bisection_product
+from .germs import PartialMap, _germ_key, _shift, _unit_key, _walk, bisection_product
 from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore, _index,
                     _memoised, _parse_memo, _quotient, _state_cap, identity_aut,
                     parse_state_expr, parse_word, strong_components, word_text)
@@ -453,11 +453,14 @@ def _refined_groups(elem: AlgebraElement):
     from its own source to the parts in its cylinder.  Within one bucket
     the states are pairwise canonically distinct, and germs from
     different buckets are never equal, so each bucket is decided alone.
+    A bucket is keyed by canonical (machine, state) pairs, which hash and
+    compare without asking an Aut for its canonical form, and lists each
+    state as the first of its Auts that reached it.
     """
     # a source strictly below a word p comes directly after p in this order
     sources = sorted({b.source_prefix for b in elem.terms})
     d = elem.alphabet_size
-    buckets: dict[tuple[Word, Word], dict[Aut, Scalar]] = {}
+    buckets: dict[tuple[Word, Word], dict[tuple[Machine, int], tuple[Aut, Scalar]]] = {}
     for b, c in elem.terms.items():
         g, u, v = b.state, b.range_prefix, b.source_prefix
         below = [()]
@@ -470,11 +473,12 @@ def _refined_groups(elem: AlgebraElement):
                 continue
             image, s = _walk(g, w)
             bucket = buckets.setdefault((p, u + image), {})
-            total = bucket.get(s)
-            bucket[s] = c if total is None else total + c
+            pair = s.machine, s.state
+            seen = bucket.get(pair)
+            bucket[pair] = (s, c) if seen is None else (seen[0], seen[1] + c)
     out = []
     for key in sorted(buckets):
-        cleaned = [(s, c) for s, c in buckets[key].items() if not c.is_zero()]
+        cleaned = [(s, c) for s, c in buckets[key].values() if not c.is_zero()]
         if cleaned:
             out.append(cleaned)
     return out
@@ -633,15 +637,20 @@ def _parse_shift(machine: Machine, shift_text: str) -> PartialMap:
         state = parse_state_expr(machine, expr_text)
         u = parse_word(u_text, machine.alphabet_size)
         v = parse_word(v_text, machine.alphabet_size)
-        return PartialMap(state, u, v, expr_text.strip())
+        if len(u) != len(v):
+            raise DomainError("range and source prefixes must have equal length")
+        return _shift(state.canonical(), u, v, expr_text.strip())
     except (ParseError, DomainError, ValueError) as exc:
         raise ElementParseError(f"shift {excerpt(shift_text)}: {exc}") from exc
+
+
+_TERM_SPLIT_RE = re.compile(r"[\n;]")
 
 
 def parse_element(machine: Machine, text: str) -> AlgebraElement:
     """Parse one term per line (or semicolon): <scalar> <state-expr>:<u>><v>."""
     terms = []
-    for raw in re.split(r"[\n;]", text):
+    for raw in _TERM_SPLIT_RE.split(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -368,19 +368,6 @@ def _fixed_lasso(m: Machine, start: int, alive: set[int]) -> Point:
         pos[s] = len(letters)
 
 
-def boundary_fixed_point(g: Aut) -> Point | None:
-    """A point fixed by g with every restriction along it nontrivial.
-
-    Returns None iff no such point exists, i.e. Fix_g = int Fix_g.  The
-    witness follows smallest letters first and is canonical.
-    """
-    c = g.canonical()
-    m = c.machine
-    nodes = [q for q in range(m.size) if q != m.identity]
-    alive = infinite_path_nodes(nodes, _fixed_successors(m))
-    return _fixed_lasso(m, c.state, alive) if c.state in alive else None
-
-
 def _witness_states(machine: Machine):
     """(minimised machine, its interior depths, eligible states).
 

@@ -117,7 +117,10 @@ def _shift(state: Aut, u: Word, v: Word, label) -> PartialMap:
 
 
 def _walk(g: Aut, w: Word) -> tuple[Word, Aut]:
-    """(g(w), canonical form of g below w) for a checked word w."""
+    """(g(w), canonical form of g below w) for a canonical g and a checked
+    word w."""
+    if not w:
+        return (), g
     out, trans = g.machine.outputs, g.machine.transitions
     q = g.state
     image = []
@@ -304,21 +307,3 @@ def isotropy_germs_at(x: Point, machine: Machine, depth_cap: int) -> list[Germ]:
                 continue
             germs.setdefault(PartialMap(aut, u, u, machine.name_of(q)).germ_at(x))
     return list(germs)
-
-
-def verify_invariance(b: PartialMap) -> bool:
-    """Check that b carries the uniform measure of its source onto its range.
-
-    Prefix exchange of equal lengths plus a bijective automorphism makes
-    this automatic; the check recomputes it from a one-letter refinement
-    rather than trusting the construction.
-    """
-    if b.source_measure() != b.range_measure():
-        return False
-    d = b.alphabet_size
-    pieces = [b.restrict_source((x,)) for x in range(d)]
-    if sum(p.source_measure() for p in pieces) != b.source_measure():
-        return False
-    images = {p.range_prefix for p in pieces}
-    return len(images) == d and all(w[:len(b.range_prefix)] == b.range_prefix
-                                    for w in images)

@@ -47,6 +47,7 @@ import operator
 import re
 import reprlib
 import threading
+from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -124,11 +125,15 @@ def _is_numeral(text: str) -> bool:
 
 def parse_word(text: str, alphabet_size: int) -> Word:
     """The word written as one ASCII decimal digit per letter, each below
-    alphabet_size; surrounding whitespace is ignored."""
+    alphabet_size; surrounding whitespace is ignored.  A word with a
+    letter out of range goes to check_word for its message."""
     text = text.strip()
     if text and not _is_numeral(text):
         raise ValueError(f"bad word {excerpt(text)}")
-    return check_word(map(int, text), alphabet_size)
+    w = tuple(map(int, text))
+    if w and max(w) >= alphabet_size:
+        check_word(w, alphabet_size)
+    return w
 
 
 class Machine:
@@ -247,18 +252,18 @@ def _identity_state(d, outputs, transitions):
     return None
 
 
-def _intern(d, outputs, transitions, start) -> Machine:
+def _intern(d, outputs, transitions, start, identity) -> Machine:
     """The interned machine with these tables.  They must be minimal,
     numbered as _quotient numbers them and reachable from state start;
-    the states that reach start form the root.  Such tables are well
+    the states that reach start form the root, and identity is their
+    identity state (see _identity_state) or None.  Such tables are well
     formed by construction, so Machine()'s checks are skipped."""
     key = (d, outputs, transitions)
     with _intern_lock:
         m = _interned.get(key)
         if m is None:
             m = object.__new__(Machine)._fill(
-                d, outputs, transitions, _identity_state(d, outputs, transitions), None,
-                _reaching(transitions, start))
+                d, outputs, transitions, identity, None, _reaching(transitions, start))
             _interned[key] = m
     return m
 
@@ -449,7 +454,8 @@ def _derive(d, start, out_fn, trans_fn, what, *args) -> "Aut":
     if top is not None and len(outs) > top[0]:
         top[0] = len(outs)
     q_outs, q_trans, block = _quotient(outs, trans)
-    return Aut(_intern(d, q_outs, q_trans, block[0]), block[0])
+    return Aut(_intern(d, q_outs, q_trans, block[0], _identity_state(d, q_outs, q_trans)),
+               block[0])
 
 
 def _interned_closure(m: Machine, q) -> "Aut":
@@ -457,19 +463,30 @@ def _interned_closure(m: Machine, q) -> "Aut":
     minimal machines numbered as _quotient numbers them.
 
     Every state of q's strongly connected component reaches the same
-    states, its closure.  The closure is interned, numbered in m's order,
-    with the component as its root, and the canonical forms of all the
-    component's states are memoised on m.
+    states, its closure.  The closure is interned once per component,
+    numbered in m's order, with the component as its root, and m's memo
+    records, in two arrays over its states, the closure each root state
+    lies in and its index there, so the component's other states find
+    theirs without a search; their Auts are built only when asked for.
     """
-    transitions = m.transitions
-    order = sorted(forward_closure([q], transitions.__getitem__))
-    at = dict(zip(order, range(len(order)))).__getitem__
-    closure = _intern(m.alphabet_size, tuple(map(m.outputs.__getitem__, order)),
-                      tuple(tuple(map(at, transitions[s])) for s in order), at(q))
-    for i, s in enumerate(order):
-        if closure.root[i]:
-            m._memo[("canon", s)] = Aut(closure, i)
-    return m._memo[("canon", q)]
+    closures = m._memo.get("closures")
+    if closures is None:
+        closures = m._memo["closures"] = ([None] * m.size, array("i", [0]) * m.size)
+    closure_of, where = closures
+    closure = closure_of[q]
+    if closure is None:
+        transitions = m.transitions
+        order = sorted(forward_closure([q], transitions.__getitem__))
+        index = dict(zip(order, range(len(order))))
+        at = index.__getitem__
+        closure = _intern(m.alphabet_size, tuple(map(m.outputs.__getitem__, order)),
+                          tuple(tuple(map(at, transitions[s])) for s in order), at(q),
+                          index.get(m.identity))
+        for i, s in enumerate(order):
+            if closure.root[i]:
+                where[s] = i  # before closure_of[s], which readers test first
+                closure_of[s] = closure
+    return Aut(closure, where[q])
 
 
 class Aut:
@@ -489,7 +506,9 @@ class Aut:
         A state in the root of an interned machine is returned as it is.
         Other states of an interned machine or of a quotient, which are
         minimal and canonically numbered already, are canonicalised
-        without refinement; every state takes one memo lookup afterwards.
+        without refinement (see _interned_closure).  The answer is built
+        when a state is first asked for and memoised on its machine under
+        ("canon", q); every state takes one memo lookup afterwards.
         """
         m, q = self.machine, self.state
         root = m.root
@@ -499,7 +518,7 @@ class Aut:
         if cached is None:
             quotient = m._memo.get("minimize")
             if root is not None or quotient is not None and quotient[0] is m:
-                cached = _interned_closure(m, q)
+                cached = m._memo[("canon", q)] = _interned_closure(m, q)
             else:
                 mm, block = _minimized(m)
                 cached = m._memo[("canon", q)] = Aut(mm, block[q]).canonical()
@@ -599,7 +618,7 @@ def identity_aut(alphabet_size: int) -> Aut:
     d = _index(alphabet_size, "alphabet size")
     if d < 2:
         raise ValueError("alphabet must have at least two letters")
-    return Aut(_intern(d, (tuple(range(d)),), ((0,) * d,), 0), 0)
+    return Aut(_intern(d, (tuple(range(d)),), ((0,) * d,), 0, 0), 0)
 
 
 def minimize(machine: Machine) -> tuple[Machine, list[int]]:
@@ -907,19 +926,22 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
     states of machine.
 
     An expression that is one state name with '|w' suffixes only gives
-    that state's handle on machine, walked on its tables.  Any other is
-    parsed whole into a freely reduced word (see above) before anything
-    is explored, then explored once from that word under the state cap,
-    which counts the reduced words reached, and returned minimised and
-    interned.  So name and syntax errors come before cap refusals, and an
-    expression that cancels freely, the empty word, is the identity,
-    explores nothing and is never refused.  The exploration is memoised
-    on minimize(machine)'s quotient under its reduced word, through
-    _memoised and _parse_memo, so two texts with one reduced word share
-    it; a hit that explored more words than the cap is explored again and
-    refused with this text.  Error columns count characters of text as
-    given.
+    that state's handle on machine, walked on its tables; a lone name is
+    looked up without tokenizing.  Any other is parsed whole into a
+    freely reduced word (see above) before anything is explored, then
+    explored once from that word under the state cap, which counts the
+    reduced words reached, and returned minimised and interned.  So name
+    and syntax errors come before cap refusals, and an expression that
+    cancels freely, the empty word, is the identity, explores nothing and
+    is never refused.  The exploration is memoised on minimize(machine)'s
+    quotient under its reduced word, through _memoised and _parse_memo,
+    so two texts with one reduced word share it; a hit that explored more
+    words than the cap is explored again and refused with this text.
+    Error columns count characters of text as given.
     """
+    name = text.strip()
+    if _NAME_RE.match(name):
+        return Aut(machine, machine.index_of(name))
     parser = _ExpressionParser(machine, text)
     try:
         value = parser.expr()

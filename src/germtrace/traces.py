@@ -68,17 +68,6 @@ def isotropy_defect(a: AlgebraElement, x: Point) -> Scalar:
     return F_eval(a, x) - a.unit_restriction_eval(x)
 
 
-def check_tracial(a: AlgebraElement, b: AlgebraElement) -> bool:
-    ab, ba = a * b, b * a
-    return (canonical_trace(ab) == canonical_trace(ba)
-            and isotropy_trace(ab) == isotropy_trace(ba))
-
-
-def check_positive(a: AlgebraElement) -> bool:
-    t = canonical_trace(a.adjoint() * a)
-    return t.is_real() and t.re >= 0
-
-
 # ---------------------------------------------------------------------------
 # truncated quasi-regular representation
 

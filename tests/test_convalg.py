@@ -2079,3 +2079,136 @@ class TestTermLabel:
         odd = PartialMap(parse_state_expr(grig, "a*b"), (), ())
         with pytest.raises(DomainError, match="no printable name"):
             convalg._term_label(grig, odd)
+
+
+# The parsers as they stood before a lone name skipped the tokenizer,
+# parse_word range-checked with max and _parse_shift built its shift from
+# the words it had checked, kept as references for the shorter paths.
+
+def per_letter_parse_word(text, alphabet_size):
+    """mealy.parse_word with every letter checked by check_word."""
+    text = text.strip()
+    if text and not mealy._is_numeral(text):
+        raise ValueError(f"bad word {excerpt(text)}")
+    return mealy.check_word(map(int, text), alphabet_size)
+
+
+def tokenized_parse_state_expr(machine, text):
+    """mealy.parse_state_expr with every text, a lone name too, parsed
+    through _ExpressionParser."""
+    parser = mealy._ExpressionParser(machine, text)
+    try:
+        value = parser.expr()
+    except RecursionError:
+        parser.fail("parentheses nested too deeply")
+    if parser.i < len(parser.tokens) - 1:
+        parser.fail(f"trailing input at column {parser.column()}")
+    if not isinstance(value, tuple):
+        return mealy.Aut(machine, value)
+    if not value:
+        return mealy.identity_aut(machine.alphabet_size)
+    return mealy._memoised(mealy._parse_memo(parser.classes[0], "word", value), value,
+                           mealy._derive, machine.alphabet_size, value, parser.outputs,
+                           parser.section, mealy._EXPRESSION, excerpt(text))
+
+
+def checked_parse_shift(machine, shift_text):
+    """convalg._parse_shift with the references above, building its shift
+    through PartialMap, which checks both words again."""
+    if ":" not in shift_text:
+        raise ElementParseError(f"shift {excerpt(shift_text)}: missing ':'")
+    expr_text, _, words = shift_text.partition(":")
+    if words.count(">") != 1:
+        raise ElementParseError(f"shift {excerpt(shift_text)}: needs exactly one '>'")
+    u_text, _, v_text = words.partition(">")
+    try:
+        state = tokenized_parse_state_expr(machine, expr_text)
+        u = per_letter_parse_word(u_text, machine.alphabet_size)
+        v = per_letter_parse_word(v_text, machine.alphabet_size)
+        return PartialMap(state, u, v, expr_text.strip())
+    except (ParseError, DomainError, ValueError) as exc:
+        raise ElementParseError(f"shift {excerpt(shift_text)}: {exc}") from exc
+
+
+def parse_result(parse, *args):
+    """What parse(*args) gives, as plain values, or its exception's type
+    and text."""
+    try:
+        value = parse(*args)
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+    if isinstance(value, mealy.Aut):
+        return value.machine, value.state
+    if isinstance(value, PartialMap):
+        return (value.state.machine, value.state.state, value.range_prefix,
+                value.source_prefix, value.label, hash(value))
+    return value
+
+
+PARSE_WORDS = ["", "0", "01", " 10 ", "\t1\n", "0 1", "²", "0²", "٣", "1٣", "2", "02",
+               "12", "9", "a", "-1", "+1", "0 "]
+PARSE_EXPRS = ["", " ", "b", " b ", "\tb\n", "b ", "e", " e", "zz", " zz ", "_x",
+               "(b)", "b*e", "b|1", "b|²", "b^-1", "b c", "1b", "b*", "s", "t|2"]
+
+
+def parse_texts(rng, machine):
+    """Shift texts over machine: the words and expressions above, the
+    machine's own names and random expressions, mixed by rng."""
+    names = list(machine.names)
+    d = machine.alphabet_size
+    exprs = PARSE_EXPRS + names + [f" {n} " for n in names]
+    for _ in range(400):
+        expr = (random_state_expr(rng, names, d) if rng.random() < 0.2
+                else rng.choice(exprs))
+        u, v = rng.choice(PARSE_WORDS), rng.choice(PARSE_WORDS)
+        if rng.random() < 0.4:
+            v = "".join(map(str, random_word(rng, d, len(u.strip()))))
+        yield rng.choice([f"{expr}:{u}>{v}", f"{expr}:{u}>{v}", f"{expr}{u}>{v}",
+                          f"{expr}:{u}>{v}>"])
+
+
+class TestParsePaths:
+    """parse_word, parse_state_expr and _parse_shift give what the
+    references above give, values or exception type and text, over
+    non-ASCII digits, letters past the alphabet, inner spaces, prefixes
+    of unequal length, unknown and space-padded names and e."""
+
+    def test_words_match_the_per_letter_check(self):
+        for d in (2, 3, 10):
+            for text in PARSE_WORDS:
+                assert parse_result(parse_word, text, d) == parse_result(
+                    per_letter_parse_word, text, d), (text, d)
+        for text in ("²", "٣", "1٣"):
+            assert parse_result(parse_word, text, 2) == (
+                ValueError, f"bad word {excerpt(text.strip())}")
+        assert parse_result(parse_word, "02", 2) == (
+            ValueError, "letter 2 outside alphabet of size 2")
+
+    def test_expressions_match_the_tokenizer(self, grig, ternary):
+        for m in (grig, ternary):
+            for text in PARSE_EXPRS + list(m.names):
+                assert parse_result(parse_state_expr, m, text) == parse_result(
+                    tokenized_parse_state_expr, m, text), text
+        assert parse_result(parse_state_expr, grig, " zz ") == (
+            DomainError, "unknown state name 'zz'")
+
+    def test_lone_name_equals_its_other_spellings(self, grig, ternary):
+        for m, name in ((grig, "b"), (ternary, "t")):
+            lone = parse_state_expr(m, name)
+            assert (lone.machine, lone.state) == (m, m.index_of(name))
+            assert lone == parse_state_expr(m, f"({name})") == parse_state_expr(
+                m, f"{name}*e") == parse_state_expr(m, f"\t{name} ")
+
+    def test_shifts_match_the_checked_build(self, grig, ternary):
+        rng = random.Random(3606)
+        kinds = set()
+        for m in (grig, ternary):
+            for text in parse_texts(rng, m):
+                shift_text = text.strip()
+                got = parse_result(convalg._parse_shift, m, shift_text)
+                assert got == parse_result(checked_parse_shift, m, shift_text), text
+                kinds.add(got[0] if isinstance(got[0], type) else "shift")
+                if isinstance(got[0], type):
+                    kinds.add(got[1].partition(": ")[2].split(" ")[0])
+        assert {"shift", ElementParseError, "range", "bad", "letter",
+                "unknown"} <= kinds, kinds

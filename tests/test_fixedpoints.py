@@ -13,7 +13,6 @@ from germtrace import (
     Machine,
     Point,
     SingularSystemError,
-    boundary_fixed_point,
     boundary_null_certificate,
     distinguishing_depth,
     fixed_counts,
@@ -29,10 +28,11 @@ from germtrace import (
     parse_point,
 )
 from germtrace import fixedpoints, mealy
-from germtrace.fixedpoints import (DecayCertificate, FixCounts, _mu_table,
+from germtrace.fixedpoints import (DecayCertificate, FixCounts, _fixed_lasso,
+                                   _fixed_successors, _mu_table,
                                    _solve_integer_system, closure_boundary_null,
                                    essential_freeness_report)
-from germtrace.mealy import strong_components
+from germtrace.mealy import infinite_path_nodes, strong_components
 from germtrace.points import state_lasso
 
 from conftest import random_word
@@ -328,6 +328,20 @@ class TestInteriorizable:
         assert not interiorizable(lamp.state("p"))
         assert not interiorizable(lamp.state("q"))
         assert interiorizable(adding.state("e"))
+
+
+def boundary_fixed_point(g: Aut) -> Point | None:
+    """A point fixed by g with every restriction along it nontrivial.
+
+    Returns None iff no such point exists, i.e. Fix_g = int Fix_g.  The
+    witness follows smallest letters first and is canonical.  No module
+    needs it; the tests keep it as an oracle next to hausdorff_witness.
+    """
+    c = g.canonical()
+    m = c.machine
+    nodes = [q for q in range(m.size) if q != m.identity]
+    alive = infinite_path_nodes(nodes, _fixed_successors(m))
+    return _fixed_lasso(m, c.state, alive) if c.state in alive else None
 
 
 class TestBoundaryFixedPoints:

@@ -2194,3 +2194,101 @@ class TestQuotientReference:
             merged += len(got[0]) < m.size
             wide += len(got[0]) ** (d + 1) >= 2 ** 64
         assert merged >= 150 and wide >= 20, (merged, wide)
+
+
+def eager_interned_closure(m, q, memo):
+    """_interned_closure as it stood before canonical forms were built on
+    demand: q's closure is interned, identity found by a scan, and the
+    canonical forms of all its root states are stored in memo at once."""
+    transitions = m.transitions
+    order = sorted(mealy.forward_closure([q], transitions.__getitem__))
+    at = dict(zip(order, range(len(order)))).__getitem__
+    outputs = tuple(map(m.outputs.__getitem__, order))
+    table = tuple(tuple(map(at, transitions[s])) for s in order)
+    closure = mealy._intern(m.alphabet_size, outputs, table, at(q),
+                            mealy._identity_state(m.alphabet_size, outputs, table))
+    for i, s in enumerate(order):
+        if closure.root[i]:
+            memo[("canon", s)] = Aut(closure, i)
+    return memo[("canon", q)]
+
+
+def canon_keys(m):
+    return {k for k in m._memo if isinstance(k, tuple) and k[0] == "canon"}
+
+
+def canonical_session(rng):
+    """Canonical forms, products, inverses, restrictions and shifts on
+    fresh seeded machines, in a seeded order."""
+    for _ in range(30):
+        m = oracle_machine(rng, rng.random() < 0.5, size=12)
+        states = list(range(m.size))
+        rng.shuffle(states)
+        for q in states[:rng.randint(1, m.size)]:
+            g = m.state(q) * m.state(rng.randrange(m.size))
+            g.restrict(random_word(rng, m.alphabet_size, rng.randint(0, 3))).canonical()
+            g.inverse()
+            PartialMap(g, (0,), (1,)).restrict_source(
+                random_word(rng, m.alphabet_size, rng.randint(0, 2)))
+
+
+class TestCanonicalFormsOnDemand:
+    """Aut.canonical builds a state's Aut and ("canon", q) entry only when
+    it is asked for; the eager reference above gives every answer."""
+
+    def check_states(self, T, states):
+        """Ask T's states for their canonical forms in this order: each is
+        the eager reference's, and T's memo holds one ("canon", s) entry
+        per distinct state asked that is not in T's root."""
+        before = canon_keys(T)
+        asked = set()
+        for s in states:
+            got = Aut(T, s).canonical()
+            ref = eager_interned_closure(T, s, {})
+            assert got.machine is ref.machine and got.state == ref.state
+            if T.root is None or not T.root[s]:
+                asked.add(("canon", s))
+                assert Aut(T, s).canonical() is got  # memoised
+            assert canon_keys(T) == before | asked
+        return len(asked - before)
+
+    def test_quotient_states_in_shuffled_orders(self):
+        rng = random.Random(3601)
+        built = 0
+        for k in range(80):
+            m = random_machine(rng) if k % 2 else oracle_machine(rng, True, size=20)
+            T = minimize(m)[0]
+            states = list(range(T.size)) * 2
+            rng.shuffle(states)
+            built += self.check_states(T, states)
+        assert built >= 400, built
+
+    def test_restrictions_of_interned_machines(self):
+        rng = random.Random(3602)
+        built = 0
+        for _ in range(60):
+            m = oracle_machine(rng, rng.random() < 0.5, size=16)
+            g = m.state(rng.randrange(m.size)) * m.state(rng.randrange(m.size))
+            T = g.machine
+            states = [g.restrict(random_word(rng, m.alphabet_size, rng.randint(0, 6))).state
+                      for _ in range(3 * T.size)]
+            built += self.check_states(T, states)
+        assert built >= 100, built
+
+    def test_session_interns_what_the_eager_reference_interns(self, monkeypatch):
+        """A seeded session leaves the intern table with the same keys,
+        and the same root, identity and hash for each, as it leaves with
+        the eager closure in place of _interned_closure."""
+        def table(reference):
+            monkeypatch.setattr(mealy, "_interned", {})
+            if reference:
+                monkeypatch.setattr(mealy, "_interned_closure",
+                                    lambda m, q: eager_interned_closure(m, q, m._memo))
+            canonical_session(random.Random(3603))
+            return {key: (m.root, m.identity, m.table_hash)
+                    for key, m in mealy._interned.items()}
+
+        got = table(False)
+        expected = table(True)
+        assert got == expected
+        assert len(got) >= 150, len(got)

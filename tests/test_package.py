@@ -116,3 +116,30 @@ def test_no_hash_reads_an_address():
               for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
               if isinstance(func, ast.FunctionDef) and func.name == "__hash__"]
     assert len(hashes) >= 4, hashes  # Aut, PartialMap, Point, Germ, ...
+
+
+# the public API, sorted; a change to the exports has to change this list too
+PUBLIC_API = [
+    "AlgebraElement", "Aut", "BOUNDARY", "CapExceededError", "DecayCertificate",
+    "DomainError", "ElementParseError", "F_eval", "FixCounts", "FreenessReport", "Germ",
+    "GermTraceError", "INTERIOR", "MOVED", "Machine", "MachineParseError", "PATTERN_CAP",
+    "ParseError", "PartialMap", "PatternCapError", "Point", "PointParseError", "RepMatrix",
+    "STATE_CAP", "Scalar", "SingularSystemError", "StateCapError", "Word",
+    "apply_to_point", "as_scalar", "bisection_product", "boundary_null_certificate",
+    "canonical_trace", "check_word", "compose_labels", "convalg", "distinguishing_depth",
+    "errors", "essential_freeness_report", "fixed_counts", "fixed_counts_csv",
+    "fixed_walk", "fixedpoints", "format_element", "format_machine", "format_point",
+    "format_scalar", "germs", "hausdorff_witness", "identity_aut", "indicator",
+    "interiorizable", "invert_label", "is_dangerous", "isotropy_defect",
+    "isotropy_germs_at", "isotropy_trace", "mealy", "minimize", "mu_fix_exact",
+    "parse_element", "parse_machine", "parse_point", "parse_scalar", "parse_shift",
+    "parse_state_expr", "parse_word", "points", "rep_matrix", "restrict_label",
+    "state_cap", "traces", "unit_element", "unit_germ", "word_text",
+]
+
+
+def test_public_api_is_pinned():
+    """germtrace.__all__ is exactly PUBLIC_API, so adding or dropping an
+    export is a deliberate edit here."""
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert germtrace.__all__ == PUBLIC_API

@@ -14,8 +14,6 @@ from germtrace import (
     RepMatrix,
     Scalar,
     canonical_trace,
-    check_positive,
-    check_tracial,
     fixed_counts,
     indicator,
     isotropy_defect,
@@ -40,6 +38,19 @@ from conftest import (conjugate_transpose, evaluate, is_unit, pop_memos, random_
 
 def F(*args):
     return Fraction(*args)
+
+
+def check_tracial(a, b) -> bool:
+    """tau(ab) = tau(ba) for both traces."""
+    ab, ba = a * b, b * a
+    return (canonical_trace(ab) == canonical_trace(ba)
+            and isotropy_trace(ab) == isotropy_trace(ba))
+
+
+def check_positive(a) -> bool:
+    """tau(a* a) is real and nonnegative for the canonical trace."""
+    t = canonical_trace(a.adjoint() * a)
+    return t.is_real() and t.re >= 0
 
 
 def both_traces(elem):
