@@ -672,8 +672,7 @@ def _term_label(machine: Machine, pmap: PartialMap) -> str:
     if least is None:
         least = {}
         for q in range(machine.size):
-            c = machine.state(q).canonical()
-            least.setdefault((c.machine, c.state), q)
+            least.setdefault(_canonical_pair(machine, q), q)
         machine._memo["least_state"] = least
     q = least.get((pmap.state.machine, pmap.state.state))
     if q is not None:

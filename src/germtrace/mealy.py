@@ -18,14 +18,17 @@ and every interned machine use it.  A state's canonical form is a pair
 the state's strongly connected component (SCC), numbered in that order,
 with the component marked as its root.  All states of a component share
 one interned machine, and a state in the root of an interned machine is
-its own canonical form.  Products and inverses are explored from
+its own canonical form.  The canonical forms of the other states of an
+interned machine or a quotient are kept in one table on it
+(_interned_closure), read on the quotient for other machines
+(_canonical_pair).  Products and inverses are explored from
 canonical operands, a state expression from the freely reduced word over
 the machine's classes that it parses to, and their quotients are
 numbered and interned the same way.  Two automorphisms are equal iff
 their canonical forms have the identical machine and the same state,
 which makes equality, hashing and identity tests cheap for every higher
 layer.  Products and inverses are memoised on the interned machine of the
-left canonical operand, next to the canonical forms of its states; keys
+left canonical operand, next to its table of canonical forms; keys
 and values hold interned machines only.  The germs layer keeps its germ
 keys on the same memos, and the algebra layer the pieces of its term
 products.  Every memoised result built from explorations (a product, an
@@ -458,8 +461,8 @@ def _derive(d, start, out_fn, trans_fn, what, *args) -> "Aut":
                block[0])
 
 
-def _interned_closure(m: Machine, q) -> "Aut":
-    """Canonical form of state q of an interned machine or a quotient,
+def _interned_closure(m: Machine, q) -> tuple[Machine, int]:
+    """Canonical pair of state q of an interned machine or a quotient,
     minimal machines numbered as _quotient numbers them.
 
     Every state of q's strongly connected component reaches the same
@@ -467,7 +470,7 @@ def _interned_closure(m: Machine, q) -> "Aut":
     numbered in m's order, with the component as its root, and m's memo
     records, in two arrays over its states, the closure each root state
     lies in and its index there, so the component's other states find
-    theirs without a search; their Auts are built only when asked for.
+    theirs without a search: the one table of canonical forms.
     """
     closures = m._memo.get("closures")
     if closures is None:
@@ -486,7 +489,7 @@ def _interned_closure(m: Machine, q) -> "Aut":
             if closure.root[i]:
                 where[s] = i  # before closure_of[s], which readers test first
                 closure_of[s] = closure
-    return Aut(closure, where[q])
+    return closure, where[q]
 
 
 class Aut:
@@ -503,26 +506,14 @@ class Aut:
         closure of this state's component in the machine's quotient (see
         minimize), numbered canonically (see the module docstring).
 
-        A state in the root of an interned machine is returned as it is.
-        Other states of an interned machine or of a quotient, which are
-        minimal and canonically numbered already, are canonicalised
-        without refinement (see _interned_closure).  The answer is built
-        when a state is first asked for and memoised on its machine under
-        ("canon", q); every state takes one memo lookup afterwards.
+        A state in the root of an interned machine is returned as it is;
+        any other state gets a fresh Aut of _canonical_pair's answer.
         """
         m, q = self.machine, self.state
         root = m.root
         if root is not None and root[q]:
             return self
-        cached = m._memo.get(("canon", q))
-        if cached is None:
-            quotient = m._memo.get("minimize")
-            if root is not None or quotient is not None and quotient[0] is m:
-                cached = m._memo[("canon", q)] = _interned_closure(m, q)
-            else:
-                mm, block = _minimized(m)
-                cached = m._memo[("canon", q)] = Aut(mm, block[q]).canonical()
-        return cached
+        return Aut(*_canonical_pair(m, q))
 
     def apply_word(self, w) -> Word:
         w = check_word(w, self.machine.alphabet_size)
@@ -594,24 +585,29 @@ class Aut:
     def __eq__(self, other):
         if not isinstance(other, Aut):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return a.machine is b.machine and a.state == b.state
+        pair = _canonical_pair  # tuples compare machines by identity
+        return pair(self.machine, self.state) == pair(other.machine, other.state)
 
     def __hash__(self):
-        c = self.canonical()
-        return c.machine.table_hash ^ c.state
+        m, q = _canonical_pair(self.machine, self.state)
+        return m.table_hash ^ q
 
     def __repr__(self):
         return f"<Aut {self.machine.name_of(self.state)} of {self.machine!r}>"
 
 
 def _canonical_pair(m: Machine, q: int) -> tuple[Machine, int]:
-    """(machine, state) of the canonical form of state q of m: (m, q) for
-    a state in the root of an interned machine, else Aut.canonical()'s."""
-    if m.root is not None and m.root[q]:
+    """(machine, state) of the canonical form of state q of m: (m, q) in
+    the root of an interned machine, else the closure table's entry
+    (_interned_closure) on m if interned, else on m's quotient at q's
+    class (a quotient is its own).  The table's one reader."""
+    root = m.root
+    if root is None:
+        m, block = _minimized(m)
+        q = block[q]
+    elif root[q]:
         return m, q
-    c = m._memo.get(("canon", q)) or Aut(m, q).canonical()
-    return c.machine, c.state
+    return _interned_closure(m, q)
 
 
 def identity_aut(alphabet_size: int) -> Aut:

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import itertools
 import pickle
 import random
@@ -388,6 +389,27 @@ class TestElementText:
             b = random_element(grig, rng)
             prod = a * b
             assert parse_element(grig, format_element(prod)) == prod
+
+    def test_format_keeps_no_aut(self):
+        """Naming a term reads canonical pairs: formatting a one-term
+        element over a fresh 152-state machine leaves no new live Aut and
+        adds only the least-state map to the machine's memo, while its
+        quotient's closure table gains every state, since exact naming
+        needs them all."""
+        m = parse_machine(format_machine(random_machine(random.Random(5), 150, 2)))
+        elem = parse_element(m, "1 q7:0>1")
+        closure_of = m._memo["minimize"][0]._memo["closures"][0]
+
+        def live_auts():
+            gc.collect()
+            return sum(type(o) is mealy.Aut for o in gc.get_objects())
+
+        keys, auts, closures = set(m._memo), live_auts(), {id(c) for c in closure_of if c}
+        assert format_element(elem) == "1 q7:0>1"
+        assert live_auts() == auts
+        assert set(m._memo) == keys | {"least_state"}
+        assert all(closure_of)
+        assert len({id(c) for c in closure_of}) > len(closures) == 1
 
     def test_zero_element_formats_empty(self, grig):
         zero = parse_element(grig, "1 d:> ; -1 d:>")

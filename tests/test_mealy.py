@@ -1505,9 +1505,11 @@ class TestQuotientOracle:
         monkeypatch.setattr(mealy, "_interned_closure", counted_closure)
         for cm in interned:
             for s in range(cm.size):
-                c = Aut(cm, s).canonical()
+                a = Aut(cm, s)
+                c = a.canonical()
                 assert c.machine.root[c.state]
-                assert (c is Aut(cm, s).canonical()) == (c.machine is not cm)
+                assert (c is a) == (c.machine is cm) == cm.root[s]
+                assert mealy._canonical_pair(cm, s) == (c.machine, c.state)
         assert len(closures) >= 50
 
 
@@ -1659,7 +1661,7 @@ class TestGroupLawOracle:
         g, h = raw.state(0), raw.state(raw.size - 1)
         (g * h).inverse()
         (grig.state("a") * grig.state("b")).inverse()
-        assert set(raw._memo) <= {"minimize"} | {("canon", q) for q in range(raw.size)}
+        assert set(raw._memo) <= {"minimize"}
         interned = {id(m) for m in mealy._interned.values()}
         memos = 0
         for m in list(mealy._interned.values()):
@@ -2196,10 +2198,11 @@ class TestQuotientReference:
         assert merged >= 150 and wide >= 20, (merged, wide)
 
 
-def eager_interned_closure(m, q, memo):
+def eager_interned_closure(m, q, found):
     """_interned_closure as it stood before canonical forms were built on
-    demand: q's closure is interned, identity found by a scan, and the
-    canonical forms of all its root states are stored in memo at once."""
+    demand, reading no table: q's closure is interned, identity found by
+    a scan, and the canonical pairs of all its root states are stored in
+    found, a dict over m's states, at once.  Returns q's pair."""
     transitions = m.transitions
     order = sorted(mealy.forward_closure([q], transitions.__getitem__))
     at = dict(zip(order, range(len(order)))).__getitem__
@@ -2209,12 +2212,24 @@ def eager_interned_closure(m, q, memo):
                             mealy._identity_state(m.alphabet_size, outputs, table))
     for i, s in enumerate(order):
         if closure.root[i]:
-            memo[("canon", s)] = Aut(closure, i)
-    return memo[("canon", q)]
+            found[s] = (closure, i)
+    return found[q]
 
 
-def canon_keys(m):
-    return {k for k in m._memo if isinstance(k, tuple) and k[0] == "canon"}
+def table_states(m):
+    """The states with an entry in m's closure table."""
+    closures = m._memo.get("closures")
+    return set() if closures is None else {s for s, c in enumerate(closures[0]) if c}
+
+
+def reference_pair(m, q):
+    """The canonical pair of state q of any machine, from the eager
+    reference: (m, q) in an interned machine's root, else the eager
+    closure of q in m if m is interned, or of q's class in m's quotient."""
+    if m.root is None:
+        quotient, block = minimize(m)
+        return eager_interned_closure(quotient, block[q], {})
+    return (m, q) if m.root[q] else eager_interned_closure(m, q, {})
 
 
 def canonical_session(rng):
@@ -2233,23 +2248,29 @@ def canonical_session(rng):
 
 
 class TestCanonicalFormsOnDemand:
-    """Aut.canonical builds a state's Aut and ("canon", q) entry only when
-    it is asked for; the eager reference above gives every answer."""
+    """A state's canonical pair is filled into its machine's closure
+    table, a component at a time, only when it is asked for, and no Aut
+    is kept; the eager reference above gives every answer."""
 
     def check_states(self, T, states):
-        """Ask T's states for their canonical forms in this order: each is
-        the eager reference's, and T's memo holds one ("canon", s) entry
-        per distinct state asked that is not in T's root."""
-        before = canon_keys(T)
+        """Ask T's states for their canonical forms in this order: each has
+        the eager reference's machine and state, canonical() returns
+        self exactly for T's root states, and T's closure table holds
+        entries for exactly the root states of the closures asked."""
+        before = table_states(T)
         asked = set()
         for s in states:
-            got = Aut(T, s).canonical()
-            ref = eager_interned_closure(T, s, {})
-            assert got.machine is ref.machine and got.state == ref.state
-            if T.root is None or not T.root[s]:
-                asked.add(("canon", s))
-                assert Aut(T, s).canonical() is got  # memoised
-            assert canon_keys(T) == before | asked
+            a = Aut(T, s)
+            got = a.canonical()
+            filled = {}
+            ref = eager_interned_closure(T, s, filled)
+            assert got.machine is ref[0] and got.state == ref[1]
+            assert mealy._canonical_pair(T, s) == ref
+            in_root = T.root is not None and T.root[s]
+            assert (got is a) == in_root
+            if not in_root:
+                asked |= filled.keys()
+            assert table_states(T) == before | asked
         return len(asked - before)
 
     def test_quotient_states_in_shuffled_orders(self):
@@ -2283,7 +2304,7 @@ class TestCanonicalFormsOnDemand:
             monkeypatch.setattr(mealy, "_interned", {})
             if reference:
                 monkeypatch.setattr(mealy, "_interned_closure",
-                                    lambda m, q: eager_interned_closure(m, q, m._memo))
+                                    lambda m, q: eager_interned_closure(m, q, {}))
             canonical_session(random.Random(3603))
             return {key: (m.root, m.identity, m.table_hash)
                     for key, m in mealy._interned.items()}
@@ -2292,3 +2313,62 @@ class TestCanonicalFormsOnDemand:
         expected = table(True)
         assert got == expected
         assert len(got) >= 150, len(got)
+
+    def test_threads_fill_one_table(self, monkeypatch):
+        """Threads canonicalise every state of the same fresh machines,
+        raw ones and interned products, one machine at a time, each
+        thread in its own shuffled order and switching as often as the
+        interpreter allows: each thread's pairs are the eager
+        reference's, and the intern table gains the keys that one thread
+        alone adds.  Readers test closure_of[s] before where[s], which
+        _interned_closure writes in the other order."""
+        def run(threads):
+            monkeypatch.setattr(mealy, "_interned", {})
+            rng = random.Random(3604)
+            machines = []
+            for _ in range(16):
+                machines.append(oracle_machine(rng, rng.random() < 0.5, size=24))
+                p = oracle_machine(rng, rng.random() < 0.5, size=24)
+                machines.append((p.state(rng.randrange(p.size))
+                                 * p.state(rng.randrange(p.size))).machine)
+            states = [(k, q) for k, m in enumerate(machines) for q in range(m.size)]
+            before = set(mealy._interned)
+            results = [None] * threads
+            start = threading.Barrier(threads, timeout=60)
+
+            def work(i):
+                shuffle = random.Random(i).shuffle
+                found = {}
+                for k, m in enumerate(machines):
+                    order = list(range(m.size))
+                    shuffle(order)
+                    start.wait()  # all threads on one machine's table at once
+                    for q in order:
+                        c = Aut(m, q).canonical()
+                        found[k, q] = (c.machine, c.state)
+                results[i] = found
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=120)
+                    assert not w.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            gained = set(mealy._interned) - before
+            expected = {(k, q): reference_pair(machines[k], q) for k, q in states}
+            for found in results:
+                assert found.keys() == expected.keys()
+                assert all(found[s][0] is ref[0] and found[s][1] == ref[1]
+                           for s, ref in expected.items())
+            assert set(mealy._interned) - before == gained
+            return gained, len(states)
+
+        alone, asked = run(1)
+        for threads in (4, 8, 8, 8):  # repeated: a lost race shows in some runs only
+            assert run(threads)[0] == alone
+        assert asked >= 1000 and len(alone) >= 40, (asked, len(alone))

@@ -143,3 +143,78 @@ def test_public_api_is_pinned():
     export is a deliberate edit here."""
     assert PUBLIC_API == sorted(PUBLIC_API)
     assert germtrace.__all__ == PUBLIC_API
+
+
+# every kind of per-machine memo entry, where a str key is its own kind
+# and a tuple key's kind is its first item; a new per-state or
+# per-machine cache has to be a deliberate edit here
+MEMO_KINDS = {"index", "closures", "minimize", "shift", "word", "mu", "depth",
+              "boundary_null", "least_state", "unit", "compose", "inverse", "times",
+              "germ", "after"}
+
+
+def _machine_text(rng, n) -> str:
+    """n binary states s0..s{n-1} and the identity e, successors drawn at
+    random, so some states are equal automorphisms."""
+    targets = [f"s{i}" for i in range(n)] + ["e"]
+    rows = [f"state s{i} perm {rng.choice(['0 1', '1 0'])} to "
+            f"{rng.choice(targets)} {rng.choice(targets)}" for i in range(n)]
+    return "\n".join(["alphabet 2", *rows, "state e perm 0 1 to e e"])
+
+
+def test_memo_kinds_are_pinned():
+    """One seeded session through every layer (products, inverses, state
+    expressions, shifts, germ keys, representation matrices, F_eval,
+    traces, fixed-point reports and formatting) leaves memo entries of
+    the kinds in MEMO_KINDS only, on its parsed machines, their
+    quotients and every interned machine, and reaches every kind."""
+    import random
+    from importlib import resources
+
+    from germtrace import (F_eval, PartialMap, boundary_null_certificate, canonical_trace,
+                           essential_freeness_report, fixed_counts, format_element,
+                           hausdorff_witness, interiorizable, is_dangerous, isotropy_defect,
+                           isotropy_trace, mealy, mu_fix_exact, parse_element,
+                           parse_machine, parse_point, parse_shift, parse_state_expr,
+                           rep_matrix, unit_germ)
+
+    rng = random.Random(3705)
+    data = resources.files("germtrace.data")
+    machines = [parse_machine(data.joinpath(f"{name}.gt").read_text())
+                for name in ("grigorchuk", "lamplighter")]
+    machines.append(parse_machine(_machine_text(rng, 6)))
+    x = parse_point("0(1)", 2)
+    for m in machines:
+        names = [n for n in m.names if n != "e"]
+        basis = [unit_germ(2, x)] + [PartialMap(m.state(n), (), (), label=n).germ_at(x)
+                                     for n in names[:3]]
+        for _ in range(6):
+            a, b = rng.choice(names), rng.choice(names)
+            g = parse_state_expr(m, f"{a}*{b}^-1|{rng.randrange(2)}")
+            h = (m.state(a) * g).inverse()
+            assert (h * (m.state(a) * g)).is_identity()
+            assert parse_shift(m, f"{b}:0>1").state == m.state(b)
+            elem = parse_element(m, f"1 {a}:0>1 ; 1/2 {b}*{a}:> ; -1 {a}^-1:1>1")
+            prod = elem * elem.adjoint()
+            prod.is_zero()
+            prod.is_singular()
+            hash(PartialMap(h, (1,), (0,)).germ_at(x))
+            rep_matrix(elem, x, basis)
+            F_eval(prod, x)
+            canonical_trace(prod)
+            isotropy_trace(prod)
+            isotropy_defect(prod, x)
+            mu_fix_exact(g)
+            boundary_null_certificate(g)
+            fixed_counts(g, 4)
+            interiorizable(g)
+            format_element(prod)
+        essential_freeness_report(m)
+        hausdorff_witness(m)
+        is_dangerous(m, x)
+    quotients = [m._memo["minimize"][0] for m in machines]
+    kinds = {key if isinstance(key, str) else key[0]
+             for m in [*machines, *quotients, *mealy._interned.values()]
+             for key in m._memo}
+    assert kinds <= MEMO_KINDS, kinds - MEMO_KINDS
+    assert kinds == MEMO_KINDS
