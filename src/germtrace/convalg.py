@@ -25,10 +25,12 @@ from math import gcd
 
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
-from .germs import PartialMap, _germ_key, _shift, _unit_key, _walk, bisection_product
+from .germs import (PartialMap, _germ_key, _home, _minimal, _shift, _unit_key, _walk,
+                    bisection_product)
 from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore, _index,
-                    _memoised, _parse_memo, _quotient, _state_cap, identity_aut,
-                    parse_state_expr, parse_word, strong_components, word_text)
+                    _memoised, _minimized, _parse_memo, _quotient, _state_cap,
+                    _state_hashes, identity_aut, parse_state_expr, parse_word,
+                    strong_components, word_text)
 from .points import Point
 
 PATTERN_CAP = 10 ** 6
@@ -269,13 +271,14 @@ def format_scalar(s: Scalar) -> str:
 class AlgebraElement:
     """Finite Gaussian-rational combination of cylinder-shift indicators.
 
-    Terms are kept canonical: shifts merged under canonical state
-    equality, zero coefficients dropped.  Equality of AlgebraElement
-    objects is termwise; use equals (is_zero of the difference) for
-    equality as functions on germs.  A product memoises the pieces of
-    each pair of terms (bisection_product), through mealy._memoised on
-    the interned machine of the left term's state, under the two shifts'
-    content and labels, so every piece carries the label its terms give.
+    Terms are kept merged: equal shifts added into one, zero
+    coefficients dropped.  Equality of AlgebraElement objects is
+    termwise; use equals (is_zero of the difference) for equality as
+    functions on germs.  A product memoises the pieces of each pair of
+    terms (bisection_product), through mealy._memoised on the interned
+    machine of the canonical form of the left term's state (germs._home),
+    under the two shifts' content and labels, so every piece carries the
+    label its terms give.
     """
 
     __slots__ = ("machine", "terms")
@@ -331,11 +334,11 @@ class AlgebraElement:
         self._require_compatible(other)
         out = []
         for b1, c1 in self.terms.items():
-            a = b1.state
+            a = _home(b1)
             memo = a.machine._memo
             left = ("times", a.state, b1.range_prefix, b1.source_prefix, b1.label)
             for b2, c2 in other.terms.items():
-                b = b2.state
+                b = _home(b2)
                 for piece in _memoised(memo, left + (b.machine, b.state, b2.range_prefix,
                                                      b2.source_prefix, b2.label),
                                        bisection_product, b1, b2):
@@ -451,15 +454,16 @@ def _refined_groups(elem: AlgebraElement):
     below it, so the parts are at most 1 + (d - 1) * (sum of source
     lengths), and sources of one depth are not split.  Each term descends
     from its own source to the parts in its cylinder.  Within one bucket
-    the states are pairwise canonically distinct, and germs from
+    the states are pairwise distinct automorphisms, and germs from
     different buckets are never equal, so each bucket is decided alone.
-    A bucket is keyed by canonical (machine, state) pairs, which hash and
-    compare without asking an Aut for its canonical form, and lists each
-    state as the first of its Auts that reached it.
+    A bucket is keyed by (machine, state) pairs (_state_key), which hash
+    and compare without calling Aut.__eq__, and lists each state as the
+    first of its Auts that reached it.
     """
     # a source strictly below a word p comes directly after p in this order
     sources = sorted({b.source_prefix for b in elem.terms})
     d = elem.alphabet_size
+    key = _state_key(b.state for b in elem.terms)
     buckets: dict[tuple[Word, Word], dict[tuple[Machine, int], tuple[Aut, Scalar]]] = {}
     for b, c in elem.terms.items():
         g, u, v = b.state, b.range_prefix, b.source_prefix
@@ -473,7 +477,7 @@ def _refined_groups(elem: AlgebraElement):
                 continue
             image, s = _walk(g, w)
             bucket = buckets.setdefault((p, u + image), {})
-            pair = s.machine, s.state
+            pair = key(s.machine, s.state)
             seen = bucket.get(pair)
             bucket[pair] = (s, c) if seen is None else (seen[0], seen[1] + c)
     out = []
@@ -484,6 +488,23 @@ def _refined_groups(elem: AlgebraElement):
     return out
 
 
+def _own_pair(m: Machine, q: int) -> tuple[Machine, int]:
+    return m, q
+
+
+def _state_key(states):
+    """The (machine, state) pair function that keys the given states of
+    minimal machines, and their restrictions, so that two pairs are equal
+    iff the automorphisms are: the states as they are when all lie in one
+    machine, as every parsed element's do (restrictions stay in it, and
+    a minimal machine's states are distinct automorphisms), else their
+    canonical pairs (mealy._canonical_pair).  Either way the keys of
+    given states correspond one to one, so what is built from them has
+    the same size."""
+    machines = {s.machine for s in states}
+    return _own_pair if len(machines) == 1 else _canonical_pair
+
+
 _TRIVIAL = "T"
 _BROKEN = "B"
 
@@ -491,9 +512,9 @@ _BROKEN = "B"
 def _pattern_walk(states: list[Aut]):
     """The joint walk of a bucket's term pairs over its pattern graph.
 
-    Restrictions are read as canonical (machine, state) pairs, identical
-    iff the automorphisms are equal.  The pattern graph has as nodes the
-    unordered pairs of distinct canonical pairs, plus two absorbing sinks,
+    Restrictions are read as (machine, state) pairs (_state_key), equal
+    iff the automorphisms are.  The pattern graph has as nodes the
+    unordered pairs of distinct such pairs, plus two absorbing sinks,
     explored from the pairs of all term pairs at once.  On letter x a pair
     (s, t) moves to (s|x, t|x) if s and t output the same letter on x, and
     to B (the germs disagree below) otherwise; a pair of equal
@@ -510,6 +531,7 @@ def _pattern_walk(states: list[Aut]):
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     if not pairs:
         return pairs, (), lambda joint: (joint,) * d, None
+    key = _state_key(states)
 
     def pair_or_sink(s, t):
         if s == t:
@@ -525,10 +547,9 @@ def _pattern_walk(states: list[Aut]):
         (m, s), (n, t) = q
         if m.outputs[s][x] != n.outputs[t][x]:
             return _BROKEN
-        return pair_or_sink(_canonical_pair(m, m.transitions[s][x]),
-                            _canonical_pair(n, n.transitions[t][x]))
+        return pair_or_sink(key(m, m.transitions[s][x]), key(n, n.transitions[t][x]))
 
-    term = [_canonical_pair(s.machine, s.state) for s in states]
+    term = [key(s.machine, s.state) for s in states]
     starts = [pair_or_sink(term[i], term[j]) for i, j in pairs]
     state_cap = _state_cap()
     state_error = _cap_error(state_cap, f"the pattern graph of a bucket of {k} terms "
@@ -639,7 +660,7 @@ def _parse_shift(machine: Machine, shift_text: str) -> PartialMap:
         v = parse_word(v_text, machine.alphabet_size)
         if len(u) != len(v):
             raise DomainError("range and source prefixes must have equal length")
-        return _shift(state.canonical(), u, v, expr_text.strip())
+        return _shift(_minimal(state), u, v, expr_text.strip())
     except (ParseError, DomainError, ValueError) as exc:
         raise ElementParseError(f"shift {excerpt(shift_text)}: {exc}") from exc
 
@@ -666,15 +687,24 @@ def parse_element(machine: Machine, text: str) -> AlgebraElement:
 
 def _term_label(machine: Machine, pmap: PartialMap) -> str:
     """The name of the least state of machine equal to the term's state,
-    else the term's label.  The least state of each canonical pair is
-    memoised on machine."""
+    else the term's label.  The least state of each class of machine's
+    quotient is memoised on machine, in order of that state; a state of
+    another machine is compared with the classes whose content hash is
+    its own."""
+    quotient, block = _minimized(machine)
     least = machine._memo.get("least_state")
     if least is None:
         least = {}
-        for q in range(machine.size):
-            least.setdefault(_canonical_pair(machine, q), q)
+        for q, c in enumerate(block):
+            least.setdefault(c, q)
         machine._memo["least_state"] = least
-    q = least.get((pmap.state.machine, pmap.state.state))
+    s = pmap.state
+    if s.machine is quotient:
+        q = least.get(s.state)
+    else:
+        hashes, h = _state_hashes(quotient), hash(s)
+        q = next((q for c, q in least.items() if hashes[c] == h and Aut(quotient, c) == s),
+                 None)
     if q is not None:
         return machine.name_of(q)
     if pmap.label is not None:

@@ -20,7 +20,7 @@ from math import lcm
 from operator import add
 
 from .errors import SingularSystemError
-from .mealy import (Aut, Machine, backward_distances, distinguishing_depth,
+from .mealy import (Aut, Machine, _minimized, backward_distances, distinguishing_depth,
                     forward_closure, infinite_path_nodes, minimize, strong_components)
 from .points import Point, check_letters
 
@@ -299,9 +299,10 @@ class FreenessReport:
         return True
 
 
-def _least_states(mapping: list[int]) -> dict[int, int]:
-    """Class -> least input state in it, for a minimize mapping, the
-    classes in order of that state: the order and names of report rows."""
+def _least_states(mapping) -> dict[int, int]:
+    """Class -> least input state in it, for a minimize mapping or its
+    memoised tuple, the classes in order of that state: the order and
+    names of report rows."""
     least: dict[int, int] = {}
     for q, c in enumerate(mapping):
         least.setdefault(c, q)
@@ -374,7 +375,7 @@ def _witness_states(machine: Machine):
     A state is eligible iff it fixes some point along which every
     restriction is nontrivial and interiorizable.
     """
-    mm, _ = minimize(machine)
+    mm = _minimized(machine)[0]
     depths = _interior_depths(mm)
     nodes = [q for q in depths if q != mm.identity]
     return mm, depths, infinite_path_nodes(nodes, _fixed_successors(mm))
@@ -399,7 +400,7 @@ def hausdorff_witness(machine: Machine):
     mm, depths, eligible = _witness_states(machine)
     if not eligible:
         return None
-    least = _least_states(minimize(machine)[1])
+    least = _least_states(_minimized(machine)[1])
     chosen = min(eligible, key=lambda c: (depths[c], least[c]))
     return machine.state(least[chosen]), _fixed_lasso(mm, chosen, eligible)
 

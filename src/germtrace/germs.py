@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .mealy import (Aut, Machine, Word, _canonical_pair, _memoised, check_word,
-                    compose_labels, identity_aut, invert_label, restrict_label, word_text)
+from .mealy import (Aut, Machine, Word, _canonical_pair, _memoised, _minimal_pair,
+                    _state_hashes, check_word, compose_labels, identity_aut, invert_label,
+                    restrict_label, word_text)
 from .points import BOUNDARY, Point, fixed_walk, state_lasso
 
 
@@ -23,10 +24,14 @@ from .points import BOUNDARY, Point, fixed_walk, state_lasso
 class PartialMap:
     """A cylinder shift v y -> u q(y); label is display-only.
 
-    The state is kept canonical, so two maps are equal iff their states
-    have the identical interned machine and the same state and their
-    prefixes agree.  The hash is computed once, from that content: the
-    machine's table_hash xor the state, with u and v.
+    The state is kept in a minimal machine (see mealy._minimal_pair), so
+    two maps whose states share that machine are equal iff they have the
+    same state and their prefixes agree; only maps over two machines
+    compare canonical forms.  The hash is computed once, from content:
+    the state's content hash (mealy._state_hashes) with u and v, so equal
+    maps hash alike whatever their machines.  The canonical form of the
+    state, under which the germ, after and times memos are kept, is
+    built on first use and kept in _home.
     """
 
     state: Aut
@@ -34,13 +39,14 @@ class PartialMap:
     source_prefix: Word
     label: str | None = None
     _hash: int = field(init=False, repr=False)
+    _home: Aut | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         u = check_word(self.range_prefix, self.alphabet_size)
         v = check_word(self.source_prefix, self.alphabet_size)
         if len(u) != len(v):
             raise DomainError("range and source prefixes must have equal length")
-        _fill(self, self.state.canonical(), u, v, self.label)
+        _fill(self, _minimal(self.state), u, v, self.label)
 
     @property
     def alphabet_size(self) -> int:
@@ -75,7 +81,7 @@ class PartialMap:
                       restrict_label(self.label, w))
 
     def inverse(self) -> "PartialMap":
-        return _shift(self.state.inverse(), self.source_prefix, self.range_prefix,
+        return _shift(_home(self).inverse(), self.source_prefix, self.range_prefix,
                       invert_label(self.label))
 
     def germ_at(self, x: Point) -> "Germ":
@@ -84,10 +90,14 @@ class PartialMap:
     def __eq__(self, other):
         if not isinstance(other, PartialMap):
             return NotImplemented
+        if (self._hash != other._hash or self.range_prefix != other.range_prefix
+                or self.source_prefix != other.source_prefix):
+            return False
         a, b = self.state, other.state
-        return (self._hash == other._hash and a.machine is b.machine
-                and a.state == b.state and self.range_prefix == other.range_prefix
-                and self.source_prefix == other.source_prefix)
+        if a.machine is b.machine:
+            return a.state == b.state
+        a, b = _home(self), _home(other)
+        return a.machine is b.machine and a.state == b.state
 
     def __hash__(self):
         return self._hash
@@ -98,27 +108,45 @@ class PartialMap:
                 f"{word_text(self.source_prefix)}>")
 
 
+def _minimal(g: Aut) -> Aut:
+    """g as a state of its minimal machine (mealy._minimal_pair)."""
+    m, q = _minimal_pair(g.machine, g.state)
+    return g if m is g.machine else Aut(m, q)
+
+
 def _fill(pmap: PartialMap, state: Aut, u: Word, v: Word, label) -> PartialMap:
-    """Set pmap's fields to a canonical state, checked prefixes of equal
-    length and a label, and its hash."""
+    """Set pmap's fields to a state of a minimal machine, checked prefixes
+    of equal length and a label, and its hash."""
     put = object.__setattr__
     put(pmap, "state", state)
     put(pmap, "range_prefix", u)
     put(pmap, "source_prefix", v)
     put(pmap, "label", label)
-    put(pmap, "_hash", hash((state.machine.table_hash ^ state.state, u, v)))
+    put(pmap, "_hash", hash((_state_hashes(state.machine)[state.state], u, v)))
+    put(pmap, "_home", None)
     return pmap
 
 
 def _shift(state: Aut, u: Word, v: Word, label) -> PartialMap:
     """PartialMap(state, u, v, label) from parts that pass its checks
-    already: a canonical state and checked prefixes of equal length."""
+    already: a state of a minimal machine and checked prefixes of equal
+    length."""
     return _fill(object.__new__(PartialMap), state, u, v, label)
 
 
+def _home(pmap: PartialMap) -> Aut:
+    """The canonical form of pmap's state, kept in pmap._home: the home of
+    its germ, after and times memos."""
+    home = pmap._home
+    if home is None:
+        home = pmap.state.canonical()
+        object.__setattr__(pmap, "_home", home)
+    return home
+
+
 def _walk(g: Aut, w: Word) -> tuple[Word, Aut]:
-    """(g(w), canonical form of g below w) for a canonical g and a checked
-    word w."""
+    """(g(w), g below w) for a state g of a minimal machine and a checked
+    word w; the restriction is a state of the same machine."""
     if not w:
         return (), g
     out, trans = g.machine.outputs, g.machine.transitions
@@ -127,7 +155,7 @@ def _walk(g: Aut, w: Word) -> tuple[Word, Aut]:
     for x in w:
         image.append(out[q][x])
         q = trans[q][x]
-    return tuple(image), Aut(g.machine, q).canonical()
+    return tuple(image), Aut(g.machine, q)
 
 
 def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
@@ -137,7 +165,8 @@ def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
     either misses the source cylinder of b1 (no piece) or the overlap is
     the image of a single refinement of b2 (one piece), found by pulling
     the missing source letters of b1 back through b2.  The piece is built
-    once, labelled as b1's restriction after b2's.
+    once, from the canonical forms of the two states (_home), labelled as
+    b1's restriction after b2's.
     """
     if b1.alphabet_size != b2.alphabet_size:
         raise DomainError("alphabet size mismatch")
@@ -146,14 +175,15 @@ def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
         if u2[:len(v1)] != v1:
             return []
         w = u2[len(v1):]
-        image, left = _walk(b1.state, w)
-        return [_shift(left * b2.state, b1.range_prefix + image, b2.source_prefix,
+        image, left = _walk(_home(b1), w)
+        return [_shift(left * _home(b2), b1.range_prefix + image, b2.source_prefix,
                        compose_labels(restrict_label(b1.label, w), b2.label))]
     if v1[:len(u2)] != u2:
         return []
-    w = b2.state.inverse().apply_word(v1[len(u2):])
-    right = _walk(b2.state, w)[1]
-    return [_shift(b1.state * right, b1.range_prefix, b2.source_prefix + w,
+    g = _home(b2)
+    w = g.inverse().apply_word(v1[len(u2):])
+    right = _walk(g, w)[1]
+    return [_shift(_home(b1) * right, b1.range_prefix, b2.source_prefix + w,
                    compose_labels(b1.label, restrict_label(b2.label, w)))]
 
 
@@ -228,14 +258,14 @@ def unit_germ(alphabet_size: int, x: Point) -> Germ:
     return Germ(_unit_map(alphabet_size), x)
 
 
-# Derived germ data is memoised on the interned machine of a shift's
-# (canonical) state, next to its products and inverses, so it lives and
-# dies with the machine and adds no module state.
+# Derived germ data is memoised on the interned machine of the canonical
+# form of a shift's state (_home), next to its products and inverses, so
+# it lives and dies with the machine and adds no module state.
 
 def _germ_key(pmap: PartialMap, x: Point) -> tuple:
     """Germ.key of pmap's germ at x, where pmap's source cylinder holds x,
-    memoised under ("germ", state, u, v, x)."""
-    aut = pmap.state
+    memoised under ("germ", state, u, v, x) on the home of pmap's state."""
+    aut = _home(pmap)
     u, v = pmap.range_prefix, pmap.source_prefix
     memo = aut.machine._memo
     slot = ("germ", aut.state, u, v, x)
@@ -272,7 +302,7 @@ def _after_key(t: PartialMap, g: PartialMap, x: Point) -> tuple:
     x and t's holds g(x): the germ of t at g(x) composed with g's at x.
     Memoised under ("after", t, g, x) through mealy._memoised, so a hit is
     refused as a fresh build would be."""
-    aut, gaut = t.state, g.state
+    aut, gaut = _home(t), _home(g)
     slot = ("after", aut.state, t.range_prefix, t.source_prefix,
             gaut.machine, gaut.state, g.range_prefix, g.source_prefix, x)
     return _memoised(aut.machine._memo, slot, _composite_key, t, g, x)

@@ -21,27 +21,34 @@ one interned machine, and a state in the root of an interned machine is
 its own canonical form.  The canonical forms of the other states of an
 interned machine or a quotient are kept in one table on it
 (_interned_closure), read on the quotient for other machines
-(_canonical_pair).  Products and inverses are explored from
-canonical operands, a state expression from the freely reduced word over
-the machine's classes that it parses to, and their quotients are
-numbered and interned the same way.  Two automorphisms are equal iff
-their canonical forms have the identical machine and the same state,
-which makes equality, hashing and identity tests cheap for every higher
-layer.  Products and inverses are memoised on the interned machine of the
-left canonical operand, next to its table of canonical forms; keys
-and values hold interned machines only.  The germs layer keeps its germ
-keys on the same memos, and the algebra layer the pieces of its term
-products.  Every memoised result built from explorations (a product, an
-inverse, a state expression, a shift parsed against the machine, a term
-product, the germ key of a term after a basis germ) is stored through
-_memoised in one format, (explored, value), where explored is the most
-states any one exploration behind the value reached.  A hit whose
-explored is over the current cap is built afresh, so it is refused
-exactly as a cold build is, by _derive.  A state expression is memoised
-on the quotient of the machine it is parsed against, by the reduced word
-it parses to.  The intern table is the only module-level state besides
-one context variable holding the current state cap and build scope;
-every memo sits on a machine.
+(_canonical_pair), and built only where they are read.  Products and
+inverses are explored from canonical operands, a state expression from
+the freely reduced word over the machine's classes that it parses to,
+and their quotients are numbered and interned the same way.  Two
+automorphisms are equal iff their canonical forms have the identical
+machine and the same state.  Interned machines and quotients are
+minimal, and two states of a minimal machine are equal iff they are one
+state, so equality reads each state in its minimal machine
+(_minimal_pair) and compares canonical forms only for states of two
+different ones: within one machine nothing is interned.  Hashes read
+content, not the intern table: a state's hash is a hash of its action
+on the first _HASH_DEPTH levels of the tree, computed once per minimal
+machine (_state_hashes), so equal automorphisms hash alike in any
+machine and in any process.  Products and inverses are memoised on the
+interned machine of the left canonical operand, next to its table of
+canonical forms; keys and values hold interned machines only.  The germs
+layer keeps its germ keys on the same memos, and the algebra layer the
+pieces of its term products.  Every memoised result built from
+explorations (a product, an inverse, a state expression, a shift parsed
+against the machine, a term product, the germ key of a term after a
+basis germ) is stored through _memoised in one format, (explored,
+value), where explored is the most states any one exploration behind the
+value reached.  A hit whose explored is over the current cap is built
+afresh, so it is refused exactly as a cold build is, by _derive.  A
+state expression is memoised on the quotient of the machine it is parsed
+against, by the reduced word it parses to.  The intern table is the only
+module-level state besides one context variable holding the current
+state cap and build scope; every memo sits on a machine.
 """
 
 from __future__ import annotations
@@ -148,7 +155,7 @@ class Machine:
     """
 
     __slots__ = ("alphabet_size", "outputs", "transitions", "identity", "names",
-                 "table_hash", "root", "_memo")
+                 "root", "_memo")
 
     def __init__(self, alphabet_size, outputs, transitions, identity=None, names=None):
         d = _index(alphabet_size, "alphabet size")
@@ -189,7 +196,6 @@ class Machine:
         self.transitions = transitions
         self.identity = identity
         self.names = names
-        self.table_hash = hash((d, outputs, transitions))
         self.root = root
         self._memo = {}
         return self
@@ -585,15 +591,30 @@ class Aut:
     def __eq__(self, other):
         if not isinstance(other, Aut):
             return NotImplemented
-        pair = _canonical_pair  # tuples compare machines by identity
-        return pair(self.machine, self.state) == pair(other.machine, other.state)
+        m, q = _minimal_pair(self.machine, self.state)
+        n, r = _minimal_pair(other.machine, other.state)
+        if m is n:
+            return q == r
+        return _canonical_pair(m, q) == _canonical_pair(n, r)
 
     def __hash__(self):
-        m, q = _canonical_pair(self.machine, self.state)
-        return m.table_hash ^ q
+        m, q = _minimal_pair(self.machine, self.state)
+        return _state_hashes(m)[q]
 
     def __repr__(self):
         return f"<Aut {self.machine.name_of(self.state)} of {self.machine!r}>"
+
+
+def _minimal_pair(m: Machine, q: int) -> tuple[Machine, int]:
+    """(machine, state) of state q of m in a minimal machine: (m, q) if m
+    is interned or a quotient, else m's quotient at q's class.  Two states
+    of one minimal machine are equal automorphisms iff they are one
+    state, so within a machine this pair decides equality with nothing
+    interned."""
+    if m.root is None:
+        m, block = _minimized(m)  # a quotient is its own, block[q] == q
+        q = block[q]
+    return m, q
 
 
 def _canonical_pair(m: Machine, q: int) -> tuple[Machine, int]:
@@ -608,6 +629,29 @@ def _canonical_pair(m: Machine, q: int) -> tuple[Machine, int]:
     elif root[q]:
         return m, q
     return _interned_closure(m, q)
+
+
+# tree levels whose action a state's content hash reads
+_HASH_DEPTH = 8
+
+
+def _state_hashes(m: Machine) -> array:
+    """The content hash of each state of a minimal machine, memoised on it
+    under "hash": a hash of the state's action on the words of length at
+    most _HASH_DEPTH.  The hash of level k + 1 hashes a state's output row
+    with the level-k hashes of its restrictions, so equal automorphisms
+    hash alike in any machine; only ints and tuples of ints are hashed,
+    so the values do not depend on the hash seed or the intern table."""
+    hashes = m._memo.get("hash")
+    if hashes is None:
+        rows = list(map(hash, m.outputs))
+        columns = list(zip(*m.transitions))  # the successors of all states, letter by letter
+        level = rows
+        for _ in range(_HASH_DEPTH - 1):
+            at = level.__getitem__
+            level = list(map(hash, zip(rows, *(map(at, column) for column in columns))))
+        hashes = m._memo["hash"] = array("q", level)
+    return hashes
 
 
 def identity_aut(alphabet_size: int) -> Aut:

@@ -30,6 +30,7 @@ from germtrace import (
     format_scalar,
     format_machine,
     indicator,
+    minimize,
     parse_element,
     parse_machine,
     parse_point,
@@ -45,10 +46,10 @@ from germtrace import convalg, mealy
 from germtrace.convalg import (_BROKEN, _TRIVIAL, ZERO, _class_sums, _pattern_cap,
                                _pattern_walk)
 from germtrace.errors import excerpt
-from germtrace.germs import _walk, bisection_product
-from germtrace.mealy import (_cap_error, _explore, _quotient, _state_cap,
+from germtrace.germs import _home, _walk, bisection_product
+from germtrace.mealy import (_canonical_pair, _cap_error, _explore, _quotient, _state_cap,
                              backward_distances, compose_labels, infinite_path_nodes,
-                             restrict_label)
+                             restrict_label, word_text)
 
 from conftest import (evaluate, is_termwise_zero, pop_memos, random_element, random_machine,
                       random_scalar, random_state_expr, random_word, reference_quotient,
@@ -391,25 +392,26 @@ class TestElementText:
             assert parse_element(grig, format_element(prod)) == prod
 
     def test_format_keeps_no_aut(self):
-        """Naming a term reads canonical pairs: formatting a one-term
-        element over a fresh 152-state machine leaves no new live Aut and
-        adds only the least-state map to the machine's memo, while its
-        quotient's closure table gains every state, since exact naming
-        needs them all."""
+        """Naming a term of the machine's quotient reads its classes:
+        formatting a one-term element over a fresh 152-state machine
+        leaves no new live Aut, adds only the least-state map to the
+        machine's memo and nothing to its quotient's, and interns
+        nothing."""
         m = parse_machine(format_machine(random_machine(random.Random(5), 150, 2)))
         elem = parse_element(m, "1 q7:0>1")
-        closure_of = m._memo["minimize"][0]._memo["closures"][0]
+        quotient = m._memo["minimize"][0]
 
         def live_auts():
             gc.collect()
             return sum(type(o) is mealy.Aut for o in gc.get_objects())
 
-        keys, auts, closures = set(m._memo), live_auts(), {id(c) for c in closure_of if c}
+        keys, quotient_keys, auts = set(m._memo), set(quotient._memo), live_auts()
+        interned = len(mealy._interned)
         assert format_element(elem) == "1 q7:0>1"
         assert live_auts() == auts
         assert set(m._memo) == keys | {"least_state"}
-        assert all(closure_of)
-        assert len({id(c) for c in closure_of}) > len(closures) == 1
+        assert set(quotient._memo) == quotient_keys and "closures" not in quotient_keys
+        assert len(mealy._interned) == interned
 
     def test_zero_element_formats_empty(self, grig):
         zero = parse_element(grig, "1 d:> ; -1 d:>")
@@ -1027,6 +1029,13 @@ def restrict_source_groups(elem):
     return out
 
 
+def canonical_buckets(buckets):
+    """Each bucket's (canonical pair, coefficient) list: two buckets agree
+    iff they list equal states, in order, with the same coefficients."""
+    return [[(_canonical_pair(s.machine, s.state), c) for s, c in bucket]
+            for bucket in buckets]
+
+
 def compare_with_union_quotient(elem):
     """_refined_groups returns the restrict_source buckets (same order, the
     identical canonical states, the same coefficients), and on each bucket
@@ -1035,8 +1044,7 @@ def compare_with_union_quotient(elem):
     is refused under one less, with the same message as the reference."""
     buckets = _refined_groups(elem)
     expected = restrict_source_groups(elem)
-    assert [[(s.machine, s.state, c) for s, c in bucket] for bucket in buckets] == [
-        [(s.machine, s.state, c) for s, c in bucket] for bucket in expected]
+    assert canonical_buckets(buckets) == canonical_buckets(expected)
     for bucket in buckets:
         states = [s for s, _ in bucket]
         sizes = []
@@ -1570,8 +1578,7 @@ class TestPrefixCode:
                                                     random_word(rng, d, n)))
                     for _ in range(rng.randint(1, 5))])
                 got, expected = convalg._refined_groups(elem), _refined_groups(elem)
-                assert [[(s.machine, s.state, c) for s, c in bucket] for bucket in got] == [
-                    [(s.machine, s.state, c) for s, c in bucket] for bucket in expected]
+                assert canonical_buckets(got) == canonical_buckets(expected)
 
     def test_parts_are_bounded_by_the_source_lengths(self, grig, monkeypatch):
         """b on the root cylinder and c 200 letters below it: at most
@@ -1714,6 +1721,165 @@ class TestEarlyVerdicts:
                 assert str(info.value) == message
             sizes.add(n)
         assert len(sizes) >= 10, sizes
+
+
+# ---------------------------------------------------------------------------
+# one-machine elements: keyed by quotient class, nothing interned
+
+
+def iszero_style_texts(rng, m, count):
+    """(text, zero) pairs over m's state names, built from the raw tables
+    as the iszero-random benchmark builds them: distinct states on one
+    cylinder pair with coefficients of positive real part (nonzero), and
+    an element minus its one-letter refinement (zero by construction)."""
+    d = m.alphabet_size
+
+    def term(c, q, u, v):
+        return f"{c} {m.name_of(q)}:{word_text(u)}>{word_text(v)}"
+
+    out = []
+    for _ in range(count):
+        k = rng.randint(0, 2)
+        u, v = random_word(rng, d, k), random_word(rng, d, k)
+        states = rng.sample(range(m.size), min(m.size, rng.randint(2, 5)))
+        out.append((";".join(term(f"{rng.randint(1, 5)}/{rng.randint(1, 4)}", q, u, v)
+                             for q in states), False))
+        base = []
+        for _ in range(rng.randint(2, 5)):
+            k = rng.randint(0, 1)
+            base.append((rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(m.size),
+                         random_word(rng, d, k), random_word(rng, d, k)))
+        refined = [(-c, m.transitions[q][x], u + (m.outputs[q][x],), v + (x,))
+                   for c, q, u, v in base for x in range(d)]
+        out.append((";".join(term(*t) for t in base + refined), True))
+    return out
+
+
+def walked_elements(rng, m):
+    """One-machine elements whose buckets sum to 0, so they are walked:
+    a zero quartet, a zero-by-construction quartet and a bucket of three
+    distinct states summing to 0, each re-parsed from its text over a
+    fresh copy of its machine."""
+    out = []
+    for elem in (zero_quartet(rng, m), zero_by_construction(rng, m),
+                 zero_total_element(rng, m, 3)):
+        copy = parse_machine(format_machine(elem.machine))
+        out.append(parse_element(copy, format_element(elem)))
+    return out
+
+
+def walkable_machine(rng, k):
+    """A spinal chain or a small random machine over 2 + k % 2 letters with
+    at least three distinct states, as walked_elements needs."""
+    d = 2 + k % 2
+    while True:
+        m = (spinal_chain(rng, d) if k % 3 == 0
+             else random_machine(rng, rng.randint(6, 20), d))
+        if minimize(m)[0].size >= 3:
+            return m
+
+
+def graph_sizes_and_outcomes(elem, monkeypatch):
+    """The sizes of the pattern graphs is_zero and is_singular explore,
+    and the outcome of each (verdict or refusal text) under state caps
+    around those sizes and under small pattern caps."""
+    sizes = []
+
+    def spy(d, starts, out_fn, trans_fn, cap, error):
+        got = _explore(d, starts, out_fn, trans_fn, cap, error)
+        sizes.append(len(got[0]))
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(convalg, "_explore", spy)
+        verdicts = (elem.is_zero(), elem.is_singular())
+    outcomes = []
+    for cap in sorted({2, *sizes, *(n - 1 for n in sizes), *(n + 1 for n in sizes)}):
+        with state_cap(max(cap, 1)):
+            for pattern_cap in (1, 2, 5, None):
+                for decide in (elem.is_zero, elem.is_singular):
+                    outcomes.append(refusal_or(lambda: decide(cap=pattern_cap)))
+    return verdicts, sizes, outcomes
+
+
+class TestOneMachineColdPath:
+    """Every term of a parsed element lies in its machine's quotient, so
+    parsing and deciding it key states by quotient class and intern no
+    machine; verdicts, pattern graphs and refusals are those of a run
+    keyed by canonical pairs."""
+
+    def test_parse_and_verdicts_intern_nothing(self):
+        rng = random.Random(3801)
+        tally = {True: 0, False: 0}
+        for k in range(16):
+            d = 2 + k % 2
+            text = format_machine(random_machine(rng, (10, 20, 40)[k % 3], d))
+            m = parse_machine(text)
+            cases = iszero_style_texts(rng, m, 4)
+            interned = len(mealy._interned)
+            got = []
+            for elem_text, zero in cases:
+                elem = parse_element(m, elem_text)
+                got.append((elem, zero, elem.is_zero(), elem.is_singular()))
+            assert len(mealy._interned) == interned, text
+            for elem, zero, is_zero, is_singular in got:
+                assert is_zero == zero
+                assert (is_zero, is_singular) == walk_verdicts(elem, None)
+                tally[zero] += 1
+        assert min(tally.values()) >= 60, tally
+
+    def test_walked_buckets_intern_nothing(self):
+        rng = random.Random(3802)
+        walked = 0
+        for k in range(18):
+            for elem in walked_elements(rng, walkable_machine(rng, k)):
+                interned = len(mealy._interned)
+                verdicts = (elem.is_zero(), elem.is_singular())
+                assert len(mealy._interned) == interned
+                assert verdicts == walk_verdicts(elem, None)
+                walked += all(bucket_total(b).is_zero()
+                              for b in convalg._refined_groups(elem))
+        assert walked >= 40, walked
+
+    def test_pattern_graphs_match_canonical_keys(self, monkeypatch):
+        """The graph sizes, verdicts and refusal texts of a one-machine
+        element are those of a run keyed by canonical pairs."""
+        rng = random.Random(3803)
+        refusals = graphs = 0
+        for k in range(12):
+            for elem in walked_elements(rng, walkable_machine(rng, k)):
+                interned = len(mealy._interned)
+                by_class = graph_sizes_and_outcomes(elem, monkeypatch)
+                assert len(mealy._interned) == interned
+                with monkeypatch.context() as patch:
+                    patch.setattr(convalg, "_state_key", lambda states: _canonical_pair)
+                    assert graph_sizes_and_outcomes(elem, monkeypatch) == by_class
+                graphs += len(by_class[1])
+                refusals += sum(isinstance(o, tuple) for o in by_class[2])
+        assert graphs >= 50 and refusals >= 200, (graphs, refusals)
+
+    def test_copies_of_one_text_merge_and_decide(self):
+        """Terms parsed over two copies of one machine text merge as equal
+        shifts and are decided through canonical pairs."""
+        rng = random.Random(3804)
+        tally = {True: 0, False: 0}
+        for k in range(12):
+            d = 2 + k % 2
+            text = format_machine(random_machine(rng, (10, 20)[k % 2], d))
+            one, two = parse_machine(text), parse_machine(text)
+            for elem_text, zero in iszero_style_texts(rng, one, 3):
+                a, b = parse_element(one, elem_text), parse_element(two, elem_text)
+                both = AlgebraElement(one, a.term_list() + b.term_list())
+                assert both == a.scale(2) and len(both.terms) == len(a.terms)
+                # each term from the two copies in turn
+                mixed = AlgebraElement(one, [
+                    (c, p if i % 2 else q)
+                    for i, ((c, p), (_, q)) in enumerate(zip(a.term_list(), b.term_list()))])
+                assert mixed == a
+                verdicts = (mixed.is_zero(), mixed.is_singular())
+                assert verdicts == walk_verdicts(a, None) and verdicts[0] == zero
+                tally[zero] += 1
+        assert min(tally.values()) >= 30, tally
 
 
 def reference_parse_shift(machine, text):
@@ -1979,8 +2145,9 @@ def labelled_element(rng, machine, max_terms=3):
 
 
 def stored_pieces(b1, b2):
-    """The memo entry (explored, pieces) of b1 after b2, or None."""
-    a, b = b1.state, b2.state
+    """The memo entry (explored, pieces) of b1 after b2, or None, on the
+    canonical form of b1's state."""
+    a, b = _home(b1), _home(b2)
     return a.machine._memo.get(("times", a.state, b1.range_prefix, b1.source_prefix,
                                 b1.label, b.machine, b.state, b2.range_prefix,
                                 b2.source_prefix, b2.label))
@@ -1996,8 +2163,8 @@ def product_outcome(cap, a, b):
 
 
 class TestProductMemo:
-    """a * b memoises the pieces of each pair of terms on the left term's
-    machine; products equal the reference, labels included, and act warm
+    """a * b memoises the pieces of each pair of terms on the machine of the
+    canonical form of the left term's state; products equal the reference, labels included, and act warm
     as they act cold under every cap."""
 
     def test_products_match_the_reference(self, bundled, ternary):

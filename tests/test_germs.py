@@ -20,6 +20,7 @@ from germtrace import (
     fixed_walk,
     format_machine,
     isotropy_germs_at,
+    minimize,
     parse_machine,
     parse_point,
     parse_shift,
@@ -28,9 +29,11 @@ from germtrace import (
 
 import germtrace.germs as germs_module
 import germtrace.points as points_module
+from germtrace import mealy
+from germtrace.mealy import Aut, _canonical_pair, _state_hashes
 from germtrace.points import state_lasso
 
-from conftest import (apply_point, fixes_base, is_identity_map, is_unit,
+from conftest import (apply_point, fixes_base, is_identity_map, is_unit, random_machine,
                       random_state_expr, random_word)
 
 
@@ -479,3 +482,113 @@ class TestContentKeys:
                                  env={**os.environ, "PYTHONHASHSEED": seed,
                                       "PYTHONPATH": str(src)}).stdout
             assert out.split() == here.split()
+
+
+def reference_state_hashes(m, depth=mealy._HASH_DEPTH):
+    """The content hash of each state of m from its definition, level by
+    level and state by state: level 1 hashes the output row, level k + 1
+    the output row's hash with the level-k hashes of the restrictions."""
+    rows = [hash(row) for row in m.outputs]
+    level = rows
+    for _ in range(depth - 1):
+        level = [hash((rows[q], *(level[t] for t in m.transitions[q])))
+                 for q in range(m.size)]
+    return level
+
+
+def automorphisms_of_one_text(rng, text):
+    """States of two parsed copies of one machine text, their quotients,
+    their interned closures, products and inverses, and restrictions of
+    those: many equal automorphisms over different machines."""
+    out = []
+    for m in (parse_machine(text), parse_machine(text)):
+        quotient, block = minimize(m)
+        qs = rng.sample(range(m.size), min(m.size, 5))
+        for q in qs:
+            g = m.state(q)
+            out += [g, Aut(quotient, block[q]), g.canonical()]
+        for a, b in zip(qs, reversed(qs)):
+            product = m.state(a) * m.state(b)
+            out += [product, m.state(a).inverse(),
+                    product.restrict(random_word(rng, m.alphabet_size, 2))]
+    return out
+
+
+class TestIdentityAcrossMachines:
+    """An Aut is equal to another iff their canonical pairs are, though
+    equality reads states within one minimal machine; equal Auts and equal
+    PartialMaps hash alike whatever their machines, by content hashes that
+    are the same in every process."""
+
+    def test_equality_is_canonical_equality(self):
+        rng = random.Random(3805)
+        tally = {"equal, two machines": 0, "equal, one machine": 0, "distinct": 0}
+        for k in range(8):
+            d = 2 + k % 2
+            text = format_machine(random_machine(rng, rng.randint(4, 10), d))
+            auts = automorphisms_of_one_text(rng, text)
+            pairs = [_canonical_pair(g.machine, g.state) for g in auts]
+            for g, p in zip(auts, pairs):
+                for h, r in zip(auts, pairs):
+                    assert (g == h) == (p == r)
+                    if p == r:
+                        assert hash(g) == hash(h)
+                        tally["equal, one machine" if g.machine is h.machine
+                              else "equal, two machines"] += 1
+                    else:
+                        tally["distinct"] += 1
+        assert min(tally.values()) >= 500, tally
+
+    def test_partial_maps_are_equal_iff_canonically_equal(self):
+        rng = random.Random(3806)
+        tally = {"equal": 0, "distinct": 0}
+        for k in range(6):
+            d = 2 + k % 2
+            text = format_machine(random_machine(rng, rng.randint(4, 10), d))
+            maps = []
+            for g in automorphisms_of_one_text(rng, text):
+                v = rng.choice([(), (0,), (1,)])
+                u = rng.choice([(0,), (1,)]) if v else v
+                maps.append(PartialMap(g, u, v))
+            keys = [(_canonical_pair(p.state.machine, p.state.state), p.range_prefix,
+                     p.source_prefix) for p in maps]
+            for p, key in zip(maps, keys):
+                for q, other in zip(maps, keys):
+                    assert (p == q) == (key == other)
+                    if p == q:
+                        assert hash(p) == hash(q)
+                    tally["equal" if p == q else "distinct"] += 1
+        assert min(tally.values()) >= 500, tally
+
+    def test_content_hashes_follow_their_definition(self):
+        rng = random.Random(3807)
+        for k in range(20):
+            m = parse_machine(format_machine(random_machine(rng, rng.randint(2, 30),
+                                                            2 + k % 3)))
+            for machine in (minimize(m)[0], (m.state(0) * m.state(1)).machine):
+                assert list(_state_hashes(machine)) == reference_state_hashes(machine)
+
+    def test_content_hashes_are_the_same_in_every_process(self):
+        """The content hashes of the states of one machine text, of its
+        quotient and of a product and an inverse over it are those this
+        interpreter gives, in two others with hash seeds 0 and 1."""
+        code = ("import sys\n"
+                "from germtrace import parse_machine, minimize\n"
+                "m = parse_machine(sys.stdin.read())\n"
+                "q = minimize(m)[0]\n"
+                "auts = m.states() + q.states() + [m.state(0) * m.state(1), "
+                "m.state(2).inverse()]\n"
+                "print(*map(hash, auts))")
+        text = format_machine(random_machine(random.Random(3808), 12, 3))
+        m = parse_machine(text)
+        q = minimize(m)[0]
+        here = [str(hash(g)) for g in
+                m.states() + q.states() + [m.state(0) * m.state(1), m.state(2).inverse()]]
+        assert len(set(here)) > 3
+        src = Path(germs_module.__file__).resolve().parents[1]
+        for seed in ("0", "1"):
+            out = subprocess.run([sys.executable, "-c", code], input=text,
+                                 capture_output=True, text=True, check=True,
+                                 env={**os.environ, "PYTHONHASHSEED": seed,
+                                      "PYTHONPATH": str(src)}).stdout
+            assert out.split() == here

@@ -39,6 +39,11 @@ from conftest import (pop_memos, random_element, random_state_expr, random_word,
                       reference_quotient)
 
 
+def state_hashes(m):
+    """The content hash of each state of m, as Aut.__hash__ gives it."""
+    return tuple(map(hash, m.states()))
+
+
 def oracle_min_moved(machine, q, max_len=8):
     """Shortest moved-word length for state q, walking raw tables only.
 
@@ -1055,7 +1060,7 @@ class TestFailedCompositeBuild:
     built again, refused and leaves the entry as it was."""
 
     def after_slots(self, t):
-        return [k for k in t.state.machine._memo if k[0] == "after"]
+        return [k for k in germs._home(t).machine._memo if k[0] == "after"]
 
     def counting_builds(self, monkeypatch):
         builds = []
@@ -1077,11 +1082,11 @@ class TestFailedCompositeBuild:
         key = germs._after_key(t, g.map, x)
         (slot,) = self.after_slots(t)
         assert len(builds) == 2
-        entry = t.state.machine._memo[slot]
+        entry = germs._home(t).machine._memo[slot]
         explored, value = entry
         assert value is key and explored > 2
         assert after_outcome(2, t, g) == refusal
-        assert len(builds) == 3 and t.state.machine._memo[slot] is entry
+        assert len(builds) == 3 and germs._home(t).machine._memo[slot] is entry
         assert germs._after_key(t, g.map, x) is key
         assert len(builds) == 3
 
@@ -1747,8 +1752,9 @@ class TestExploreStarts:
 class TestInternedTables:
     def test_interned_machines_match_checked_construction(self):
         """_intern builds machines without Machine()'s checks; the tables,
-        identity state, root and hash it stores are those Machine() gives
-        the same tables, with the identity and root found independently."""
+        identity state, root and content hashes it gives are those
+        Machine() gives the same tables, with the identity and root found
+        independently."""
         rng = random.Random(8128)
         interned = set()
         for _ in range(120):
@@ -1760,8 +1766,8 @@ class TestInternedTables:
                 interned.add(M)
                 checked = Machine(M.alphabet_size, M.outputs, M.transitions,
                                   identity=M.identity)
-                assert (M.outputs, M.transitions, M.table_hash) == (
-                    checked.outputs, checked.transitions, checked.table_hash)
+                assert (M.outputs, M.transitions, state_hashes(M)) == (
+                    checked.outputs, checked.transitions, state_hashes(checked))
                 assert all(type(t) is tuple and all(type(row) is tuple for row in t)
                            for t in (M.outputs, M.transitions))
                 letters = tuple(range(M.alphabet_size))
@@ -1776,8 +1782,8 @@ class TestInternedTables:
     def test_parsed_and_minimised_machines_match_checked_construction(self, bundled,
                                                                        ternary):
         """parse_machine and minimize fill the slots without Machine()'s
-        checks; the tables, identity, names and hash they store are those
-        Machine() gives the same tables."""
+        checks; the tables, identity, names and content hashes they give
+        are those Machine() gives the same tables."""
         rng = random.Random(8129)
         machines = list(bundled.values()) + [ternary]
         machines += [oracle_machine(rng, rng.random() < 0.5, size=9) for _ in range(40)]
@@ -1788,8 +1794,9 @@ class TestInternedTables:
                 checked = Machine(built.alphabet_size, built.outputs, built.transitions,
                                   identity=built.identity, names=built.names)
                 for slot in ("alphabet_size", "outputs", "transitions", "identity",
-                             "names", "table_hash", "root"):
+                             "names", "root"):
                     assert getattr(built, slot) == getattr(checked, slot)
+                assert state_hashes(built) == state_hashes(checked)
                 assert all(type(t) is tuple and all(type(row) is tuple for row in t)
                            for t in (built.outputs, built.transitions))
 
@@ -2142,7 +2149,7 @@ def parse_outcome(parse, text):
         m = parse(text)
     except MachineParseError as exc:
         return type(exc), str(exc)
-    return (m.alphabet_size, m.outputs, m.transitions, m.identity, m.names, m.table_hash)
+    return (m.alphabet_size, m.outputs, m.transitions, m.identity, m.names, state_hashes(m))
 
 
 class TestParseReference:
@@ -2298,7 +2305,7 @@ class TestCanonicalFormsOnDemand:
 
     def test_session_interns_what_the_eager_reference_interns(self, monkeypatch):
         """A seeded session leaves the intern table with the same keys,
-        and the same root, identity and hash for each, as it leaves with
+        and the same root, identity and content hashes for each, as it leaves with
         the eager closure in place of _interned_closure."""
         def table(reference):
             monkeypatch.setattr(mealy, "_interned", {})
@@ -2306,7 +2313,7 @@ class TestCanonicalFormsOnDemand:
                 monkeypatch.setattr(mealy, "_interned_closure",
                                     lambda m, q: eager_interned_closure(m, q, {}))
             canonical_session(random.Random(3603))
-            return {key: (m.root, m.identity, m.table_hash)
+            return {key: (m.root, m.identity, state_hashes(m))
                     for key, m in mealy._interned.items()}
 
         got = table(False)

@@ -150,7 +150,7 @@ def test_public_api_is_pinned():
 # per-machine cache has to be a deliberate edit here
 MEMO_KINDS = {"index", "closures", "minimize", "shift", "word", "mu", "depth",
               "boundary_null", "least_state", "unit", "compose", "inverse", "times",
-              "germ", "after"}
+              "germ", "after", "hash"}
 
 
 def _machine_text(rng, n) -> str:
