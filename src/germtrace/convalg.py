@@ -636,14 +636,21 @@ def parse_shift(machine: Machine, text: str) -> PartialMap:
     """Parse the shift syntax <state-expr>:<u>><v> into a PartialMap.
 
     Parsed shifts are memoised on machine through mealy._memoised, keyed
-    by the stripped text, so they live as long as the machine; at most
-    mealy._SHIFT_MEMO_LIMIT of them, after which new texts are parsed
-    without being stored (mealy._parse_memo).  Texts that fail to parse or
-    that a cap refuses are not stored.
+    by the stripped text, so they live as long as the machine.  A text is
+    stored on its second sighting: the first is parsed without being
+    stored and leaves only the key, with None for its entry, which
+    _memoised reads as a miss.  Most element texts are seen once, so
+    their shifts do not outlive the parse.  Keys count toward
+    mealy._SHIFT_MEMO_LIMIT; past it new texts are parsed without leaving
+    anything (mealy._parse_memo).  Texts that fail to parse or that a cap
+    refuses leave no key.
     """
     shift_text = text.strip()
-    return _memoised(_parse_memo(machine, "shift", shift_text), shift_text,
+    memo = _parse_memo(machine, "shift", shift_text)
+    pmap = _memoised(memo if shift_text in memo else {}, shift_text,
                      _parse_shift, machine, shift_text)
+    memo.setdefault(shift_text, None)  # never over an entry another thread stored
+    return pmap
 
 
 def _parse_shift(machine: Machine, shift_text: str) -> PartialMap:

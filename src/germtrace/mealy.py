@@ -43,12 +43,14 @@ explorations (a product, an inverse, a state expression, a shift parsed
 against the machine, a term product, the germ key of a term after a
 basis germ) is stored through _memoised in one format, (explored,
 value), where explored is the most states any one exploration behind the
-value reached.  A hit whose explored is over the current cap is built
-afresh, so it is refused exactly as a cold build is, by _derive.  A
-state expression is memoised on the quotient of the machine it is parsed
-against, by the reduced word it parses to.  The intern table is the only
-module-level state besides one context variable holding the current
-state cap and build scope; every memo sits on a machine.
+value reached; a shift memo also holds None for a text seen only once
+(convalg.parse_shift), which reads as a miss.  A hit whose explored is
+over the current cap is built afresh, so it is refused exactly as a
+cold build is, by _derive.  A state expression is memoised on the
+quotient of the machine it is parsed against, by the reduced word it
+parses to.  The intern table is the only module-level state besides one
+context variable holding the current state cap and build scope; every
+memo sits on a machine.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import re
 import reprlib
 import threading
 from array import array
+from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -407,8 +410,9 @@ def _memoised(memo, slot, build, *args):
 def _parse_memo(machine: Machine, kind: str, key) -> dict:
     """machine's memo of parsed kind ("shift" texts or expression "word"s)
     to store key in through _memoised.  It keeps at most _SHIFT_MEMO_LIMIT
-    entries; past that a new key gets a throwaway dict, so it is built as
-    before but not stored, and the stored entries still hit."""
+    keys, a shift's None placeholder included; past that a new key gets a
+    throwaway dict, so it is built as before but not stored, and the
+    stored entries still hit."""
     memo = machine._memo.setdefault(kind, {})
     if len(memo) >= _SHIFT_MEMO_LIMIT and key not in memo:
         return {}
@@ -675,16 +679,16 @@ def minimize(machine: Machine) -> tuple[Machine, list[int]]:
     return quotient, list(block)
 
 
-def _minimized(machine: Machine) -> tuple[Machine, tuple[int, ...]]:
+def _minimized(machine: Machine) -> tuple[Machine, Sequence[int]]:
     """minimize's memo entry, (quotient, class of each state), filled on
-    first use."""
+    first use; a quotient's own entry is (itself, range(n))."""
     cached = machine._memo.get("minimize")
     if cached is None:
         d = machine.alphabet_size
         outputs, transitions, block = _quotient(machine.outputs, machine.transitions)
         quotient = object.__new__(Machine)._fill(
             d, outputs, transitions, _identity_state(d, outputs, transitions), None, None)
-        quotient._memo["minimize"] = (quotient, tuple(range(len(outputs))))
+        quotient._memo["minimize"] = (quotient, range(len(outputs)))
         cached = machine._memo["minimize"] = (quotient, tuple(block))
     return cached
 

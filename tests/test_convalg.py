@@ -1950,11 +1950,13 @@ class TestShiftMemo:
                 seen.update(c for c in "*^|(" if c in text)
                 expected = reference_parse_shift(m, text)
                 cold = parse_shift(m, text)
+                stored = parse_shift(m, text)  # the second sighting stores it
                 warm = parse_shift(m, text)
-                assert warm is cold
-                assert (cold, cold.label) == (expected, expected.label), text
-                assert cold.state.machine is expected.state.machine
-                assert text.strip() in stored_shifts(m)
+                assert warm is stored
+                for pmap in (cold, warm):
+                    assert (pmap, pmap.label) == (expected, expected.label), text
+                    assert pmap.state.machine is expected.state.machine
+                assert stored_shifts(m)[text.strip()][1] is warm
         assert seen == set("*^|(")
 
     def test_warm_hit_refused_like_a_cold_parse(self, bundled, ternary):
@@ -1967,6 +1969,7 @@ class TestShiftMemo:
             for text in self.texts(rng, m):
                 warm_machine = fresh_copy(m)
                 parse_shift(warm_machine, text)
+                parse_shift(warm_machine, text)  # the second sighting stores it
                 explored = stored_shifts(warm_machine)[text.strip()][0]
                 for cap in sorted(c for c in {1, explored - 1, explored} if c > 0):
                     warm = shift_outcome(cap, lambda: parse_shift(warm_machine, text))
@@ -1992,7 +1995,8 @@ class TestShiftMemo:
         for m in [*bundled.values(), ternary]:
             m = fresh_copy(m)
             for text in [*self.texts(rng, m), f"{m.names[0]}|0:>"]:
-                cold = parse_shift(m, text)
+                parse_shift(m, text)
+                cold = parse_shift(m, text)  # the second sighting stores it
                 entry = stored_shifts(m)[text.strip()]
                 explored = entry[0]
                 expr = text.strip().partition(":")[0]
@@ -2016,7 +2020,8 @@ class TestShiftMemo:
                         (grig, "b|0:>")]:
             m = fresh_copy(m)
             with state_cap(1):
-                pmap = parse_shift(m, text)
+                parse_shift(m, text)
+                pmap = parse_shift(m, text)  # the second sighting stores it
             assert stored_shifts(m)[text][0] == 0
             assert pmap == reference_parse_shift(m, text)
 
@@ -2049,7 +2054,8 @@ class TestShiftMemo:
 
     def test_outer_whitespace_shares_one_entry(self, grig):
         m = fresh_copy(grig)
-        first = parse_shift(m, "b*c :0>1")
+        parse_shift(m, "b*c :0>1")
+        first = parse_shift(m, " b*c :0>1")  # the second sighting stores it
         assert parse_shift(m, "  b*c :0>1\n") is first
         assert first.label == "b*c"
         assert list(stored_shifts(m)) == ["b*c :0>1"]
@@ -2072,7 +2078,8 @@ class TestShiftMemo:
     def test_warm_hit_in_a_thread_keeps_its_own_cap(self, grig):
         m = fresh_copy(grig)
         text = "(a*b)^-1*c:1>0"
-        expected = parse_shift(m, text)
+        parse_shift(m, text)
+        expected = parse_shift(m, text)  # the second sighting stores it
         outcomes = {}
 
         def capped():
@@ -2093,6 +2100,136 @@ class TestShiftMemo:
             "default": expected,
         }
         assert outcomes["default"] is expected
+
+
+def live_partial_maps():
+    gc.collect()
+    return sum(type(o) is PartialMap for o in gc.get_objects())
+
+
+def parse_outcome(parse):
+    """(PartialMap, label) parse() returns, or the type and text of the
+    ParseError or StateCapError it raises."""
+    try:
+        pmap = parse()
+    except (ParseError, StateCapError) as exc:
+        return type(exc), str(exc)
+    return pmap, pmap.label
+
+
+class TestShiftAdmission:
+    """A shift text is stored on its second sighting: the first is parsed
+    without being stored and leaves a None placeholder under its key."""
+
+    def machines(self, grig):
+        """Fresh copies of grig and of a seeded random machine, named."""
+        return [fresh_copy(grig), fresh_copy(random_machine(random.Random(4001), 12, 2))]
+
+    def test_first_sighting_keeps_only_the_key(self, grig):
+        rng = random.Random(4002)
+        for m in self.machines(grig):
+            text = random_shift_text(rng, m)
+            before = live_partial_maps()
+            first = parse_shift(m, text)
+            assert (first, first.label) == parse_outcome(
+                lambda: reference_parse_shift(fresh_copy(m), text))
+            del first
+            assert stored_shifts(m) == {text.strip(): None}
+            assert live_partial_maps() == before
+            second = parse_shift(m, text)
+            entry = stored_shifts(m)[text.strip()]
+            assert isinstance(entry[0], int) and entry[1] is second
+            assert parse_shift(m, text) is second
+            assert stored_shifts(m)[text.strip()] is entry
+
+    def test_errors_and_refusals_leave_no_key(self, grig):
+        m = fresh_copy(grig)
+        for text in ("a:2>0", "zz:>", "a*:>"):
+            with pytest.raises(ElementParseError):
+                parse_shift(m, text)
+        text = "a*b*a*c:>"
+        with state_cap(3), pytest.raises(StateCapError):
+            parse_shift(m, text)
+        assert stored_shifts(m) == {}
+        parse_shift(m, text)
+        with state_cap(3), pytest.raises(StateCapError):
+            parse_shift(m, text)  # a refused second sighting keeps the placeholder
+        assert stored_shifts(m) == {text: None}
+
+    def test_stored_entry_survives_a_racing_first_sighting(self, grig, monkeypatch):
+        """A first sighting paused in its parse while another thread stores
+        the entry leaves that entry in place."""
+        m = fresh_copy(grig)
+        text = "(a*b)^-1*c:1>0"
+        started, release = threading.Event(), threading.Event()
+        parse = convalg._parse_shift
+
+        def paused(machine, shift_text):
+            if threading.current_thread().name == "first":
+                started.set()
+                assert release.wait(timeout=60)
+            return parse(machine, shift_text)
+
+        monkeypatch.setattr(convalg, "_parse_shift", paused)
+        outcome = {}
+        worker = threading.Thread(target=lambda: outcome.update(first=parse_shift(m, text)),
+                                  name="first")
+        worker.start()
+        try:
+            assert started.wait(timeout=60)
+            parse_shift(m, text)
+            stored = parse_shift(m, text)
+            entry = stored_shifts(m)[text]
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert stored_shifts(m)[text] is entry and entry[1] is stored
+        assert outcome["first"] == stored and outcome["first"] is not stored
+        assert parse_shift(m, text) is stored
+
+    def test_placeholders_count_toward_the_limit(self, grig, monkeypatch):
+        monkeypatch.setattr(mealy, "_SHIFT_MEMO_LIMIT", 4)
+        m = fresh_copy(grig)
+        texts = [f"b*a:{w:b}>{w:b}" for w in range(4)]
+        for text in texts:
+            parse_shift(m, text)
+        assert stored_shifts(m) == dict.fromkeys(texts)
+        late = "c*d:0>0"
+        assert parse_shift(m, late) is not parse_shift(m, late)
+        assert late not in stored_shifts(m)
+        stored = parse_shift(m, texts[0])
+        assert stored_shifts(m)[texts[0]][1] is stored
+        assert list(stored_shifts(m)) == texts
+
+    def test_one_hit_texts_keep_no_partial_map(self, grig):
+        """Over 200 seeded texts per machine, each seen once and some
+        malformed or refused by a small cap, parse results are the
+        reference's and the memo ends with placeholders only."""
+        rng = random.Random(4003)
+        malformed = [lambda t: t.replace(":", "", 1), lambda t: t.replace(">", ">>", 1),
+                     lambda t: "zz*" + t, lambda t: t.replace(":", ":2", 1)]
+        for m in self.machines(grig):
+            other = fresh_copy(m)
+            before = live_partial_maps()
+            seen, outcomes = set(), []
+            while len(seen) < 200:
+                text = random_shift_text(rng, m)
+                if rng.random() < 0.2:
+                    text = rng.choice(malformed)(text)
+                if text.strip() in seen:
+                    continue
+                seen.add(text.strip())
+                with state_cap(rng.choice([2, 8, 1000])):
+                    got = parse_outcome(lambda: parse_shift(m, text))
+                    expected = parse_outcome(lambda: reference_parse_shift(other, text))
+                assert got == expected, text
+                outcomes.append(got[0])
+            kinds = {o if isinstance(o, type) else PartialMap for o in outcomes}
+            assert kinds == {PartialMap, ElementParseError, StateCapError}, kinds
+            del got, expected, outcomes
+            assert set(stored_shifts(m).values()) == {None}
+            assert live_partial_maps() == before
 
 
 # ---------------------------------------------------------------------------

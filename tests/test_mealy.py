@@ -1125,6 +1125,7 @@ class TestBuildScope:
         grig._memo.pop("shift", None)
         for text in self.SHIFTS:
             parse_shift(grig, text)
+            parse_shift(grig, text)  # the second sighting stores it
         for t, g in self.composites(grig):
             germs._after_key(t, g.map, g.base)
         shifts = {text: grig._memo["shift"][text][0] for text in self.SHIFTS}

@@ -167,7 +167,8 @@ def test_memo_kinds_are_pinned():
     expressions, shifts, germ keys, representation matrices, F_eval,
     traces, fixed-point reports and formatting) leaves memo entries of
     the kinds in MEMO_KINDS only, on its parsed machines, their
-    quotients and every interned machine, and reaches every kind."""
+    quotients and every interned machine, and reaches every kind.  Every
+    parsed shift's entry is None or (explored, PartialMap)."""
     import random
     from importlib import resources
 
@@ -218,3 +219,8 @@ def test_memo_kinds_are_pinned():
              for key in m._memo}
     assert kinds <= MEMO_KINDS, kinds - MEMO_KINDS
     assert kinds == MEMO_KINDS
+    # a shift seen once keeps a None placeholder, one seen again its entry
+    shifts = [entry for m in machines for entry in m._memo.get("shift", {}).values()]
+    assert None in shifts and any(entry is not None for entry in shifts)
+    assert all(entry is None or (type(entry[0]) is int and type(entry[1]) is PartialMap
+                                 and len(entry) == 2) for entry in shifts), shifts
