@@ -131,6 +131,20 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _record(args, name: str, machine, fields, extra=None) -> str:
+    """A report of (key, value) fields, booleans shown as yes or no: one
+    line each after the machine header, one CSV row, or JSON with the
+    machine's name and the entries built by extra's functions, which only
+    JSON builds."""
+    if args.format == "json":
+        return _json_dump({"machine": name, **dict(fields),
+                           **{key: build() for key, build in (extra or {}).items()}})
+    shown = [(k, ("yes" if v else "no") if isinstance(v, bool) else v) for k, v in fields]
+    if args.format == "csv":
+        return "\n".join(map(",".join, zip(*shown))) + "\n"
+    return "\n".join([_machine_header(name, machine), *(f"{k}: {v}" for k, v in shown)]) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -145,8 +159,7 @@ def _check_printable_depth(d: int, depth: int) -> None:
                          f"than {limit} decimal digits, too many to print")
 
 
-def _cmd_fixmeasure(args) -> str:
-    machine, name = _load_machine(args.machine)
+def _cmd_fixmeasure(args, machine, name: str) -> str:
     state = parse_state_expr(machine, args.state)
     d = machine.alphabet_size
     _check_printable_depth(d, args.depth)
@@ -192,8 +205,7 @@ def _cmd_fixmeasure(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_essfree(args) -> str:
-    machine, name = _load_machine(args.machine)
+def _cmd_essfree(args, machine, name: str) -> str:
     report = essential_freeness_report(machine)
     if args.format == "csv":
         lines = ["state,mu_num,mu_den,mu_float,cert_depth,cert_checks,cert_holds"]
@@ -224,8 +236,7 @@ def _cmd_essfree(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_hausdorff(args) -> str:
-    machine, name = _load_machine(args.machine)
+def _cmd_hausdorff(args, machine, name: str) -> str:
     witness = hausdorff_witness(machine)
     if witness is not None:
         state, point = machine.name_of(witness[0].state), format_point(witness[1])
@@ -244,49 +255,32 @@ def _cmd_hausdorff(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_dangerous(args) -> str:
-    machine, name = _load_machine(args.machine)
+def _cmd_dangerous(args, machine, name: str) -> str:
     point = parse_point(args.point, machine.alphabet_size)
-    verdict = is_dangerous(machine, point)
-    if args.format == "json":
-        return _json_dump({"machine": name, "point": format_point(point),
-                           "dangerous": verdict})
-    if args.format == "csv":
-        return f"point,dangerous\n{format_point(point)},{'yes' if verdict else 'no'}\n"
-    return (f"{_machine_header(name, machine)}\n"
-            f"point: {format_point(point)}\n"
-            f"dangerous: {'yes' if verdict else 'no'}\n")
+    return _record(args, name, machine, [("point", format_point(point)),
+                                         ("dangerous", is_dangerous(machine, point))])
 
 
-def _cmd_trace(args) -> str:
-    machine, name = _load_machine(args.machine)
+def _cmd_trace(args, machine, name: str) -> str:
     elem = _read_element(machine, args.element)
     tau = _printable("canonical trace", canonical_trace(elem))
     phi = _printable("isotropy trace", isotropy_trace(elem))
-    diff = _printable("difference", tau - phi)
+    values = {"canonical trace": tau, "isotropy trace": phi,
+              "difference": _printable("difference", tau - phi)}
     if args.format == "json":
-        return _json_dump({
-            "machine": name,
-            "element": _element_json(_element_text(elem)),
-            "canonical_trace": _scalar_json(tau),
-            "isotropy_trace": _scalar_json(phi),
-            "difference": _scalar_json(diff),
-        })
+        return _json_dump({"machine": name, "element": _element_json(_element_text(elem)),
+                           **{k.replace(" ", "_"): _scalar_json(v) for k, v in values.items()}})
+    rows = [(k, format_scalar(v), _scalar_float_text(v)) for k, v in values.items()]
     if args.format == "csv":
-        return ("functional,value,float\n"
-                f"canonical_trace,{format_scalar(tau)},{_scalar_float_text(tau)}\n"
-                f"isotropy_trace,{format_scalar(phi)},{_scalar_float_text(phi)}\n"
-                f"difference,{format_scalar(diff)},{_scalar_float_text(diff)}\n")
+        return "functional,value,float\n" + "".join(
+            f"{k.replace(' ', '_')},{v},{f}\n" for k, v, f in rows)
     lines = [_machine_header(name, machine), "element:"]
     lines.extend("  " + ln for ln in (_element_text(elem).splitlines() or ["0"]))
-    lines.append(f"canonical trace = {format_scalar(tau)} ({_scalar_float_text(tau)})")
-    lines.append(f"isotropy trace  = {format_scalar(phi)} ({_scalar_float_text(phi)})")
-    lines.append(f"difference      = {format_scalar(diff)} ({_scalar_float_text(diff)})")
+    lines.extend(f"{k:<15} = {v} ({f})" for k, v, f in rows)
     return "\n".join(lines) + "\n"
 
 
-def _cmd_alg(args) -> str:
-    machine, name = _load_machine(args.machine)
+def _cmd_alg(args, machine, name: str) -> str:
     op = args.op
     if op in ("mult", "add"):
         if args.element1 is None or args.element2 is None:
@@ -301,15 +295,8 @@ def _cmd_alg(args) -> str:
     if op == "adjoint":
         return _emit_element(args, name, machine, elem.adjoint())
     decide = elem.is_zero if op == "iszero" else elem.is_singular
-    verdict = decide(args.cap_patterns)
-    key = "is_zero" if op == "iszero" else "is_singular"
-    if args.format == "json":
-        return _json_dump({"machine": name, "element": _element_json(_element_text(elem)),
-                           key: verdict})
-    if args.format == "csv":
-        return f"{key}\n{'yes' if verdict else 'no'}\n"
-    return (f"{_machine_header(name, machine)}\n"
-            f"{key}: {'yes' if verdict else 'no'}\n")
+    return _record(args, name, machine, [(f"is_{op[2:]}", decide(args.cap_patterns))],
+                   {"element": lambda: _element_json(_element_text(elem))})
 
 
 def _emit_element(args, name: str, machine, elem: AlgebraElement) -> str:
@@ -335,8 +322,7 @@ def _germs_at(machine, x, text: str, flag: str) -> list:
     return germs
 
 
-def _cmd_rep(args) -> str:
-    machine, name = _load_machine(args.machine)
+def _cmd_rep(args, machine, name: str) -> str:
     elem = _read_element(machine, args.element)
     x = parse_point(args.point, machine.alphabet_size)
     basis = _germs_at(machine, x, args.basis, "--basis")
@@ -368,18 +354,9 @@ def _cmd_rep(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_wordproblem(args) -> str:
-    machine, name = _load_machine(args.machine)
-    aut = parse_state_expr(machine, args.state)
-    verdict = aut.is_identity()
-    if args.format == "json":
-        return _json_dump({"machine": name, "expression": args.state,
-                           "identity": verdict})
-    if args.format == "csv":
-        return f"expression,identity\n{args.state},{'yes' if verdict else 'no'}\n"
-    return (f"{_machine_header(name, machine)}\n"
-            f"expression: {args.state}\n"
-            f"identity: {'yes' if verdict else 'no'}\n")
+def _cmd_wordproblem(args, machine, name: str) -> str:
+    verdict = parse_state_expr(machine, args.state).is_identity()
+    return _record(args, name, machine, [("expression", args.state), ("identity", verdict)])
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +463,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with state_cap(getattr(args, "cap_states", STATE_CAP)):
-            report = args.run(args)
+            report = args.run(args, *_load_machine(args.machine))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

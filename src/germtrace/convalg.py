@@ -25,12 +25,12 @@ from math import gcd
 
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
-from .germs import (PartialMap, _germ_key, _home, _minimal, _shift, _unit_key, _walk,
+from .germs import (PartialMap, _germ_key, _home, _minimal, _shift, _unit_key,
                     bisection_product)
 from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore, _index,
-                    _memoised, _minimized, _parse_memo, _quotient, _state_cap,
-                    _state_hashes, identity_aut, parse_state_expr, parse_word,
-                    strong_components, word_text)
+                    _least_states, _memoised, _minimized, _parse_memo, _quotient,
+                    _state_cap, _state_hashes, _walk, identity_aut, parse_state_expr,
+                    parse_word, strong_components, word_text)
 from .points import Point
 
 PATTERN_CAP = 10 ** 6
@@ -404,7 +404,10 @@ class AlgebraElement:
         return (self - other).is_zero(cap)
 
     def __repr__(self):
-        text = format_element(self).replace("\n", "; ")
+        try:
+            text = format_element(self).replace("\n", "; ")
+        except (DomainError, ValueError):  # a term with no name, or letters past 9
+            text = "; ".join(f"{format_scalar(c)} {b!r}" for b, c in self.terms.items())
         return f"<element {text or '0'}>"
 
 
@@ -434,12 +437,9 @@ def unit_element(machine: Machine) -> AlgebraElement:
 def indicator(machine: Machine, state, range_prefix=(), source_prefix=(),
               label: str | None = None) -> AlgebraElement:
     """1 times the indicator of the shift (state, range_prefix, source_prefix)."""
-    if isinstance(state, str):
-        label = label if label is not None else state
+    if isinstance(state, (str, int)):
         state = machine.state(state)
-    elif isinstance(state, int):
-        label = label if label is not None else machine.name_of(state)
-        state = machine.state(state)
+        label = label if label is not None else machine.name_of(state.state)
     pmap = PartialMap(state, range_prefix, source_prefix, label)
     return AlgebraElement(machine, [(ONE, pmap)])
 
@@ -695,16 +695,10 @@ def parse_element(machine: Machine, text: str) -> AlgebraElement:
 def _term_label(machine: Machine, pmap: PartialMap) -> str:
     """The name of the least state of machine equal to the term's state,
     else the term's label.  The least state of each class of machine's
-    quotient is memoised on machine, in order of that state; a state of
-    another machine is compared with the classes whose content hash is
-    its own."""
-    quotient, block = _minimized(machine)
-    least = machine._memo.get("least_state")
-    if least is None:
-        least = {}
-        for q, c in enumerate(block):
-            least.setdefault(c, q)
-        machine._memo["least_state"] = least
+    quotient is read off mealy._least_states; a state of another machine
+    is compared with the classes whose content hash is its own."""
+    quotient = _minimized(machine)[0]
+    least = _least_states(machine)
     s = pmap.state
     if s.machine is quotient:
         q = least.get(s.state)

@@ -20,8 +20,9 @@ from math import lcm
 from operator import add
 
 from .errors import SingularSystemError
-from .mealy import (Aut, Machine, _minimized, backward_distances, distinguishing_depth,
-                    forward_closure, infinite_path_nodes, minimize, strong_components)
+from .mealy import (Aut, Machine, _least_states, _minimized, backward_distances,
+                    distinguishing_depth, forward_closure, infinite_path_nodes,
+                    strong_components)
 from .points import Point, check_letters
 
 
@@ -299,28 +300,19 @@ class FreenessReport:
         return True
 
 
-def _least_states(mapping) -> dict[int, int]:
-    """Class -> least input state in it, for a minimize mapping or its
-    memoised tuple, the classes in order of that state: the order and
-    names of report rows."""
-    least: dict[int, int] = {}
-    for q, c in enumerate(mapping):
-        least.setdefault(c, q)
-    return least
-
-
 def essential_freeness_report(machine: Machine) -> FreenessReport:
     """Certify essential freeness of the state action, with exact measures.
 
     For every nontrivial state the decay certificate pins the boundary
     of its fixed set as null, which is the essential-freeness condition
     shift by shift; the reported measure is mu(Fix) = mu(int Fix).  Rows
-    are listed and named as _least_states orders them.
+    are the classes of the quotient (mealy._minimized), listed and named
+    by their least input states (mealy._least_states).
     """
-    mm, mapping = minimize(machine)
+    mm = _minimized(machine)[0]
     rows = []
     certs = []
-    for c, q in _least_states(mapping).items():
+    for c, q in _least_states(machine).items():
         if c == mm.identity:
             continue
         aut = mm.state(c)
@@ -394,13 +386,13 @@ def hausdorff_witness(machine: Machine):
     The eligible states are those with an infinite fixed path through
     nontrivial interiorizable states of the minimised machine.  Among
     them the one with the shortest trivially fixed word is reported as
-    the least input state of its class, ties broken by that state; the
-    point walks smallest letters first inside the eligible states.
+    the least input state of its class (_least_states), ties broken by
+    that state; the point walks smallest letters first inside them.
     """
     mm, depths, eligible = _witness_states(machine)
     if not eligible:
         return None
-    least = _least_states(_minimized(machine)[1])
+    least = _least_states(machine)
     chosen = min(eligible, key=lambda c: (depths[c], least[c]))
     return machine.state(least[chosen]), _fixed_lasso(mm, chosen, eligible)
 

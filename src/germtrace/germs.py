@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .mealy import (Aut, Machine, Word, _canonical_pair, _memoised, _minimal_pair,
-                    _state_hashes, check_word, compose_labels, identity_aut, invert_label,
-                    restrict_label, word_text)
+from .mealy import (Aut, Machine, Word, _canonical_pair, _memoised, _minimal_pair, _shown,
+                    _state_hashes, _walk, check_word, compose_labels, identity_aut,
+                    invert_label, restrict_label)
 from .points import BOUNDARY, Point, fixed_walk, state_lasso
 
 
@@ -104,8 +104,7 @@ class PartialMap:
 
     def __repr__(self):
         name = self.label if self.label is not None else "?"
-        return (f"<shift {name}:{word_text(self.range_prefix)}>"
-                f"{word_text(self.source_prefix)}>")
+        return f"<shift {name}:{_shown(self.range_prefix)}>{_shown(self.source_prefix)}>"
 
 
 def _minimal(g: Aut) -> Aut:
@@ -142,20 +141,6 @@ def _home(pmap: PartialMap) -> Aut:
         home = pmap.state.canonical()
         object.__setattr__(pmap, "_home", home)
     return home
-
-
-def _walk(g: Aut, w: Word) -> tuple[Word, Aut]:
-    """(g(w), g below w) for a state g of a minimal machine and a checked
-    word w; the restriction is a state of the same machine."""
-    if not w:
-        return (), g
-    out, trans = g.machine.outputs, g.machine.transitions
-    q = g.state
-    image = []
-    for x in w:
-        image.append(out[q][x])
-        q = trans[q][x]
-    return tuple(image), Aut(g.machine, q)
 
 
 def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:

@@ -48,9 +48,9 @@ value reached; a shift memo also holds None for a text seen only once
 over the current cap is built afresh, so it is refused exactly as a
 cold build is, by _derive.  A state expression is memoised on the
 quotient of the machine it is parsed against, by the reduced word it
-parses to.  The intern table is the only module-level state besides one
-context variable holding the current state cap and build scope; every
-memo sits on a machine.
+parses to.  The intern table (_interned) and one context variable
+(_scope), holding the current state cap and build scope, are the only
+module-level state; every memo sits on a machine.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from __future__ import annotations
 import operator
 import re
 import reprlib
-import threading
 from array import array
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -116,10 +115,20 @@ def state_cap(n: int):
         _scope.reset(token)
 
 
+def _has_text(w: Word) -> bool:
+    """True iff word_text writes w: no letter is past 9."""
+    return all(x <= 9 for x in w)
+
+
 def word_text(w: Word) -> str:
-    if any(x > 9 for x in w):
+    if not _has_text(w):
         raise ValueError("textual words support alphabets of at most 10 letters")
     return "".join(str(x) for x in w)
+
+
+def _shown(w: Word) -> str:
+    """w for a repr: its word text, else its tuple of letters."""
+    return word_text(w) if _has_text(w) else repr(w)
 
 
 def check_word(w, alphabet_size: int) -> Word:
@@ -250,7 +259,6 @@ def _index(value, what) -> int:
         raise ValueError(f"{what} must be an integer, not {value!r}") from None
 
 
-_intern_lock = threading.Lock()
 _interned: dict[tuple, Machine] = {}
 
 
@@ -269,14 +277,13 @@ def _intern(d, outputs, transitions, start, identity) -> Machine:
     numbered as _quotient numbers them and reachable from state start;
     the states that reach start form the root, and identity is their
     identity state (see _identity_state) or None.  Such tables are well
-    formed by construction, so Machine()'s checks are skipped."""
+    formed by construction, so Machine()'s checks are skipped.  A miss
+    stores through the atomic dict.setdefault: racing threads share one."""
     key = (d, outputs, transitions)
-    with _intern_lock:
-        m = _interned.get(key)
-        if m is None:
-            m = object.__new__(Machine)._fill(
-                d, outputs, transitions, identity, None, _reaching(transitions, start))
-            _interned[key] = m
+    m = _interned.get(key)
+    if m is None:
+        m = _interned.setdefault(key, object.__new__(Machine)._fill(
+            d, outputs, transitions, identity, None, _reaching(transitions, start)))
     return m
 
 
@@ -526,24 +533,11 @@ class Aut:
         return Aut(*_canonical_pair(m, q))
 
     def apply_word(self, w) -> Word:
-        w = check_word(w, self.machine.alphabet_size)
-        out = self.machine.outputs
-        trans = self.machine.transitions
-        q = self.state
-        res = []
-        for x in w:
-            res.append(out[q][x])
-            q = trans[q][x]
-        return tuple(res)
+        return _walk(self, check_word(w, self.machine.alphabet_size))[0]
 
     def restrict(self, w) -> "Aut":
         """The automorphism acting below the input word w."""
-        w = check_word(w, self.machine.alphabet_size)
-        q = self.state
-        trans = self.machine.transitions
-        for x in w:
-            q = trans[q][x]
-        return Aut(self.machine, q)
+        return _walk(self, check_word(w, self.machine.alphabet_size))[1]
 
     def compose(self, other: "Aut") -> "Aut":
         """Automorphism w -> self(other(w)), minimised and interned.
@@ -570,8 +564,9 @@ class Aut:
         return _memoised(c.machine._memo, ("inverse", c.state), _inverse, c)
 
     def is_identity(self) -> bool:
-        c = self.canonical()
-        return c.machine.size == 1 and c.machine.identity == 0
+        """Read in the minimal machine, whose one trivial state is its identity."""
+        m, q = _minimal_pair(self.machine, self.state)
+        return q == m.identity
 
     def __mul__(self, other):
         if not isinstance(other, Aut):
@@ -624,15 +619,26 @@ def _minimal_pair(m: Machine, q: int) -> tuple[Machine, int]:
 def _canonical_pair(m: Machine, q: int) -> tuple[Machine, int]:
     """(machine, state) of the canonical form of state q of m: (m, q) in
     the root of an interned machine, else the closure table's entry
-    (_interned_closure) on m if interned, else on m's quotient at q's
-    class (a quotient is its own).  The table's one reader."""
-    root = m.root
-    if root is None:
-        m, block = _minimized(m)
-        q = block[q]
-    elif root[q]:
+    (_interned_closure) on q's minimal machine (_minimal_pair).  The
+    table's one reader."""
+    m, q = _minimal_pair(m, q)
+    if m.root is not None and m.root[q]:
         return m, q
     return _interned_closure(m, q)
+
+
+def _walk(g: Aut, w: Word) -> tuple[Word, Aut]:
+    """(g(w), g below w) for a state g of any machine and a checked word
+    w; the restriction is a state of the same machine."""
+    if not w:
+        return (), g
+    out, trans = g.machine.outputs, g.machine.transitions
+    q = g.state
+    image = []
+    for x in w:
+        image.append(out[q][x])
+        q = trans[q][x]
+    return tuple(image), Aut(g.machine, q)
 
 
 # tree levels whose action a state's content hash reads
@@ -691,6 +697,19 @@ def _minimized(machine: Machine) -> tuple[Machine, Sequence[int]]:
         quotient._memo["minimize"] = (quotient, range(len(outputs)))
         cached = machine._memo["minimize"] = (quotient, tuple(block))
     return cached
+
+
+def _least_states(machine: Machine) -> dict[int, int]:
+    """Class of machine's quotient -> the least state of machine in it,
+    the classes in order of that state, memoised on machine under
+    "least_state": the names of a machine's classes in reports."""
+    least = machine._memo.get("least_state")
+    if least is None:
+        least = {}
+        for q, c in enumerate(_minimized(machine)[1]):
+            least.setdefault(c, q)
+        machine._memo["least_state"] = least
+    return least
 
 
 def forward_closure(starts, succ) -> list:
@@ -1128,7 +1147,8 @@ class _ExpressionParser:
         return tuple(stack)
 
 
-def _needs_parens(label: str) -> bool:
+def _wrap(label: str) -> str:
+    """label, in parentheses if it has a '*' outside them."""
     depth = 0
     for c in label:
         if c == "(":
@@ -1136,12 +1156,8 @@ def _needs_parens(label: str) -> bool:
         elif c == ")":
             depth -= 1
         elif c == "*" and depth == 0:
-            return True
-    return False
-
-
-def _wrap(label: str) -> str:
-    return f"({label})" if _needs_parens(label) else label
+            return f"({label})"
+    return label
 
 
 def compose_labels(l1, l2):
@@ -1157,7 +1173,8 @@ def invert_label(label):
 
 
 def restrict_label(label, w: Word):
-    if label is None:
+    """label below w; None for no label or a w with no word text."""
+    if label is None or not _has_text(w):
         return None
     if not w:
         return label

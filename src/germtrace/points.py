@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from .errors import DomainError, PointParseError, excerpt
-from .mealy import Aut, Word, parse_word, word_text
+from .mealy import Aut, Word, _shown, parse_word, word_text
 
 # outcomes of walking a state along a point while it keeps fixing letters
 MOVED = "moved"        # some prefix is moved: the point is not fixed
@@ -80,7 +80,7 @@ class Point:
         return self._hash
 
     def __repr__(self):
-        return format_point(self)
+        return f"{_shown(self.preperiod)}({_shown(self.period)})"
 
 
 _POINT_RE = re.compile(r"^([0-9]*)\(([0-9]+)\)$")

@@ -21,7 +21,7 @@ from .convalg import ZERO, AlgebraElement, Scalar, _weighted_sum
 from .errors import DomainError
 from .fixedpoints import closure_boundary_null, mu_fix_exact
 from .germs import Germ, _after_key, _germ_key, _unit_key, _unit_map
-from .mealy import word_text
+from .mealy import _shown
 from .points import Point
 
 
@@ -106,7 +106,7 @@ def _germ_label(g: Germ, i: int) -> str:
     if lab is None:
         lab = f"g{i}"
     if u or v:
-        return f"{lab}:{word_text(u)}>{word_text(v)}"
+        return f"{lab}:{_shown(u)}>{_shown(v)}"
     return lab
 
 

@@ -689,6 +689,65 @@ class TestDeterminism:
         assert first[0] == 0
 
 
+# the exact bytes of the one-verdict reports, in every format
+GRIG = "machine: grigorchuk.gt (5 states, alphabet 2)\n"
+VERDICT_REPORTS = {
+    ("dangerous", "-m", "grigorchuk", "-x", "(1)"): (
+        GRIG + "point: (1)\ndangerous: yes\n",
+        "point,dangerous\n(1),yes\n",
+        '{\n  "dangerous": true,\n  "machine": "grigorchuk.gt",\n  "point": "(1)"\n}\n'),
+    ("dangerous", "-m", "lamplighter", "-x", "01(10)"): (
+        "machine: lamplighter.gt (3 states, alphabet 2)\npoint: 01(10)\ndangerous: no\n",
+        "point,dangerous\n01(10),no\n",
+        '{\n  "dangerous": false,\n  "machine": "lamplighter.gt",\n  "point": "01(10)"\n}\n'),
+    ("wordproblem", "-m", "grigorchuk", "-s", "b*c*d"): (
+        GRIG + "expression: b*c*d\nidentity: yes\n",
+        "expression,identity\nb*c*d,yes\n",
+        '{\n  "expression": "b*c*d",\n  "identity": true,\n  "machine": "grigorchuk.gt"\n}\n'),
+    ("wordproblem", "-m", "adding", "-s", "a|1"): (
+        "machine: adding.gt (2 states, alphabet 2)\nexpression: a|1\nidentity: no\n",
+        "expression,identity\na|1,no\n",
+        '{\n  "expression": "a|1",\n  "identity": false,\n  "machine": "adding.gt"\n}\n'),
+    ("alg", "iszero", "-m", "grigorchuk", "-e", "1 d:> ; -1 e:0>0 ; -1 b:1>1"): (
+        GRIG + "is_zero: yes\n",
+        "is_zero\nyes\n",
+        '{\n  "element": [\n    {\n      "coeff": "1",\n      "shift": "d:>"\n    },\n'
+        '    {\n      "coeff": "-1",\n      "shift": "e:0>0"\n    },\n'
+        '    {\n      "coeff": "-1",\n      "shift": "b:1>1"\n    }\n  ],\n'
+        '  "is_zero": true,\n  "machine": "grigorchuk.gt"\n}\n'),
+    ("alg", "issingular", "-m", "grigorchuk", "-e", "2/3 b:01>10 ; i c:1>1"): (
+        GRIG + "is_singular: no\n",
+        "is_singular\nno\n",
+        '{\n  "element": [\n    {\n      "coeff": "i",\n      "shift": "c:1>1"\n    },\n'
+        '    {\n      "coeff": "2/3",\n      "shift": "b:01>10"\n    }\n  ],\n'
+        '  "is_singular": false,\n  "machine": "grigorchuk.gt"\n}\n'),
+}
+
+
+class TestVerdictReports:
+    """dangerous, wordproblem and alg iszero|issingular print one verdict
+    each; their table, CSV and JSON bytes are pinned."""
+
+    @pytest.mark.parametrize("argv", sorted(VERDICT_REPORTS), ids=lambda a: a[0])
+    def test_bytes(self, capsys, argv):
+        for fmt, expected in zip(("table", "csv", "json"), VERDICT_REPORTS[argv]):
+            assert run(capsys, *argv, "--format", fmt) == (0, expected, ""), fmt
+
+    @pytest.mark.parametrize("op", ["iszero", "issingular"])
+    def test_element_past_digit_limit_is_refused_in_json_only(self, capsys, op):
+        """Only JSON prints the element, so only JSON checks that its
+        coefficients can be printed: a coefficient past the digit limit
+        still gives a verdict in a table or CSV, and exit 2 in JSON."""
+        argv = ("alg", op, "-m", "grigorchuk", "-e", f"{NINES} a:> ; {NINES} a:>")
+        key = f"is_{op[2:]}"
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, *argv) == (0, GRIG + f"{key}: no\n", "")
+        assert run(capsys, *argv, "--format", "csv") == (0, f"{key}\nno\n", "")
+        assert run(capsys, *argv, "--format", "json") == (
+            2, "", f"error: element coefficient has more than {limit} decimal digits, "
+                   "too many to print\n")
+
+
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.json"
 
 

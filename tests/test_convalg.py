@@ -2407,6 +2407,70 @@ class TestTermLabel:
             convalg._term_label(grig, odd)
 
 
+# ---------------------------------------------------------------------------
+# machines over more than ten letters, whose words have no word text
+
+
+def wide_element(rng, m, named):
+    """A seeded element of m whose prefixes reach letters past 9: its
+    shifts are labelled with their states' names if named, else carry no
+    label.  The same rng state gives the same element either way."""
+    d = m.alphabet_size
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        q, k = rng.randrange(m.size), rng.randint(0, 2)
+        u, v = random_word(rng, d, k), random_word(rng, d, k)
+        shift = indicator(m, q if named else m.state(q), u, v)
+        terms.append(shift.scale(random_scalar(rng)))
+    return sum(terms[1:], terms[0])
+
+
+def refinement_zero(m, pmap):
+    """pmap minus its refinements below every letter: zero as a function."""
+    return AlgebraElement(m, [(1, pmap)] + [(-1, pmap.restrict_source((x,)))
+                                            for x in range(m.alphabet_size)])
+
+
+class TestWideAlphabet:
+    def test_labels_never_break_arithmetic(self):
+        """On 11- and 12-letter machines the labelled elements compute
+        what the unlabelled ones do: a label below a word with a letter
+        past 9 is None, and every repr falls back to letter tuples."""
+        from germtrace import rep_matrix
+
+        rng = random.Random(4101)
+        decided = 0
+        for d in (11, 12):
+            for _ in range(4):
+                m = random_machine(rng, 4, d)
+                for _ in range(6):
+                    seed = rng.random()
+                    a, a0 = (wide_element(random.Random(seed), m, named) for named in (1, 0))
+                    seed = rng.random()
+                    b, b0 = (wide_element(random.Random(seed), m, named) for named in (1, 0))
+                    assert a == a0 and b == b0
+                    assert any(p.label is not None for p in a.terms)
+                    prod, prod0 = a * b, a0 * b0
+                    assert prod == prod0 and a.adjoint() == a0.adjoint()
+                    (_, p), (_, p0) = a.term_list()[0], a0.term_list()[0]
+                    w = (d - 1, rng.randrange(d))
+                    assert p.restrict_source(w) == p0.restrict_source(w)
+                    zero, zero0 = refinement_zero(m, p), refinement_zero(m, p0)
+                    assert zero.is_zero() and zero0.is_zero()
+                    assert prod.is_zero() == prod0.is_zero()
+                    assert prod.is_singular() == prod0.is_singular()
+                    decided += not prod.is_zero()
+                    x = Point(p.source_prefix + (d - 1,), (10,))
+                    basis = [p.germ_at(x), unit_germ(d, x)]
+                    rep, rep0 = (rep_matrix(e, x, basis) for e in (prod, prod0))
+                    assert rep.entries == rep0.entries
+                    for obj in (a, a0, prod, prod0, zero, p, p.restrict_source(w),
+                                basis[0], basis[0].inverse(), x, rep.labels):
+                        assert isinstance(repr(obj), str)
+        assert decided >= 10, decided
+        assert repr(Point((10, 2), (11,))) == "(10, 2)((11,))"
+        assert restrict_label("a", (10,)) is None and restrict_label("a", (9,)) == "a|9"
+
 # The parsers as they stood before a lone name skipped the tokenizer,
 # parse_word range-checked with max and _parse_shift built its shift from
 # the words it had checked, kept as references for the shorter paths.

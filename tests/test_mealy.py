@@ -203,6 +203,33 @@ class TestAction:
         with pytest.raises(ValueError, match="outside alphabet"):
             a.restrict((0, 2))
 
+    def test_action_and_identity_intern_nothing(self, monkeypatch):
+        """is_identity, apply_word and restrict on the states of freshly
+        parsed machines make no _intern call (counted by a spy: the
+        table's size could also shrink), and is_identity is triviality
+        read off the raw tables: the greatest set of states with the
+        identity row whose successors all lie in it."""
+        calls = []
+        intern = mealy._intern
+        monkeypatch.setattr(mealy, "_intern", lambda *args: calls.append(args) or intern(*args))
+        rng = random.Random(4102)
+        extra_trivial = 0
+        for _ in range(60):
+            d = rng.choice((2, 3))
+            m = parse_machine("\n".join(machine_text_lines(rng, d)))
+            trivial = {q for q in range(m.size) if m.outputs[q] == tuple(range(d))}
+            while any(t not in trivial for q in trivial for t in m.transitions[q]):
+                trivial = {q for q in trivial if set(m.transitions[q]) <= trivial}
+            for q in range(m.size):
+                g = m.state(q)
+                assert g.is_identity() == (q in trivial)
+                w = random_word(rng, d, rng.randint(0, 5))
+                g.restrict(w).is_identity()
+                g.apply_word(w)
+            extra_trivial += len(trivial) - 1  # besides e
+        assert calls == []
+        assert extra_trivial >= 20, extra_trivial
+
     def test_self_similarity_identity(self, bundled):
         """g(wv) = g(w) . (g|_w)(v) for random states and words."""
         rng = random.Random(11)
@@ -902,9 +929,11 @@ class TestCapReplay:
             "default": expected.machine,
         }
 
-    def test_threads_racing_to_fill_the_memo(self):
+    def test_threads_racing_to_fill_the_memo(self, monkeypatch):
         """Threads with different caps build the same fresh products at
-        once; each gets what one thread alone gets under its cap."""
+        once; each gets what one thread alone gets under its cap.  Then
+        threads intern the same fresh tables at once, into an empty
+        table: every thread gets the one machine stored for each."""
         rng = random.Random(9092)
         pairs = []
         for i in range(12):
@@ -917,23 +946,46 @@ class TestCapReplay:
             outcomes[cap] = [(cap_outcome(cap, lambda: g * h),
                               cap_outcome(cap, g.inverse)) for g, h in pairs]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=work, args=(c,)) for c in caps * 2]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=120)
-                assert not w.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
+        def race(target, args):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [threading.Thread(target=target, args=a) for a in args]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=120)
+                    assert not w.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+
+        race(work, [(c,) for c in caps * 2])
         for cap in caps:
             alone = [(cap_outcome(cap, lambda: g * h), cap_outcome(cap, g.inverse))
                      for g, h in pairs]
             assert outcomes[cap] == alone
         assert all(not isinstance(o, str) for row in outcomes[STATE_CAP] for o in row)
         assert any(isinstance(o, str) for row in outcomes[4] for o in row)
+
+        tables = []
+        for _ in range(300):
+            m = oracle_machine(rng, duplicate=False, size=12)
+            outs, trans, block = mealy._quotient(m.outputs, m.transitions)
+            d = m.alphabet_size
+            tables.append((d, outs, trans, block[0], mealy._identity_state(d, outs, trans)))
+        start = threading.Barrier(4, timeout=60)
+        got = [None] * 4
+
+        def intern(i):
+            start.wait()
+            got[i] = [mealy._intern(*t) for t in tables]
+
+        for _ in range(4):  # repeated: a lost race shows in some runs only
+            monkeypatch.setattr(mealy, "_interned", {})
+            race(intern, [(i,) for i in range(4)])
+            assert len(mealy._interned) == len({t[:3] for t in tables})
+            for t, *machines in zip(tables, *got):
+                assert all(m is mealy._interned[t[:3]] for m in machines)
 
     def test_messages_name_what_was_built(self, grig):
         a, b = grig.state("a"), grig.state("b")
