@@ -25,10 +25,9 @@ from math import gcd
 
 from .errors import (DomainError, ElementParseError, ParseError, PatternCapError,
                      excerpt)
-from .germs import (PartialMap, _germ_key, _home, _minimal, _shift, _unit_key,
-                    bisection_product)
+from .germs import PartialMap, _germ_key, _shift, _unit_key, bisection_product
 from .mealy import (Aut, Machine, Word, _canonical_pair, _cap_error, _explore, _index,
-                    _least_states, _memoised, _minimized, _parse_memo, _quotient,
+                    _least_states, _memoised, _minimal, _minimized, _parse_memo, _quotient,
                     _state_cap, _state_hashes, _walk, identity_aut, parse_state_expr,
                     parse_word, strong_components, word_text)
 from .points import Point
@@ -275,10 +274,9 @@ class AlgebraElement:
     coefficients dropped.  Equality of AlgebraElement objects is
     termwise; use equals (is_zero of the difference) for equality as
     functions on germs.  A product memoises the pieces of each pair of
-    terms (bisection_product), through mealy._memoised on the interned
-    machine of the canonical form of the left term's state (germs._home),
-    under the two shifts' content and labels, so every piece carries the
-    label its terms give.
+    terms (bisection_product), through mealy._memoised on the minimal
+    machine the left term's state lies in, under the two shifts' content
+    and labels, so every piece carries the label its terms give.
     """
 
     __slots__ = ("machine", "terms")
@@ -334,11 +332,11 @@ class AlgebraElement:
         self._require_compatible(other)
         out = []
         for b1, c1 in self.terms.items():
-            a = _home(b1)
+            a = b1.state
             memo = a.machine._memo
             left = ("times", a.state, b1.range_prefix, b1.source_prefix, b1.label)
             for b2, c2 in other.terms.items():
-                b = _home(b2)
+                b = b2.state
                 for piece in _memoised(memo, left + (b.machine, b.state, b2.range_prefix,
                                                      b2.source_prefix, b2.label),
                                        bisection_product, b1, b2):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .mealy import (Aut, Machine, Word, _canonical_pair, _memoised, _minimal_pair, _shown,
+from .mealy import (Aut, Machine, Word, _canonical_pair, _memoised, _minimal, _shown,
                     _state_hashes, _walk, check_word, compose_labels, identity_aut,
                     invert_label, restrict_label)
 from .points import BOUNDARY, Point, fixed_walk, state_lasso
@@ -27,11 +27,10 @@ class PartialMap:
     The state is kept in a minimal machine (see mealy._minimal_pair), so
     two maps whose states share that machine are equal iff they have the
     same state and their prefixes agree; only maps over two machines
-    compare canonical forms.  The hash is computed once, from content:
-    the state's content hash (mealy._state_hashes) with u and v, so equal
-    maps hash alike whatever their machines.  The canonical form of the
-    state, under which the germ, after and times memos are kept, is
-    built on first use and kept in _home.
+    compare canonical forms, as Aut.__eq__ does.  The hash is computed
+    once, from content: the state's content hash (mealy._state_hashes)
+    with u and v, so equal maps hash alike whatever their machines.  The
+    germ, after and times memos sit on that minimal machine.
     """
 
     state: Aut
@@ -39,7 +38,6 @@ class PartialMap:
     source_prefix: Word
     label: str | None = None
     _hash: int = field(init=False, repr=False)
-    _home: Aut | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         u = check_word(self.range_prefix, self.alphabet_size)
@@ -81,7 +79,7 @@ class PartialMap:
                       restrict_label(self.label, w))
 
     def inverse(self) -> "PartialMap":
-        return _shift(_home(self).inverse(), self.source_prefix, self.range_prefix,
+        return _shift(self.state.inverse(), self.source_prefix, self.range_prefix,
                       invert_label(self.label))
 
     def germ_at(self, x: Point) -> "Germ":
@@ -96,8 +94,7 @@ class PartialMap:
         a, b = self.state, other.state
         if a.machine is b.machine:
             return a.state == b.state
-        a, b = _home(self), _home(other)
-        return a.machine is b.machine and a.state == b.state
+        return _canonical_pair(a.machine, a.state) == _canonical_pair(b.machine, b.state)
 
     def __hash__(self):
         return self._hash
@@ -105,12 +102,6 @@ class PartialMap:
     def __repr__(self):
         name = self.label if self.label is not None else "?"
         return f"<shift {name}:{_shown(self.range_prefix)}>{_shown(self.source_prefix)}>"
-
-
-def _minimal(g: Aut) -> Aut:
-    """g as a state of its minimal machine (mealy._minimal_pair)."""
-    m, q = _minimal_pair(g.machine, g.state)
-    return g if m is g.machine else Aut(m, q)
 
 
 def _fill(pmap: PartialMap, state: Aut, u: Word, v: Word, label) -> PartialMap:
@@ -122,7 +113,6 @@ def _fill(pmap: PartialMap, state: Aut, u: Word, v: Word, label) -> PartialMap:
     put(pmap, "source_prefix", v)
     put(pmap, "label", label)
     put(pmap, "_hash", hash((_state_hashes(state.machine)[state.state], u, v)))
-    put(pmap, "_home", None)
     return pmap
 
 
@@ -133,16 +123,6 @@ def _shift(state: Aut, u: Word, v: Word, label) -> PartialMap:
     return _fill(object.__new__(PartialMap), state, u, v, label)
 
 
-def _home(pmap: PartialMap) -> Aut:
-    """The canonical form of pmap's state, kept in pmap._home: the home of
-    its germ, after and times memos."""
-    home = pmap._home
-    if home is None:
-        home = pmap.state.canonical()
-        object.__setattr__(pmap, "_home", home)
-    return home
-
-
 def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
     """Pieces of the composite b1 after b2, one shift per surviving cylinder.
 
@@ -150,8 +130,8 @@ def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
     either misses the source cylinder of b1 (no piece) or the overlap is
     the image of a single refinement of b2 (one piece), found by pulling
     the missing source letters of b1 back through b2.  The piece is built
-    once, from the canonical forms of the two states (_home), labelled as
-    b1's restriction after b2's.
+    once, from the two states in their minimal machines, labelled as b1's
+    restriction after b2's; nothing is canonicalised.
     """
     if b1.alphabet_size != b2.alphabet_size:
         raise DomainError("alphabet size mismatch")
@@ -160,15 +140,15 @@ def bisection_product(b1: PartialMap, b2: PartialMap) -> list[PartialMap]:
         if u2[:len(v1)] != v1:
             return []
         w = u2[len(v1):]
-        image, left = _walk(_home(b1), w)
-        return [_shift(left * _home(b2), b1.range_prefix + image, b2.source_prefix,
+        image, left = _walk(b1.state, w)
+        return [_shift(left * b2.state, b1.range_prefix + image, b2.source_prefix,
                        compose_labels(restrict_label(b1.label, w), b2.label))]
     if v1[:len(u2)] != u2:
         return []
-    g = _home(b2)
+    g = b2.state
     w = g.inverse().apply_word(v1[len(u2):])
     right = _walk(g, w)[1]
-    return [_shift(_home(b1) * right, b1.range_prefix, b2.source_prefix + w,
+    return [_shift(b1.state * right, b1.range_prefix, b2.source_prefix + w,
                    compose_labels(b1.label, restrict_label(b2.label, w)))]
 
 
@@ -187,7 +167,7 @@ class Germ:
     each other round the same cycle.  The key comes from one walk of q's
     lasso along the shifted base, which yields the range's letters and
     the cycle together; range() reads it off the key.  The walk runs
-    once per (shift, base): its key is memoised on the interned machine
+    once per (shift, base): its key is memoised on the minimal machine
     of q (see _germ_key), so a germ rebuilt from a fresh map looks its
     key up.
     """
@@ -243,14 +223,16 @@ def unit_germ(alphabet_size: int, x: Point) -> Germ:
     return Germ(_unit_map(alphabet_size), x)
 
 
-# Derived germ data is memoised on the interned machine of the canonical
-# form of a shift's state (_home), next to its products and inverses, so
-# it lives and dies with the machine and adds no module state.
+# Derived germ data is memoised on the minimal machine that a shift's
+# state lies in, next to its products and inverses, so it lives and dies
+# with the machine and adds no module state; canonical forms are built
+# only for the cycle of a germ key, which germs of two machines compare.
 
 def _germ_key(pmap: PartialMap, x: Point) -> tuple:
     """Germ.key of pmap's germ at x, where pmap's source cylinder holds x,
-    memoised under ("germ", state, u, v, x) on the home of pmap's state."""
-    aut = _home(pmap)
+    memoised under ("germ", state, u, v, x) on pmap's state's minimal
+    machine; the cycle's restrictions are its canonical pairs."""
+    aut = pmap.state
     u, v = pmap.range_prefix, pmap.source_prefix
     memo = aut.machine._memo
     slot = ("germ", aut.state, u, v, x)
@@ -287,7 +269,7 @@ def _after_key(t: PartialMap, g: PartialMap, x: Point) -> tuple:
     x and t's holds g(x): the germ of t at g(x) composed with g's at x.
     Memoised under ("after", t, g, x) through mealy._memoised, so a hit is
     refused as a fresh build would be."""
-    aut, gaut = _home(t), _home(g)
+    aut, gaut = t.state, g.state
     slot = ("after", aut.state, t.range_prefix, t.source_prefix,
             gaut.machine, gaut.state, g.range_prefix, g.source_prefix, x)
     return _memoised(aut.machine._memo, slot, _composite_key, t, g, x)

@@ -21,24 +21,24 @@ one interned machine, and a state in the root of an interned machine is
 its own canonical form.  The canonical forms of the other states of an
 interned machine or a quotient are kept in one table on it
 (_interned_closure), read on the quotient for other machines
-(_canonical_pair), and built only where they are read.  Products and
-inverses are explored from canonical operands, a state expression from
-the freely reduced word over the machine's classes that it parses to,
-and their quotients are numbered and interned the same way.  Two
+(_canonical_pair), and built only where they are read.  Interned
+machines and quotients are minimal, and two states of a minimal machine
+are equal iff they are one state, so every state is read in its minimal
+machine (_minimal_pair, _minimal): that machine keeps every value derived
+from the state.  Products and inverses are explored from the operands'
+minimal states, a state expression from the freely reduced word over the
+machine's classes that it parses to, and their quotients are numbered
+and interned as above.  They are memoised on the left operand's minimal
+machine, and the germs and algebra layers keep their germ keys and the
+pieces of term products on the same memos.  Canonical forms are built
+only to compare states of two different minimal machines (Aut.__eq__),
+and for the tables the fixedpoints layer keeps per closure: two
 automorphisms are equal iff their canonical forms have the identical
-machine and the same state.  Interned machines and quotients are
-minimal, and two states of a minimal machine are equal iff they are one
-state, so equality reads each state in its minimal machine
-(_minimal_pair) and compares canonical forms only for states of two
-different ones: within one machine nothing is interned.  Hashes read
-content, not the intern table: a state's hash is a hash of its action
-on the first _HASH_DEPTH levels of the tree, computed once per minimal
-machine (_state_hashes), so equal automorphisms hash alike in any
-machine and in any process.  Products and inverses are memoised on the
-interned machine of the left canonical operand, next to its table of
-canonical forms; keys and values hold interned machines only.  The germs
-layer keeps its germ keys on the same memos, and the algebra layer the
-pieces of its term products.  Every memoised result built from
+machine and the same state, so within one machine nothing is interned.
+Hashes read content, not the intern table: a state's hash is a hash of
+its action on the first _HASH_DEPTH levels of the tree, computed once
+per minimal machine (_state_hashes), so equal automorphisms hash alike
+in any machine and in any process.  Every memoised result built from
 explorations (a product, an inverse, a state expression, a shift parsed
 against the machine, a term product, the germ key of a term after a
 basis germ) is stored through _memoised in one format, (explored,
@@ -85,12 +85,13 @@ def state_cap(n: int):
     """Bound the states materialised per derived machine inside the block.
 
     For a product or an inverse the cap counts the states of the machine
-    explored from the operands' canonical forms (for a non-minimal
-    operand that is never more than its raw machine would give).  For a
-    state expression it counts the freely reduced words reached from the
-    word the expression parses to (see parse_state_expr), so one that
-    cancels freely reaches the empty word only and is never refused; one
-    name with restrictions explores nothing.  For is_zero / is_singular
+    explored from the operands' minimal states, as many as from their
+    canonical forms (for a non-minimal operand that is never more than
+    its raw machine would give).  For a state expression it counts the
+    freely reduced words reached from the word the expression parses to
+    (see parse_state_expr), so one that cancels freely reaches the empty
+    word only and is never refused; one name with restrictions explores
+    nothing.  For is_zero / is_singular
     it counts the states of each bucket's pattern graph: the pairs of
     restrictions reached from all of the bucket's term pairs, plus its
     two sinks; the pattern cap counts the joint states the walk over it
@@ -381,10 +382,6 @@ def _quotient(outputs, transitions):
             block)
 
 
-_PRODUCT = "the product of a {0.size}-state and a {1.size}-state automorphism"
-_INVERSE = "the inverse of a {0.size}-state automorphism"
-
-
 def _memoised(memo, slot, build, *args):
     """memo[slot]'s value, built on a miss by build(*args).
 
@@ -427,7 +424,7 @@ def _parse_memo(machine: Machine, kind: str, key) -> dict:
 
 
 def _product(a: "Aut", b: "Aut") -> "Aut":
-    """a * b of canonical forms over one alphabet, built afresh."""
+    """a * b of states of minimal machines over one alphabet, built afresh."""
     A, B = a.machine, b.machine
     d = A.alphabet_size
     out1, tr1, out2, tr2 = A.outputs, A.transitions, B.outputs, B.transitions
@@ -440,11 +437,13 @@ def _product(a: "Aut", b: "Aut") -> "Aut":
         p, q = pair
         return (tr1[p][out2[q][x]], tr2[q][x])
 
-    return _derive(d, (a.state, b.state), out_fn, trans_fn, _PRODUCT, A, B)
+    return _derive(d, (a.state, b.state), out_fn, trans_fn,
+                   lambda: f"the product of a {_closure_size(a)}-state and a "
+                           f"{_closure_size(b)}-state automorphism")
 
 
 def _inverse(c: "Aut") -> "Aut":
-    """c.inverse() of a canonical form, built afresh."""
+    """c.inverse() of a state of a minimal machine, built afresh."""
     m = c.machine
     d = m.alphabet_size
     tr = m.transitions
@@ -453,24 +452,25 @@ def _inverse(c: "Aut") -> "Aut":
     def trans_fn(q, x):
         return tr[q][inv[q][x]]
 
-    return _derive(d, c.state, inv.__getitem__, trans_fn, _INVERSE, m)
+    return _derive(d, c.state, inv.__getitem__, trans_fn,
+                   lambda: f"the inverse of a {_closure_size(c)}-state automorphism")
 
 
-def _derive(d, start, out_fn, trans_fn, what, *args) -> "Aut":
+def _derive(d, start, out_fn, trans_fn, what) -> "Aut":
     """The interned result of a product, inverse or state expression
     machine explored from start under the current cap.  Every explored
     state is reachable from start, so the quotient is the closure of the
     start's class, numbered by _quotient as it would number itself, and
-    is interned as it stands.  A refusal reads what.format(*args), the
-    one wording of a cap refusal for a derived machine; an accepted
-    exploration raises the running maximum of the memoised build in
-    progress, if there is one (see _memoised), to the states it reached.
+    is interned as it stands.  A refusal names what(), called only then;
+    an accepted exploration raises the running maximum of the memoised
+    build in progress, if there is one (see _memoised), to the states it
+    reached.
     """
     cap, top = _scope.get()
     try:
         outs, trans = _explore(d, [start], out_fn, trans_fn, cap, StateCapError)
     except StateCapError:
-        raise _cap_error(cap, what.format(*args)) from None
+        raise _cap_error(cap, what()) from None
     if top is not None and len(outs) > top[0]:
         top[0] = len(outs)
     q_outs, q_trans, block = _quotient(outs, trans)
@@ -542,13 +542,16 @@ class Aut:
     def compose(self, other: "Aut") -> "Aut":
         """Automorphism w -> self(other(w)), minimised and interned.
 
-        The product is explored from the canonical forms (A, i) and
-        (B, j) of the operands, from the state pair (i, j), and memoised
-        through _memoised on A under the key ("compose", i, B, j), so a
-        hit that explored more states than the cap is built afresh; see
-        state_cap for what the cap counts.
+        The product is explored from the operands' states (A, i) and
+        (B, j) in their minimal machines (_minimal), from the state pair
+        (i, j), and memoised through _memoised on A under the key
+        ("compose", i, B, j), so a hit that explored more states than the
+        cap is built afresh; see state_cap for what the cap counts.  No
+        canonical form is built: the pairs reached from (i, j) form the
+        machine the canonical forms give, numbered otherwise, so the count
+        explored and the interned result are the same.
         """
-        a, b = self.canonical(), other.canonical()
+        a, b = _minimal(self), _minimal(other)
         A, B = a.machine, b.machine
         if A.alphabet_size != B.alphabet_size:
             raise DomainError("cannot compose states over different alphabets")
@@ -557,10 +560,10 @@ class Aut:
     def inverse(self) -> "Aut":
         """The inverse automorphism, minimised and interned.
 
-        Explored from the canonical form (M, i) and memoised on M under
-        the key ("inverse", i), like compose.
+        Explored from the state (M, i) in its minimal machine and memoised
+        on M under the key ("inverse", i), like compose.
         """
-        c = self.canonical()
+        c = _minimal(self)
         return _memoised(c.machine._memo, ("inverse", c.state), _inverse, c)
 
     def is_identity(self) -> bool:
@@ -614,6 +617,19 @@ def _minimal_pair(m: Machine, q: int) -> tuple[Machine, int]:
         m, block = _minimized(m)  # a quotient is its own, block[q] == q
         q = block[q]
     return m, q
+
+
+def _minimal(g: Aut) -> Aut:
+    """g as a state of its minimal machine (_minimal_pair): g itself if
+    its machine is minimal already."""
+    m, q = _minimal_pair(g.machine, g.state)
+    return g if m is g.machine else Aut(m, q)
+
+
+def _closure_size(g: Aut) -> int:
+    """The number of states g reaches in its machine: the size of its
+    canonical machine when g's machine is minimal."""
+    return len(forward_closure([g.state], g.machine.transitions.__getitem__))
 
 
 def _canonical_pair(m: Machine, q: int) -> tuple[Machine, int]:
@@ -945,6 +961,9 @@ def parse_machine(text: str) -> Machine:
 
 
 def format_machine(machine: Machine) -> str:
+    """The text parse_machine reads back; ValueError past 10 letters."""
+    if machine.alphabet_size > 10:
+        raise ValueError("machine text supports alphabets of at most 10 letters")
     lines = [f"alphabet {machine.alphabet_size}"]
     for q in range(machine.size):
         perm = " ".join(str(x) for x in machine.outputs[q])
@@ -975,8 +994,6 @@ def format_machine(machine: Machine) -> str:
 # standard recursion of automaton groups (Nekrashevych, Self-Similar
 # Groups, AMS 2005).  Equal states are one class, so x x^-1 cancels
 # whichever of two equal states x names.
-
-_EXPRESSION = "the state expression {0}"
 
 # One token after optional whitespace, as (NAME, ''), or ('', symbol) for
 # '^-1', '*', '(', ')', '|' with the digits after it (none is an error) or
@@ -1019,7 +1036,7 @@ def parse_state_expr(machine: Machine, text: str) -> Aut:
     # a reduced word came from word_of, which filled parser.classes
     return _memoised(_parse_memo(parser.classes[0], "word", value), value, _derive,
                      machine.alphabet_size, value, parser.outputs, parser.section,
-                     _EXPRESSION, excerpt(text))
+                     lambda: f"the state expression {excerpt(text)}")
 
 
 class _ExpressionParser:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from .errors import DomainError, PointParseError, excerpt
-from .mealy import Aut, Word, _shown, parse_word, word_text
+from .mealy import Aut, Word, _minimal, _shown, parse_word, word_text
 
 # outcomes of walking a state along a point while it keeps fixing letters
 MOVED = "moved"        # some prefix is moved: the point is not fixed
@@ -153,13 +153,14 @@ def fixed_walk(g: Aut, x: Point):
 
     Returns (status, states) where status is MOVED, INTERIOR or BOUNDARY
     and states lists the distinct restrictions met along the way, in the
-    order the walk first meets them (as states of g's canonical machine).
+    order the walk first meets them, as states of g's minimal machine
+    (mealy._minimal), whose one trivial state is its identity.
     INTERIOR means some finite prefix is fixed with trivial restriction
     below it; BOUNDARY means every prefix is fixed but the restriction
     never trivialises, i.e. the lasso of g at x closes without either
     happening.
     """
-    c = g.canonical()
+    c = _minimal(g)
     m = c.machine
     states, _ = state_lasso(c, x)
     for i, q in enumerate(states):

@@ -24,9 +24,18 @@ from germtrace import mealy
 from germtrace.convalg import ZERO
 
 
+# the machines the session fixtures built: the memos of their states sit
+# on their quotients (see pop_memos)
+FIXTURE_MACHINES: list[Machine] = []
+
+
+def _fixture_machine(text: str) -> Machine:
+    FIXTURE_MACHINES.append(parse_machine(text))
+    return FIXTURE_MACHINES[-1]
+
+
 def _bundled(name: str) -> Machine:
-    text = resources.files("germtrace.data").joinpath(f"{name}.gt").read_text()
-    return parse_machine(text)
+    return _fixture_machine(resources.files("germtrace.data").joinpath(f"{name}.gt").read_text())
 
 
 @pytest.fixture(scope="session")
@@ -59,7 +68,7 @@ state u perm 0 1 2 to t u e
 
 @pytest.fixture(scope="session")
 def ternary() -> Machine:
-    return parse_machine(TERNARY_TEXT)
+    return _fixture_machine(TERNARY_TEXT)
 
 
 def random_word(rng: random.Random, d: int, length: int) -> tuple[int, ...]:
@@ -140,6 +149,20 @@ def random_machine(rng, n, d):
     return Machine(d, outputs + [letters], transitions + [(n,) * d], identity=n)
 
 
+def spinal_chain(rng, d):
+    """A Grigorchuk-like machine: state 0 cycles the root letters, the
+    spinal states 1..k fix the root, put state 0 or the identity below
+    letters 0..d-2 and hand the last letter to the next spinal state."""
+    k = rng.randint(3, 9)
+    e = k + 1
+    outputs = [tuple((x + 1) % d for x in range(d))] + [tuple(range(d))] * (k + 1)
+    transitions = [(e,) * d]
+    for i in range(k):
+        transitions.append(tuple(rng.choice((0, e)) for _ in range(d - 1))
+                           + (1 + (i + 1) % k,))
+    return Machine(d, outputs, transitions + [(e,) * d], identity=e)
+
+
 def zero_quartet(rng, m):
     """c(q1 - q2 - q3 + q4) for four new states of m with the identity
     output row, acting as x, x, w, w below letter 0, as y, z, y, z below
@@ -161,10 +184,18 @@ def zero_quartet(rng, m):
                                for i, sign in enumerate((1, -1, -1, 1))])
 
 
+def memo_machines() -> list[Machine]:
+    """The interned machines and the quotients of the fixture machines: the
+    minimal machines that hold the memos of the fixtures' states and of
+    their products."""
+    return [*mealy._interned.values(), *(mealy._minimized(m)[0] for m in FIXTURE_MACHINES)]
+
+
 def pop_memos(*kinds: str) -> None:
     """Drop the memo entries of these kinds ("germ", "after", "compose",
-    "inverse", "unit", ...) from every interned machine."""
-    for m in list(mealy._interned.values()):
+    "inverse", "unit", ...) from memo_machines().  A test that needs them
+    dropped from another machine's quotient builds that machine afresh."""
+    for m in memo_machines():
         for key in [k for k in m._memo if (k if isinstance(k, str) else k[0]) in kinds]:
             del m._memo[key]
 

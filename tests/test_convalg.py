@@ -46,14 +46,14 @@ from germtrace import convalg, mealy
 from germtrace.convalg import (_BROKEN, _TRIVIAL, ZERO, _class_sums, _pattern_cap,
                                _pattern_walk)
 from germtrace.errors import excerpt
-from germtrace.germs import _home, _walk, bisection_product
+from germtrace.germs import _walk, bisection_product
 from germtrace.mealy import (_canonical_pair, _cap_error, _explore, _quotient, _state_cap,
                              backward_distances, compose_labels, infinite_path_nodes,
                              restrict_label, word_text)
 
 from conftest import (evaluate, is_termwise_zero, pop_memos, random_element, random_machine,
                       random_scalar, random_state_expr, random_word, reference_quotient,
-                      zero_quartet)
+                      spinal_chain, zero_quartet)
 
 
 def F(*args):
@@ -842,20 +842,6 @@ def reference_class_sums(elem, walk_sizes=None):
                 items.append((reference_sums_by_union_find(len(states), coeffs, tset),
                               has_open))
     return items
-
-
-def spinal_chain(rng, d):
-    """A Grigorchuk-like machine: state 0 cycles the root letters, the
-    spinal states 1..k fix the root, put state 0 or the identity below
-    letters 0..d-2 and hand the last letter to the next spinal state."""
-    k = rng.randint(3, 9)
-    e = k + 1
-    outputs = [tuple((x + 1) % d for x in range(d))] + [tuple(range(d))] * (k + 1)
-    transitions = [(e,) * d]
-    for i in range(k):
-        transitions.append(tuple(rng.choice((0, e)) for _ in range(d - 1))
-                           + (1 + (i + 1) % k,))
-    return Machine(d, outputs, transitions + [(e,) * d], identity=e)
 
 
 def distinct_states_element(rng, m, states):
@@ -2283,8 +2269,8 @@ def labelled_element(rng, machine, max_terms=3):
 
 def stored_pieces(b1, b2):
     """The memo entry (explored, pieces) of b1 after b2, or None, on the
-    canonical form of b1's state."""
-    a, b = _home(b1), _home(b2)
+    minimal machine of b1's state."""
+    a, b = b1.state, b2.state
     return a.machine._memo.get(("times", a.state, b1.range_prefix, b1.source_prefix,
                                 b1.label, b.machine, b.state, b2.range_prefix,
                                 b2.source_prefix, b2.label))
@@ -2300,8 +2286,8 @@ def product_outcome(cap, a, b):
 
 
 class TestProductMemo:
-    """a * b memoises the pieces of each pair of terms on the machine of the
-    canonical form of the left term's state; products equal the reference, labels included, and act warm
+    """a * b memoises the pieces of each pair of terms on the minimal
+    machine of the left term's state; products equal the reference, labels included, and act warm
     as they act cold under every cap."""
 
     def test_products_match_the_reference(self, bundled, ternary):
@@ -2499,7 +2485,7 @@ def tokenized_parse_state_expr(machine, text):
         return mealy.identity_aut(machine.alphabet_size)
     return mealy._memoised(mealy._parse_memo(parser.classes[0], "word", value), value,
                            mealy._derive, machine.alphabet_size, value, parser.outputs,
-                           parser.section, mealy._EXPRESSION, excerpt(text))
+                           parser.section, lambda: f"the state expression {excerpt(text)}")
 
 
 def checked_parse_shift(machine, shift_text):

@@ -2,6 +2,7 @@
 the memoised group law and its caps."""
 
 import contextlib
+import gc
 import itertools
 import random
 import re
@@ -35,8 +36,8 @@ from germtrace import AlgebraElement, PartialMap, Point, Scalar, germs, mealy, r
 from germtrace.errors import excerpt
 from germtrace.mealy import backward_distances, infinite_path_nodes, strong_components
 
-from conftest import (pop_memos, random_element, random_state_expr, random_word,
-                      reference_quotient)
+from conftest import (memo_machines, pop_memos, random_element, random_state_expr,
+                      random_word, reference_quotient, spinal_chain)
 
 
 def state_hashes(m):
@@ -161,6 +162,24 @@ class TestParsing:
             assert again.size == m.size
             for name in m.names:
                 assert again.state(name) == m.state(name)
+
+    def test_format_round_trip_on_every_alphabet(self):
+        """Seeded machines over 2..10 letters read back with the same tables
+        and names; over 11 letters format_machine refuses, as word_text
+        does, since no text parse_machine reads holds them."""
+        rng = random.Random(1611)
+        for d in range(2, 11):
+            for _ in range(3):
+                m = oracle_machine(rng, duplicate=rng.random() < 0.5, d=d, size=9)
+                m = Machine(d, m.outputs, m.transitions, names=[f"s{q}" for q in range(m.size)])
+                again = parse_machine(format_machine(m))
+                k = m.size  # parse_machine appends the identity e
+                assert again.names[:k] == m.names and again.names[k:] == ("e",)
+                assert again.outputs[:k] == m.outputs and again.transitions[:k] == m.transitions
+                assert format_machine(again).startswith(format_machine(m))
+        for m in (oracle_machine(rng, False, d=11, size=4), Machine(12, [range(12)], [[0] * 12])):
+            with pytest.raises(ValueError, match="at most 10 letters"):
+                format_machine(m)
 
     def test_ten_letters_is_the_largest_alphabet(self):
         m = parse_machine("alphabet 10\nstate a perm 1 0 2 3 4 5 6 7 8 9 to"
@@ -988,12 +1007,37 @@ class TestCapReplay:
                 assert all(m is mealy._interned[t[:3]] for m in machines)
 
     def test_messages_name_what_was_built(self, grig):
+        """Each operand is named by the size of its canonical machine, also
+        when its closure is smaller than its machine's quotient (seeded
+        random machines and spinal chains, every refusing cap)."""
         a, b = grig.state("a"), grig.state("b")
         assert cap_outcome(3, lambda: a * b) == (
             "more than 3 states while building the product of a 2-state and a "
             "5-state automorphism")
         assert cap_outcome(3, b.inverse) == (
             "more than 3 states while building the inverse of a 5-state automorphism")
+        rng = random.Random(9096)
+        refused = 0
+        for k in range(24):
+            m = (spinal_chain(rng, 2 + k % 2) if k % 3 == 0
+                 else oracle_machine(rng, duplicate=k % 2 == 1, size=16))
+            size = [m.state(q).canonical().machine.size for q in range(m.size)]
+            small = [q for q in range(m.size) if size[q] < minimize(m)[0].size]
+            for q in small[:3]:
+                r = rng.randrange(m.size)
+                g, h = m.state(q), m.state(r)
+                for build, what in (
+                        (lambda: g * h, f"the product of a {size[q]}-state and a "
+                                        f"{size[r]}-state automorphism"),
+                        (lambda: h * g, f"the product of a {size[r]}-state and a "
+                                        f"{size[q]}-state automorphism"),
+                        (g.inverse, f"the inverse of a {size[q]}-state automorphism")):
+                    cap = 1
+                    while isinstance(outcome := cap_outcome(cap, build), str):
+                        assert outcome == f"more than {cap} states while building {what}"
+                        refused += 1
+                        cap += 1
+        assert refused >= 150, refused
 
 
 def rep_outcome(cap, a, x, basis, iso=()):
@@ -1112,7 +1156,7 @@ class TestFailedCompositeBuild:
     built again, refused and leaves the entry as it was."""
 
     def after_slots(self, t):
-        return [k for k in germs._home(t).machine._memo if k[0] == "after"]
+        return [k for k in t.state.machine._memo if k[0] == "after"]
 
     def counting_builds(self, monkeypatch):
         builds = []
@@ -1134,11 +1178,11 @@ class TestFailedCompositeBuild:
         key = germs._after_key(t, g.map, x)
         (slot,) = self.after_slots(t)
         assert len(builds) == 2
-        entry = germs._home(t).machine._memo[slot]
+        entry = t.state.machine._memo[slot]
         explored, value = entry
         assert value is key and explored > 2
         assert after_outcome(2, t, g) == refusal
-        assert len(builds) == 3 and germs._home(t).machine._memo[slot] is entry
+        assert len(builds) == 3 and t.state.machine._memo[slot] is entry
         assert germs._after_key(t, g.map, x) is key
         assert len(builds) == 3
 
@@ -1181,7 +1225,7 @@ class TestBuildScope:
         for t, g in self.composites(grig):
             germs._after_key(t, g.map, g.base)
         shifts = {text: grig._memo["shift"][text][0] for text in self.SHIFTS}
-        after = {slot: entry[0] for m in list(mealy._interned.values())
+        after = {slot: entry[0] for m in memo_machines()
                  for slot, entry in m._memo.items() if slot[0] == "after"}
         return shifts, after
 
@@ -1714,25 +1758,53 @@ class TestGroupLawOracle:
                 for w in words_up_to(2, 5):
                     assert acc.inverse().apply_word(acc.apply_word(w)) == w
 
-    def test_memo_holds_interned_machines_only(self, grig):
-        raw = oracle_machine(random.Random(161), duplicate=True)
-        g, h = raw.state(0), raw.state(raw.size - 1)
-        (g * h).inverse()
-        (grig.state("a") * grig.state("b")).inverse()
-        assert set(raw._memo) <= {"minimize"}
-        interned = {id(m) for m in mealy._interned.values()}
-        memos = 0
-        for m in list(mealy._interned.values()):
-            for key, value in list(m._memo.items()):
-                if key[0] in ("compose", "inverse"):
-                    memos += 1
-                    explored, result = value
+    def test_memos_sit_on_minimal_machines(self, grig):
+        """After a seeded session of products, inverses, germ keys,
+        composite keys and term products on raw machines, interned
+        products and grig, every such entry sits on a minimal machine,
+        an interned one or a quotient, and its slot names states of that
+        machine; no other machine holds one."""
+        rng = random.Random(161)
+        raws = [grig]
+        for i in range(12):
+            raw = oracle_machine(rng, duplicate=i % 2 == 0, size=12)
+            g, h = raw.state(rng.randrange(raw.size)), raw.state(rng.randrange(raw.size))
+            product = g * h
+            quotient, block = minimize(raw)
+            assert ("compose", block[g.state], quotient, block[h.state]) in quotient._memo
+            product.inverse()
+            assert ("inverse", product.state) in product.machine._memo
+            raws += [raw, product.machine]
+        for m in raws:
+            d = m.alphabet_size
+            a, b = random_element(m, rng), random_element(m, rng)
+            a * b
+            x = Point(random_word(rng, d, rng.randint(0, 2)), random_word(rng, d, 1))
+            k = rng.randint(0, 1)
+            g = PartialMap(m.state(rng.randrange(m.size)), random_word(rng, d, k),
+                           x.prefix(k)).germ_at(x)
+            y = g.range()
+            t = PartialMap(m.state(rng.randrange(m.size)), random_word(rng, d, 2), y.prefix(2))
+            germs._after_key(t, g.map, x)
+        # kind -> the indices of (machine, state) pairs in a slot after its own state
+        others = {"compose": (2,), "inverse": (), "germ": (), "after": (4,), "times": (5,)}
+        machines = [o for o in gc.get_objects() if type(o) is Machine]
+        minimal = {id(m) for m in machines  # interned, or a quotient
+                   if m.root is not None or m._memo.get("minimize", (None,))[0] is m}
+        seen = dict.fromkeys(others, 0)
+        for m in machines:
+            slots = [k for k in m._memo if isinstance(k, tuple) and k[0] in others]
+            assert not slots or id(m) in minimal
+            for slot in slots:
+                seen[slot[0]] += 1
+                assert 0 <= slot[1] < m.size
+                for i in others[slot[0]]:
+                    assert id(slot[i]) in minimal and 0 <= slot[i + 1] < slot[i].size
+                if slot[0] in ("compose", "inverse"):
+                    explored, result = m._memo[slot]
                     assert explored >= result.machine.size
-                    assert m.root[key[1]] and result.machine.root[result.state]
-                    assert id(result.machine) in interned
-                    if key[0] == "compose":
-                        assert id(key[2]) in interned and key[2].root[key[3]]
-        assert memos >= 3
+                    assert result.machine.root[result.state]
+        assert all(count >= 10 for count in seen.values()), seen
 
 
 def breadth_first_renumbering(outputs, transitions, start):
@@ -2295,7 +2367,7 @@ def reference_pair(m, q):
 def canonical_session(rng):
     """Canonical forms, products, inverses, restrictions and shifts on
     fresh seeded machines, in a seeded order."""
-    for _ in range(30):
+    for _ in range(36):
         m = oracle_machine(rng, rng.random() < 0.5, size=12)
         states = list(range(m.size))
         rng.shuffle(states)

@@ -119,6 +119,36 @@ def test_layers_import_only_the_layers_below():
     assert wrong == {name: [] for name in ALLOWED_IMPORTS}
 
 
+def _unused_imports(path) -> list[str]:
+    """Names a source file imports (from __future__ aside) that it never
+    reads: no Name node, and no name inside a string annotation."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(((a.asname or a.name).split(".")[0], node.lineno)
+                            for a in node.names)
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)]
+    read = set()
+    for node in [tree] + [ast.parse(a.value, mode="eval") for a in annotations
+                          if isinstance(a, ast.Constant) and isinstance(a.value, str)]:
+        read.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in read]
+
+
+def test_every_import_is_used():
+    """Every module but the package __init__, which re-exports, reads each
+    name it imports, so a name left behind by a move fails here."""
+    assert [entry for path in SOURCES if path.stem != "__init__"
+            for entry in _unused_imports(path)] == []
+
+
 def test_no_hash_reads_an_address():
     """No __hash__ in the package calls id(): an address-based hash makes
     set and dict order differ between runs, and the CLI's output must be

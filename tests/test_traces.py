@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from germtrace import (
+    Aut,
     DomainError,
     F_eval,
     PartialMap,
@@ -15,12 +16,14 @@ from germtrace import (
     Scalar,
     canonical_trace,
     fixed_counts,
+    format_machine,
     indicator,
     isotropy_defect,
     isotropy_germs_at,
     isotropy_trace,
     mu_fix_exact,
     parse_element,
+    parse_machine,
     parse_point,
     rep_matrix,
     unit_element,
@@ -33,7 +36,7 @@ from germtrace.traces import _germ_label
 from germtrace.points import INTERIOR, fixed_walk
 
 from conftest import (conjugate_transpose, evaluate, is_unit, pop_memos, random_element,
-                      random_word)
+                      random_machine, random_word)
 
 
 def F(*args):
@@ -637,3 +640,38 @@ class TestFractionReference:
                     fraction_matmul(want_a, fraction_rep_entries(b, y, basis)))
                 nonzero += sum(v != (0, 0) for row in want_a for v in row)
         assert nonzero >= 100, nonzero
+
+
+class TestOneMachineBuildsNoCanonicalForm:
+    """Values derived from the states of one machine are memoised on the
+    minimal machine the states lie in, so on freshly parsed machines
+    none of them builds a canonical form (Aut.canonical)."""
+
+    def test_no_canonical_call(self, bundled, monkeypatch):
+        rng = random.Random(4243)
+        texts = [format_machine(m) for m in bundled.values()]
+        texts += [format_machine(random_machine(rng, rng.randint(3, 12), rng.choice((2, 3))))
+                  for _ in range(9)]
+        calls = []
+        real = Aut.canonical
+        monkeypatch.setattr(Aut, "canonical", lambda g: calls.append(g) or real(g))
+        keys = 0
+        for text in texts:
+            m = parse_machine(text)  # fresh: nothing memoised on it or its quotient
+            d = m.alphabet_size
+            a, b = random_element(m, rng), random_element(m, rng)
+            product = a * b
+            (a.adjoint() * product).adjoint()
+            x = Point(random_word(rng, d, rng.randint(0, 2)), random_word(rng, d, 1))
+            for pmap in product.terms:
+                if pmap.contains_base(x):
+                    keys += pmap.germ_at(x).key is not None
+            basis = [PartialMap(m.state(q), (), (), m.name_of(q)).germ_at(x)
+                     for q in range(m.size)]
+            rep_matrix(a, x, basis)
+            germs._after_key(basis[-1].map, basis[0].map, x)
+            F_eval(product, x)
+            for q in range(m.size):
+                fixed_walk(m.state(q), x)
+            isotropy_germs_at(x, m, 2)
+        assert calls == [] and keys >= 5, (len(calls), keys)
